@@ -13,6 +13,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import plan as planmod
 from .balancing import Estimand, balancing_weights
 from .borrow import a0_sensitivity, power_prior_posterior
@@ -151,8 +153,8 @@ def _cmd_ps_fit(args) -> int:
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
         lines = ["id,score"]
-        for r, s in zip(data.records, model.scores):
-            lines.append(f"{r.id},{format(float(s), '.17g')}")
+        for rid, s in zip(data.ids.tolist(), model.scores.tolist()):
+            lines.append(f"{rid},{format(s, '.17g')}")
         (out_dir / "scores.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     _emit(
         {"positivity": report.to_dict(),
@@ -171,11 +173,9 @@ def _weights_for(args, data):
 def _cmd_weight(args) -> int:
     data = _load(args)
     model, wset = _weights_for(args, data)
-    rows = [
-        (r.id, "trial" if r.group is Group.TRIAL else "external",
-         float(model.scores[i]), float(wset.weights[i]))
-        for i, r in enumerate(data.records)
-    ]
+    groups = np.where(data.group_mask, "trial", "external").tolist()
+    rows = list(zip(data.ids.tolist(), groups, model.scores.tolist(),
+                    wset.weights.tolist()))
     out_dir = Path(args.out_dir) if args.out_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -228,6 +228,8 @@ def _maybe_bootstrap(args, data, pipeline, payload, trial_only=False):
 
 def _cmd_compare(args) -> int:
     data = _load(args)
+    if data.outcome_kind is OutcomeKind.TIME_TO_EVENT and args.horizon is None:
+        raise PlanInvalid("a time-to-event outcome needs --horizon")
     estimand = Estimand.parse(args.estimand)
     covs = _split(args.covariates)
     scale = Scale(args.scale)
@@ -238,7 +240,7 @@ def _cmd_compare(args) -> int:
         if d.outcome_kind is OutcomeKind.TIME_TO_EVENT:
             curves = weighted_km_by_group(d, wset)
             return survival_contrast(
-                curves["trial"], curves["external"], args.horizon or 0.0
+                curves["trial"], curves["external"], args.horizon
             ).point
         return weighted_mean_contrast(d, wset, scale).point
 
@@ -247,7 +249,7 @@ def _cmd_compare(args) -> int:
     if data.outcome_kind is OutcomeKind.TIME_TO_EVENT:
         curves = weighted_km_by_group(data, wset)
         effect = survival_contrast(
-            curves["trial"], curves["external"], args.horizon or 0.0,
+            curves["trial"], curves["external"], args.horizon,
             estimand_label=estimand.label,
             target_population=estimand.target_population_label,
         )
@@ -298,8 +300,8 @@ def _cmd_maic(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         _write_weight_csv(
             out_dir / "weights.csv",
-            [(r.id, "trial", 0.0, float(fit.weights[i]))
-             for i, r in enumerate(data.records)],
+            [(rid, "trial", 0.0, w)
+             for rid, w in zip(data.ids.tolist(), fit.weights.tolist())],
         )
         _emit(payload, out_dir / "report.json")
     else:

@@ -14,6 +14,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -49,7 +50,11 @@ _MISSING_TOKENS = {"", "na", "nan", "null", "none", "."}
 
 @dataclass(frozen=True)
 class PatientRecord:
-    """One subject: group membership, covariates, and optional outcome data."""
+    """One subject as a row object: the unit of ``Dataset.from_records``.
+
+    The program itself works on ``Dataset`` columns; row objects are built
+    only by callers that want them and by ``Dataset.records``.
+    """
 
     id: str
     group: Group
@@ -59,83 +64,206 @@ class PatientRecord:
     event: Optional[int] = None
 
     def __post_init__(self):
-        if (self.time is None) != (self.event is None):
-            raise SchemaViolation(
-                f"record {self.id!r}: time and event must be present together"
-            )
-        if self.time is not None and self.time < 0:
-            raise SchemaViolation(f"record {self.id!r}: negative follow-up time")
+        _check_follow_up(self.id, self.time, self.event)
 
 
-@dataclass(frozen=True)
+def _check_follow_up(rid, time, event) -> None:
+    if (time is None) != (event is None):
+        raise SchemaViolation(f"record {rid!r}: time and event must be present together")
+    if time is not None and time < 0:
+        raise SchemaViolation(f"record {rid!r}: negative follow-up time")
+
+
+def _optional(value: float) -> Optional[float]:
+    return None if math.isnan(value) else value
+
+
+_COLUMNS = ("ids", "trial", "X", "outcome", "time", "event")
+
+
+def _read_only(col: np.ndarray) -> np.ndarray:
+    col.flags.writeable = False
+    return col
+
+
+def _float_column(values, n: int) -> np.ndarray:
+    """Float copy of an optional column; NaN marks a subject without a value."""
+    if values is None:
+        return np.full(n, np.nan)
+    return np.array(values, dtype=float)
+
+
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Immutable collection of patient records with a declared covariate order."""
+    """Immutable columnar table of subjects with a declared covariate order.
+
+    Row ``i`` of every column is subject ``i``, and row order is the
+    canonical subject order of every weight vector produced downstream.
+    ``X`` is the n x p covariate matrix (C-contiguous). ``outcome``,
+    ``time`` and ``event`` are float columns holding NaN where a subject has
+    no value; a column not given is all NaN. The constructor copies and
+    validates the columns once and stores them read-only; ``take`` and
+    ``restrict`` select rows of a valid table without validating again.
+    """
 
     covariate_names: tuple[str, ...]
-    records: tuple[PatientRecord, ...]
+    ids: np.ndarray
+    trial: np.ndarray
+    X: np.ndarray
+    outcome: Optional[np.ndarray] = None
+    time: Optional[np.ndarray] = None
+    event: Optional[np.ndarray] = None
     outcome_kind: Optional[OutcomeKind] = None
 
     def __post_init__(self):
-        if len(set(self.covariate_names)) != len(self.covariate_names):
-            raise SchemaViolation("covariate names must be unique")
-        if not any(r.group is Group.TRIAL for r in self.records):
-            raise EmptyDataset("dataset contains no trial records")
+        n = len(self.ids)
+        columns = {
+            "ids": np.array(self.ids, dtype=object),
+            "trial": np.array(self.trial, dtype=bool),
+            "X": np.array(self.X, dtype=float, order="C"),
+            "outcome": _float_column(self.outcome, n),
+            "time": _float_column(self.time, n),
+            "event": _float_column(self.event, n),
+        }
+        object.__setattr__(self, "covariate_names", tuple(self.covariate_names))
         p = len(self.covariate_names)
-        for r in self.records:
+        for name, col in columns.items():
+            shape = (n, p) if name == "X" else (n,)
+            if col.shape != shape:
+                raise SchemaViolation(f"column {name!r} has shape {col.shape}, expected {shape}")
+            object.__setattr__(self, name, _read_only(col))
+
+        time, event = columns["time"], columns["event"]
+        bad = (np.isnan(time) != np.isnan(event)) | (time < 0)
+        if bad.any():
+            i = int(np.argmax(bad))
+            _check_follow_up(self.ids[i], _optional(time[i]), _optional(event[i]))
+        if len(set(self.covariate_names)) != p:
+            raise SchemaViolation("covariate names must be unique")
+        if not self.trial.any():
+            raise EmptyDataset("dataset contains no trial records")
+        if self.outcome_kind is OutcomeKind.BINARY:
+            y = self.outcome
+            bad = ~np.isnan(y) & (y != 0.0) & (y != 1.0)
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise SchemaViolation(
+                    f"record {self.ids[i]!r}: binary outcome must be 0 or 1, got {y[i]}"
+                )
+
+    @classmethod
+    def from_records(
+        cls,
+        covariate_names: Sequence[str],
+        records: Sequence[PatientRecord],
+        outcome_kind: Optional[OutcomeKind] = None,
+    ) -> "Dataset":
+        """Columnar dataset from row objects, validated like any other."""
+        p = len(covariate_names)
+        for r in records:
             if len(r.covariates) != p:
                 raise SchemaViolation(
                     f"record {r.id!r}: expected {p} covariates, got {len(r.covariates)}"
                 )
-            if self.outcome_kind is OutcomeKind.BINARY and r.outcome is not None:
-                if r.outcome not in (0.0, 1.0):
-                    raise SchemaViolation(
-                        f"record {r.id!r}: binary outcome must be 0 or 1, got {r.outcome}"
-                    )
+
+        def column(values):
+            return [np.nan if v is None else v for v in values]
+
+        return cls(
+            tuple(covariate_names),
+            ids=[r.id for r in records],
+            trial=[r.group is Group.TRIAL for r in records],
+            X=np.array([r.covariates for r in records], dtype=float).reshape(len(records), p),
+            outcome=column(r.outcome for r in records),
+            time=column(r.time for r in records),
+            event=column(r.event for r in records),
+            outcome_kind=outcome_kind,
+        )
+
+    @cached_property
+    def records(self) -> tuple[PatientRecord, ...]:
+        """Read-only row view, built on first access (for tests and inspection)."""
+        return tuple(
+            PatientRecord(
+                id=rid,
+                group=Group.TRIAL if is_trial else Group.EXTERNAL,
+                covariates=tuple(x),
+                outcome=_optional(y),
+                time=_optional(t),
+                event=None if math.isnan(d) else int(d),
+            )
+            for rid, is_trial, x, y, t, d in zip(
+                self.ids.tolist(), self.trial.tolist(), self.X.tolist(),
+                self.outcome.tolist(), self.time.tolist(), self.event.tolist(),
+            )
+        )
 
     def __len__(self):
-        return len(self.records)
+        return len(self.ids)
 
     @property
     def n_trial(self) -> int:
-        return int(np.sum(self.group_mask))
+        return int(np.count_nonzero(self.trial))
 
     @property
     def n_external(self) -> int:
-        return len(self.records) - self.n_trial
+        return len(self.ids) - self.n_trial
 
     @property
     def group_mask(self) -> np.ndarray:
-        """Boolean mask, True for trial subjects, in row order."""
-        return np.array([r.group is Group.TRIAL for r in self.records])
+        """Boolean mask, True for trial subjects, in row order (read-only)."""
+        return self.trial
 
     def covariate_matrix(self, names: Optional[Sequence[str]] = None) -> np.ndarray:
-        """n x p matrix of the named covariates (all, by default) in row order."""
-        if names is None:
-            names = self.covariate_names
+        """n x p C-contiguous matrix of the named covariates (all, by default).
+
+        The full matrix is returned as the stored read-only array; a subset
+        or reordering is a new array.
+        """
+        if names is None or tuple(names) == self.covariate_names:
+            return self.X
         idx = []
         for name in names:
             if name not in self.covariate_names:
                 raise MissingColumn(f"unknown covariate {name!r}")
             idx.append(self.covariate_names.index(name))
-        return np.array([[r.covariates[j] for j in idx] for r in self.records])
+        # Column selection yields a Fortran-ordered array; BLAS results
+        # depend on the layout, so every matrix handed out is C-ordered.
+        return np.ascontiguousarray(self.X[:, idx])
 
     def outcomes(self) -> np.ndarray:
-        vals = [r.outcome for r in self.records]
-        if any(v is None for v in vals):
+        if np.isnan(self.outcome).any():
             raise MissingValue("outcome missing for at least one record")
-        return np.array(vals, dtype=float)
+        return self.outcome
 
     def times_events(self) -> tuple[np.ndarray, np.ndarray]:
-        if any(r.time is None for r in self.records):
+        if np.isnan(self.time).any():
             raise MissingValue("time/event missing for at least one record")
-        t = np.array([r.time for r in self.records], dtype=float)
-        d = np.array([r.event for r in self.records], dtype=int)
-        return t, d
+        return self.time, self.event.astype(int)
+
+    def take(self, rows) -> "Dataset":
+        """Sub-dataset of the given row indices, in that order, repeats allowed.
+
+        Rows of a validated dataset are valid, so only the one table-level
+        rule that a subset can break is checked: a trial subject remains.
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        sub = object.__new__(Dataset)
+        vars(sub).update(
+            covariate_names=self.covariate_names,
+            outcome_kind=self.outcome_kind,
+            **{name: _read_only(getattr(self, name)[rows]) for name in _COLUMNS},
+        )
+        if not sub.trial.any():
+            raise EmptyDataset("dataset contains no trial records")
+        return sub
 
     def restrict(self, group: Group) -> "Dataset":
         """Sub-dataset holding only one group, preserving row order."""
-        kept = tuple(r for r in self.records if r.group is group)
-        return Dataset(self.covariate_names, kept, self.outcome_kind)
+        mask = self.trial if group is Group.TRIAL else ~self.trial
+        if mask.all():
+            return self
+        return self.take(np.flatnonzero(mask))
 
 
 @dataclass(frozen=True)
@@ -208,9 +336,55 @@ def _parse_number(token: str, column: str, row: int) -> float:
 
 
 def _parse_optional(token: str, column: str, row: int) -> Optional[float]:
-    if token is None or token.strip().lower() in _MISSING_TOKENS:
+    if token.strip().lower() in _MISSING_TOKENS:
         return None
     return _parse_number(token, column, row)
+
+
+class _Malformed(Exception):
+    """Some cell does not parse; a row-by-row scan reports the first one."""
+
+
+def _parse_column(tokens, optional: bool) -> np.ndarray:
+    """All cells of one column as floats, NaN where an optional cell is empty.
+
+    Raises ``_Malformed`` on any value ``_parse_number`` would reject.
+    """
+    missing = None
+    if optional:
+        missing = np.array([t.strip().lower() in _MISSING_TOKENS for t in tokens], dtype=bool)
+        tokens = ["nan" if m else t for t, m in zip(tokens, missing.tolist())]
+    try:
+        values = np.fromiter(map(float, tokens), dtype=float, count=len(tokens))
+    except ValueError:
+        raise _Malformed from None
+    ok = np.isfinite(values)
+    if missing is not None:
+        ok |= missing
+    if not ok.all():
+        raise _Malformed
+    return values
+
+
+def _raise_first_error(path, rows, header, col_index, schema, cov_names, optional) -> None:
+    """Scan rows in order and raise the error of the first offending cell.
+
+    Used only once the column parse has found a problem, so that errors
+    name the same row and cell as a row-at-a-time reader would.
+    """
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise SchemaViolation(f"{path}: row {i} has {len(row)} cells, expected {len(header)}")
+        label = row[col_index[schema.group_col]].strip().lower()
+        if label not in _GROUP_LABELS:
+            raise UnknownGroupLabel(f"{path}: unknown group label {label!r} at row {i}")
+        for name in cov_names:
+            _parse_number(row[col_index[name]], name, i)
+        _, time, event = (
+            None if col is None else _parse_optional(row[col_index[col]], col, i)
+            for col in optional
+        )
+        _check_follow_up(row[col_index[schema.id_col]].strip(), time, event)
 
 
 def load_dataset(path, schema: Optional[CsvSchema] = None) -> Dataset:
@@ -237,7 +411,7 @@ def load_dataset(path, schema: Optional[CsvSchema] = None) -> Dataset:
         except StopIteration:
             raise EmptyDataset(f"{path}: file is empty") from None
         header = [h.strip() for h in header]
-        rows = [row for row in reader if any(cell.strip() for cell in row)]
+        rows = [row for row in reader if any(map(str.strip, row))]
 
     for required in (schema.id_col, schema.group_col):
         if required not in header:
@@ -260,59 +434,53 @@ def load_dataset(path, schema: Optional[CsvSchema] = None) -> Dataset:
         raise MissingColumn(f"{path}: no covariate columns")
 
     col_index = {name: header.index(name) for name in header}
-    has_outcome = schema.outcome_col in header if schema.outcome_col else False
-    has_time = schema.time_col in header if schema.time_col else False
-    has_event = schema.event_col in header if schema.event_col else False
+    # Outcome, time and event columns present in the file, else None.
+    optional = [
+        col if col and col in header else None
+        for col in (schema.outcome_col, schema.time_col, schema.event_col)
+    ]
 
-    records = []
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise SchemaViolation(f"{path}: row {i} has {len(row)} cells, expected {len(header)}")
-        label = row[col_index[schema.group_col]].strip().lower()
-        if label not in _GROUP_LABELS:
-            raise UnknownGroupLabel(f"{path}: unknown group label {label!r} at row {i}")
-        covs = tuple(
-            _parse_number(row[col_index[name]], name, i) for name in cov_names
+    try:
+        if set(map(len, rows)) != {len(header)}:
+            raise _Malformed
+        cells = list(zip(*rows))
+        groups = [_GROUP_LABELS.get(t.strip().lower()) for t in cells[col_index[schema.group_col]]]
+        if None in groups:
+            raise _Malformed
+        X = np.empty((len(rows), len(cov_names)))
+        for j, name in enumerate(cov_names):
+            X[:, j] = _parse_column(cells[col_index[name]], optional=False)
+        outcome, time, event = (
+            None if col is None else _parse_column(cells[col_index[col]], optional=True)
+            for col in optional
         )
-        outcome = (
-            _parse_optional(row[col_index[schema.outcome_col]], schema.outcome_col, i)
-            if has_outcome
-            else None
-        )
-        time = (
-            _parse_optional(row[col_index[schema.time_col]], schema.time_col, i)
-            if has_time
-            else None
-        )
-        event = (
-            _parse_optional(row[col_index[schema.event_col]], schema.event_col, i)
-            if has_event
-            else None
-        )
-        records.append(
-            PatientRecord(
-                id=row[col_index[schema.id_col]].strip(),
-                group=_GROUP_LABELS[label],
-                covariates=covs,
-                outcome=outcome,
-                time=time,
-                event=None if event is None else int(event),
-            )
-        )
+    except _Malformed:
+        _raise_first_error(path, rows, header, col_index, schema, cov_names, optional)
+        raise AssertionError("column parse and row scan disagree") from None
 
     kind = schema.outcome_kind
     if kind is None:
-        kind = _infer_outcome_kind(records)
-    return Dataset(tuple(cov_names), tuple(records), kind)
+        kind = _infer_outcome_kind(outcome, time)
+    return Dataset(
+        tuple(cov_names),
+        ids=[t.strip() for t in cells[col_index[schema.id_col]]],
+        trial=[g is Group.TRIAL for g in groups],
+        X=X,
+        outcome=outcome,
+        time=time,
+        # Event indicators are read as integers, truncating toward zero.
+        event=None if event is None else np.trunc(event),
+        outcome_kind=kind,
+    )
 
 
-def _infer_outcome_kind(records) -> Optional[OutcomeKind]:
-    if any(r.time is not None for r in records):
+def _infer_outcome_kind(outcome, time) -> Optional[OutcomeKind]:
+    if time is not None and not np.isnan(time).all():
         return OutcomeKind.TIME_TO_EVENT
-    outcomes = [r.outcome for r in records if r.outcome is not None]
-    if not outcomes:
+    if outcome is None or np.isnan(outcome).all():
         return None
-    if all(v in (0.0, 1.0) for v in outcomes):
+    present = outcome[~np.isnan(outcome)]
+    if np.all((present == 0.0) | (present == 1.0)):
         return OutcomeKind.BINARY
     return OutcomeKind.CONTINUOUS
 
@@ -320,24 +488,28 @@ def _infer_outcome_kind(records) -> Optional[OutcomeKind]:
 def save_dataset(data: Dataset, path) -> None:
     """Write a Dataset back to the canonical CSV layout (round-trip safe)."""
     path = Path(path)
-    has_outcome = any(r.outcome is not None for r in data.records)
-    has_time = any(r.time is not None for r in data.records)
+    has_outcome = not np.isnan(data.outcome).all()
+    has_time = not np.isnan(data.time).all()
     header = ["id", "group"] + list(data.covariate_names)
     if has_outcome:
         header.append("outcome")
     if has_time:
         header += ["time", "event"]
+    columns = zip(
+        data.ids.tolist(), data.trial.tolist(), data.X.tolist(),
+        data.outcome.tolist(), data.time.tolist(), data.event.tolist(),
+    )
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for r in data.records:
-            row = [r.id, "trial" if r.group is Group.TRIAL else "external"]
-            row += [repr(v) for v in r.covariates]
+        for rid, is_trial, x, y, t, d in columns:
+            row = [rid, "trial" if is_trial else "external"]
+            row += [repr(v) for v in x]
             if has_outcome:
-                row.append("" if r.outcome is None else repr(r.outcome))
+                row.append("" if math.isnan(y) else repr(y))
             if has_time:
-                row.append("" if r.time is None else repr(r.time))
-                row.append("" if r.event is None else str(r.event))
+                row.append("" if math.isnan(t) else repr(t))
+                row.append("" if math.isnan(d) else str(int(d)))
             writer.writerow(row)
 
 

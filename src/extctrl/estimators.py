@@ -172,20 +172,24 @@ def weighted_km(
 
     order = np.argsort(times, kind="stable")
     t_sorted = times[order]
-    e_sorted = events[order]
+    died = events[order] == 1
     w_sorted = weights[order]
 
-    uniq = np.unique(t_sorted[e_sorted == 1])
-    surv, n_risk = [], []
-    s = 1.0
-    for t in uniq:
-        at_risk = float(np.sum(w_sorted[t_sorted >= t]))
-        d = float(np.sum(w_sorted[(t_sorted == t) & (e_sorted == 1)]))
-        s *= 1.0 - d / at_risk
-        surv.append(s)
-        n_risk.append(at_risk)
+    uniq, inverse = np.unique(t_sorted, return_inverse=True)
+    deaths = np.bincount(inverse, weights=w_sorted * died, minlength=len(uniq))
+    # Weight at risk: per-time totals summed from the last time back. Ties
+    # sum in row order as in the definition, and a final event leaves S at
+    # exactly 0; total minus a prefix sum would cancel to just below it.
+    at_risk = np.cumsum(np.bincount(inverse, weights=w_sorted)[::-1])[::-1]
+    has_event = np.zeros(len(uniq), dtype=bool)
+    has_event[inverse[died]] = True
+    event_times, d, n = uniq[has_event], deaths[has_event], at_risk[has_event]
+    if np.any(n <= 0):
+        raise AllWeightsZero(
+            f"no weight at risk at event time {event_times[np.argmax(n <= 0)]}"
+        )
     return SurvivalCurve(
-        times=np.array(uniq), survival=np.array(surv), at_risk=np.array(n_risk)
+        times=event_times, survival=np.cumprod(1.0 - d / n), at_risk=n
     )
 
 

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dataset import Dataset, Group
+from .dataset import Dataset
 from .errors import ExtCtrlError, TooManyReplicateFailures
 
 MAX_FAILURE_FRACTION = 0.2
@@ -81,16 +81,14 @@ def resample_dataset(
     Trial-only resampling keeps external records fixed (used when the
     external side is an aggregate constant).
     """
-    trial_rows = [r for r in data.records if r.group is Group.TRIAL]
-    ext_rows = [r for r in data.records if r.group is Group.EXTERNAL]
-    idx_t = rng.integers(0, len(trial_rows), size=len(trial_rows))
-    picked = [trial_rows[i] for i in idx_t]
-    if resampling is Resampling.STRATIFIED_BY_GROUP and ext_rows:
-        idx_e = rng.integers(0, len(ext_rows), size=len(ext_rows))
-        picked += [ext_rows[i] for i in idx_e]
-    else:
-        picked += ext_rows
-    return Dataset(data.covariate_names, tuple(picked), data.outcome_kind)
+    trial_rows = np.flatnonzero(data.group_mask)
+    ext_rows = np.flatnonzero(~data.group_mask)
+    # Draw order and sizes (trial first, then external) fix which subjects
+    # replicate i selects; keep them when changing this function.
+    picked = trial_rows[rng.integers(0, len(trial_rows), size=len(trial_rows))]
+    if resampling is Resampling.STRATIFIED_BY_GROUP and len(ext_rows):
+        ext_rows = ext_rows[rng.integers(0, len(ext_rows), size=len(ext_rows))]
+    return data.take(np.concatenate([picked, ext_rows]))
 
 
 def bootstrap_ci(

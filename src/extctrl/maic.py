@@ -26,6 +26,8 @@ from .estimators import EffectReport, Scale, check_scale, contrast_on_scale, haj
 
 TARGET_POPULATION = "external control population (ATC)"
 
+_LINE_SEARCH_SLACK = 1.0 + 8.0 * np.finfo(float).eps
+
 CONSTANCY_CAVEAT = (
     "unanchored comparison: validity rests on conditional constancy of the "
     "absolute effect and on all effect modifiers and prognostic variables "
@@ -114,11 +116,15 @@ def maic_weights(
         except np.linalg.LinAlgError:
             raise NoConvergence("singular Hessian in MAIC solver") from None
         # Damped Newton: halve until the convex objective does not increase.
+        # Near the optimum a sum of many exponentials cannot fall by more
+        # than its rounding, so a rise within a few ulps counts as no rise;
+        # otherwise the step would be halved to nothing with the gradient
+        # still above tol.
         scale = 1.0
         for _ in range(60):
             cand = alpha - scale * step
             cand_obj = float(np.sum(np.exp(Xc @ cand)))
-            if cand_obj <= objective:
+            if cand_obj <= objective * _LINE_SEARCH_SLACK:
                 break
             scale *= 0.5
         alpha = alpha - scale * step

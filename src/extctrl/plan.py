@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -54,7 +55,9 @@ def canonical_json(payload) -> str:
     """Deterministic JSON used for hashing and report emission.
 
     Floats are rendered with 17 significant digits so equal values hash and
-    serialize identically across runs.
+    serialize identically across runs. The output is strict JSON: a
+    non-finite float (an infinite odds ratio, say) is written as null, and
+    the report's ``infinite`` flag says why.
     """
     def normalize(obj):
         if isinstance(obj, dict):
@@ -64,6 +67,8 @@ def canonical_json(payload) -> str:
         if isinstance(obj, (bool, np.bool_)):
             return bool(obj)
         if isinstance(obj, (float, np.floating)):
+            if not math.isfinite(obj):
+                return None
             return float(format(float(obj), ".17g"))
         if isinstance(obj, (int, np.integer)):
             return int(obj)
@@ -74,7 +79,7 @@ def canonical_json(payload) -> str:
         return obj
 
     return json.dumps(normalize(payload), sort_keys=True, separators=(",", ":"),
-                      allow_nan=True)
+                      allow_nan=False)
 
 
 def plan_hash(payload: dict) -> str:
@@ -272,6 +277,8 @@ def _attach_bootstrap(plan, data, pipeline, report_dict):
 
 
 def _run_weighting(plan, data: Dataset, checklist, provenance) -> RunArtifacts:
+    if data.outcome_kind is OutcomeKind.TIME_TO_EVENT and plan.horizon is None:
+        raise PlanInvalid("a time-to-event outcome needs a survival horizon")
     provenance["estimand"] = plan.estimand.label
     model = estimate_propensity(data, plan.covariates)
     positivity = positivity_report(model, data, plan.positivity_a)
@@ -286,14 +293,14 @@ def _run_weighting(plan, data: Dataset, checklist, provenance) -> RunArtifacts:
         if d.outcome_kind is OutcomeKind.TIME_TO_EVENT:
             curves = weighted_km_by_group(d, w)
             return survival_contrast(
-                curves["trial"], curves["external"], plan.horizon or 0.0
+                curves["trial"], curves["external"], plan.horizon
             ).point
         return weighted_mean_contrast(d, w, plan.scale).point
 
     if data.outcome_kind is OutcomeKind.TIME_TO_EVENT:
         curves = weighted_km_by_group(data, wset)
         effect = survival_contrast(
-            curves["trial"], curves["external"], plan.horizon or 0.0,
+            curves["trial"], curves["external"], plan.horizon,
             estimand_label=plan.estimand.label,
             target_population=plan.estimand.target_population_label,
         )
@@ -317,11 +324,9 @@ def _run_weighting(plan, data: Dataset, checklist, provenance) -> RunArtifacts:
     if plan.bootstrap:
         _attach_bootstrap(plan, data, pipeline, report)
 
-    rows = [
-        (r.id, "trial" if r.group is Group.TRIAL else "external",
-         float(model.scores[i]), float(wset.weights[i]))
-        for i, r in enumerate(data.records)
-    ]
+    groups = np.where(data.group_mask, "trial", "external").tolist()
+    rows = list(zip(data.ids.tolist(), groups, model.scores.tolist(),
+                    wset.weights.tolist()))
     return RunArtifacts(report=report, weights_rows=rows, balance=table.to_dict())
 
 
@@ -348,10 +353,8 @@ def _run_maic(plan, data, target, checklist, provenance) -> RunArtifacts:
     }
     if plan.bootstrap:
         _attach_bootstrap(plan, trial, pipeline, report)
-    rows = [
-        (r.id, "trial", None, float(fit.weights[i]))
-        for i, r in enumerate(trial.records)
-    ]
+    rows = [(rid, "trial", None, w)
+            for rid, w in zip(trial.ids.tolist(), fit.weights.tolist())]
     return RunArtifacts(report=report, weights_rows=rows)
 
 

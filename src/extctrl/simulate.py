@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset import Dataset, Group, OutcomeKind, PatientRecord
+from .dataset import Dataset, OutcomeKind
 from .errors import EstimandMismatch, InvalidConfig
 from .estimators import EffectReport
 from .glm import expit
@@ -222,19 +222,16 @@ def generate(config: ScenarioConfig) -> tuple[Dataset, TruthRecord]:
         visible = visible[:-1]
     names = tuple(config.covariates[j].name for j in visible)
 
-    records = []
-    for i in range(n):
-        records.append(
-            PatientRecord(
-                id=f"s{i}",
-                group=Group.TRIAL if treated[i] else Group.EXTERNAL,
-                covariates=tuple(float(X[i, j]) for j in visible),
-                outcome=None if outcome is None else float(outcome[i]),
-                time=None if times is None else float(times[i]),
-                event=None if events is None else int(events[i]),
-            )
-        )
-    data = Dataset(names, tuple(records), config.outcome_kind)
+    data = Dataset(
+        names,
+        ids=[f"s{i}" for i in range(n)],
+        trial=treated,
+        X=X[:, visible],
+        outcome=outcome,
+        time=times,
+        event=events,
+        outcome_kind=config.outcome_kind,
+    )
     return data, compute_truth(config)
 
 

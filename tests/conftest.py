@@ -27,7 +27,7 @@ def make_dataset(severe, groups, outcomes=None, times=None, events=None,
             outcome_kind = (
                 OutcomeKind.BINARY if vals <= {0.0, 1.0} else OutcomeKind.CONTINUOUS
             )
-    return Dataset(tuple(covariate_names), tuple(records), outcome_kind)
+    return Dataset.from_records(tuple(covariate_names), tuple(records), outcome_kind)
 
 
 @pytest.fixture

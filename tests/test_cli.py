@@ -306,3 +306,64 @@ def test_power_prior_plan_runs(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["posterior"]["mean"] == pytest.approx(
         (1 + 52 + 15) / (2 + 61 + 40), abs=1e-12)
+
+
+@pytest.fixture
+def survival_csv(tmp_path):
+    import numpy as np
+
+    rng = np.random.default_rng(11)
+    lines = ["id,group,x,time,event"]
+    for i in range(40):
+        grp = "trial" if i % 2 == 0 else "external"
+        lines.append(f"s{i},{grp},{rng.normal()!r},{rng.exponential(5.0)!r},"
+                     f"{int(rng.random() < 0.7)}")
+    path = tmp_path / "surv.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def test_survival_plan_without_horizon_is_invalid(survival_csv, tmp_path):
+    from extctrl.errors import PlanInvalid
+    from extctrl.plan import run_plan
+
+    plan_path, payload = make_plan(survival_csv, tmp_path, estimand="ate")
+    del payload["bootstrap"]
+    with pytest.raises(PlanInvalid):
+        run_plan(parse_plan(payload))
+    assert run_cli(["--out-dir", tmp_path / "o", "run", plan_path]) == 2
+    payload["horizon"] = 3.0
+    assert run_plan(parse_plan(payload)).report["effect"]["group_summary"]["horizon"] == 3.0
+
+
+def test_compare_survival_without_horizon_is_usage_error(survival_csv, capsys):
+    assert run_cli(["compare", survival_csv, "--estimand", "ate"]) == 2
+    assert "horizon" in capsys.readouterr().err
+    assert run_cli(["compare", survival_csv, "--estimand", "ate", "--horizon", "3"]) == 0
+
+
+def test_report_json_strict_for_infinite_odds_ratio(tmp_path):
+    from extctrl.plan import run_plan
+
+    # The zero-cell odds-ratio case of the MAIC tests, run as a plan.
+    data = tmp_path / "trial.csv"
+    data.write_text("id,group,severe,outcome\n"
+                    "a,trial,1,1\nb,trial,0,1\nc,trial,1,0\nd,trial,0,1\n", encoding="utf-8")
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps({
+        "n": 20,
+        "covariates": {"severe": 0.5},
+        "outcome": {"kind": "binary", "responders": 0},
+    }), encoding="utf-8")
+    artifacts = run_plan(parse_plan({
+        "method": "maic", "dataset": str(data), "aggregate": str(target), "scale": "or",
+    }))
+    artifacts.write(tmp_path / "out")
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    text = (tmp_path / "out" / "report.json").read_text(encoding="utf-8")
+    report = json.loads(text, parse_constant=reject)
+    assert report["effect"]["infinite"] is True
+    assert report["effect"]["point"] is None

@@ -108,7 +108,7 @@ def test_unknown_group_label(tmp_path):
 def test_binary_outcome_values_checked():
     rec = PatientRecord("a", Group.TRIAL, (1.0,), outcome=2.0)
     with pytest.raises(SchemaViolation):
-        Dataset(("x",), (rec,), OutcomeKind.BINARY)
+        Dataset.from_records(("x",), (rec,), OutcomeKind.BINARY)
 
 
 def test_time_requires_event():
@@ -198,4 +198,91 @@ def test_aggregate_bad_json(tmp_path):
 def test_no_trial_records_rejected():
     rec = PatientRecord("a", Group.EXTERNAL, (1.0,))
     with pytest.raises(EmptyDataset):
-        Dataset(("x",), (rec,))
+        Dataset.from_records(("x",), (rec,))
+
+
+def test_first_offending_row_wins(tmp_path):
+    # Errors are reported in row order, whatever column the fault is in.
+    path = tmp_path / "d.csv"
+    path.write_text("id,group,x,time,event\n"
+                    "a,trial,1,2,1\n"
+                    "b,trial,1,-1,1\n"
+                    "c,trial,oops,2,1\n")
+    with pytest.raises(SchemaViolation, match="'b': negative"):
+        load_dataset(path)
+    path.write_text("id,group,x\na,trial,1\nb,external,NA\nc,martian,1\nd,trial\n")
+    with pytest.raises(MissingValue) as exc:
+        load_dataset(path)
+    assert exc.value.row == 1
+    path.write_text("id,group,x,outcome\na,trial,1,\nb,external,0,inf\n")
+    with pytest.raises(NonNumericCovariate, match="row 1"):
+        load_dataset(path)
+
+
+def test_records_view_round_trips_through_columns():
+    recs = (
+        PatientRecord("a", Group.TRIAL, (1.0, 2.5), outcome=1.0, time=3.0, event=1),
+        PatientRecord("b", Group.EXTERNAL, (0.0, -1.0), time=0.5, event=0),
+    )
+    data = Dataset.from_records(("x", "z"), recs, OutcomeKind.TIME_TO_EVENT)
+    assert data.records == recs
+    assert data.take([1, 0, 0]).records == (recs[1], recs[0], recs[0])
+    with pytest.raises(EmptyDataset):
+        data.take([1])
+
+
+def test_covariate_matrix_is_c_contiguous_and_row_exact():
+    import numpy as np
+
+    rng = np.random.default_rng(4)
+    recs = tuple(
+        PatientRecord(f"s{i}", Group.TRIAL if i % 3 else Group.EXTERNAL,
+                      tuple(rng.normal(size=3).tolist()))
+        for i in range(30)
+    )
+    data = Dataset.from_records(("a", "b", "c"), recs)
+    for names in (None, ("a", "b", "c"), ("c", "a"), ("b",)):
+        chosen = names or data.covariate_names
+        idx = [data.covariate_names.index(n) for n in chosen]
+        expected = np.array([[r.covariates[j] for j in idx] for r in recs])
+        got = data.covariate_matrix(names)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, expected)
+    with pytest.raises(ValueError):
+        data.covariate_matrix()[0, 0] = 1.0  # stored columns are read-only
+
+
+def test_weighting_plan_builds_no_patient_records(tmp_path, monkeypatch):
+    # Guard for the columnar data path: ingest, fitting, a bootstrap and the
+    # weights output must not fall back to row objects.
+    import numpy as np
+
+    from extctrl import dataset
+    from extctrl.plan import parse_plan, run_plan
+
+    rng = np.random.default_rng(9)
+    lines = ["id,group,x1,x2,outcome"]
+    for i in range(80):
+        grp = "trial" if i % 2 else "external"
+        lines.append(f"s{i},{grp},{rng.normal()!r},{int(rng.random() < 0.5)},"
+                     f"{int(rng.random() < 0.4)}")
+    path = tmp_path / "d.csv"
+    path.write_text("\n".join(lines) + "\n")
+
+    built = []
+    original = dataset.PatientRecord.__post_init__
+
+    def counting(self):
+        built.append(self.id)
+        original(self)
+
+    monkeypatch.setattr(dataset.PatientRecord, "__post_init__", counting)
+    artifacts = run_plan(parse_plan({
+        "method": "weighting", "dataset": str(path), "estimand": "ate",
+        "bootstrap": {"replicates": 50, "seed": 2},
+    }))
+    artifacts.write(tmp_path / "out")
+    assert artifacts.report["bootstrap"]["refits"] == 50
+    assert built == []
+    Dataset.from_records(("x",), (PatientRecord("a", Group.TRIAL, (1.0,)),))
+    assert built == ["a"]  # the counter does see row objects

@@ -220,3 +220,28 @@ def test_weighted_km_by_group_and_median():
 def test_median_not_reached():
     curve = weighted_km([1.0, 2.0, 3.0, 4.0], [1, 0, 0, 0], [1.0] * 4)
     assert curve.median() is None
+
+
+def test_km_matches_oracle_on_large_tied_samples():
+    # Summation order differs from the subject-by-subject definition, so
+    # agreement is to a few ulps, not exact; a last subject dying alone
+    # must still leave S exactly 0, never a rounding error below it.
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        n = 300
+        times = np.round(rng.exponential(4.0, size=n), 1)
+        events = (rng.random(n) < 0.7).astype(int)
+        events[np.argmax(times)] = 1
+        times[np.argmax(times)] += 1.0
+        weights = rng.exponential(1.0, size=n)
+        curve = weighted_km(times, events, weights)
+        oracle = km_oracle(list(times), list(events), list(weights))
+        assert [t for t, _ in oracle] == curve.times.tolist()
+        assert np.allclose(curve.survival, [s for _, s in oracle], rtol=0.0, atol=1e-14)
+        assert curve.survival[-1] == 0.0
+
+
+def test_km_zero_weight_risk_set_is_typed_error():
+    # Only zero-weight subjects remain at the last event time.
+    with pytest.raises(AllWeightsZero):
+        weighted_km([1.0, 2.0, 3.0], [1, 0, 1], [1.0, 1.0, 0.0])

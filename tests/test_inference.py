@@ -14,7 +14,7 @@ from extctrl import (
     weighted_mean_contrast,
 )
 from extctrl.errors import SolverError, TooManyReplicateFailures
-from extctrl.inference import replicate_seed
+from extctrl.inference import replicate_seed, resample_dataset
 
 from conftest import make_dataset
 
@@ -138,3 +138,27 @@ def test_config_validation():
         BootstrapConfig(replicates=1)
     with pytest.raises(ValueError):
         BootstrapConfig(level=1.0)
+
+
+def _row_resample_reference(data, rng, resampling):
+    # The row-object algorithm the columnar resampler must reproduce.
+    trial_rows = [r for r in data.records if r.group is Group.TRIAL]
+    ext_rows = [r for r in data.records if r.group is Group.EXTERNAL]
+    idx_t = rng.integers(0, len(trial_rows), size=len(trial_rows))
+    picked = [trial_rows[i] for i in idx_t]
+    if resampling is Resampling.STRATIFIED_BY_GROUP and ext_rows:
+        idx_e = rng.integers(0, len(ext_rows), size=len(ext_rows))
+        picked += [ext_rows[i] for i in idx_e]
+    else:
+        picked += ext_rows
+    return [r.id for r in picked]
+
+
+@pytest.mark.parametrize("resampling", list(Resampling))
+def test_resample_matches_row_reference(resampling):
+    data = small_dataset(np.random.default_rng(12))
+    for seed in range(6):
+        got = resample_dataset(data, np.random.default_rng(seed), resampling)
+        expected = _row_resample_reference(data, np.random.default_rng(seed), resampling)
+        assert got.ids.tolist() == expected
+        assert got.covariate_matrix().flags.c_contiguous

@@ -3,6 +3,7 @@ import pytest
 
 from extctrl import (
     AggregateSummary,
+    Dataset,
     Estimand,
     EstimandKind,
     Group,
@@ -183,3 +184,30 @@ def test_report_carries_constancy_caveat_and_atc_label():
     report = maic_compare(fit, data, target, Scale.RISK_DIFFERENCE)
     assert report.target_population == "external control population (ATC)"
     assert any("constancy" in w for w in report.warnings)
+
+
+@pytest.mark.parametrize("seed", [1, 107, 161, 267])
+def test_newton_converges_when_objective_is_flat_to_rounding(seed):
+    # 1,000 trial rows drawn by a fixed NumPy recipe; on seeds 107, 161 and
+    # 267 the objective stops decreasing by more than its rounding error
+    # while the gradient is still above tol, which once stalled the line
+    # search until NoConvergence.
+    rng = np.random.default_rng([seed, 2_000])
+    n = 2_000
+    trial = np.arange(n) < 1_000
+    b1 = (rng.random(n) < np.where(trial, 0.45, 0.55)).astype(float)
+    c1 = rng.normal(np.where(trial, 0.3, 0.0), 1.0)
+    c2 = rng.normal(np.where(trial, -0.2, 0.0), 1.0)
+    ext = ~trial
+    names = ("b1", "c1", "c2")
+    target = AggregateSummary(
+        covariate_names=names,
+        covariate_means=(float(b1[ext].mean()), float(c1[ext].mean()), float(c2[ext].mean())),
+        n=1_000, outcome_kind=OutcomeKind.CONTINUOUS, outcome_summary={"mean": 0.0},
+    )
+    data = Dataset(names, ids=[f"a{i}" for i in range(1_000)], trial=np.ones(1_000, bool),
+                   X=np.column_stack([b1, c1, c2])[trial])
+    fit = maic_weights(data, target)
+    assert fit.converged
+    assert fit.iterations <= 10
+    assert np.max(np.abs(fit.achieved_means - fit.target_means)) < 1e-12
