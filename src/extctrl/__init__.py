@@ -32,13 +32,20 @@ from .estimators import (
     EffectReport,
     Scale,
     SurvivalCurve,
+    WeightingAnalysis,
     survival_contrast,
     weighted_km,
     weighted_km_by_group,
     weighted_mean_contrast,
 )
 from .glm import GlmFit, add_intercept, fit_linear, fit_logistic
-from .inference import BootstrapConfig, BootstrapResult, Resampling, bootstrap_ci
+from .inference import (
+    BootstrapConfig,
+    BootstrapResult,
+    Resampling,
+    bootstrap_ci,
+    replicate_estimates,
+)
 from .maic import MaicFit, maic_compare, maic_weights
 from .propensity import (
     PositivityReport,
@@ -47,6 +54,6 @@ from .propensity import (
     positivity_report,
 )
 from .simulate import CovariateSpec, ScenarioConfig, TruthRecord, generate, truth_gap
-from .stc import Link, StcResult, stc_estimate
+from .stc import Link, StcAnalysis, StcResult, stc_estimate
 
 __version__ = "0.1.0"

@@ -23,15 +23,16 @@ from .diagnostics import balance_table
 from .errors import DataError, ExtCtrlError, PlanInvalid, SolverError
 from .estimators import (
     Scale,
+    WeightingAnalysis,
     survival_contrast,
     weighted_km_by_group,
     weighted_mean_contrast,
 )
-from .inference import BootstrapConfig, Resampling, bootstrap_ci
+from .inference import BootstrapConfig, Resampling
 from .maic import maic_compare, maic_weights
 from .propensity import estimate_propensity, positivity_report
 from .simulate import ScenarioConfig, generate
-from .stc import Link, stc_estimate
+from .stc import Link, StcAnalysis, stc_estimate
 
 EXIT_OK = 0
 EXIT_PLAN = 2
@@ -46,15 +47,6 @@ def _emit(payload: dict, out_path=None) -> None:
         Path(out_path).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-
-
-def _write_weight_csv(path, rows) -> None:
-    lines = ["id,group,score,weight"]
-    for rid, grp, score, weight in rows:
-        lines.append(
-            f"{rid},{grp},{format(score, '.17g')},{format(weight, '.17g')}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _add_bootstrap_flags(parser) -> None:
@@ -179,13 +171,9 @@ def _cmd_weight(args) -> int:
     out_dir = Path(args.out_dir) if args.out_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
-        _write_weight_csv(out_dir / "weights.csv", rows)
+        (out_dir / "weights.csv").write_text(planmod.weights_csv(rows), encoding="utf-8")
     else:
-        sys.stdout.write("id,group,score,weight\n")
-        for rid, grp, score, weight in rows:
-            sys.stdout.write(
-                f"{rid},{grp},{format(score, '.17g')},{format(weight, '.17g')}\n"
-            )
+        sys.stdout.write(planmod.weights_csv(rows))
     _emit(
         {"estimand": wset.estimand.label,
          "ess_trial": wset.ess_treated,
@@ -205,7 +193,7 @@ def _cmd_balance(args) -> int:
     return EXIT_OK
 
 
-def _maybe_bootstrap(args, data, pipeline, payload, trial_only=False):
+def _maybe_bootstrap(args, data, analysis, payload, trial_only=False):
     if args.bootstrap <= 0:
         return
     config = BootstrapConfig(
@@ -215,15 +203,7 @@ def _maybe_bootstrap(args, data, pipeline, payload, trial_only=False):
         resampling=Resampling.TRIAL_ONLY if trial_only
         else Resampling.STRATIFIED_BY_GROUP,
     )
-    result = bootstrap_ci(pipeline, data, config)
-    payload["effect"]["ci"] = [result.lower, result.upper]
-    payload["effect"]["ci_level"] = args.level
-    payload["bootstrap"] = {
-        "replicates": args.bootstrap,
-        "failures": result.n_failures,
-        "refits": result.n_refits,
-        "seed": args.seed,
-    }
+    planmod.attach_bootstrap(payload, analysis, data, config)
 
 
 def _cmd_compare(args) -> int:
@@ -233,17 +213,6 @@ def _cmd_compare(args) -> int:
     estimand = Estimand.parse(args.estimand)
     covs = _split(args.covariates)
     scale = Scale(args.scale)
-
-    def pipeline(d):
-        model = estimate_propensity(d, covs)
-        wset = balancing_weights(model, d, estimand)
-        if d.outcome_kind is OutcomeKind.TIME_TO_EVENT:
-            curves = weighted_km_by_group(d, wset)
-            return survival_contrast(
-                curves["trial"], curves["external"], args.horizon
-            ).point
-        return weighted_mean_contrast(d, wset, scale).point
-
     model = estimate_propensity(data, covs)
     wset = balancing_weights(model, data, estimand)
     if data.outcome_kind is OutcomeKind.TIME_TO_EVENT:
@@ -270,7 +239,8 @@ def _cmd_compare(args) -> int:
     else:
         effect = weighted_mean_contrast(data, wset, scale)
     payload = {"effect": effect.to_dict()}
-    _maybe_bootstrap(args, data, pipeline, payload)
+    analysis = WeightingAnalysis(estimand, scale, covs, args.horizon)
+    _maybe_bootstrap(args, data, analysis, payload)
     _emit(payload, Path(args.out_dir) / "report.json" if args.out_dir else None)
     return EXIT_OK
 
@@ -298,11 +268,9 @@ def _cmd_maic(args) -> int:
     if args.out_dir:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        _write_weight_csv(
-            out_dir / "weights.csv",
-            [(rid, "trial", 0.0, w)
-             for rid, w in zip(data.ids.tolist(), fit.weights.tolist())],
-        )
+        rows = [(rid, "trial", None, w)
+                for rid, w in zip(data.ids.tolist(), fit.weights.tolist())]
+        (out_dir / "weights.csv").write_text(planmod.weights_csv(rows), encoding="utf-8")
         _emit(payload, out_dir / "report.json")
     else:
         _emit(payload)
@@ -316,13 +284,9 @@ def _cmd_stc(args) -> int:
     link = Link(args.link)
     scale = Scale(args.scale)
     result = stc_estimate(data, target, covs, link, scale)
-
-    def pipeline(d):
-        t = d.restrict(Group.TRIAL)
-        return stc_estimate(t, target, covs, link, scale).effect
-
     payload = {"effect": result.report.to_dict()}
-    _maybe_bootstrap(args, data, pipeline, payload, trial_only=True)
+    analysis = StcAnalysis(target, covs, link, scale)
+    _maybe_bootstrap(args, data, analysis, payload, trial_only=True)
     _emit(payload, Path(args.out_dir) / "report.json" if args.out_dir else None)
     return EXIT_OK
 

@@ -152,8 +152,6 @@ def comparability_checklist(meta: dict) -> ChecklistReport:
     Purely declarative: nothing here is computed from data.
     """
     items = {k: meta.get(k) for k in CHECKLIST_FIELDS}
-    if all(v is None for v in items.values()):
-        return ChecklistReport(status="INCOMPLETE", items=items)
     if any(v is None for v in items.values()):
         return ChecklistReport(status="INCOMPLETE", items=items)
     caveats = []

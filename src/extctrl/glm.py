@@ -4,6 +4,13 @@ Logistic fitting runs iteratively reweighted least squares from a zero start,
 solving each inner weighted least-squares step by QR (stable up to condition
 numbers around 1e8). Inference is bootstrap-based elsewhere, so no
 Hessian-derived standard errors are reported here.
+
+``fit_logistic_counts`` and ``fit_linear_counts`` fit one design to a block
+of frequency-weight vectors at once: row r of the count block says how many
+times each row of the design enters replicate r, which is how a bootstrap
+resample looks on fixed rows. Each replicate gets the coefficients and the
+typed verdict that ``fit_logistic``/``fit_linear`` give on its rows repeated
+by those counts.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from .errors import (
     NoConvergence,
     RankDeficientDesign,
     SeparationDetected,
+    SolverError,
 )
 
 DEFAULT_TOL = 1e-8
@@ -25,6 +33,15 @@ DEFAULT_MAX_ITER = 100
 
 # |coefficient| beyond this on the logit scale is treated as separation.
 SEPARATION_THRESHOLD = 15.0
+
+# A replicate whose count-weighted Gram matrix has smallest/largest
+# eigenvalue at or below this is fitted by the one-replicate functions on its
+# repeated rows: they give the exact rank verdict, and their QR solve stays
+# accurate where normal equations (condition number squared) would not.
+# Well above the rank test's own cut, (n * eps)**2 on the same ratio. The
+# same cut on the IRLS-weighted Gram matrix at convergence detects a flat
+# likelihood ridge.
+_GRAM_SCREEN = 1e-6
 
 
 class Family(enum.Enum):
@@ -55,12 +72,10 @@ class GlmFit:
 def expit(eta: np.ndarray) -> np.ndarray:
     """Numerically stable inverse logit."""
     eta = np.asarray(eta, dtype=float)
-    out = np.empty_like(eta)
-    pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    e = np.exp(eta[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # 1 / (1 + exp(-eta)) for eta >= 0 and exp(eta) / (1 + exp(eta)) below,
+    # with one exp that cannot overflow.
+    e = np.exp(-np.abs(eta))
+    return np.where(eta >= 0, 1.0, e) / (1.0 + e)
 
 
 def _check_design(X: np.ndarray, n_min: int) -> None:
@@ -150,6 +165,152 @@ def fit_linear(X: np.ndarray, y: np.ndarray) -> GlmFit:
         deviance=float(resid @ resid),
         max_abs_coefficient=float(np.max(np.abs(beta))),
     )
+
+
+def _outer_rows(X: np.ndarray) -> np.ndarray:
+    # Row i is x_i x_i' flattened, so one (b x n) @ (n x p^2) product gives
+    # every replicate's X' diag(c) X.
+    n, p = X.shape
+    return (X[:, :, None] * X[:, None, :]).reshape(n, p * p)
+
+
+def _screen(gram, counts, n_min, errors):
+    """Apply the design checks of ``_check_design`` to every replicate.
+
+    ``gram[r]`` is replicate r's X' diag(c) X. Sets RankDeficientDesign
+    where a replicate has fewer than ``n_min`` rows, and returns the
+    replicates still open whose Gram matrix is near singular, to be decided
+    by the one-replicate fit.
+    """
+    eig = np.linalg.eigvalsh(gram)
+    short = _open(errors) & (counts.sum(axis=1) < n_min)
+    for r in np.flatnonzero(short):
+        errors[r] = RankDeficientDesign
+    return _open(errors) & (eig[:, 0] <= _GRAM_SCREEN * eig[:, -1])
+
+
+def _open(errors) -> np.ndarray:
+    return np.array([e is None for e in errors], dtype=bool)
+
+
+def _fit_repeated(fit, X, y, counts, beta, errors, rows) -> None:
+    # The one-replicate fit on each replicate's rows, repeated by its counts.
+    for r in rows:
+        c = counts[r].astype(np.intp)
+        try:
+            beta[r] = fit(np.repeat(X, c, axis=0), np.repeat(y, c)).coefficients
+        except SolverError as exc:
+            errors[r] = type(exc)
+
+
+def fit_logistic_counts(
+    X: np.ndarray,
+    y: np.ndarray,
+    counts: np.ndarray,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> tuple[np.ndarray, list]:
+    """``fit_logistic`` for every frequency-weight vector of a count block.
+
+    Parameters
+    ----------
+    X : ndarray, shape (n, p)
+        Design matrix including the intercept column.
+    y : ndarray, shape (n,)
+        Responses.
+    counts : ndarray, shape (b, n)
+        Non-negative integer counts; row r is replicate r.
+
+    Returns
+    -------
+    coefficients : ndarray, shape (b, p)
+        Replicate r's fit in row r, NaN where it failed.
+    errors : list
+        Per replicate, the ``SolverError`` subclass ``fit_logistic`` raises
+        on its rows, or None.
+
+    The replicates take the IRLS steps of ``fit_logistic`` as stacked Newton
+    steps, beta += (X' diag(c w) X)^-1 X' diag(c) (y - mu), one matmul for
+    the Gram matrices and one stacked solve per step. Each keeps the verdicts
+    of ``fit_logistic``: ConstantResponse, RankDeficientDesign, the same
+    score tolerance and iteration cap (NoConvergence) and the same
+    separation threshold checked after every step (SeparationDetected). A
+    converged replicate is frozen. Replicates with a near-singular design,
+    or that converge where the likelihood is nearly flat, are fitted by
+    ``fit_logistic`` itself on their repeated rows.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    counts = np.asarray(counts, dtype=float)
+    b, p = len(counts), X.shape[1]
+    beta = np.full((b, p), np.nan)
+    held = counts > 0
+    constant = (np.where(held, y, np.inf).min(axis=1)
+                == np.where(held, y, -np.inf).max(axis=1))
+    errors = [ConstantResponse if c else None for c in constant]
+    outer = _outer_rows(X)
+    exact = _screen((counts @ outer).reshape(b, p, p), counts, p + 1, errors)
+    _fit_repeated(fit_logistic, X, y, counts, beta, errors, np.flatnonzero(exact))
+
+    active = np.flatnonzero(_open(errors) & ~exact)
+    beta[active] = 0.0
+    for _ in range(max_iter):
+        c = counts[active]
+        mu = expit(beta[active] @ X.T)
+        score = (c * (y - mu)) @ X
+        w = np.clip(mu * (1.0 - mu), 1e-12, None)
+        gram = ((c * w) @ outer).reshape(-1, p, p)
+        done = np.max(np.abs(score), axis=1) < tol
+        if done.any():
+            # Converged on a flat ridge of the likelihood (quasi-separation),
+            # where the stopping point moves with rounding: take the
+            # one-replicate fit's stopping point instead.
+            eig = np.linalg.eigvalsh(gram[done])
+            ridge = active[done][eig[:, 0] <= _GRAM_SCREEN * eig[:, -1]]
+            _fit_repeated(fit_logistic, X, y, counts, beta, errors, ridge)
+        active, gram, score = active[~done], gram[~done], score[~done]
+        if not len(active):
+            break
+        beta[active] += np.linalg.solve(gram, score[:, :, None])[:, :, 0]
+        separated = np.max(np.abs(beta[active]), axis=1) > SEPARATION_THRESHOLD
+        for r in active[separated]:
+            errors[r] = SeparationDetected
+        active = active[~separated]
+    for r in active:
+        errors[r] = NoConvergence
+    beta[~_open(errors)] = np.nan
+    return beta, errors
+
+
+def fit_linear_counts(
+    X: np.ndarray, y: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, list]:
+    """``fit_linear`` for every frequency-weight vector of a count block.
+
+    Returns coefficients and errors as ``fit_logistic_counts`` does. Each
+    replicate's weighted normal equations are solved in one stacked solve,
+    then corrected by one more solve on the residuals (corrected semi-normal
+    equations), which brings the result to the accuracy of the QR solve on
+    screened designs. Replicates with fewer than p + 2 rows or a
+    rank-deficient design fail with RankDeficientDesign as in ``fit_linear``.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    counts = np.asarray(counts, dtype=float)
+    b, p = len(counts), X.shape[1]
+    beta = np.full((b, p), np.nan)
+    errors = [None] * b
+    gram = (counts @ _outer_rows(X)).reshape(b, p, p)
+    exact = _screen(gram, counts, p + 2, errors)
+    _fit_repeated(fit_linear, X, y, counts, beta, errors, np.flatnonzero(exact))
+
+    rows = np.flatnonzero(_open(errors) & ~exact)
+    if len(rows):
+        c, gram = counts[rows], gram[rows]
+        first = np.linalg.solve(gram, ((c * y) @ X)[:, :, None])[:, :, 0]
+        resid = c * (y - first @ X.T)
+        beta[rows] = first + np.linalg.solve(gram, (resid @ X)[:, :, None])[:, :, 0]
+    return beta, errors
 
 
 def add_intercept(X: np.ndarray) -> np.ndarray:

@@ -32,6 +32,7 @@ from .diagnostics import balance_table, comparability_checklist
 from .errors import PlanInvalid
 from .estimators import (
     Scale,
+    WeightingAnalysis,
     survival_contrast,
     weighted_km_by_group,
     weighted_mean_contrast,
@@ -39,7 +40,7 @@ from .estimators import (
 from .inference import BootstrapConfig, Resampling, bootstrap_ci
 from .maic import maic_compare, maic_weights
 from .propensity import estimate_propensity, positivity_report
-from .stc import Link, stc_estimate
+from .stc import Link, StcAnalysis, stc_estimate
 
 SCHEMA_VERSION = 1
 
@@ -192,6 +193,15 @@ def parse_plan(raw: dict) -> AnalysisPlan:
     )
 
 
+def weights_csv(rows) -> str:
+    """CSV text of (id, group, score, weight) rows; a None score is left empty."""
+    lines = ["id,group,score,weight"]
+    for rid, grp, score, weight in rows:
+        score_txt = "" if score is None else format(score, ".17g")
+        lines.append(f"{rid},{grp},{score_txt},{format(weight, '.17g')}")
+    return "\n".join(lines) + "\n"
+
+
 @dataclass
 class RunArtifacts:
     report: dict
@@ -204,11 +214,7 @@ class RunArtifacts:
         (out / "report.json").write_text(canonical_json(self.report) + "\n",
                                          encoding="utf-8")
         if self.weights_rows is not None:
-            lines = ["id,group,score,weight"]
-            for rid, grp, score, weight in self.weights_rows:
-                score_txt = "" if score is None else format(score, ".17g")
-                lines.append(f"{rid},{grp},{score_txt},{format(weight, '.17g')}")
-            (out / "weights.csv").write_text("\n".join(lines) + "\n",
+            (out / "weights.csv").write_text(weights_csv(self.weights_rows),
                                              encoding="utf-8")
         if self.balance is not None:
             lines = ["covariate,unweighted_smd,weighted_smd"]
@@ -264,15 +270,16 @@ def run_plan(plan: AnalysisPlan) -> RunArtifacts:
     return _run_stc(plan, data, target, checklist, provenance)
 
 
-def _attach_bootstrap(plan, data, pipeline, report_dict):
-    result = bootstrap_ci(pipeline, data, plan.bootstrap)
-    report_dict["effect"]["ci"] = [result.lower, result.upper]
-    report_dict["effect"]["ci_level"] = plan.bootstrap.level
-    report_dict["bootstrap"] = {
-        "replicates": plan.bootstrap.replicates,
+def attach_bootstrap(report: dict, analysis, data: Dataset, config: BootstrapConfig) -> None:
+    """Run the bootstrap of ``analysis`` and write its interval into ``report``."""
+    result = bootstrap_ci(analysis, data, config)
+    report["effect"]["ci"] = [result.lower, result.upper]
+    report["effect"]["ci_level"] = config.level
+    report["bootstrap"] = {
+        "replicates": config.replicates,
         "failures": result.n_failures,
         "refits": result.n_refits,
-        "seed": plan.bootstrap.seed,
+        "seed": config.seed,
     }
 
 
@@ -286,16 +293,6 @@ def _run_weighting(plan, data: Dataset, checklist, provenance) -> RunArtifacts:
         raise PositivityHardFail("insufficient propensity-score overlap")
     wset = balancing_weights(model, data, plan.estimand)
     table = balance_table(data, wset)
-
-    def pipeline(d: Dataset) -> float:
-        m = estimate_propensity(d, plan.covariates)
-        w = balancing_weights(m, d, plan.estimand)
-        if d.outcome_kind is OutcomeKind.TIME_TO_EVENT:
-            curves = weighted_km_by_group(d, w)
-            return survival_contrast(
-                curves["trial"], curves["external"], plan.horizon
-            ).point
-        return weighted_mean_contrast(d, w, plan.scale).point
 
     if data.outcome_kind is OutcomeKind.TIME_TO_EVENT:
         curves = weighted_km_by_group(data, wset)
@@ -322,7 +319,8 @@ def _run_weighting(plan, data: Dataset, checklist, provenance) -> RunArtifacts:
         "effect": effect.to_dict(),
     }
     if plan.bootstrap:
-        _attach_bootstrap(plan, data, pipeline, report)
+        analysis = WeightingAnalysis(plan.estimand, plan.scale, plan.covariates, plan.horizon)
+        attach_bootstrap(report, analysis, data, plan.bootstrap)
 
     groups = np.where(data.group_mask, "trial", "external").tolist()
     rows = list(zip(data.ids.tolist(), groups, model.scores.tolist(),
@@ -352,7 +350,7 @@ def _run_maic(plan, data, target, checklist, provenance) -> RunArtifacts:
         },
     }
     if plan.bootstrap:
-        _attach_bootstrap(plan, trial, pipeline, report)
+        attach_bootstrap(report, pipeline, trial, plan.bootstrap)
     rows = [(rid, "trial", None, w)
             for rid, w in zip(trial.ids.tolist(), fit.weights.tolist())]
     return RunArtifacts(report=report, weights_rows=rows)
@@ -362,16 +360,12 @@ def _run_stc(plan, data, target, checklist, provenance) -> RunArtifacts:
     trial = data.restrict(Group.TRIAL)
     result = stc_estimate(trial, target, plan.covariates, plan.link, plan.scale)
     result.report.provenance = provenance
-
-    def pipeline(d: Dataset) -> float:
-        t = d.restrict(Group.TRIAL)
-        return stc_estimate(t, target, plan.covariates, plan.link, plan.scale).effect
-
     report = {
         "provenance": provenance,
         "checklist": checklist.to_dict(),
         "effect": result.report.to_dict(),
     }
     if plan.bootstrap:
-        _attach_bootstrap(plan, trial, pipeline, report)
+        analysis = StcAnalysis(target, plan.covariates, plan.link, plan.scale)
+        attach_bootstrap(report, analysis, trial, plan.bootstrap)
     return RunArtifacts(report=report)

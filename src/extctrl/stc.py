@@ -18,9 +18,22 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dataset import AggregateSummary, Dataset, Group, OutcomeKind
-from .errors import ScaleIncompatibleWithOutcome
-from .estimators import EffectReport, Scale, check_scale, contrast_on_scale
-from .glm import GlmFit, add_intercept, fit_linear, fit_logistic
+from .errors import ScaleIncompatibleWithOutcome, ZeroDenominator
+from .estimators import (
+    EffectReport,
+    Scale,
+    check_scale,
+    contrast_on_scale,
+    contrasts_on_scale,
+)
+from .glm import (
+    GlmFit,
+    add_intercept,
+    fit_linear,
+    fit_linear_counts,
+    fit_logistic,
+    fit_logistic_counts,
+)
 
 TARGET_POPULATION = "external control population"
 
@@ -52,17 +65,12 @@ class StcResult:
     report: EffectReport
 
 
-def stc_estimate(
-    trial: Dataset,
-    target: AggregateSummary,
-    covariates: Optional[Sequence[str]] = None,
-    link: Link = Link.IDENTITY,
-    scale: Scale = Scale.MEAN_DIFFERENCE,
-) -> StcResult:
-    """Fit the trial outcome model and predict into the external population.
+def _stc_inputs(trial, target, covariates, link, scale):
+    """Checked inputs of the outcome model and of the prediction.
 
-    The covariate list is the analyst's explicit designation of effect
-    modifiers and prognostic variables; nothing is selected automatically.
+    Returns the covariate names, the trial design and outcomes, the target
+    design row (intercept and aggregate means) and the observed aggregate
+    outcome.
     """
     trial = trial.restrict(Group.TRIAL)
     if covariates is None:
@@ -77,24 +85,35 @@ def stc_estimate(
 
     X = add_intercept(trial.covariate_matrix(names))
     y = trial.outcomes()
-    if link is Link.LOGIT:
-        fit = fit_logistic(X, y)
-    else:
-        fit = fit_linear(X, y)
-
     x_target = np.concatenate([[1.0], [target.mean_of(c) for c in names]])
-    eta = float(fit.coefficients @ x_target)
-    if link is Link.LOGIT:
-        predicted = 1.0 / (1.0 + math.exp(-eta))
-    else:
-        predicted = eta
-
     if target.outcome_kind is OutcomeKind.BINARY:
         observed = target.outcome_summary["responders"] / target.n
     elif target.outcome_kind is OutcomeKind.CONTINUOUS:
         observed = float(target.outcome_summary["mean"])
     else:
         raise ScaleIncompatibleWithOutcome("survival aggregates not supported by STC")
+    return names, X, y, x_target, observed
+
+
+def stc_estimate(
+    trial: Dataset,
+    target: AggregateSummary,
+    covariates: Optional[Sequence[str]] = None,
+    link: Link = Link.IDENTITY,
+    scale: Scale = Scale.MEAN_DIFFERENCE,
+) -> StcResult:
+    """Fit the trial outcome model and predict into the external population.
+
+    The covariate list is the analyst's explicit designation of effect
+    modifiers and prognostic variables; nothing is selected automatically.
+    """
+    names, X, y, x_target, observed = _stc_inputs(trial, target, covariates, link, scale)
+    fit = fit_logistic(X, y) if link is Link.LOGIT else fit_linear(X, y)
+    eta = float(fit.coefficients @ x_target)
+    if link is Link.LOGIT:
+        predicted = 1.0 / (1.0 + math.exp(-eta))
+    else:
+        predicted = eta
 
     effect, infinite = contrast_on_scale(predicted, observed, scale)
     warnings = [CONSTANCY_CAVEAT]
@@ -122,3 +141,38 @@ def stc_estimate(
         link=link,
         report=report,
     )
+
+
+@dataclass(frozen=True)
+class StcAnalysis:
+    """The STC effect as one bootstrap analysis.
+
+    Calling it on a dataset refits the outcome model on its trial rows and
+    returns the effect of ``stc_estimate``; ``batch`` gives the same effect
+    for every count vector of a bootstrap block (see
+    ``inference.bootstrap_ci``), fitting the block's outcome models at once.
+    """
+
+    target: AggregateSummary
+    covariates: Optional[Sequence[str]] = None
+    link: Link = Link.IDENTITY
+    scale: Scale = Scale.MEAN_DIFFERENCE
+
+    def __call__(self, data: Dataset) -> float:
+        return stc_estimate(data, self.target, self.covariates, self.link, self.scale).effect
+
+    def batch(self, data: Dataset, counts: np.ndarray):
+        """Replicate effects and error classes for a b x n count block."""
+        _, X, y, x_target, observed = _stc_inputs(
+            data, self.target, self.covariates, self.link, self.scale)
+        counts = counts[:, data.group_mask]
+        if self.link is Link.LOGIT:
+            beta, fit_errors = fit_logistic_counts(X, y, counts)
+            predicted = 1.0 / (1.0 + np.exp(-(beta @ x_target)))
+        else:
+            beta, fit_errors = fit_linear_counts(X, y, counts)
+            predicted = beta @ x_target
+        values, _, undefined = contrasts_on_scale(predicted, observed, self.scale)
+        errors = [fit_error or (ZeroDenominator if u else None)
+                  for fit_error, u in zip(fit_errors, undefined)]
+        return values, errors
