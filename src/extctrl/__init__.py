@@ -39,13 +39,7 @@ from .estimators import (
     weighted_mean_contrast,
 )
 from .glm import GlmFit, add_intercept, fit_linear, fit_logistic
-from .inference import (
-    BootstrapConfig,
-    BootstrapResult,
-    Resampling,
-    bootstrap_ci,
-    replicate_estimates,
-)
+from .inference import BootstrapConfig, BootstrapResult, Resampling, bootstrap_ci
 from .maic import MaicFit, maic_compare, maic_weights
 from .propensity import (
     PositivityReport,

@@ -106,24 +106,16 @@ def tilting(estimand: Estimand, e) -> np.ndarray | float:
     return h if np.ndim(e) else float(h)
 
 
-def tilted_weights(estimand: Estimand, e: np.ndarray, trial: np.ndarray) -> np.ndarray:
-    """h(e)/e on trial rows and h(e)/(1-e) on external rows.
-
-    ``e`` is one score per subject, or a block with one row of scores per
-    bootstrap replicate; ``trial`` is the per-subject trial mask.
-    """
-    h = tilting(estimand, e)
-    # IEEE division gives e/e == 1 exactly, so the ATT/ATC unit-weight rows
-    # hold without special-casing.
-    return np.where(trial, h / e, h / (1.0 - e))
-
-
 def balancing_weights(
     model: PropensityModel, data: Dataset, estimand: Estimand
 ) -> WeightSet:
     """Per-subject balancing weights h(e)/e (trial) and h(e)/(1-e) (external)."""
+    e = model.scores
+    h = tilting(estimand, e)
     trial = data.group_mask
-    w = tilted_weights(estimand, model.scores, trial)
+    # IEEE division gives e/e == 1 exactly, so the ATT/ATC unit-weight rows
+    # hold without special-casing.
+    w = np.where(trial, h / e, h / (1.0 - e))
     return WeightSet(
         estimand=estimand,
         weights=w,

@@ -15,16 +15,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .balancing import Estimand, WeightSet, balancing_weights, tilted_weights
+from .balancing import Estimand, WeightSet, balancing_weights
 from .dataset import Dataset, OutcomeKind
 from .errors import (
     AllWeightsZero,
     ScaleIncompatibleWithOutcome,
     ZeroDenominator,
 )
-from .glm import expit, fit_logistic_counts
-from .inference import REFIT
-from .propensity import estimate_propensity, propensity_design
+from .propensity import estimate_propensity
 
 
 class Scale(enum.Enum):
@@ -92,37 +90,20 @@ class SurvivalCurve:
         return float(self.times[below[0]]) if len(below) else None
 
 
-def contrasts_on_scale(m1, m0, scale: Scale):
-    """Elementwise ``contrast_on_scale`` over arrays of group summaries.
-
-    Returns (values, infinite, undefined). ``infinite`` marks a zero-cell
-    odds ratio (inf, or 0 when the trial side is the zero cell); ``undefined``
-    marks a risk ratio over a zero external rate, whose value is NaN.
-    """
-    m1, m0 = np.broadcast_arrays(np.asarray(m1, dtype=float), np.asarray(m0, dtype=float))
-    infinite = np.zeros(m1.shape, dtype=bool)
-    undefined = infinite.copy()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if scale in (Scale.RISK_DIFFERENCE, Scale.MEAN_DIFFERENCE):
-            values = m1 - m0
-        elif scale is Scale.RISK_RATIO:
-            undefined = m0 == 0.0
-            values = np.where(undefined, np.nan, m1 / m0)
-        elif scale is Scale.ODDS_RATIO:
-            infinite = (m0 == 0.0) | (m0 == 1.0) | (m1 == 0.0) | (m1 == 1.0)
-            zero_cell = np.where((m0 == 0.0) | (m1 == 1.0), math.inf, 0.0)
-            values = np.where(infinite, zero_cell, (m1 / (1.0 - m1)) / (m0 / (1.0 - m0)))
-        else:  # pragma: no cover
-            raise ValueError(scale)
-    return values, infinite, undefined
-
-
 def contrast_on_scale(m1: float, m0: float, scale: Scale) -> tuple[float, bool]:
     """Contrast two group summaries; returns (value, is_infinite)."""
-    value, infinite, undefined = contrasts_on_scale(m1, m0, scale)
-    if undefined:
-        raise ZeroDenominator("risk ratio undefined: external rate is 0")
-    return float(value), bool(infinite)
+    if scale in (Scale.RISK_DIFFERENCE, Scale.MEAN_DIFFERENCE):
+        return m1 - m0, False
+    if scale is Scale.RISK_RATIO:
+        if m0 == 0.0:
+            raise ZeroDenominator("risk ratio undefined: external rate is 0")
+        return m1 / m0, False
+    if scale is Scale.ODDS_RATIO:
+        if m0 in (0.0, 1.0) or m1 in (0.0, 1.0):
+            sign = 1.0 if (m0 == 0.0 or m1 == 1.0) else 0.0
+            return (math.inf if sign else 0.0), True
+        return (m1 / (1.0 - m1)) / (m0 / (1.0 - m0)), False
+    raise ValueError(scale)  # pragma: no cover
 
 
 def check_scale(outcome_kind: OutcomeKind, scale: Scale) -> None:
@@ -169,26 +150,6 @@ def weighted_mean_contrast(
         ess={"trial": weights.ess_treated, "external": weights.ess_control},
         infinite=infinite,
     )
-
-
-def hajek_contrasts(y: np.ndarray, trial: np.ndarray, weights: np.ndarray, scale: Scale):
-    """``weighted_mean_contrast`` points for a block of weight vectors.
-
-    ``weights`` is b x n, one row per replicate (frequency counts times
-    balancing weights). Returns the b contrasts and, per row, the error class
-    ``weighted_mean_contrast`` raises on it (None where it succeeds):
-    AllWeightsZero for a group with no weight, ZeroDenominator for an
-    undefined risk ratio. A zero-cell odds ratio stays inf (or 0).
-    """
-    groups = np.column_stack([trial, ~trial]).astype(float)
-    totals = weights @ groups
-    with np.errstate(divide="ignore", invalid="ignore"):
-        means = (weights @ (groups * y[:, None])) / totals
-    values, _, undefined = contrasts_on_scale(means[:, 0], means[:, 1], scale)
-    empty = np.any(totals <= 0, axis=1)
-    errors = [AllWeightsZero if z else ZeroDenominator if u else None
-              for z, u in zip(empty, undefined)]
-    return values, errors
 
 
 def weighted_km(
@@ -288,8 +249,6 @@ class WeightingAnalysis:
     Calling it on a dataset refits the propensity model and returns the
     point estimate: the weighted mean contrast on ``scale``, or for a
     time-to-event outcome the survival difference at ``horizon``.
-    ``batch`` gives the same estimate for every count vector of a bootstrap
-    block (see ``inference.bootstrap_ci``).
     """
 
     estimand: Estimand
@@ -304,28 +263,3 @@ class WeightingAnalysis:
             curves = weighted_km_by_group(data, wset)
             return survival_contrast(curves["trial"], curves["external"], self.horizon).point
         return weighted_mean_contrast(data, wset, self.scale).point
-
-    def batch(self, data: Dataset, counts: np.ndarray):
-        """Replicate estimates and error classes for a b x n count block.
-
-        Time-to-event outcomes, replicates in which a covariate of the
-        model is constant (the one-replicate fit drops it) and replicates
-        with a fitted score of 0 or 1 are marked REFIT.
-        """
-        if data.outcome_kind is OutcomeKind.TIME_TO_EVENT:
-            return np.full(len(counts), np.nan), [REFIT] * len(counts)
-        _, X, y = propensity_design(data, self.covariates)
-        held = (counts > 0)[:, :, None]
-        covs = X[None, :, 1:]
-        constant = np.any(np.where(held, covs, np.inf).min(axis=1)
-                          == np.where(held, covs, -np.inf).max(axis=1), axis=1)
-        beta, fit_errors = fit_logistic_counts(X, y, counts)
-        scores = expit(beta @ X.T)
-        degenerate = np.any(held[:, :, 0] & ((scores <= 0.0) | (scores >= 1.0)), axis=1)
-        trial = data.group_mask
-        with np.errstate(divide="ignore", invalid="ignore"):
-            weights = counts * tilted_weights(self.estimand, scores, trial)
-        values, errors = hajek_contrasts(data.outcomes(), trial, weights, self.scale)
-        errors = [REFIT if refit else fit_error or error for refit, fit_error, error
-                  in zip(constant | degenerate, fit_errors, errors)]
-        return values, errors

@@ -5,12 +5,12 @@ solving each inner weighted least-squares step by QR (stable up to condition
 numbers around 1e8). Inference is bootstrap-based elsewhere, so no
 Hessian-derived standard errors are reported here.
 
-``fit_logistic_counts`` and ``fit_linear_counts`` fit one design to a block
-of frequency-weight vectors at once: row r of the count block says how many
-times each row of the design enters replicate r, which is how a bootstrap
-resample looks on fixed rows. Each replicate gets the coefficients and the
-typed verdict that ``fit_logistic``/``fit_linear`` give on its rows repeated
-by those counts.
+``fit_logistic_counts`` fits one design to a block of frequency-weight
+vectors at once: row r of the count block says how many times each row of
+the design enters replicate r, which is how a bootstrap resample looks on
+fixed rows. Each replicate gets the coefficients and the typed verdict that
+``fit_logistic`` gives on its rows repeated by those counts, or ``REFIT``
+where only ``fit_logistic`` itself can decide.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .errors import (
     NoConvergence,
     RankDeficientDesign,
     SeparationDetected,
-    SolverError,
 )
 
 DEFAULT_TOL = 1e-8
@@ -35,13 +34,19 @@ DEFAULT_MAX_ITER = 100
 SEPARATION_THRESHOLD = 15.0
 
 # A replicate whose count-weighted Gram matrix has smallest/largest
-# eigenvalue at or below this is fitted by the one-replicate functions on its
-# repeated rows: they give the exact rank verdict, and their QR solve stays
-# accurate where normal equations (condition number squared) would not.
-# Well above the rank test's own cut, (n * eps)**2 on the same ratio. The
-# same cut on the IRLS-weighted Gram matrix at convergence detects a flat
-# likelihood ridge.
+# eigenvalue at or below this is left to ``fit_logistic``: it gives the exact
+# rank verdict (its own cut is (rows * eps)**2 on the same ratio), and its QR
+# solve stays accurate where normal equations would not. The same cut on the
+# IRLS-weighted Gram matrix at convergence finds replicates whose stopping
+# point ``fit_logistic`` decides by rounding: a flat likelihood ridge
+# (quasi-separation), or a score that rounding keeps near the absolute
+# tolerance. That floor grows with the size of the covariate values (units
+# and offsets), so this cut is on the unscaled matrix, as the tolerance is.
 _GRAM_SCREEN = 1e-6
+
+# Verdict of ``fit_logistic_counts`` for a replicate that must be fitted by
+# ``fit_logistic`` on its repeated rows.
+REFIT = "refit"
 
 
 class Family(enum.Enum):
@@ -174,41 +179,14 @@ def _outer_rows(X: np.ndarray) -> np.ndarray:
     return (X[:, :, None] * X[:, None, :]).reshape(n, p * p)
 
 
-def _screen(gram, counts, n_min, errors):
-    """Apply the design checks of ``_check_design`` to every replicate.
-
-    ``gram[r]`` is replicate r's X' diag(c) X. Sets RankDeficientDesign
-    where a replicate has fewer than ``n_min`` rows, and returns the
-    replicates still open whose Gram matrix is near singular, to be decided
-    by the one-replicate fit.
-    """
+def _eigenvalue_ratio(gram: np.ndarray) -> np.ndarray:
+    # Smallest over largest eigenvalue of each Gram matrix of a stack.
     eig = np.linalg.eigvalsh(gram)
-    short = _open(errors) & (counts.sum(axis=1) < n_min)
-    for r in np.flatnonzero(short):
-        errors[r] = RankDeficientDesign
-    return _open(errors) & (eig[:, 0] <= _GRAM_SCREEN * eig[:, -1])
-
-
-def _open(errors) -> np.ndarray:
-    return np.array([e is None for e in errors], dtype=bool)
-
-
-def _fit_repeated(fit, X, y, counts, beta, errors, rows) -> None:
-    # The one-replicate fit on each replicate's rows, repeated by its counts.
-    for r in rows:
-        c = counts[r].astype(np.intp)
-        try:
-            beta[r] = fit(np.repeat(X, c, axis=0), np.repeat(y, c)).coefficients
-        except SolverError as exc:
-            errors[r] = type(exc)
+    return eig[:, 0] / eig[:, -1]
 
 
 def fit_logistic_counts(
-    X: np.ndarray,
-    y: np.ndarray,
-    counts: np.ndarray,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
+    X: np.ndarray, y: np.ndarray, counts: np.ndarray
 ) -> tuple[np.ndarray, list]:
     """``fit_logistic`` for every frequency-weight vector of a count block.
 
@@ -224,20 +202,21 @@ def fit_logistic_counts(
     Returns
     -------
     coefficients : ndarray, shape (b, p)
-        Replicate r's fit in row r, NaN where it failed.
+        Replicate r's fit in row r, NaN where it has no fit.
     errors : list
-        Per replicate, the ``SolverError`` subclass ``fit_logistic`` raises
-        on its rows, or None.
+        Per replicate: None, the ``SolverError`` subclass ``fit_logistic``
+        raises on its rows, or ``REFIT``.
 
     The replicates take the IRLS steps of ``fit_logistic`` as stacked Newton
     steps, beta += (X' diag(c w) X)^-1 X' diag(c) (y - mu), one matmul for
     the Gram matrices and one stacked solve per step. Each keeps the verdicts
-    of ``fit_logistic``: ConstantResponse, RankDeficientDesign, the same
-    score tolerance and iteration cap (NoConvergence) and the same
-    separation threshold checked after every step (SeparationDetected). A
-    converged replicate is frozen. Replicates with a near-singular design,
-    or that converge where the likelihood is nearly flat, are fitted by
-    ``fit_logistic`` itself on their repeated rows.
+    of ``fit_logistic``: ConstantResponse, too few rows (RankDeficientDesign),
+    the same score tolerance, and the same separation threshold checked
+    after every step (SeparationDetected). A converged replicate is frozen.
+    A replicate is ``REFIT`` when its design is near singular (which
+    includes every rank-deficient one), when it converges where the
+    likelihood is nearly flat or where rounding comes near the score
+    tolerance, or when it has not converged within the iteration cap.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -248,26 +227,28 @@ def fit_logistic_counts(
     constant = (np.where(held, y, np.inf).min(axis=1)
                 == np.where(held, y, -np.inf).max(axis=1))
     errors = [ConstantResponse if c else None for c in constant]
+    rows = counts.sum(axis=1)
+    for r in np.flatnonzero(~constant & (rows < p + 1)):
+        errors[r] = RankDeficientDesign
     outer = _outer_rows(X)
-    exact = _screen((counts @ outer).reshape(b, p, p), counts, p + 1, errors)
-    _fit_repeated(fit_logistic, X, y, counts, beta, errors, np.flatnonzero(exact))
+    near_singular = _eigenvalue_ratio((counts @ outer).reshape(b, p, p)) <= _GRAM_SCREEN
+    for r in np.flatnonzero(near_singular):
+        if errors[r] is None:
+            errors[r] = REFIT
 
-    active = np.flatnonzero(_open(errors) & ~exact)
+    active = np.flatnonzero([e is None for e in errors])
     beta[active] = 0.0
-    for _ in range(max_iter):
+    for _ in range(DEFAULT_MAX_ITER):
         c = counts[active]
         mu = expit(beta[active] @ X.T)
         score = (c * (y - mu)) @ X
         w = np.clip(mu * (1.0 - mu), 1e-12, None)
         gram = ((c * w) @ outer).reshape(-1, p, p)
-        done = np.max(np.abs(score), axis=1) < tol
+        done = np.max(np.abs(score), axis=1) < DEFAULT_TOL
         if done.any():
-            # Converged on a flat ridge of the likelihood (quasi-separation),
-            # where the stopping point moves with rounding: take the
-            # one-replicate fit's stopping point instead.
-            eig = np.linalg.eigvalsh(gram[done])
-            ridge = active[done][eig[:, 0] <= _GRAM_SCREEN * eig[:, -1]]
-            _fit_repeated(fit_logistic, X, y, counts, beta, errors, ridge)
+            ill = _eigenvalue_ratio(gram[done]) <= _GRAM_SCREEN
+            for r in active[done][ill]:
+                errors[r] = REFIT
         active, gram, score = active[~done], gram[~done], score[~done]
         if not len(active):
             break
@@ -277,39 +258,8 @@ def fit_logistic_counts(
             errors[r] = SeparationDetected
         active = active[~separated]
     for r in active:
-        errors[r] = NoConvergence
-    beta[~_open(errors)] = np.nan
-    return beta, errors
-
-
-def fit_linear_counts(
-    X: np.ndarray, y: np.ndarray, counts: np.ndarray
-) -> tuple[np.ndarray, list]:
-    """``fit_linear`` for every frequency-weight vector of a count block.
-
-    Returns coefficients and errors as ``fit_logistic_counts`` does. Each
-    replicate's weighted normal equations are solved in one stacked solve,
-    then corrected by one more solve on the residuals (corrected semi-normal
-    equations), which brings the result to the accuracy of the QR solve on
-    screened designs. Replicates with fewer than p + 2 rows or a
-    rank-deficient design fail with RankDeficientDesign as in ``fit_linear``.
-    """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    counts = np.asarray(counts, dtype=float)
-    b, p = len(counts), X.shape[1]
-    beta = np.full((b, p), np.nan)
-    errors = [None] * b
-    gram = (counts @ _outer_rows(X)).reshape(b, p, p)
-    exact = _screen(gram, counts, p + 2, errors)
-    _fit_repeated(fit_linear, X, y, counts, beta, errors, np.flatnonzero(exact))
-
-    rows = np.flatnonzero(_open(errors) & ~exact)
-    if len(rows):
-        c, gram = counts[rows], gram[rows]
-        first = np.linalg.solve(gram, ((c * y) @ X)[:, :, None])[:, :, 0]
-        resid = c * (y - first @ X.T)
-        beta[rows] = first + np.linalg.solve(gram, (resid @ X)[:, :, None])[:, :, 0]
+        errors[r] = REFIT  # fit_logistic decides NoConvergence at its own floor
+    beta[[e is not None for e in errors]] = np.nan
     return beta, errors
 
 

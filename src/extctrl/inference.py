@@ -27,16 +27,13 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import ExtCtrlError, TooManyReplicateFailures
+from .glm import REFIT
 
 MAX_FAILURE_FRACTION = 0.2
 
 # Entries in one count block (replicates x subjects). It bounds the b x n
 # temporaries of a batched refit to a few hundred kB, whatever n.
 _BLOCK_ELEMENTS = 32768
-
-# Error entry a batched analysis gives a replicate it leaves to its
-# per-replicate pipeline.
-REFIT = "refit"
 
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
@@ -187,13 +184,14 @@ def bootstrap_ci(
     analysis : callable
         Re-runnable pipeline mapping a Dataset to a scalar estimate; any
         model fitting happens inside, so it is re-done per replicate. An
-        analysis may also have a method ``batch(data, counts)``: given a
-        b x n block of replicate counts on the rows of ``data``, it returns
-        the b estimates and, per replicate, None, the ``ExtCtrlError``
-        subclass the pipeline raises on that resample, or ``REFIT`` to have
-        that replicate run through the pipeline itself. Such analyses are
-        run on blocks of at most 32768 counts; ``config.threads`` applies
-        only to replicates run through the pipeline.
+        analysis may also have an attribute ``batch``: None, or a method
+        ``batch(data, counts)`` that, given a b x n block of replicate
+        counts on the rows of ``data``, returns the b estimates and, per
+        replicate, None, the ``ExtCtrlError`` subclass the pipeline raises
+        on that resample, or ``REFIT`` to have that replicate run through
+        the pipeline itself. Such analyses are run on blocks of at most
+        32768 counts; ``config.threads`` applies only to replicates run
+        through the pipeline.
     data : Dataset
         Original data; the point estimate is the pipeline applied to it.
     config : BootstrapConfig

@@ -53,25 +53,6 @@ class PositivityReport:
         }
 
 
-def propensity_design(
-    data: Dataset, covariates: Optional[Sequence[str]] = None
-) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
-    """Covariate names, design matrix and trial indicator of the model.
-
-    The design is an intercept plus every named covariate that is not
-    constant across the subjects of ``data``.
-    """
-    if data.n_external == 0:
-        raise EmptyDataset("propensity estimation needs external records")
-    names = tuple(covariates) if covariates is not None else data.covariate_names
-    X_raw = data.covariate_matrix(names)
-    # Drop covariates constant across all subjects; they carry no membership
-    # information and would make the design rank deficient.
-    keep = [j for j in range(X_raw.shape[1]) if np.ptp(X_raw[:, j]) > 0]
-    X = add_intercept(X_raw[:, keep]) if keep else add_intercept(X_raw[:, :0])
-    return names, X, data.group_mask.astype(float)
-
-
 def estimate_propensity(
     data: Dataset,
     covariates: Optional[Sequence[str]] = None,
@@ -87,7 +68,15 @@ def estimate_propensity(
     covariates : sequence of str, optional
         Subset of covariates to include; all by default.
     """
-    names, X, y = propensity_design(data, covariates)
+    if data.n_external == 0:
+        raise EmptyDataset("propensity estimation needs external records")
+    names = tuple(covariates) if covariates is not None else data.covariate_names
+    X_raw = data.covariate_matrix(names)
+    # Drop covariates constant across all subjects; they carry no membership
+    # information and would make the design rank deficient.
+    keep = [j for j in range(X_raw.shape[1]) if np.ptp(X_raw[:, j]) > 0]
+    X = add_intercept(X_raw[:, keep]) if keep else add_intercept(X_raw[:, :0])
+    y = data.group_mask.astype(float)
     fit = fit_logistic(X, y, tol=tol, max_iter=max_iter)
     scores = fit.predict(X)
     if np.any(scores <= 0.0) or np.any(scores >= 1.0):

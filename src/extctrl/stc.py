@@ -19,21 +19,8 @@ import numpy as np
 
 from .dataset import AggregateSummary, Dataset, Group, OutcomeKind
 from .errors import ScaleIncompatibleWithOutcome, ZeroDenominator
-from .estimators import (
-    EffectReport,
-    Scale,
-    check_scale,
-    contrast_on_scale,
-    contrasts_on_scale,
-)
-from .glm import (
-    GlmFit,
-    add_intercept,
-    fit_linear,
-    fit_linear_counts,
-    fit_logistic,
-    fit_logistic_counts,
-)
+from .estimators import EffectReport, Scale, check_scale, contrast_on_scale
+from .glm import GlmFit, add_intercept, fit_linear, fit_logistic, fit_logistic_counts
 
 TARGET_POPULATION = "external control population"
 
@@ -148,8 +135,8 @@ class StcAnalysis:
     """The STC effect as one bootstrap analysis.
 
     Calling it on a dataset refits the outcome model on its trial rows and
-    returns the effect of ``stc_estimate``; ``batch`` gives the same effect
-    for every count vector of a bootstrap block (see
+    returns the effect of ``stc_estimate``. With the logit link, ``batch``
+    gives the same effect for every count vector of a bootstrap block (see
     ``inference.bootstrap_ci``), fitting the block's outcome models at once.
     """
 
@@ -161,18 +148,22 @@ class StcAnalysis:
     def __call__(self, data: Dataset) -> float:
         return stc_estimate(data, self.target, self.covariates, self.link, self.scale).effect
 
-    def batch(self, data: Dataset, counts: np.ndarray):
+    @property
+    def batch(self):
+        # Only the logit model has a batched fit; None sends every replicate
+        # through the pipeline (see ``inference.bootstrap_ci``).
+        return self._batch_logit if self.link is Link.LOGIT else None
+
+    def _batch_logit(self, data: Dataset, counts: np.ndarray):
         """Replicate effects and error classes for a b x n count block."""
         _, X, y, x_target, observed = _stc_inputs(
             data, self.target, self.covariates, self.link, self.scale)
-        counts = counts[:, data.group_mask]
-        if self.link is Link.LOGIT:
-            beta, fit_errors = fit_logistic_counts(X, y, counts)
-            predicted = 1.0 / (1.0 + np.exp(-(beta @ x_target)))
-        else:
-            beta, fit_errors = fit_linear_counts(X, y, counts)
-            predicted = beta @ x_target
-        values, _, undefined = contrasts_on_scale(predicted, observed, self.scale)
-        errors = [fit_error or (ZeroDenominator if u else None)
-                  for fit_error, u in zip(fit_errors, undefined)]
+        beta, errors = fit_logistic_counts(X, y, counts[:, data.group_mask])
+        values = np.full(len(counts), np.nan)
+        for r in np.flatnonzero([e is None for e in errors]):
+            predicted = 1.0 / (1.0 + math.exp(-float(beta[r] @ x_target)))
+            try:
+                values[r] = contrast_on_scale(predicted, observed, self.scale)[0]
+            except ZeroDenominator:
+                errors[r] = ZeroDenominator
         return values, errors
