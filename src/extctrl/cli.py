@@ -1,9 +1,13 @@
 """Batch command-line front end.
 
 Subcommands: ps-fit, weight, balance, compare, maic, stc, borrow, simulate,
-run. Exit codes: 0 success, 2 plan/usage error, 3 data error, 4 solver
-error, 5 positivity hard-fail. The EXTCTRL_THREADS environment variable
-caps bootstrap parallelism (0 or unset = auto/serial).
+run. ``compare``, ``maic``, ``stc`` and ``borrow`` turn their flags into a
+plan document and execute it with ``plan.run_plan``, exactly as ``run``
+does with a plan file, so their reports carry the same provenance (plan
+hash), checklist and diagnostics. Exit codes: 0 success, 2 plan/usage
+error, 3 data error, 4 solver error, 5 positivity hard-fail. The
+EXTCTRL_THREADS environment variable caps bootstrap parallelism (0 or
+unset = auto/serial).
 """
 
 from __future__ import annotations
@@ -17,22 +21,14 @@ import numpy as np
 
 from . import plan as planmod
 from .balancing import Estimand, balancing_weights
-from .borrow import a0_sensitivity, power_prior_posterior
-from .dataset import Group, OutcomeKind, load_aggregate, load_dataset, save_dataset
+from .borrow import a0_sensitivity
+from .dataset import load_dataset, save_dataset
 from .diagnostics import balance_table
 from .errors import DataError, ExtCtrlError, PlanInvalid, SolverError
-from .estimators import (
-    Scale,
-    WeightingAnalysis,
-    survival_contrast,
-    weighted_km_by_group,
-    weighted_mean_contrast,
-)
-from .inference import BootstrapConfig, Resampling
-from .maic import maic_compare, maic_weights
+from .estimators import Scale
 from .propensity import estimate_propensity, positivity_report
 from .simulate import ScenarioConfig, generate
-from .stc import Link, StcAnalysis, stc_estimate
+from .stc import Link
 
 EXIT_OK = 0
 EXIT_PLAN = 2
@@ -133,12 +129,8 @@ def _split(names):
     return [s.strip() for s in names.split(",")] if names else None
 
 
-def _load(args):
-    return load_dataset(args.data)
-
-
 def _cmd_ps_fit(args) -> int:
-    data = _load(args)
+    data = load_dataset(args.data)
     model = estimate_propensity(data, _split(args.covariates))
     report = positivity_report(model, data, args.band)
     out_dir = Path(args.out_dir) if args.out_dir else None
@@ -163,7 +155,7 @@ def _weights_for(args, data):
 
 
 def _cmd_weight(args) -> int:
-    data = _load(args)
+    data = load_dataset(args.data)
     model, wset = _weights_for(args, data)
     groups = np.where(data.group_mask, "trial", "external").tolist()
     rows = list(zip(data.ids.tolist(), groups, model.scores.tolist(),
@@ -185,7 +177,7 @@ def _cmd_weight(args) -> int:
 
 
 def _cmd_balance(args) -> int:
-    data = _load(args)
+    data = load_dataset(args.data)
     _, wset = _weights_for(args, data)
     table = balance_table(data, wset, args.threshold)
     _emit({"balance": table.to_dict()},
@@ -193,119 +185,80 @@ def _cmd_balance(args) -> int:
     return EXIT_OK
 
 
-def _maybe_bootstrap(args, data, analysis, payload, trial_only=False):
-    if args.bootstrap <= 0:
-        return
-    config = BootstrapConfig(
-        replicates=args.bootstrap,
-        level=args.level,
-        seed=args.seed,
-        resampling=Resampling.TRIAL_ONLY if trial_only
-        else Resampling.STRATIFIED_BY_GROUP,
-    )
-    planmod.attach_bootstrap(payload, analysis, data, config)
+def _analysis_plan(args, method: str, **fields) -> dict:
+    """The plan document of a compare/maic/stc invocation."""
+    plan = {"method": method, "dataset": args.data, "scale": args.scale, **fields}
+    if args.covariates:
+        plan["covariates"] = _split(args.covariates)
+    if args.bootstrap > 0:
+        plan["seed"] = args.seed
+        plan["bootstrap"] = {"replicates": args.bootstrap, "level": args.level}
+    return plan
+
+
+def _run(args, plan: dict) -> planmod.RunArtifacts:
+    """Run ``plan``; write its artifacts under --out-dir, else print the report."""
+    artifacts = planmod.run_plan(planmod.parse_plan(plan))
+    if args.out_dir:
+        artifacts.write(args.out_dir)
+    else:
+        _emit(artifacts.report)
+    return artifacts
 
 
 def _cmd_compare(args) -> int:
-    data = _load(args)
-    if data.outcome_kind is OutcomeKind.TIME_TO_EVENT and args.horizon is None:
-        raise PlanInvalid("a time-to-event outcome needs --horizon")
-    estimand = Estimand.parse(args.estimand)
-    covs = _split(args.covariates)
-    scale = Scale(args.scale)
-    model = estimate_propensity(data, covs)
-    wset = balancing_weights(model, data, estimand)
-    if data.outcome_kind is OutcomeKind.TIME_TO_EVENT:
-        curves = weighted_km_by_group(data, wset)
-        effect = survival_contrast(
-            curves["trial"], curves["external"], args.horizon,
-            estimand_label=estimand.label,
-            target_population=estimand.target_population_label,
-        )
-        if args.out_dir:
-            out_dir = Path(args.out_dir)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            for name, curve in curves.items():
-                lines = ["time,survival,at_risk"]
-                for t, s, n in zip(curve.times, curve.survival, curve.at_risk):
-                    lines.append(
-                        f"{format(float(t), '.17g')},"
-                        f"{format(float(s), '.17g')},"
-                        f"{format(float(n), '.17g')}"
-                    )
-                (out_dir / f"curve_{name}.csv").write_text(
-                    "\n".join(lines) + "\n", encoding="utf-8"
-                )
-    else:
-        effect = weighted_mean_contrast(data, wset, scale)
-    payload = {"effect": effect.to_dict()}
-    analysis = WeightingAnalysis(estimand, scale, covs, args.horizon)
-    _maybe_bootstrap(args, data, analysis, payload)
-    _emit(payload, Path(args.out_dir) / "report.json" if args.out_dir else None)
+    fields = {"estimand": args.estimand}
+    if args.horizon is not None:
+        fields["horizon"] = args.horizon
+    artifacts = _run(args, _analysis_plan(args, "weighting", **fields))
+    if args.out_dir and artifacts.curves:
+        for name, curve in artifacts.curves.items():
+            lines = ["time,survival,at_risk"] + [
+                ",".join(format(float(v), ".17g") for v in row)
+                for row in zip(curve.times, curve.survival, curve.at_risk)
+            ]
+            (Path(args.out_dir) / f"curve_{name}.csv").write_text(
+                "\n".join(lines) + "\n", encoding="utf-8")
     return EXIT_OK
 
 
 def _cmd_maic(args) -> int:
-    data = _load(args).restrict(Group.TRIAL)
-    target = load_aggregate(args.target)
-    covs = _split(args.covariates)
-    scale = Scale(args.scale)
-    fit = maic_weights(data, target, covs)
-    effect = maic_compare(fit, data, target, scale)
-
-    def pipeline(d):
-        t = d.restrict(Group.TRIAL)
-        f = maic_weights(t, target, covs)
-        return maic_compare(f, t, target, scale).point
-
-    payload = {
-        "effect": effect.to_dict(),
-        "maic": {"ess": fit.ess,
-                 "achieved_means": [float(v) for v in fit.achieved_means],
-                 "target_means": [float(v) for v in fit.target_means]},
-    }
-    _maybe_bootstrap(args, data, pipeline, payload, trial_only=True)
-    if args.out_dir:
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        rows = [(rid, "trial", None, w)
-                for rid, w in zip(data.ids.tolist(), fit.weights.tolist())]
-        (out_dir / "weights.csv").write_text(planmod.weights_csv(rows), encoding="utf-8")
-        _emit(payload, out_dir / "report.json")
-    else:
-        _emit(payload)
+    _run(args, _analysis_plan(args, "maic", aggregate=args.target))
     return EXIT_OK
 
 
 def _cmd_stc(args) -> int:
-    data = _load(args).restrict(Group.TRIAL)
-    target = load_aggregate(args.target)
-    covs = _split(args.covariates)
-    link = Link(args.link)
-    scale = Scale(args.scale)
-    result = stc_estimate(data, target, covs, link, scale)
-    payload = {"effect": result.report.to_dict()}
-    analysis = StcAnalysis(target, covs, link, scale)
-    _maybe_bootstrap(args, data, analysis, payload, trial_only=True)
-    _emit(payload, Path(args.out_dir) / "report.json" if args.out_dir else None)
+    _run(args, _analysis_plan(args, "stc", aggregate=args.target, link=args.link))
     return EXIT_OK
 
 
+def _numbers(text: str, flag: str) -> list:
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise PlanInvalid(f"{flag} must be comma-separated numbers, got {text!r}") from None
+
+
 def _cmd_borrow(args) -> int:
-    if not args.assume_comparable:
-        raise PlanInvalid(
-            "power-prior borrowing assumes comparable populations; "
-            "pass --assume-comparable to assert this"
+    prior = _numbers(args.prior, "--prior")
+    plan = {"method": "power_prior", "power_prior": {
+        "x": args.x, "n": args.n, "x0": args.x0, "n0": args.n0, "a0": args.a0,
+        "prior": prior, "level": args.level,
+        "assume_comparable": args.assume_comparable,
+    }}
+    grid = _numbers(args.sweep, "--sweep") if args.sweep else None
+    if grid and not all(0.0 <= a0 <= 1.0 for a0 in grid):
+        raise PlanInvalid(f"--sweep values must lie in [0, 1], got {args.sweep!r}")
+    report = planmod.run_plan(planmod.parse_plan(plan)).report
+    if grid:
+        report["sensitivity"] = a0_sensitivity(
+            args.x, args.n, args.x0, args.n0, grid, *prior, args.level
         )
-    a, b = (float(v) for v in args.prior.split(","))
-    post = power_prior_posterior(args.x, args.n, args.x0, args.n0, args.a0, a, b)
-    payload = {"posterior": post.to_dict(args.level)}
-    if args.sweep:
-        grid = [float(v) for v in args.sweep.split(",")]
-        payload["sensitivity"] = a0_sensitivity(
-            args.x, args.n, args.x0, args.n0, grid, a, b, args.level
-        )
-    _emit(payload, Path(args.out_dir) / "posterior.json" if args.out_dir else None)
+    out_path = None
+    if args.out_dir:
+        Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+        out_path = Path(args.out_dir) / "posterior.json"
+    _emit(report, out_path)
     return EXIT_OK
 
 

@@ -27,6 +27,7 @@ from .errors import (
     NonNumericCovariate,
     ProportionOutOfRange,
     ResponderCountExceedsN,
+    ScaleIncompatibleWithOutcome,
     SchemaViolation,
     UnknownGroupLabel,
 )
@@ -299,6 +300,17 @@ class AggregateSummary:
         if name not in self.covariate_names:
             raise MissingColumn(f"aggregate has no covariate {name!r}")
         return self.covariate_means[self.covariate_names.index(name)]
+
+    def outcome_value(self) -> float:
+        """The external outcome as one number: response rate or mean."""
+        if self.outcome_kind is OutcomeKind.BINARY:
+            return self.outcome_summary["responders"] / self.n
+        if self.outcome_kind is OutcomeKind.CONTINUOUS:
+            return float(self.outcome_summary["mean"])
+        raise ScaleIncompatibleWithOutcome(
+            "aggregate survival outcomes have no single outcome value; "
+            "MAIC and STC need a binary or continuous aggregate"
+        )
 
 
 @dataclass(frozen=True)

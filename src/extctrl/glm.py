@@ -58,7 +58,6 @@ class Family(enum.Enum):
 class GlmFit:
     family: Family
     coefficients: np.ndarray
-    converged: bool
     iterations: int
     deviance: float
     max_abs_coefficient: float
@@ -147,7 +146,6 @@ def fit_logistic(
     return GlmFit(
         family=Family.LOGISTIC,
         coefficients=beta,
-        converged=True,
         iterations=iterations,
         deviance=deviance,
         max_abs_coefficient=float(np.max(np.abs(beta))),
@@ -165,7 +163,6 @@ def fit_linear(X: np.ndarray, y: np.ndarray) -> GlmFit:
     return GlmFit(
         family=Family.LINEAR,
         coefficients=beta,
-        converged=True,
         iterations=1,
         deviance=float(resid @ resid),
         max_abs_coefficient=float(np.max(np.abs(beta))),

@@ -43,7 +43,6 @@ class MaicFit:
     achieved_means: np.ndarray
     target_means: np.ndarray
     ess: float
-    converged: bool
     iterations: int
     objective_trace: tuple[float, ...] = ()
 
@@ -143,19 +142,8 @@ def maic_weights(
         achieved_means=achieved,
         target_means=mu,
         ess=ess,
-        converged=True,
         iterations=iterations,
         objective_trace=tuple(trace),
-    )
-
-
-def _aggregate_outcome_value(target: AggregateSummary) -> float:
-    if target.outcome_kind is OutcomeKind.BINARY:
-        return target.outcome_summary["responders"] / target.n
-    if target.outcome_kind is OutcomeKind.CONTINUOUS:
-        return float(target.outcome_summary["mean"])
-    raise ScaleIncompatibleWithOutcome(
-        "aggregate survival outcomes are not supported by maic_compare"
     )
 
 
@@ -181,7 +169,7 @@ def maic_compare(
     y = trial.outcomes()
     w = fit.weights
     m1 = hajek_mean(y, w)
-    m0 = _aggregate_outcome_value(target)
+    m0 = target.outcome_value()
     if continuity_correction and target.outcome_kind is OutcomeKind.BINARY:
         boundary = m0 in (0.0, 1.0) or m1 in (0.0, 1.0)
         if boundary:

@@ -120,59 +120,101 @@ def load_plan(path) -> AnalysisPlan:
     return parse_plan(raw)
 
 
+def _is_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_count(value) -> bool:
+    return _is_int(value) and value >= 0
+
+
+def _field(block: dict, key: str, default, ok, what: str, where: str = ""):
+    """``block[key]``, or ``default`` when absent; PlanInvalid unless ``ok``."""
+    value = block.get(key, default)
+    if not ok(value):
+        raise PlanInvalid(f"{where}{key} must be {what}, got {value!r}")
+    return value
+
+
 def parse_plan(raw: dict) -> AnalysisPlan:
+    """Validate a plan document; a malformed field raises PlanInvalid."""
+    if not isinstance(raw, dict):
+        raise PlanInvalid("a plan must be a JSON object")
     try:
         method = Method(raw["method"])
     except (KeyError, ValueError) as exc:
         raise PlanInvalid(f"missing or unknown method: {exc}") from None
 
-    dataset_path = raw.get("dataset")
-    aggregate_path = raw.get("aggregate")
+    def path(value):
+        return value is None or isinstance(value, str)
+
+    dataset_path = _field(raw, "dataset", None, path, "a file path")
+    aggregate_path = _field(raw, "aggregate", None, path, "a file path")
     if method in (Method.WEIGHTING, Method.MAIC, Method.STC) and not dataset_path:
         raise PlanInvalid(f"method {method.value} requires a dataset path")
     if method in (Method.MAIC, Method.STC) and not aggregate_path:
         raise PlanInvalid(f"method {method.value} requires an aggregate file")
 
     estimand = None
-    if method is Method.WEIGHTING:
-        try:
-            estimand = Estimand.parse(raw.get("estimand", "ate"))
-        except ValueError as exc:
-            raise PlanInvalid(f"bad estimand: {exc}") from None
-
     try:
+        if method is Method.WEIGHTING:
+            estimand = Estimand.parse(_field(raw, "estimand", "ate",
+                                             lambda v: isinstance(v, str), "a string"))
         scale = Scale(raw.get("scale", "rd"))
         link = Link(raw.get("link", "identity"))
     except ValueError as exc:
-        raise PlanInvalid(f"bad scale or link: {exc}") from None
+        raise PlanInvalid(f"bad estimand, scale or link: {exc}") from None
+
+    covariates = _field(raw, "covariates", None, lambda v: v is None or (
+        isinstance(v, list) and all(isinstance(c, str) for c in v)), "a list of names")
+    seed = _field(raw, "seed", 0, _is_int, "an integer")
+    checklist = _field(raw, "checklist", {}, lambda v: isinstance(v, dict), "an object")
+    fail_on_overlap = _field(raw, "fail_on_overlap", False,
+                             lambda v: isinstance(v, bool), "true or false")
+    positivity_a = _field(raw, "positivity_a", 0.1,
+                          lambda v: _is_number(v) and 0 <= v < 0.5, "in [0, 0.5)")
+    horizon = _field(raw, "horizon", None,
+                     lambda v: v is None or (_is_number(v) and v >= 0), "a number >= 0")
 
     bconf = None
     if "bootstrap" in raw:
-        b = raw["bootstrap"]
-        try:
-            bconf = BootstrapConfig(
-                replicates=b.get("replicates", 1000),
-                level=b.get("level", 0.95),
-                seed=b.get("seed", raw.get("seed", 0)),
-                resampling=Resampling.TRIAL_ONLY
-                if method in (Method.MAIC, Method.STC)
-                else Resampling.STRATIFIED_BY_GROUP,
-                threads=b.get("threads", 0),
-            )
-        except (TypeError, ValueError) as exc:
-            raise PlanInvalid(f"bad bootstrap config: {exc}") from None
+        b = _field(raw, "bootstrap", None, lambda v: isinstance(v, dict), "an object")
+        bconf = BootstrapConfig(
+            replicates=_field(b, "replicates", 1000, lambda v: _is_count(v) and v >= 2,
+                              "an integer >= 2", "bootstrap "),
+            level=_field(b, "level", 0.95, lambda v: _is_number(v) and 0 < v < 1,
+                         "in (0, 1)", "bootstrap "),
+            seed=_field(b, "seed", seed, _is_int, "an integer", "bootstrap "),
+            resampling=Resampling.TRIAL_ONLY
+            if method in (Method.MAIC, Method.STC)
+            else Resampling.STRATIFIED_BY_GROUP,
+            threads=_field(b, "threads", 0, _is_count, "an integer >= 0", "bootstrap "),
+        )
 
     pp = raw.get("power_prior")
     if method is Method.POWER_PRIOR:
-        if not pp:
+        if not isinstance(pp, dict) or not pp:
             raise PlanInvalid("power_prior method requires a power_prior block")
         if not pp.get("assume_comparable", False):
             raise PlanInvalid(
-                "power-prior borrowing requires the explicit assume_comparable flag"
+                "power-prior borrowing requires the explicit assume_comparable flag "
+                "(CLI: --assume-comparable)"
             )
-        for key in ("x", "n", "x0", "n0", "a0"):
-            if key not in pp:
-                raise PlanInvalid(f"power_prior block missing {key!r}")
+        x, n, x0, n0 = (_field(pp, key, None, _is_count, "an integer >= 0", "power_prior ")
+                        for key in ("x", "n", "x0", "n0"))
+        if x > n or x0 > n0:
+            raise PlanInvalid(f"power_prior responders exceed n: {x}/{n}, {x0}/{n0}")
+        _field(pp, "a0", None, lambda v: _is_number(v) and 0 <= v <= 1, "in [0, 1]",
+               "power_prior ")
+        _field(pp, "prior", [1.0, 1.0], lambda v: isinstance(v, list) and len(v) == 2
+               and all(_is_number(p) and p > 0 for p in v), "two numbers > 0", "power_prior ")
+        _field(pp, "level", 0.95, lambda v: _is_number(v) and 0 < v < 1, "in (0, 1)",
+               "power_prior ")
 
     return AnalysisPlan(
         raw=raw,
@@ -180,16 +222,16 @@ def parse_plan(raw: dict) -> AnalysisPlan:
         dataset_path=dataset_path,
         aggregate_path=aggregate_path,
         estimand=estimand,
-        covariates=raw.get("covariates"),
+        covariates=covariates,
         scale=scale,
         link=link,
         bootstrap=bconf,
-        checklist=raw.get("checklist", {}),
-        fail_on_overlap=raw.get("fail_on_overlap", False),
-        positivity_a=raw.get("positivity_a", 0.1),
-        horizon=raw.get("horizon"),
+        checklist=checklist,
+        fail_on_overlap=fail_on_overlap,
+        positivity_a=positivity_a,
+        horizon=horizon,
         power_prior=pp,
-        seed=raw.get("seed", 0),
+        seed=seed,
     )
 
 
@@ -207,6 +249,9 @@ class RunArtifacts:
     report: dict
     weights_rows: Optional[list] = None  # (id, group, score, weight)
     balance: Optional[dict] = None
+    # Weighted KM curves by group ("trial", "external") of a time-to-event
+    # weighting run. ``write`` leaves them out; ``extctrl compare`` writes them.
+    curves: Optional[dict] = None
 
     def write(self, out_dir) -> None:
         out = Path(out_dir)
@@ -294,6 +339,7 @@ def _run_weighting(plan, data: Dataset, checklist, provenance) -> RunArtifacts:
     wset = balancing_weights(model, data, plan.estimand)
     table = balance_table(data, wset)
 
+    curves = None
     if data.outcome_kind is OutcomeKind.TIME_TO_EVENT:
         curves = weighted_km_by_group(data, wset)
         effect = survival_contrast(
@@ -325,7 +371,8 @@ def _run_weighting(plan, data: Dataset, checklist, provenance) -> RunArtifacts:
     groups = np.where(data.group_mask, "trial", "external").tolist()
     rows = list(zip(data.ids.tolist(), groups, model.scores.tolist(),
                     wset.weights.tolist()))
-    return RunArtifacts(report=report, weights_rows=rows, balance=table.to_dict())
+    return RunArtifacts(report=report, weights_rows=rows, balance=table.to_dict(),
+                        curves=curves)
 
 
 def _run_maic(plan, data, target, checklist, provenance) -> RunArtifacts:

@@ -73,13 +73,7 @@ def _stc_inputs(trial, target, covariates, link, scale):
     X = add_intercept(trial.covariate_matrix(names))
     y = trial.outcomes()
     x_target = np.concatenate([[1.0], [target.mean_of(c) for c in names]])
-    if target.outcome_kind is OutcomeKind.BINARY:
-        observed = target.outcome_summary["responders"] / target.n
-    elif target.outcome_kind is OutcomeKind.CONTINUOUS:
-        observed = float(target.outcome_summary["mean"])
-    else:
-        raise ScaleIncompatibleWithOutcome("survival aggregates not supported by STC")
-    return names, X, y, x_target, observed
+    return names, X, y, x_target, target.outcome_value()
 
 
 def stc_estimate(

@@ -367,3 +367,116 @@ def test_report_json_strict_for_infinite_odds_ratio(tmp_path):
     report = json.loads(text, parse_constant=reject)
     assert report["effect"]["infinite"] is True
     assert report["effect"]["point"] is None
+
+
+@pytest.mark.parametrize("plan", [
+    [1, 2],
+    {"method": "weighting", "dataset": "d.csv", "bootstrap": 5},
+    {"method": "weighting", "dataset": "d.csv", "bootstrap": {"replicates": 2.5}},
+    {"method": "weighting", "dataset": "d.csv", "covariates": "severe"},
+    {"method": "weighting", "dataset": "d.csv", "positivity_a": "x"},
+    {"method": "weighting", "dataset": "d.csv", "positivity_a": 0.7},
+    {"method": "weighting", "dataset": "d.csv", "horizon": -1.0},
+    {"method": "weighting", "dataset": "d.csv", "checklist": ["aligned"]},
+    {"method": "weighting", "dataset": "d.csv", "seed": "7"},
+    {"method": "power_prior", "power_prior": {
+        "x": 52, "n": 61, "x0": 30, "n0": 80, "a0": 0.5, "assume_comparable": True,
+        "prior": [1]}},
+    {"method": "power_prior", "power_prior": {
+        "x": 70, "n": 61, "x0": 30, "n0": 80, "a0": 0.5, "assume_comparable": True}},
+    {"method": "power_prior", "power_prior": {
+        "x": 52, "n": 61, "x0": 30, "n0": 80, "a0": 1.5, "assume_comparable": True}},
+    {"method": "power_prior", "power_prior": {
+        "x": 52, "n": 61, "x0": 30, "n0": 80, "a0": 0.5, "assume_comparable": True,
+        "level": 1.0}},
+])
+def test_malformed_plan_is_plan_invalid(plan, tmp_path, capsys):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan), encoding="utf-8")
+    assert run_cli(["--out-dir", tmp_path / "o", "run", path]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--prior", "1"],
+    ["--prior", "1,b"],
+    ["--sweep", "0,x"],
+    ["--sweep", "0,1.5"],
+    ["--a0", "1.5"],
+    ["--level", "1"],
+    ["--x", "70"],
+])
+def test_borrow_bad_input_is_usage_error(flags, capsys):
+    args = {"--x": "52", "--n": "61", "--x0": "30", "--n0": "80", "--a0": "0.5"}
+    args.update(zip(flags[::2], flags[1::2]))
+    argv = ["borrow", "--assume-comparable"] + [t for kv in args.items() for t in kv]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+# --- compare/maic/stc are front ends to the plan runner ------------------------
+
+FRONT_END_CASES = {
+    "compare-binary": (
+        ["compare", "{big}", "--estimand", "att", "--scale", "rr"],
+        {"method": "weighting", "dataset": "{big}", "estimand": "att", "scale": "rr"},
+    ),
+    "compare-survival": (
+        ["compare", "{surv}", "--estimand", "ato", "--horizon", "3"],
+        {"method": "weighting", "dataset": "{surv}", "estimand": "ato", "scale": "rd",
+         "horizon": 3.0},
+    ),
+    "maic": (
+        ["maic", "{big}", "--target", "{agg}", "--covariates", "severe"],
+        {"method": "maic", "dataset": "{big}", "aggregate": "{agg}", "scale": "rd",
+         "covariates": ["severe"]},
+    ),
+    "stc": (
+        ["stc", "{big}", "--target", "{agg}", "--link", "logit", "--scale", "or"],
+        {"method": "stc", "dataset": "{big}", "aggregate": "{agg}", "link": "logit",
+         "scale": "or"},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FRONT_END_CASES))
+def test_front_end_report_equals_run(case, big_csv, survival_csv, aggregate_json, tmp_path):
+    paths = {"big": str(big_csv), "surv": str(survival_csv), "agg": str(aggregate_json)}
+    argv, plan = FRONT_END_CASES[case]
+    argv = [a.format(**paths) for a in argv] + ["--bootstrap", "30", "--seed", "9"]
+    plan = {k: v.format(**paths) if isinstance(v, str) else v for k, v in plan.items()}
+    plan.update(seed=9, bootstrap={"replicates": 30, "level": 0.95})
+
+    cli_out, run_out = tmp_path / "cli", tmp_path / "run"
+    assert run_cli(["--out-dir", cli_out] + argv) == 0
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(plan), encoding="utf-8")
+    assert run_cli(["--out-dir", run_out, "run", plan_path]) == 0
+
+    report = (cli_out / "report.json").read_bytes()
+    assert report == (run_out / "report.json").read_bytes()
+    parsed = json.loads(report)
+    assert parsed["provenance"]["plan_hash"] == plan_hash(plan)
+    assert parsed["bootstrap"]["replicates"] == 30
+    run_files = sorted(p.name for p in run_out.iterdir())
+    for name in run_files:
+        assert (cli_out / name).read_bytes() == (run_out / name).read_bytes()
+    curves = ["curve_external.csv", "curve_trial.csv"] if case == "compare-survival" else []
+    assert sorted(p.name for p in cli_out.iterdir()) == sorted(run_files + curves)
+    if plan["method"] == "weighting":
+        assert {"weights.csv", "balance.csv"} <= set(run_files)
+        assert parsed["effect"]["diagnostics"]["balance"]["rows"]
+
+
+def test_compare_survival_curves(survival_csv, tmp_path):
+    out = tmp_path / "out"
+    assert run_cli(["--out-dir", out, "compare", survival_csv, "--estimand", "ate",
+                    "--horizon", "3"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    trial = (out / "curve_trial.csv").read_text().splitlines()
+    assert trial[0] == "time,survival,at_risk"
+    times = [float(line.split(",")[0]) for line in trial[1:]]
+    assert times == sorted(times)
+    s_at = [float(line.split(",")[1]) for line in trial[1:] if float(line.split(",")[0]) <= 3]
+    assert report["effect"]["group_summary"]["horizon"] == 3.0
+    assert report["effect"]["group_summary"]["trial_survival"] == s_at[-1]
