@@ -18,11 +18,9 @@ from .balancing import (
 from .borrow import PowerPriorPosterior, power_prior_posterior
 from .dataset import (
     AggregateSummary,
-    CsvSchema,
     Dataset,
     Group,
     OutcomeKind,
-    PatientRecord,
     load_aggregate,
     load_dataset,
     save_dataset,

@@ -5,7 +5,8 @@ run. ``compare``, ``maic``, ``stc`` and ``borrow`` turn their flags into a
 plan document and execute it with ``plan.run_plan``, exactly as ``run``
 does with a plan file, so their reports carry the same provenance (plan
 hash), checklist and diagnostics. Exit codes: 0 success, 2 plan/usage
-error, 3 data error, 4 solver error, 5 positivity hard-fail. The
+error (including a bad scenario file), 3 data error (including an input file
+that cannot be read), 4 solver error, 5 positivity hard-fail. The
 EXTCTRL_THREADS environment variable caps bootstrap parallelism (0 or
 unset = auto/serial).
 """
@@ -20,11 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from . import plan as planmod
-from .balancing import Estimand, balancing_weights
+from .balancing import balancing_weights
 from .borrow import a0_sensitivity
 from .dataset import load_dataset, save_dataset
 from .diagnostics import balance_table
-from .errors import DataError, ExtCtrlError, PlanInvalid, SolverError
+from .errors import DataError, ExtCtrlError, InvalidConfig, PlanInvalid, SolverError
 from .estimators import Scale
 from .propensity import estimate_propensity, positivity_report
 from .simulate import ScenarioConfig, generate
@@ -130,9 +131,10 @@ def _split(names):
 
 
 def _cmd_ps_fit(args) -> int:
+    band = planmod.positivity_band(args.band, "--band")
     data = load_dataset(args.data)
     model = estimate_propensity(data, _split(args.covariates))
-    report = positivity_report(model, data, args.band)
+    report = positivity_report(model, data, band)
     out_dir = Path(args.out_dir) if args.out_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -148,15 +150,16 @@ def _cmd_ps_fit(args) -> int:
     return EXIT_OK
 
 
-def _weights_for(args, data):
+def _weights(args):
+    """The data, propensity model and --estimand weights of weight/balance."""
+    estimand = planmod.parse_estimand(args.estimand)
+    data = load_dataset(args.data)
     model = estimate_propensity(data, _split(args.covariates))
-    estimand = Estimand.parse(args.estimand)
-    return model, balancing_weights(model, data, estimand)
+    return data, model, balancing_weights(model, data, estimand)
 
 
 def _cmd_weight(args) -> int:
-    data = load_dataset(args.data)
-    model, wset = _weights_for(args, data)
+    data, model, wset = _weights(args)
     groups = np.where(data.group_mask, "trial", "external").tolist()
     rows = list(zip(data.ids.tolist(), groups, model.scores.tolist(),
                     wset.weights.tolist()))
@@ -177,8 +180,7 @@ def _cmd_weight(args) -> int:
 
 
 def _cmd_balance(args) -> int:
-    data = load_dataset(args.data)
-    _, wset = _weights_for(args, data)
+    data, _, wset = _weights(args)
     table = balance_table(data, wset, args.threshold)
     _emit({"balance": table.to_dict()},
           Path(args.out_dir) / "balance.json" if args.out_dir else None)
@@ -263,7 +265,12 @@ def _cmd_borrow(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    payload = json.loads(Path(args.scenario).read_text(encoding="utf-8"))
+    try:
+        payload = json.loads(Path(args.scenario).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise PlanInvalid(f"{args.scenario}: cannot read scenario ({exc})") from None
+    if not isinstance(payload, dict):
+        raise PlanInvalid(f"{args.scenario}: a scenario must be a JSON object")
     if args.seed is not None:
         payload["seed"] = args.seed
     config = ScenarioConfig.from_dict(payload)
@@ -303,7 +310,7 @@ def main(argv=None) -> int:
     except planmod.PositivityHardFail as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_POSITIVITY
-    except PlanInvalid as exc:
+    except (PlanInvalid, InvalidConfig) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PLAN
     except DataError as exc:

@@ -1,10 +1,12 @@
 """Individual-level and aggregate-level data model, CSV/JSON ingestion, validation.
 
-The CSV layout is ``id,group,<covariate...>,outcome[,time,event]`` with a
-header row, UTF-8, decimal point. Row order is the canonical subject order
-for every weight vector produced downstream. Missing covariate values are
-rejected, never imputed; multi-level categoricals must arrive pre-expanded
-to 0/1 indicator columns.
+Subjects exist only as the columns of a ``Dataset``. The CSV layout is fixed:
+``id,group,<covariate...>,outcome[,time,event]`` with a header row, UTF-8,
+decimal point. Covariates are every column other than ``id``, ``group``,
+``outcome``, ``time`` and ``event``. Row order is the canonical subject
+order for every weight vector produced downstream. Missing covariate values
+are rejected, never imputed; multi-level categoricals must arrive
+pre-expanded to 0/1 indicator columns.
 """
 
 from __future__ import annotations
@@ -14,13 +16,13 @@ import enum
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import (
+    DataError,
     EmptyDataset,
     MissingColumn,
     MissingValue,
@@ -48,35 +50,16 @@ _GROUP_LABELS = {"trial": Group.TRIAL, "external": Group.EXTERNAL}
 
 _MISSING_TOKENS = {"", "na", "nan", "null", "none", "."}
 
-
-@dataclass(frozen=True)
-class PatientRecord:
-    """One subject as a row object: the unit of ``Dataset.from_records``.
-
-    The program itself works on ``Dataset`` columns; row objects are built
-    only by callers that want them and by ``Dataset.records``.
-    """
-
-    id: str
-    group: Group
-    covariates: tuple[float, ...]
-    outcome: Optional[float] = None
-    time: Optional[float] = None
-    event: Optional[int] = None
-
-    def __post_init__(self):
-        _check_follow_up(self.id, self.time, self.event)
+# Header names with a fixed role; every other column is a covariate.
+_ROLE_COLUMNS = ("id", "group", "outcome", "time", "event")
 
 
-def _check_follow_up(rid, time, event) -> None:
-    if (time is None) != (event is None):
+def _check_follow_up(rid, time: float, event: float) -> None:
+    """Follow-up rules for one subject; NaN marks a missing time or event."""
+    if math.isnan(time) != math.isnan(event):
         raise SchemaViolation(f"record {rid!r}: time and event must be present together")
-    if time is not None and time < 0:
+    if time < 0:
         raise SchemaViolation(f"record {rid!r}: negative follow-up time")
-
-
-def _optional(value: float) -> Optional[float]:
-    return None if math.isnan(value) else value
 
 
 _COLUMNS = ("ids", "trial", "X", "outcome", "time", "event")
@@ -138,7 +121,7 @@ class Dataset:
         bad = (np.isnan(time) != np.isnan(event)) | (time < 0)
         if bad.any():
             i = int(np.argmax(bad))
-            _check_follow_up(self.ids[i], _optional(time[i]), _optional(event[i]))
+            _check_follow_up(self.ids[i], time[i], event[i])
         if len(set(self.covariate_names)) != p:
             raise SchemaViolation("covariate names must be unique")
         if not self.trial.any():
@@ -151,53 +134,6 @@ class Dataset:
                 raise SchemaViolation(
                     f"record {self.ids[i]!r}: binary outcome must be 0 or 1, got {y[i]}"
                 )
-
-    @classmethod
-    def from_records(
-        cls,
-        covariate_names: Sequence[str],
-        records: Sequence[PatientRecord],
-        outcome_kind: Optional[OutcomeKind] = None,
-    ) -> "Dataset":
-        """Columnar dataset from row objects, validated like any other."""
-        p = len(covariate_names)
-        for r in records:
-            if len(r.covariates) != p:
-                raise SchemaViolation(
-                    f"record {r.id!r}: expected {p} covariates, got {len(r.covariates)}"
-                )
-
-        def column(values):
-            return [np.nan if v is None else v for v in values]
-
-        return cls(
-            tuple(covariate_names),
-            ids=[r.id for r in records],
-            trial=[r.group is Group.TRIAL for r in records],
-            X=np.array([r.covariates for r in records], dtype=float).reshape(len(records), p),
-            outcome=column(r.outcome for r in records),
-            time=column(r.time for r in records),
-            event=column(r.event for r in records),
-            outcome_kind=outcome_kind,
-        )
-
-    @cached_property
-    def records(self) -> tuple[PatientRecord, ...]:
-        """Read-only row view, built on first access (for tests and inspection)."""
-        return tuple(
-            PatientRecord(
-                id=rid,
-                group=Group.TRIAL if is_trial else Group.EXTERNAL,
-                covariates=tuple(x),
-                outcome=_optional(y),
-                time=_optional(t),
-                event=None if math.isnan(d) else int(d),
-            )
-            for rid, is_trial, x, y, t, d in zip(
-                self.ids.tolist(), self.trial.tolist(), self.X.tolist(),
-                self.outcome.tolist(), self.time.tolist(), self.event.tolist(),
-            )
-        )
 
     def __len__(self):
         return len(self.ids)
@@ -313,23 +249,6 @@ class AggregateSummary:
         )
 
 
-@dataclass(frozen=True)
-class CsvSchema:
-    """Column-role mapping for `load_dataset`.
-
-    When ``covariate_cols`` is None every column other than the named roles
-    is treated as a covariate.
-    """
-
-    id_col: str = "id"
-    group_col: str = "group"
-    covariate_cols: Optional[tuple[str, ...]] = None
-    outcome_col: Optional[str] = "outcome"
-    time_col: Optional[str] = "time"
-    event_col: Optional[str] = "event"
-    outcome_kind: Optional[OutcomeKind] = None
-
-
 def _parse_number(token: str, column: str, row: int) -> float:
     token = token.strip()
     if token.lower() in _MISSING_TOKENS:
@@ -347,9 +266,9 @@ def _parse_number(token: str, column: str, row: int) -> float:
     return value
 
 
-def _parse_optional(token: str, column: str, row: int) -> Optional[float]:
+def _parse_optional(token: str, column: str, row: int) -> float:
     if token.strip().lower() in _MISSING_TOKENS:
-        return None
+        return math.nan
     return _parse_number(token, column, row)
 
 
@@ -378,7 +297,7 @@ def _parse_column(tokens, optional: bool) -> np.ndarray:
     return values
 
 
-def _raise_first_error(path, rows, header, col_index, schema, cov_names, optional) -> None:
+def _raise_first_error(path, rows, header, col_index, cov_names, optional) -> None:
     """Scan rows in order and raise the error of the first offending cell.
 
     Used only once the column parse has found a problem, so that errors
@@ -387,76 +306,58 @@ def _raise_first_error(path, rows, header, col_index, schema, cov_names, optiona
     for i, row in enumerate(rows):
         if len(row) != len(header):
             raise SchemaViolation(f"{path}: row {i} has {len(row)} cells, expected {len(header)}")
-        label = row[col_index[schema.group_col]].strip().lower()
+        label = row[col_index["group"]].strip().lower()
         if label not in _GROUP_LABELS:
             raise UnknownGroupLabel(f"{path}: unknown group label {label!r} at row {i}")
         for name in cov_names:
             _parse_number(row[col_index[name]], name, i)
         _, time, event = (
-            None if col is None else _parse_optional(row[col_index[col]], col, i)
+            math.nan if col is None else _parse_optional(row[col_index[col]], col, i)
             for col in optional
         )
-        _check_follow_up(row[col_index[schema.id_col]].strip(), time, event)
+        _check_follow_up(row[col_index["id"]].strip(), time, event)
 
 
-def load_dataset(path, schema: Optional[CsvSchema] = None) -> Dataset:
+def load_dataset(path) -> Dataset:
     """Load and validate an individual-level CSV file.
 
-    Parameters
-    ----------
-    path : str or Path
-        CSV file with header row.
-    schema : CsvSchema, optional
-        Column-role mapping; defaults infer covariates from the header.
-
-    Returns
-    -------
-    Dataset
-        Validated dataset, row order preserved.
+    Columns are found by header name. ``id`` and ``group`` are required;
+    ``outcome``, ``time`` and ``event`` are read when present; every other
+    column is a covariate, in header order. The outcome kind is inferred
+    from the values. Returns the validated dataset in file row order.
     """
-    schema = schema or CsvSchema()
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyDataset(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        rows = [row for row in reader if any(map(str.strip, row))]
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise EmptyDataset(f"{path}: file is empty") from None
+            header = [h.strip() for h in header]
+            rows = [row for row in reader if any(map(str.strip, row))]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: cannot read file ({exc})") from None
 
-    for required in (schema.id_col, schema.group_col):
+    for required in ("id", "group"):
         if required not in header:
             raise MissingColumn(f"{path}: required column {required!r} not found")
     if not rows:
         raise EmptyDataset(f"{path}: no data rows")
 
-    role_cols = {schema.id_col, schema.group_col}
-    for opt in (schema.outcome_col, schema.time_col, schema.event_col):
-        if opt is not None:
-            role_cols.add(opt)
-    if schema.covariate_cols is not None:
-        cov_names = list(schema.covariate_cols)
-        for name in cov_names:
-            if name not in header:
-                raise MissingColumn(f"{path}: covariate column {name!r} not found")
-    else:
-        cov_names = [h for h in header if h not in role_cols]
+    cov_names = [h for h in header if h not in _ROLE_COLUMNS]
     if not cov_names:
         raise MissingColumn(f"{path}: no covariate columns")
 
     col_index = {name: header.index(name) for name in header}
     # Outcome, time and event columns present in the file, else None.
-    optional = [
-        col if col and col in header else None
-        for col in (schema.outcome_col, schema.time_col, schema.event_col)
-    ]
+    optional = [col if col in header else None for col in ("outcome", "time", "event")]
 
     try:
         if set(map(len, rows)) != {len(header)}:
             raise _Malformed
         cells = list(zip(*rows))
-        groups = [_GROUP_LABELS.get(t.strip().lower()) for t in cells[col_index[schema.group_col]]]
+        groups = [_GROUP_LABELS.get(t.strip().lower()) for t in cells[col_index["group"]]]
         if None in groups:
             raise _Malformed
         X = np.empty((len(rows), len(cov_names)))
@@ -467,22 +368,19 @@ def load_dataset(path, schema: Optional[CsvSchema] = None) -> Dataset:
             for col in optional
         )
     except _Malformed:
-        _raise_first_error(path, rows, header, col_index, schema, cov_names, optional)
+        _raise_first_error(path, rows, header, col_index, cov_names, optional)
         raise AssertionError("column parse and row scan disagree") from None
 
-    kind = schema.outcome_kind
-    if kind is None:
-        kind = _infer_outcome_kind(outcome, time)
     return Dataset(
         tuple(cov_names),
-        ids=[t.strip() for t in cells[col_index[schema.id_col]]],
+        ids=[t.strip() for t in cells[col_index["id"]]],
         trial=[g is Group.TRIAL for g in groups],
         X=X,
         outcome=outcome,
         time=time,
         # Event indicators are read as integers, truncating toward zero.
         event=None if event is None else np.trunc(event),
-        outcome_kind=kind,
+        outcome_kind=_infer_outcome_kind(outcome, time),
     )
 
 
@@ -543,6 +441,8 @@ def load_aggregate(path) -> AggregateSummary:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise SchemaViolation(f"{path}: invalid JSON ({exc})") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: cannot read file ({exc})") from None
     for key in ("n", "covariates", "outcome"):
         if key not in payload:
             raise SchemaViolation(f"{path}: missing key {key!r}")

@@ -53,7 +53,6 @@ def maic_weights(
     covariates: Optional[Sequence[str]] = None,
     tol: float = 1e-8,
     max_iter: int = 200,
-    match_variances: bool = False,
 ) -> MaicFit:
     """Solve for exponential-tilt weights matching trial means to the target.
 
@@ -65,8 +64,6 @@ def maic_weights(
         Published covariate means of the external population.
     covariates : sequence of str, optional
         Names to match; defaults to the intersection order of the trial set.
-    match_variances : bool
-        Also match second moments by appending squared-deviation columns.
     """
     trial = trial.restrict(Group.TRIAL)
     if covariates is None:
@@ -85,16 +82,6 @@ def maic_weights(
             )
 
     Xc = X - mu
-    if match_variances:
-        sd2 = target.outcome_summary.get("covariate_variances", {})
-        extra = []
-        for j, name in enumerate(names):
-            var = sd2.get(name)
-            if var is not None:
-                extra.append(Xc[:, j] ** 2 - var)
-        if extra:
-            Xc = np.column_stack([Xc] + extra)
-
     if np.linalg.matrix_rank(Xc) < Xc.shape[1]:
         raise CollinearCovariates("centered covariate matrix is rank deficient")
 

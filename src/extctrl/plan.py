@@ -141,6 +141,21 @@ def _field(block: dict, key: str, default, ok, what: str, where: str = ""):
     return value
 
 
+def parse_estimand(token: str) -> Estimand:
+    """Estimand of a plan or command token (``att``, ``trim:0.1``, ...)."""
+    try:
+        return Estimand.parse(token)
+    except ValueError as exc:
+        raise PlanInvalid(f"bad estimand {token!r}: {exc}") from None
+
+
+def positivity_band(value, name: str = "positivity_a") -> float:
+    """``value`` as the positivity band parameter a, which must lie in [0, 0.5)."""
+    if not (_is_number(value) and 0 <= value < 0.5):
+        raise PlanInvalid(f"{name} must be in [0, 0.5), got {value!r}")
+    return value
+
+
 def parse_plan(raw: dict) -> AnalysisPlan:
     """Validate a plan document; a malformed field raises PlanInvalid."""
     if not isinstance(raw, dict):
@@ -161,14 +176,14 @@ def parse_plan(raw: dict) -> AnalysisPlan:
         raise PlanInvalid(f"method {method.value} requires an aggregate file")
 
     estimand = None
+    if method is Method.WEIGHTING:
+        estimand = parse_estimand(_field(raw, "estimand", "ate",
+                                         lambda v: isinstance(v, str), "a string"))
     try:
-        if method is Method.WEIGHTING:
-            estimand = Estimand.parse(_field(raw, "estimand", "ate",
-                                             lambda v: isinstance(v, str), "a string"))
         scale = Scale(raw.get("scale", "rd"))
         link = Link(raw.get("link", "identity"))
     except ValueError as exc:
-        raise PlanInvalid(f"bad estimand, scale or link: {exc}") from None
+        raise PlanInvalid(f"bad scale or link: {exc}") from None
 
     covariates = _field(raw, "covariates", None, lambda v: v is None or (
         isinstance(v, list) and all(isinstance(c, str) for c in v)), "a list of names")
@@ -176,8 +191,7 @@ def parse_plan(raw: dict) -> AnalysisPlan:
     checklist = _field(raw, "checklist", {}, lambda v: isinstance(v, dict), "an object")
     fail_on_overlap = _field(raw, "fail_on_overlap", False,
                              lambda v: isinstance(v, bool), "true or false")
-    positivity_a = _field(raw, "positivity_a", 0.1,
-                          lambda v: _is_number(v) and 0 <= v < 0.5, "in [0, 0.5)")
+    positivity_a = positivity_band(raw.get("positivity_a", 0.1))
     horizon = _field(raw, "horizon", None,
                      lambda v: v is None or (_is_number(v) and v >= 0), "a number >= 0")
 

@@ -1,24 +1,12 @@
 import numpy as np
 import pytest
 
-from extctrl import Dataset, Group, OutcomeKind, PatientRecord
+from extctrl import Dataset, Group, OutcomeKind
 
 
 def make_dataset(severe, groups, outcomes=None, times=None, events=None,
                  covariate_names=("severe",), outcome_kind=None):
-    records = []
-    for i, (x, g) in enumerate(zip(severe, groups)):
-        covs = tuple(float(v) for v in (x if isinstance(x, (tuple, list)) else (x,)))
-        records.append(
-            PatientRecord(
-                id=f"p{i}",
-                group=g,
-                covariates=covs,
-                outcome=None if outcomes is None else float(outcomes[i]),
-                time=None if times is None else float(times[i]),
-                event=None if events is None else int(events[i]),
-            )
-        )
+    rows = [x if isinstance(x, (tuple, list)) else (x,) for x in severe]
     if outcome_kind is None:
         if times is not None:
             outcome_kind = OutcomeKind.TIME_TO_EVENT
@@ -27,7 +15,16 @@ def make_dataset(severe, groups, outcomes=None, times=None, events=None,
             outcome_kind = (
                 OutcomeKind.BINARY if vals <= {0.0, 1.0} else OutcomeKind.CONTINUOUS
             )
-    return Dataset.from_records(tuple(covariate_names), tuple(records), outcome_kind)
+    return Dataset(
+        tuple(covariate_names),
+        ids=[f"p{i}" for i in range(len(rows))],
+        trial=[g is Group.TRIAL for g in groups],
+        X=np.array(rows, dtype=float).reshape(len(rows), -1),
+        outcome=outcomes,
+        time=times,
+        event=events,
+        outcome_kind=outcome_kind,
+    )
 
 
 @pytest.fixture

@@ -140,16 +140,19 @@ def test_borrow_requires_assertion(capsys):
     assert len(payload["sensitivity"]) == 3
 
 
+SCENARIO = {
+    "n_trial": 40, "n_external": 40,
+    "covariates": [{"name": "severe", "kind": "binary", "p": 0.4}],
+    "assignment": [0.0, -1.0],
+    "outcome_kind": "binary",
+    "outcome_coefficients": [-0.5, 1.0],
+    "effect": 0.1, "seed": 3,
+}
+
+
 def test_simulate_writes_dataset_and_truth(tmp_path):
     scenario = tmp_path / "scenario.json"
-    scenario.write_text(json.dumps({
-        "n_trial": 40, "n_external": 40,
-        "covariates": [{"name": "severe", "kind": "binary", "p": 0.4}],
-        "assignment": [0.0, -1.0],
-        "outcome_kind": "binary",
-        "outcome_coefficients": [-0.5, 1.0],
-        "effect": 0.1, "seed": 3,
-    }), encoding="utf-8")
+    scenario.write_text(json.dumps(SCENARIO), encoding="utf-8")
     out = tmp_path / "sim.csv"
     assert run_cli(["simulate", "--scenario", scenario, "--out", out]) == 0
     assert out.exists()
@@ -411,6 +414,41 @@ def test_borrow_bad_input_is_usage_error(flags, capsys):
     args.update(zip(flags[::2], flags[1::2]))
     argv = ["borrow", "--assume-comparable"] + [t for kv in args.items() for t in kv]
     assert run_cli(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["compare", "{dir}/nope.csv", "--estimand", "ate"], 3),
+    (["maic", "{toy}", "--target", "{dir}/nope.json"], 3),
+    (["simulate", "--scenario", "{dir}/nope.json", "--out", "{dir}/s.csv"], 2),
+    (["simulate", "--scenario", "{dir}/malformed.json", "--out", "{dir}/s.csv"], 2),
+    (["simulate", "--scenario", "{dir}/list.json", "--seed", "1", "--out", "{dir}/s.csv"], 2),
+    (["simulate", "--scenario", "{dir}/rejected.json", "--out", "{dir}/s.csv"], 2),
+], ids=["missing-data", "missing-target", "missing-scenario", "malformed-scenario",
+        "list-scenario", "rejected-scenario"])
+def test_bad_input_file_exit_code(argv, code, toy_csv, tmp_path, capsys):
+    (tmp_path / "malformed.json").write_text("{ not json", encoding="utf-8")
+    (tmp_path / "list.json").write_text("[1, 2]", encoding="utf-8")
+    (tmp_path / "rejected.json").write_text(json.dumps(dict(SCENARIO, n_trial=0)),
+                                            encoding="utf-8")
+    argv = [a.format(dir=tmp_path, toy=toy_csv) for a in argv]
+    assert run_cli(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if "nope" in " ".join(argv):
+        assert "nope." in err  # the message names the file
+
+
+@pytest.mark.parametrize("argv", [
+    ["weight", "{toy}", "--estimand", "bogus"],
+    ["balance", "{toy}", "--estimand", "trim:x"],
+    ["balance", "{toy}", "--estimand", "trim:0.9"],
+    ["ps-fit", "{toy}", "--band", "0.7"],
+    ["ps-fit", "{toy}", "--band", "-0.1"],
+    ["compare", "{toy}", "--estimand", "ate:x"],
+])
+def test_bad_estimand_or_band_is_usage_error(argv, toy_csv, capsys):
+    assert run_cli([a.format(toy=toy_csv) for a in argv]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 

@@ -1,13 +1,13 @@
 import json
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from extctrl import (
-    CsvSchema,
     Dataset,
-    Group,
     OutcomeKind,
-    PatientRecord,
     load_aggregate,
     load_dataset,
     save_dataset,
@@ -43,23 +43,21 @@ def test_load_toy_csv(tmp_path):
     assert data.covariate_names == ("severe",)
     assert data.n_trial == 4
     assert data.n_external == 4
-    trial_severe = [r.covariates[0] for r in data.records if r.group is Group.TRIAL]
-    assert sum(trial_severe) == 1
+    assert data.X[data.trial, 0].sum() == 1
 
 
 def test_row_order_preserved(tmp_path):
     path = tmp_path / "toy.csv"
     path.write_text(FIG2_CSV)
     data = load_dataset(path)
-    assert [r.id for r in data.records] == ["t1", "t2", "t3", "t4", "e1", "e2", "e3", "e4"]
+    assert data.ids.tolist() == ["t1", "t2", "t3", "t4", "e1", "e2", "e3", "e4"]
 
 
 def test_group_labels_case_insensitive(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("id,group,x\na,Trial,1\nb,EXTERNAL,0\n")
     data = load_dataset(path)
-    assert data.records[0].group is Group.TRIAL
-    assert data.records[1].group is Group.EXTERNAL
+    assert data.trial.tolist() == [True, False]
 
 
 def test_empty_csv(tmp_path):
@@ -105,44 +103,68 @@ def test_unknown_group_label(tmp_path):
         load_dataset(path)
 
 
+def one_subject(**columns):
+    return Dataset(("x",), ids=["a"], trial=columns.pop("trial", [True]), X=[[1.0]],
+                   **columns)
+
+
 def test_binary_outcome_values_checked():
-    rec = PatientRecord("a", Group.TRIAL, (1.0,), outcome=2.0)
     with pytest.raises(SchemaViolation):
-        Dataset.from_records(("x",), (rec,), OutcomeKind.BINARY)
+        one_subject(outcome=[2.0], outcome_kind=OutcomeKind.BINARY)
 
 
 def test_time_requires_event():
     with pytest.raises(SchemaViolation):
-        PatientRecord("a", Group.TRIAL, (1.0,), time=3.0)
+        one_subject(time=[3.0])
 
 
 def test_negative_time_rejected():
     with pytest.raises(SchemaViolation):
-        PatientRecord("a", Group.TRIAL, (1.0,), time=-1.0, event=1)
+        one_subject(time=[-1.0], event=[1])
 
 
-def test_round_trip(tmp_path):
-    src = tmp_path / "src.csv"
-    src.write_text(
-        "id,group,x,y,outcome,time,event\n"
-        "a,trial,1,0.5,1,12.5,1\n"
-        "b,trial,0,1.25,0,3,0\n"
-        "c,external,1,-2.75,1,8,1\n"
+def _optional(values):
+    """Strategy for an optional float cell: a value, or NaN for an empty cell."""
+    return st.one_of(st.just(float("nan")), values)
+
+
+@st.composite
+def datasets(draw):
+    n = draw(st.integers(1, 12))
+    p = draw(st.integers(1, 3))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    trial = draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(any))
+    X = draw(st.lists(st.lists(finite, min_size=p, max_size=p), min_size=n, max_size=n))
+    outcome = draw(st.lists(_optional(finite), min_size=n, max_size=n))
+    follow_up = draw(st.lists(_optional(st.tuples(st.floats(0, 1e6), st.sampled_from([0.0, 1.0]))),
+                              min_size=n, max_size=n))
+    return Dataset(
+        tuple(f"x{j}" for j in range(p)),
+        ids=draw(st.lists(st.from_regex(r"[A-Za-z0-9_]{1,8}", fullmatch=True),
+                          min_size=n, max_size=n)),
+        trial=trial,
+        X=X,
+        outcome=outcome,
+        time=[f if isinstance(f, float) else f[0] for f in follow_up],
+        event=[f if isinstance(f, float) else f[1] for f in follow_up],
     )
-    data = load_dataset(src)
-    dst = tmp_path / "dst.csv"
-    save_dataset(data, dst)
-    again = load_dataset(dst)
-    assert again.covariate_names == data.covariate_names
-    assert again.records == data.records
-    assert again.outcome_kind == data.outcome_kind
 
 
-def test_schema_explicit_covariates(tmp_path):
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(datasets())
+def test_round_trip(tmp_path, data):
     path = tmp_path / "d.csv"
-    path.write_text("id,group,x,z,outcome\na,trial,1,9,0\nb,external,0,8,1\n")
-    data = load_dataset(path, CsvSchema(covariate_cols=("x",)))
-    assert data.covariate_names == ("x",)
+    save_dataset(data, path)
+    again = load_dataset(path)
+    assert again.covariate_names == data.covariate_names
+    assert again.ids.tolist() == data.ids.tolist()
+    for col in ("trial", "X"):
+        assert getattr(again, col).tobytes() == getattr(data, col).tobytes()
+    for col in ("outcome", "time", "event"):
+        a, b = getattr(again, col), getattr(data, col)
+        assert np.array_equal(np.isnan(a), np.isnan(b))
+        assert a[~np.isnan(a)].tobytes() == b[~np.isnan(b)].tobytes()
 
 
 def aggregate_payload(**overrides):
@@ -196,9 +218,8 @@ def test_aggregate_bad_json(tmp_path):
 
 
 def test_no_trial_records_rejected():
-    rec = PatientRecord("a", Group.EXTERNAL, (1.0,))
     with pytest.raises(EmptyDataset):
-        Dataset.from_records(("x",), (rec,))
+        one_subject(trial=[False])
 
 
 def test_first_offending_row_wins(tmp_path):
@@ -219,70 +240,35 @@ def test_first_offending_row_wins(tmp_path):
         load_dataset(path)
 
 
-def test_records_view_round_trips_through_columns():
-    recs = (
-        PatientRecord("a", Group.TRIAL, (1.0, 2.5), outcome=1.0, time=3.0, event=1),
-        PatientRecord("b", Group.EXTERNAL, (0.0, -1.0), time=0.5, event=0),
-    )
-    data = Dataset.from_records(("x", "z"), recs, OutcomeKind.TIME_TO_EVENT)
-    assert data.records == recs
-    assert data.take([1, 0, 0]).records == (recs[1], recs[0], recs[0])
+def test_take_keeps_row_order_and_needs_a_trial_row():
+    data = Dataset(("x", "z"), ids=["a", "b"], trial=[True, False],
+                   X=[[1.0, 2.5], [0.0, -1.0]], outcome=[1.0, float("nan")],
+                   time=[3.0, 0.5], event=[1.0, 0.0],
+                   outcome_kind=OutcomeKind.TIME_TO_EVENT)
+    sub = data.take([1, 0, 0])
+    assert sub.ids.tolist() == ["b", "a", "a"]
+    assert sub.trial.tolist() == [False, True, True]
+    assert sub.X.tolist() == [[0.0, -1.0], [1.0, 2.5], [1.0, 2.5]]
+    assert np.array_equal(sub.outcome, [float("nan"), 1.0, 1.0], equal_nan=True)
+    assert sub.time.tolist() == [0.5, 3.0, 3.0]
+    assert sub.event.tolist() == [0.0, 1.0, 1.0]
+    assert sub.covariate_names == data.covariate_names
+    assert sub.outcome_kind is OutcomeKind.TIME_TO_EVENT
     with pytest.raises(EmptyDataset):
         data.take([1])
 
 
 def test_covariate_matrix_is_c_contiguous_and_row_exact():
-    import numpy as np
-
     rng = np.random.default_rng(4)
-    recs = tuple(
-        PatientRecord(f"s{i}", Group.TRIAL if i % 3 else Group.EXTERNAL,
-                      tuple(rng.normal(size=3).tolist()))
-        for i in range(30)
-    )
-    data = Dataset.from_records(("a", "b", "c"), recs)
+    rows = rng.normal(size=(30, 3)).tolist()
+    data = Dataset(("a", "b", "c"), ids=[f"s{i}" for i in range(30)],
+                   trial=[i % 3 != 0 for i in range(30)], X=rows)
     for names in (None, ("a", "b", "c"), ("c", "a"), ("b",)):
         chosen = names or data.covariate_names
         idx = [data.covariate_names.index(n) for n in chosen]
-        expected = np.array([[r.covariates[j] for j in idx] for r in recs])
+        expected = np.array([[row[j] for j in idx] for row in rows])
         got = data.covariate_matrix(names)
         assert got.flags.c_contiguous
         assert np.array_equal(got, expected)
     with pytest.raises(ValueError):
         data.covariate_matrix()[0, 0] = 1.0  # stored columns are read-only
-
-
-def test_weighting_plan_builds_no_patient_records(tmp_path, monkeypatch):
-    # Guard for the columnar data path: ingest, fitting, a bootstrap and the
-    # weights output must not fall back to row objects.
-    import numpy as np
-
-    from extctrl import dataset
-    from extctrl.plan import parse_plan, run_plan
-
-    rng = np.random.default_rng(9)
-    lines = ["id,group,x1,x2,outcome"]
-    for i in range(80):
-        grp = "trial" if i % 2 else "external"
-        lines.append(f"s{i},{grp},{rng.normal()!r},{int(rng.random() < 0.5)},"
-                     f"{int(rng.random() < 0.4)}")
-    path = tmp_path / "d.csv"
-    path.write_text("\n".join(lines) + "\n")
-
-    built = []
-    original = dataset.PatientRecord.__post_init__
-
-    def counting(self):
-        built.append(self.id)
-        original(self)
-
-    monkeypatch.setattr(dataset.PatientRecord, "__post_init__", counting)
-    artifacts = run_plan(parse_plan({
-        "method": "weighting", "dataset": str(path), "estimand": "ate",
-        "bootstrap": {"replicates": 50, "seed": 2},
-    }))
-    artifacts.write(tmp_path / "out")
-    assert artifacts.report["bootstrap"]["refits"] == 50
-    assert built == []
-    Dataset.from_records(("x",), (PatientRecord("a", Group.TRIAL, (1.0,)),))
-    assert built == ["a"]  # the counter does see row objects

@@ -41,12 +41,9 @@ def test_unit_weight_risk_difference():
 def test_toy_ipw_null_contrast_on_severity(toy8):
     # Outcome equal to the severity indicator: IPW balances it, so the
     # weighted "response" is 1/2 in both groups and the difference is 0.
-    outcomes = [r.covariates[0] for r in toy8.records]
-    data = make_dataset(
-        [r.covariates[0] for r in toy8.records],
-        [r.group for r in toy8.records],
-        outcomes=outcomes,
-    )
+    severe = toy8.covariate_matrix()[:, 0].tolist()
+    groups = [Group.TRIAL if t else Group.EXTERNAL for t in toy8.trial]
+    data = make_dataset(severe, groups, outcomes=severe)
     model = estimate_propensity(data)
     wset = balancing_weights(model, data, Estimand(EstimandKind.ATE))
     report = weighted_mean_contrast(data, wset, Scale.RISK_DIFFERENCE)

@@ -103,11 +103,15 @@ def test_stratified_resampling_preserves_group_sizes():
 def test_trial_only_resampling_keeps_external_fixed():
     rng = np.random.default_rng(8)
     data = small_dataset(rng)
-    externals = tuple(r for r in data.records if r.group is Group.EXTERNAL)
+    def external_rows(d):
+        ext = ~d.trial
+        return d.ids[ext].tolist(), d.X[ext].tolist(), d.outcome[ext].tolist()
+
+    externals = external_rows(data)
     seen = []
 
     def probe(d):
-        seen.append(tuple(r for r in d.records if r.group is Group.EXTERNAL))
+        seen.append(external_rows(d))
         return 0.0
 
     bootstrap_ci(
@@ -141,17 +145,17 @@ def test_config_validation():
 
 
 def _row_resample_reference(data, rng, resampling):
-    # The row-object algorithm the columnar resampler must reproduce.
-    trial_rows = [r for r in data.records if r.group is Group.TRIAL]
-    ext_rows = [r for r in data.records if r.group is Group.EXTERNAL]
-    idx_t = rng.integers(0, len(trial_rows), size=len(trial_rows))
-    picked = [trial_rows[i] for i in idx_t]
-    if resampling is Resampling.STRATIFIED_BY_GROUP and ext_rows:
-        idx_e = rng.integers(0, len(ext_rows), size=len(ext_rows))
-        picked += [ext_rows[i] for i in idx_e]
+    # The per-group list algorithm the columnar resampler must reproduce.
+    trial_ids = data.ids[data.trial].tolist()
+    ext_ids = data.ids[~data.trial].tolist()
+    idx_t = rng.integers(0, len(trial_ids), size=len(trial_ids))
+    picked = [trial_ids[i] for i in idx_t]
+    if resampling is Resampling.STRATIFIED_BY_GROUP and ext_ids:
+        idx_e = rng.integers(0, len(ext_ids), size=len(ext_ids))
+        picked += [ext_ids[i] for i in idx_e]
     else:
-        picked += ext_rows
-    return [r.id for r in picked]
+        picked += ext_ids
+    return picked
 
 
 @pytest.mark.parametrize("resampling", list(Resampling))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from extctrl import Group, estimate_propensity, positivity_report
+from extctrl import Dataset, Group, estimate_propensity, positivity_report
 from extctrl.glm import expit
 
 from conftest import make_dataset, random_confounded_dataset
@@ -55,12 +55,8 @@ def test_rescaling_invariance():
     rng = np.random.default_rng(17)
     data = random_confounded_dataset(rng, n=150)
     model = estimate_propensity(data)
-    scaled = make_dataset(
-        [(r.covariates[0] * 50.0, r.covariates[1], r.covariates[2])
-         for r in data.records],
-        [r.group for r in data.records],
-        covariate_names=data.covariate_names,
-    )
+    scaled = Dataset(data.covariate_names, ids=data.ids, trial=data.trial,
+                     X=data.X * [50.0, 1.0, 1.0])
     model2 = estimate_propensity(scaled)
     assert np.allclose(model.scores, model2.scores, atol=1e-8)
 
