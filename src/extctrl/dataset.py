@@ -32,6 +32,9 @@ from .errors import (
     ScaleIncompatibleWithOutcome,
     SchemaViolation,
     UnknownGroupLabel,
+    checked_field,
+    is_int,
+    is_number,
 )
 
 
@@ -51,7 +54,7 @@ _GROUP_LABELS = {"trial": Group.TRIAL, "external": Group.EXTERNAL}
 _MISSING_TOKENS = {"", "na", "nan", "null", "none", "."}
 
 # Header names with a fixed role; every other column is a covariate.
-_ROLE_COLUMNS = ("id", "group", "outcome", "time", "event")
+ROLE_COLUMNS = ("id", "group", "outcome", "time", "event")
 
 
 def _check_follow_up(rid, time: float, event: float) -> None:
@@ -124,6 +127,9 @@ class Dataset:
             _check_follow_up(self.ids[i], time[i], event[i])
         if len(set(self.covariate_names)) != p:
             raise SchemaViolation("covariate names must be unique")
+        for name in self.covariate_names:
+            if name in ROLE_COLUMNS:
+                raise SchemaViolation(f"covariate {name!r} has the name of a role column")
         if not self.trial.any():
             raise EmptyDataset("dataset contains no trial records")
         if self.outcome_kind is OutcomeKind.BINARY:
@@ -345,7 +351,7 @@ def load_dataset(path) -> Dataset:
     if not rows:
         raise EmptyDataset(f"{path}: no data rows")
 
-    cov_names = [h for h in header if h not in _ROLE_COLUMNS]
+    cov_names = [h for h in header if h not in ROLE_COLUMNS]
     if not cov_names:
         raise MissingColumn(f"{path}: no covariate columns")
 
@@ -443,23 +449,24 @@ def load_aggregate(path) -> AggregateSummary:
         raise SchemaViolation(f"{path}: invalid JSON ({exc})") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: cannot read file ({exc})") from None
+
+    def field(block, key, ok, what, default=None, where=""):
+        return checked_field(block, key, default, ok, what, f"{path}: {where}", SchemaViolation)
+
+    if not isinstance(payload, dict):
+        raise SchemaViolation(f"{path}: an aggregate must be a JSON object")
     for key in ("n", "covariates", "outcome"):
         if key not in payload:
             raise SchemaViolation(f"{path}: missing key {key!r}")
-    n = payload["n"]
-    if not isinstance(n, int) or n <= 0:
-        raise SchemaViolation(f"{path}: n must be a positive integer")
-    covs = payload["covariates"]
-    if not isinstance(covs, dict) or not covs:
-        raise SchemaViolation(f"{path}: covariates must be a non-empty object")
+    n = field(payload, "n", lambda v: is_int(v) and v > 0, "a positive integer")
+    covs = field(payload, "covariates", lambda v: isinstance(v, dict) and v, "a non-empty object")
     names = tuple(covs.keys())
-    means = []
-    for name in names:
-        v = covs[name]
-        if not isinstance(v, (int, float)) or not math.isfinite(float(v)):
-            raise SchemaViolation(f"{path}: covariate {name!r} is not a finite number")
-        means.append(float(v))
-    for name in payload.get("binary_covariates", []):
+    means = tuple(float(field(covs, name, is_number, "a finite number", where="covariate "))
+                  for name in names)
+    binary = field(payload, "binary_covariates",
+                   lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+                   "a list of names", default=[])
+    for name in binary:
         if name not in covs:
             raise SchemaViolation(f"{path}: binary covariate {name!r} not in covariates")
         if not 0.0 <= float(covs[name]) <= 1.0:
@@ -467,20 +474,22 @@ def load_aggregate(path) -> AggregateSummary:
                 f"{path}: proportion {covs[name]} for {name!r} outside [0,1]"
             )
 
-    outcome = payload["outcome"]
+    outcome = field(payload, "outcome", lambda v: isinstance(v, dict), "an object")
     kind_token = outcome.get("kind")
     try:
         kind = OutcomeKind(kind_token)
     except ValueError:
         raise SchemaViolation(f"{path}: unknown outcome kind {kind_token!r}") from None
     summary = {k: v for k, v in outcome.items() if k != "kind"}
+    for key in summary:
+        field(summary, key, is_number, "a number", where="outcome ")
     if kind is OutcomeKind.BINARY and "responders" not in summary:
         raise SchemaViolation(f"{path}: binary outcome needs 'responders'")
     if kind is OutcomeKind.CONTINUOUS and "mean" not in summary:
         raise SchemaViolation(f"{path}: continuous outcome needs 'mean'")
     return AggregateSummary(
         covariate_names=names,
-        covariate_means=tuple(means),
+        covariate_means=means,
         n=n,
         outcome_kind=kind,
         outcome_summary=summary,

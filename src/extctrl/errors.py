@@ -2,7 +2,11 @@
 
 Errors are grouped into families so the CLI can map them to exit codes:
 plan/configuration problems, data ingestion problems, and solver failures.
+``checked_field`` reads one field of a JSON object and raises the caller's
+error family when the value has the wrong type or range.
 """
+
+import math
 
 
 class ExtCtrlError(Exception):
@@ -115,3 +119,27 @@ class InvalidConfig(ExtCtrlError):
 
 class PlanInvalid(ExtCtrlError):
     pass
+
+
+# --- typed fields of JSON inputs -------------------------------------------
+
+def is_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_count(value) -> bool:
+    return is_int(value) and value >= 0
+
+
+def checked_field(block: dict, key: str, default, ok, what: str, where: str = "",
+                  error=PlanInvalid):
+    """``block[key]``, or ``default`` when absent; ``error`` unless ``ok``."""
+    value = block.get(key, default)
+    if not ok(value):
+        raise error(f"{where}{key} must be {what}, got {value!r}")
+    return value

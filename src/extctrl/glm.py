@@ -1,16 +1,20 @@
 """Logistic and linear model fitting used by propensity estimation and STC.
 
-Logistic fitting runs iteratively reweighted least squares from a zero start,
-solving each inner weighted least-squares step by QR (stable up to condition
-numbers around 1e8). Inference is bootstrap-based elsewhere, so no
-Hessian-derived standard errors are reported here.
+Every logistic fit runs one stacked Newton core that fits a design to a block
+of frequency-weight vectors at once. Row r of the count block says how many
+times each design row enters fit r, which is how a bootstrap resample looks
+on fixed rows; a single fit is a block of one all-ones row.
 
-``fit_logistic_counts`` fits one design to a block of frequency-weight
-vectors at once: row r of the count block says how many times each row of
-the design enters replicate r, which is how a bootstrap resample looks on
-fixed rows. Each replicate gets the coefficients and the typed verdict that
-``fit_logistic`` gives on its rows repeated by those counts, or ``REFIT``
-where only ``fit_logistic`` itself can decide.
+- The columns are scaled to unit norm, and each step solves the p x p normal
+  equations H d = s with H = X' diag(c w) X, so no step depends on units.
+- A fit stops on the Newton decrement s' H^-1 s, which does not change under
+  affine rescaling of the covariates (Boyd & Vandenberghe 2004, 9.5.1).
+- Separation is tested on the data by the linear program of Konis (2007),
+  only for a fit whose linear predictor leaves the plausible range or that
+  runs out of steps.
+
+Linear fits solve by QR. Inference is bootstrap-based elsewhere, so no
+Hessian-derived standard errors are reported here.
 """
 
 from __future__ import annotations
@@ -20,33 +24,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConstantResponse,
-    NoConvergence,
-    RankDeficientDesign,
-    SeparationDetected,
-)
+from .errors import ConstantResponse, NoConvergence, RankDeficientDesign, SeparationDetected
 
-DEFAULT_TOL = 1e-8
+# Decrement below which a fit takes its last step and stops. It is
+# dimensionless (twice the log-likelihood gain the step predicts), and Newton's
+# method squares it near the optimum, so the fit returned sits ~1e-24 from the
+# maximum, about where rounding in the score leaves a fit on thousands of rows.
+DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 100
 
-# |coefficient| beyond this on the logit scale is treated as separation.
-SEPARATION_THRESHOLD = 15.0
+# A fitted |x'beta| beyond this (a probability within 2e-9 of 0 or 1) runs the
+# separation test: on separated data the decrement only falls like exp(-|x'beta|).
+_ETA_BOUND = 20.0
 
-# A replicate whose count-weighted Gram matrix has smallest/largest
-# eigenvalue at or below this is left to ``fit_logistic``: it gives the exact
-# rank verdict (its own cut is (rows * eps)**2 on the same ratio), and its QR
-# solve stays accurate where normal equations would not. The same cut on the
-# IRLS-weighted Gram matrix at convergence finds replicates whose stopping
-# point ``fit_logistic`` decides by rounding: a flat likelihood ridge
-# (quasi-separation), or a score that rounding keeps near the absolute
-# tolerance. That floor grows with the size of the covariate values (units
-# and offsets), so this cut is on the unscaled matrix, as the tolerance is.
+# Unless the rows are separated, beta = 0 is the program's only feasible point.
+_SEPARATION_MARGIN = 1e-6
+
+# The batch leaves to ``fit_logistic`` a replicate whose Hessian has eigenvalue
+# ratio at most this at the start (which holds every rank verdict of its smaller
+# cut) or at convergence (where rounding would part the two fits by more than
+# 1e-10), or with a coefficient beyond _COEFFICIENT_SCREEN, where rounding grows
+# with the coefficients. These screens decide only which path fits a replicate.
 _GRAM_SCREEN = 1e-6
+_COEFFICIENT_SCREEN = 1e4
 
-# Verdict of ``fit_logistic_counts`` for a replicate that must be fitted by
-# ``fit_logistic`` on its repeated rows.
+# Verdict of ``fit_logistic_counts``: fit this replicate's rows with ``fit_logistic``.
 REFIT = "refit"
+
+_EPS = np.finfo(float).eps
 
 
 class Family(enum.Enum):
@@ -82,182 +87,176 @@ def expit(eta: np.ndarray) -> np.ndarray:
     return np.where(eta >= 0, 1.0, e) / (1.0 + e)
 
 
-def _check_design(X: np.ndarray, n_min: int) -> None:
-    n, p = X.shape
-    if n < n_min:
-        raise RankDeficientDesign(f"need at least {n_min} rows, got {n}")
-    if np.linalg.matrix_rank(X) < p:
-        raise RankDeficientDesign("design matrix is rank deficient")
+def _eigenvalue_ratio(H: np.ndarray) -> np.ndarray:
+    eig = np.linalg.eigvalsh(H)
+    return eig[:, 0] / eig[:, -1]
 
 
-def _weighted_lstsq(X: np.ndarray, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # QR on the sqrt-weighted system; avoids forming X'WX.
-    sw = np.sqrt(w)
-    return np.linalg.lstsq(X * sw[:, None], z * sw, rcond=None)[0]
+def _separated(X: np.ndarray, y: np.ndarray, c: np.ndarray) -> bool:
+    """Konis (2007): are the rows with c > 0 completely or quasi-separated?
+
+    They are when some beta != 0 has (2y - 1) x'beta >= 0 on every row; the
+    program maximises the count-weighted sum of those margins over a box. It
+    runs on the distinct rows, each column scaled by its largest entry, so a
+    fit and its rows repeated by counts pose the same program.
+    """
+    from scipy.optimize import linprog  # at module level it slows start-up
+
+    held = c > 0
+    rows, index = np.unique(np.column_stack([X[held], y[held]]), axis=0, return_inverse=True)
+    A = (2.0 * rows[:, -1:] - 1.0) * rows[:, :-1]
+    A /= np.maximum(np.abs(A).max(axis=0), np.finfo(float).tiny)
+    result = linprog(-(np.bincount(index.ravel(), c[held]) @ A), A_ub=-A,
+                     b_ub=np.zeros(len(A)), bounds=(-1.0, 1.0), method="highs")
+    return result.status == 0 and -result.fun > _SEPARATION_MARGIN
 
 
-def fit_logistic(
-    X: np.ndarray,
-    y: np.ndarray,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> GlmFit:
-    """Maximum-likelihood logistic regression via IRLS.
+def _newton(X, y, counts, tol, cut):
+    """Newton fits of the design ``X`` for every count vector in ``counts``.
 
-    Parameters
-    ----------
-    X : ndarray, shape (n, p+1)
-        Design matrix including the intercept column.
-    y : ndarray, shape (n,)
-        0/1 responses, both values present.
-    tol : float
-        Convergence on the max absolute score component.
-    max_iter : int
-        Iteration cap.
+    Returns the b x p coefficients (NaN where a fit failed), per fit None or
+    the ``SolverError`` subclass it ends in, the Hessian where each fit
+    converged, and the number of steps. Steps are taken in u = x'beta / 2 for
+    s = 2y - 1, where expit(x'beta) = (1 + tanh u) / 2: the score is
+    sum c (s - tanh u) x, the Hessian sum c (1 - tanh^2 u) x x', and the
+    decrement that of beta. A fit is RankDeficientDesign when the Hessian at
+    the start, X' diag(c) X, has eigenvalue ratio at most ``cut``.
+    """
+    # Unit-norm columns, reached through the largest entry so no square underflows.
+    big = np.abs(X).max(axis=0)
+    data, X = X, X / np.where(big > 0, big, 1.0)
+    norm = np.sqrt(np.einsum("ij,ij->j", X, X))
+    X, scale = X / np.where(norm > 0, norm, 1.0), np.where(big > 0, big * norm, 1.0)
+    XT = np.ascontiguousarray(X.T)
+    b, p = counts.shape[0], X.shape[1]
+    # Row i of outer is x_i x_i' flattened: one matmul gives every Hessian.
+    outer = (X[:, :, None] * X[:, None, :]).reshape(-1, p * p) if b > 1 else None
+    sign = 2.0 * y - 1.0
+    weighted = (counts != 1).any()
+    beta, hessians = np.full((b, p), np.nan), np.zeros((b, p, p))
+    errors = [None] * b
+    tested = np.zeros(b, dtype=bool)  # the separation test has run
+    fits, B, C = np.arange(b), np.zeros((b, p)), counts  # the fits still running
+    for iterations in range(1, DEFAULT_MAX_ITER + 1):
+        u = B @ XT
+        if np.abs(u).max() > _ETA_BOUND / 2:
+            for k in np.flatnonzero((np.abs(u).max(axis=1) > _ETA_BOUND / 2) & ~tested[fits]):
+                tested[fits[k]] = True
+                if _separated(data, y, C[k]):
+                    errors[fits[k]] = SeparationDetected
+            keep = np.array([errors[i] is None for i in fits])
+            fits, B, C, u = fits[keep], B[keep], C[keep], u[keep]
+            if not len(fits):
+                break
+        t = np.tanh(u)
+        r, w = sign - t, 1.0 - t * t
+        if weighted:
+            r, w = C * r, C * w
+        score = r @ X
+        H = ((XT * w) @ X)[None] if outer is None else (w @ outer).reshape(-1, p, p)
+        if iterations == 1:
+            ill = _eigenvalue_ratio(H) <= cut
+            if ill.any():
+                for i in fits[ill]:
+                    errors[i] = RankDeficientDesign
+                fits, B, C, score, H = fits[~ill], B[~ill], C[~ill], score[~ill], H[~ill]
+                if not len(fits):
+                    break
+        try:
+            step = np.linalg.solve(H, score[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:  # a Hessian singular to rounding; the batch refits
+            for i in fits:
+                errors[i] = RankDeficientDesign
+            break
+        B += step
+        done = (score * step).sum(axis=1) < tol
+        if done.any():
+            beta[fits[done]], hessians[fits[done]] = B[done], H[done]
+            fits, B, C = fits[~done], B[~done], C[~done]
+            if not len(fits):
+                break
+    else:
+        for k, i in enumerate(fits):
+            separated = not tested[i] and _separated(data, y, C[k])
+            errors[i] = SeparationDetected if separated else NoConvergence
+    return 2.0 * beta / scale, errors, hessians, iterations
+
+
+_MESSAGES = {RankDeficientDesign: "design matrix is rank deficient",
+             SeparationDetected: "the covariates (quasi-)separate the responses",
+             NoConvergence: f"Newton steps did not converge in {DEFAULT_MAX_ITER} iterations"}
+
+
+def fit_logistic(X: np.ndarray, y: np.ndarray, tol: float = DEFAULT_TOL) -> GlmFit:
+    """Maximum-likelihood logistic regression of 0/1 ``y`` on ``X`` (n x p,
+    intercept column included) by Newton steps, stopping at decrement ``tol``.
+
+    The design is rank deficient when the Hessian at the start has eigenvalue
+    ratio at most max(n, p) eps, the rounding level of its n-term sums.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, p = X.shape
     if np.all(y == y[0]):
         raise ConstantResponse("response takes a single value")
-    _check_design(X, p + 1)
-
-    beta = np.zeros(p)
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        mu = expit(X @ beta)
-        score = X.T @ (y - mu)
-        if np.max(np.abs(score)) < tol:
-            converged = True
-            break
-        w = np.clip(mu * (1.0 - mu), 1e-12, None)
-        z = X @ beta + (y - mu) / w
-        beta = _weighted_lstsq(X, z, w)
-        if np.max(np.abs(beta)) > SEPARATION_THRESHOLD:
-            raise SeparationDetected(
-                "coefficient exceeded 15 on the logit scale; data are (quasi-)separated"
-            )
-    if not converged:
-        raise NoConvergence(f"IRLS did not converge in {max_iter} iterations")
-
-    mu = np.clip(expit(X @ beta), 1e-300, 1 - 1e-16)
-    deviance = -2.0 * float(np.sum(y * np.log(mu) + (1 - y) * np.log1p(-mu)))
-    return GlmFit(
-        family=Family.LOGISTIC,
-        coefficients=beta,
-        iterations=iterations,
-        deviance=deviance,
-        max_abs_coefficient=float(np.max(np.abs(beta))),
-    )
+    if n < p + 1:
+        raise RankDeficientDesign(f"need at least {p + 1} rows, got {n}")
+    beta, errors, _, iterations = _newton(X, y, np.ones((1, n)), tol, max(n, p) * _EPS)
+    if errors[0] is not None:
+        raise errors[0](_MESSAGES[errors[0]])
+    beta = beta[0]
+    # -2 log-likelihood: log(1 + exp(-x'beta)) for y = 1, log(1 + exp(x'beta)) for y = 0.
+    deviance = 2.0 * float(np.logaddexp(0.0, (1.0 - 2.0 * y) * (X @ beta)).sum())
+    return GlmFit(Family.LOGISTIC, beta, iterations, deviance, float(np.max(np.abs(beta))))
 
 
-def fit_linear(X: np.ndarray, y: np.ndarray) -> GlmFit:
-    """Ordinary least squares; deviance is the residual sum of squares."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n, p = X.shape
-    _check_design(X, p + 2)
-    beta = np.linalg.lstsq(X, y, rcond=None)[0]
-    resid = y - X @ beta
-    return GlmFit(
-        family=Family.LINEAR,
-        coefficients=beta,
-        iterations=1,
-        deviance=float(resid @ resid),
-        max_abs_coefficient=float(np.max(np.abs(beta))),
-    )
+def fit_logistic_counts(X: np.ndarray, y: np.ndarray, counts: np.ndarray):
+    """``fit_logistic`` for every row of a b x n block of frequency weights.
 
-
-def _outer_rows(X: np.ndarray) -> np.ndarray:
-    # Row i is x_i x_i' flattened, so one (b x n) @ (n x p^2) product gives
-    # every replicate's X' diag(c) X.
-    n, p = X.shape
-    return (X[:, :, None] * X[:, None, :]).reshape(n, p * p)
-
-
-def _eigenvalue_ratio(gram: np.ndarray) -> np.ndarray:
-    # Smallest over largest eigenvalue of each Gram matrix of a stack.
-    eig = np.linalg.eigvalsh(gram)
-    return eig[:, 0] / eig[:, -1]
-
-
-def fit_logistic_counts(
-    X: np.ndarray, y: np.ndarray, counts: np.ndarray
-) -> tuple[np.ndarray, list]:
-    """``fit_logistic`` for every frequency-weight vector of a count block.
-
-    Parameters
-    ----------
-    X : ndarray, shape (n, p)
-        Design matrix including the intercept column.
-    y : ndarray, shape (n,)
-        Responses.
-    counts : ndarray, shape (b, n)
-        Non-negative integer counts; row r is replicate r.
-
-    Returns
-    -------
-    coefficients : ndarray, shape (b, p)
-        Replicate r's fit in row r, NaN where it has no fit.
-    errors : list
-        Per replicate: None, the ``SolverError`` subclass ``fit_logistic``
-        raises on its rows, or ``REFIT``.
-
-    The replicates take the IRLS steps of ``fit_logistic`` as stacked Newton
-    steps, beta += (X' diag(c w) X)^-1 X' diag(c) (y - mu), one matmul for
-    the Gram matrices and one stacked solve per step. Each keeps the verdicts
-    of ``fit_logistic``: ConstantResponse, too few rows (RankDeficientDesign),
-    the same score tolerance, and the same separation threshold checked
-    after every step (SeparationDetected). A converged replicate is frozen.
-    A replicate is ``REFIT`` when its design is near singular (which
-    includes every rank-deficient one), when it converges where the
-    likelihood is nearly flat or where rounding comes near the score
-    tolerance, or when it has not converged within the iteration cap.
+    Returns the b x p coefficients (NaN where a replicate has no fit) and,
+    per replicate, None, the ``SolverError`` subclass ``fit_logistic`` raises
+    on its repeated rows (ConstantResponse, RankDeficientDesign for too few
+    rows, SeparationDetected), or ``REFIT`` (see _GRAM_SCREEN, and a fit not
+    converged within the iteration cap).
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     counts = np.asarray(counts, dtype=float)
     b, p = len(counts), X.shape[1]
-    beta = np.full((b, p), np.nan)
     held = counts > 0
     constant = (np.where(held, y, np.inf).min(axis=1)
                 == np.where(held, y, -np.inf).max(axis=1))
     errors = [ConstantResponse if c else None for c in constant]
-    rows = counts.sum(axis=1)
-    for r in np.flatnonzero(~constant & (rows < p + 1)):
+    for r in np.flatnonzero(~constant & (counts.sum(axis=1) < p + 1)):
         errors[r] = RankDeficientDesign
-    outer = _outer_rows(X)
-    near_singular = _eigenvalue_ratio((counts @ outer).reshape(b, p, p)) <= _GRAM_SCREEN
-    for r in np.flatnonzero(near_singular):
-        if errors[r] is None:
-            errors[r] = REFIT
-
-    active = np.flatnonzero([e is None for e in errors])
-    beta[active] = 0.0
-    for _ in range(DEFAULT_MAX_ITER):
-        c = counts[active]
-        mu = expit(beta[active] @ X.T)
-        score = (c * (y - mu)) @ X
-        w = np.clip(mu * (1.0 - mu), 1e-12, None)
-        gram = ((c * w) @ outer).reshape(-1, p, p)
-        done = np.max(np.abs(score), axis=1) < DEFAULT_TOL
-        if done.any():
-            ill = _eigenvalue_ratio(gram[done]) <= _GRAM_SCREEN
-            for r in active[done][ill]:
-                errors[r] = REFIT
-        active, gram, score = active[~done], gram[~done], score[~done]
-        if not len(active):
-            break
-        beta[active] += np.linalg.solve(gram, score[:, :, None])[:, :, 0]
-        separated = np.max(np.abs(beta[active]), axis=1) > SEPARATION_THRESHOLD
-        for r in active[separated]:
-            errors[r] = SeparationDetected
-        active = active[~separated]
-    for r in active:
-        errors[r] = REFIT  # fit_logistic decides NoConvergence at its own floor
-    beta[[e is not None for e in errors]] = np.nan
+    beta = np.full((b, p), np.nan)
+    fit = np.flatnonzero([e is None for e in errors])
+    if len(fit):
+        beta[fit], fit_errors, hessians, _ = _newton(X, y, counts[fit], DEFAULT_TOL, _GRAM_SCREEN)
+        ok = np.array([e is None for e in fit_errors])
+        refit = np.max(np.abs(beta[fit]), axis=1) > _COEFFICIENT_SCREEN
+        if ok.any():
+            refit[ok] |= _eigenvalue_ratio(hessians[ok]) <= _GRAM_SCREEN
+        for r, error, screen in zip(fit, fit_errors, refit):
+            errors[r] = REFIT if screen or error in (RankDeficientDesign, NoConvergence) else error
+        beta[[e is not None for e in errors]] = np.nan
     return beta, errors
+
+
+def fit_linear(X: np.ndarray, y: np.ndarray) -> GlmFit:
+    """Ordinary least squares by QR; deviance is the residual sum of squares."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n, p = X.shape
+    if n < p + 2:
+        raise RankDeficientDesign(f"need at least {p + 2} rows, got {n}")
+    q, r = np.linalg.qr(X)
+    s = np.linalg.svd(r, compute_uv=False)  # the singular values of X
+    if s[-1] <= s[0] * max(n, p) * _EPS:
+        raise RankDeficientDesign("design matrix is rank deficient")
+    beta = np.linalg.solve(r, q.T @ y)
+    resid = y - X @ beta
+    return GlmFit(Family.LINEAR, beta, 1, float(resid @ resid), float(np.max(np.abs(beta))))
 
 
 def add_intercept(X: np.ndarray) -> np.ndarray:

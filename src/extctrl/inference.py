@@ -81,14 +81,13 @@ class BootstrapResult:
     n_refits: int
     failures_by_error: dict = field(default_factory=dict)
 
-    @property
-    def failure_fraction(self) -> float:
-        return self.n_failures / (self.n_failures + len(self.replicates))
+
+def _group_rows(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    return np.flatnonzero(data.group_mask), np.flatnonzero(~data.group_mask)
 
 
-def _resample_rows(data: Dataset, rng: np.random.Generator, resampling: Resampling) -> np.ndarray:
-    trial_rows = np.flatnonzero(data.group_mask)
-    ext_rows = np.flatnonzero(~data.group_mask)
+def _resample_rows(trial_rows, ext_rows, rng: np.random.Generator,
+                   resampling: Resampling) -> np.ndarray:
     # Draw order and sizes (trial first, then external) fix which subjects
     # replicate i selects; keep them when changing this function.
     picked = trial_rows[rng.integers(0, len(trial_rows), size=len(trial_rows))]
@@ -106,7 +105,7 @@ def resample_dataset(
     Trial-only resampling keeps external records fixed (used when the
     external side is an aggregate constant).
     """
-    return data.take(_resample_rows(data, rng, resampling))
+    return data.take(_resample_rows(*_group_rows(data), rng, resampling))
 
 
 def _replicate_rng(config: BootstrapConfig, index: int) -> np.random.Generator:
@@ -141,10 +140,11 @@ def replicate_estimates(
         pending = []
         n = len(data)
         size = max(1, _BLOCK_ELEMENTS // n)
+        groups = _group_rows(data)
         for start in range(0, config.replicates, size):
             block = range(start, min(start + size, config.replicates))
             counts = np.array([
-                np.bincount(_resample_rows(data, _replicate_rng(config, i), config.resampling),
+                np.bincount(_resample_rows(*groups, _replicate_rng(config, i), config.resampling),
                             minlength=n)
                 for i in block
             ], dtype=float)

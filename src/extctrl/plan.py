@@ -29,7 +29,7 @@ from .dataset import (
     load_dataset,
 )
 from .diagnostics import balance_table, comparability_checklist
-from .errors import PlanInvalid
+from .errors import PlanInvalid, checked_field as _field, is_count, is_int, is_number
 from .estimators import (
     Scale,
     WeightingAnalysis,
@@ -120,27 +120,6 @@ def load_plan(path) -> AnalysisPlan:
     return parse_plan(raw)
 
 
-def _is_number(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_count(value) -> bool:
-    return _is_int(value) and value >= 0
-
-
-def _field(block: dict, key: str, default, ok, what: str, where: str = ""):
-    """``block[key]``, or ``default`` when absent; PlanInvalid unless ``ok``."""
-    value = block.get(key, default)
-    if not ok(value):
-        raise PlanInvalid(f"{where}{key} must be {what}, got {value!r}")
-    return value
-
-
 def parse_estimand(token: str) -> Estimand:
     """Estimand of a plan or command token (``att``, ``trim:0.1``, ...)."""
     try:
@@ -151,7 +130,7 @@ def parse_estimand(token: str) -> Estimand:
 
 def positivity_band(value, name: str = "positivity_a") -> float:
     """``value`` as the positivity band parameter a, which must lie in [0, 0.5)."""
-    if not (_is_number(value) and 0 <= value < 0.5):
+    if not (is_number(value) and 0 <= value < 0.5):
         raise PlanInvalid(f"{name} must be in [0, 0.5), got {value!r}")
     return value
 
@@ -187,27 +166,27 @@ def parse_plan(raw: dict) -> AnalysisPlan:
 
     covariates = _field(raw, "covariates", None, lambda v: v is None or (
         isinstance(v, list) and all(isinstance(c, str) for c in v)), "a list of names")
-    seed = _field(raw, "seed", 0, _is_int, "an integer")
+    seed = _field(raw, "seed", 0, is_int, "an integer")
     checklist = _field(raw, "checklist", {}, lambda v: isinstance(v, dict), "an object")
     fail_on_overlap = _field(raw, "fail_on_overlap", False,
                              lambda v: isinstance(v, bool), "true or false")
     positivity_a = positivity_band(raw.get("positivity_a", 0.1))
     horizon = _field(raw, "horizon", None,
-                     lambda v: v is None or (_is_number(v) and v >= 0), "a number >= 0")
+                     lambda v: v is None or (is_number(v) and v >= 0), "a number >= 0")
 
     bconf = None
     if "bootstrap" in raw:
         b = _field(raw, "bootstrap", None, lambda v: isinstance(v, dict), "an object")
         bconf = BootstrapConfig(
-            replicates=_field(b, "replicates", 1000, lambda v: _is_count(v) and v >= 2,
+            replicates=_field(b, "replicates", 1000, lambda v: is_count(v) and v >= 2,
                               "an integer >= 2", "bootstrap "),
-            level=_field(b, "level", 0.95, lambda v: _is_number(v) and 0 < v < 1,
+            level=_field(b, "level", 0.95, lambda v: is_number(v) and 0 < v < 1,
                          "in (0, 1)", "bootstrap "),
-            seed=_field(b, "seed", seed, _is_int, "an integer", "bootstrap "),
+            seed=_field(b, "seed", seed, is_int, "an integer", "bootstrap "),
             resampling=Resampling.TRIAL_ONLY
             if method in (Method.MAIC, Method.STC)
             else Resampling.STRATIFIED_BY_GROUP,
-            threads=_field(b, "threads", 0, _is_count, "an integer >= 0", "bootstrap "),
+            threads=_field(b, "threads", 0, is_count, "an integer >= 0", "bootstrap "),
         )
 
     pp = raw.get("power_prior")
@@ -219,15 +198,15 @@ def parse_plan(raw: dict) -> AnalysisPlan:
                 "power-prior borrowing requires the explicit assume_comparable flag "
                 "(CLI: --assume-comparable)"
             )
-        x, n, x0, n0 = (_field(pp, key, None, _is_count, "an integer >= 0", "power_prior ")
+        x, n, x0, n0 = (_field(pp, key, None, is_count, "an integer >= 0", "power_prior ")
                         for key in ("x", "n", "x0", "n0"))
         if x > n or x0 > n0:
             raise PlanInvalid(f"power_prior responders exceed n: {x}/{n}, {x0}/{n0}")
-        _field(pp, "a0", None, lambda v: _is_number(v) and 0 <= v <= 1, "in [0, 1]",
+        _field(pp, "a0", None, lambda v: is_number(v) and 0 <= v <= 1, "in [0, 1]",
                "power_prior ")
         _field(pp, "prior", [1.0, 1.0], lambda v: isinstance(v, list) and len(v) == 2
-               and all(_is_number(p) and p > 0 for p in v), "two numbers > 0", "power_prior ")
-        _field(pp, "level", 0.95, lambda v: _is_number(v) and 0 < v < 1, "in (0, 1)",
+               and all(is_number(p) and p > 0 for p in v), "two numbers > 0", "power_prior ")
+        _field(pp, "level", 0.95, lambda v: is_number(v) and 0 < v < 1, "in (0, 1)",
                "power_prior ")
 
     return AnalysisPlan(

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import DegenerateScores, EmptyDataset
-from .glm import DEFAULT_MAX_ITER, DEFAULT_TOL, GlmFit, add_intercept, fit_logistic
+from .glm import DEFAULT_TOL, GlmFit, add_intercept, fit_logistic
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,6 @@ def estimate_propensity(
     data: Dataset,
     covariates: Optional[Sequence[str]] = None,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> PropensityModel:
     """Fit the trial-membership logistic model and score every subject.
 
@@ -67,6 +66,8 @@ def estimate_propensity(
         Pooled trial and external subjects.
     covariates : sequence of str, optional
         Subset of covariates to include; all by default.
+    tol : float
+        Newton decrement at which the logistic fit stops (see ``fit_logistic``).
     """
     if data.n_external == 0:
         raise EmptyDataset("propensity estimation needs external records")
@@ -74,10 +75,9 @@ def estimate_propensity(
     X_raw = data.covariate_matrix(names)
     # Drop covariates constant across all subjects; they carry no membership
     # information and would make the design rank deficient.
-    keep = [j for j in range(X_raw.shape[1]) if np.ptp(X_raw[:, j]) > 0]
-    X = add_intercept(X_raw[:, keep]) if keep else add_intercept(X_raw[:, :0])
+    X = add_intercept(X_raw[:, np.ptp(X_raw, axis=0) > 0])
     y = data.group_mask.astype(float)
-    fit = fit_logistic(X, y, tol=tol, max_iter=max_iter)
+    fit = fit_logistic(X, y, tol=tol)
     scores = fit.predict(X)
     if np.any(scores <= 0.0) or np.any(scores >= 1.0):
         raise DegenerateScores("fitted propensity score hit 0 or 1")

@@ -17,8 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset import Dataset, OutcomeKind
-from .errors import EstimandMismatch, InvalidConfig
+from .dataset import ROLE_COLUMNS, Dataset, OutcomeKind
+from .errors import EstimandMismatch, InvalidConfig, checked_field, is_int, is_number
 from .estimators import EffectReport
 from .glm import expit
 from .inference import replicate_seed
@@ -67,6 +67,12 @@ class ScenarioConfig:
             raise InvalidConfig("group sizes must be positive")
         if not self.covariates:
             raise InvalidConfig("at least one covariate is required")
+        names = [spec.name for spec in self.covariates]
+        for name in names:
+            if not isinstance(name, str) or name in ROLE_COLUMNS or names.count(name) > 1:
+                raise InvalidConfig(
+                    f"covariate name {name!r}: names must be unique strings other than "
+                    f"{', '.join(ROLE_COLUMNS)}")
         if len(self.assignment) != len(self.covariates) + 1:
             raise InvalidConfig("assignment coefficients must be intercept + one per covariate")
         if len(self.outcome_coefficients) != len(self.covariates) + 1:
@@ -82,24 +88,42 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ScenarioConfig":
+        def field(key, default, ok, what):
+            return checked_field(payload, key, default, ok, what, error=InvalidConfig)
+
+        def positive(v):
+            return is_int(v) and v > 0
+
+        def numbers(v):
+            return isinstance(v, list) and all(is_number(x) for x in v)
+
+        specs = field("covariates", None, lambda v: isinstance(v, list)
+                      and all(isinstance(c, dict) for c in v), "a list of objects")
+        for spec in specs:
+            for key in ("p", "mean", "sd"):
+                checked_field(spec, key, None, lambda v: v is None or is_number(v), "a number",
+                              "covariate ", InvalidConfig)
         try:
-            covs = tuple(CovariateSpec(**c) for c in payload["covariates"])
-            return cls(
-                n_trial=payload["n_trial"],
-                n_external=payload["n_external"],
-                covariates=covs,
-                assignment=tuple(payload["assignment"]),
-                outcome_kind=OutcomeKind(payload["outcome_kind"]),
-                outcome_coefficients=tuple(payload["outcome_coefficients"]),
-                effect=payload["effect"],
-                residual_sd=payload.get("residual_sd", 1.0),
-                censoring_rate=payload.get("censoring_rate", 0.0),
-                unmeasured_confounder=payload.get("unmeasured_confounder", False),
-                time_lag=payload.get("time_lag", 0.0),
-                seed=payload.get("seed", 0),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            covs = tuple(CovariateSpec(**c) for c in specs)
+            outcome_kind = OutcomeKind(payload.get("outcome_kind"))
+        except (TypeError, ValueError) as exc:
             raise InvalidConfig(f"bad scenario payload: {exc}") from None
+        return cls(
+            n_trial=field("n_trial", None, positive, "a positive integer"),
+            n_external=field("n_external", None, positive, "a positive integer"),
+            covariates=covs,
+            assignment=tuple(field("assignment", None, numbers, "a list of numbers")),
+            outcome_kind=outcome_kind,
+            outcome_coefficients=tuple(
+                field("outcome_coefficients", None, numbers, "a list of numbers")),
+            effect=field("effect", None, is_number, "a number"),
+            residual_sd=field("residual_sd", 1.0, is_number, "a number"),
+            censoring_rate=field("censoring_rate", 0.0, is_number, "a number"),
+            unmeasured_confounder=field("unmeasured_confounder", False,
+                                        lambda v: isinstance(v, bool), "true or false"),
+            time_lag=field("time_lag", 0.0, is_number, "a number"),
+            seed=field("seed", 0, is_int, "an integer"),
+        )
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from extctrl import (
     stc_estimate,
     weighted_mean_contrast,
 )
-from extctrl.errors import ExtCtrlError, NoConvergence, SolverError
+from extctrl.errors import ExtCtrlError, SolverError
 from extctrl.glm import REFIT, fit_logistic_counts
 from extctrl.inference import replicate_estimates, replicate_seed, resample_dataset
 
@@ -207,40 +207,46 @@ def bootstrap_counts(n, b, seed):
     return np.array([np.bincount(rng.integers(0, n, size=n), minlength=n) for _ in range(b)])
 
 
-def test_large_covariate_values_are_left_to_fit_logistic():
-    # fit_logistic's score tolerance is absolute, so with covariate values
-    # near 1e5 its rounding decides whether it converges at all. The batch
-    # fits the replicates in standard units and leaves these to fit_logistic.
+def test_large_covariate_values_fit_in_the_batch():
+    # The fits stop on the Newton decrement and solve on unit-norm columns,
+    # so a covariate in units near 1e5 converges to the same fitted
+    # probabilities as in standard units, in fit_logistic and in the batch.
     rng = np.random.default_rng(8)
     n = 300
     severe = (rng.random(n) < 0.4).astype(float)
     x = rng.normal(size=n)
     y = (rng.random(n) < 1.0 / (1.0 + np.exp(-(0.2 + 0.7 * x - 0.5 * severe)))).astype(float)
     counts = bootstrap_counts(n, 30, 2)
-    assert assert_matches_repeated_rows(
-        add_intercept(np.column_stack([severe, x])), y, counts) == [None] * 30
-    X = add_intercept(np.column_stack([severe, 1e5 * x]))
-    assert assert_matches_repeated_rows(X, y, counts) == [REFIT] * 30
-    with pytest.raises(NoConvergence):
-        fit_logistic(np.repeat(X, counts[1], axis=0), np.repeat(y, counts[1]))
+    X = add_intercept(np.column_stack([severe, x]))
+    assert assert_matches_repeated_rows(X, y, counts) == [None] * 30
+    scaled = add_intercept(np.column_stack([severe, 1e5 * x]))
+    assert assert_matches_repeated_rows(scaled, y, counts) == [None] * 30
+    for c in counts[:5]:
+        rows = np.repeat(np.arange(n), c)
+        want = fit_logistic(X[rows], y[rows]).predict(X[rows])
+        got = fit_logistic(scaled[rows], y[rows]).predict(scaled[rows])
+        assert np.max(np.abs(got - want)) <= 1e-9
 
 
 def test_refit_replicates_run_through_threaded_pipeline():
-    # A covariate with a large offset (calendar year) makes every design
-    # ill-conditioned for fit_logistic's absolute tolerance; those replicates
-    # are left to the pipeline, which uses the configured threads, and still
+    # A rare binary covariate is missing from some resamples, which makes
+    # their outcome models rank deficient. The batch leaves those replicates
+    # to the pipeline, which uses the configured threads, and they still
     # match the per-replicate loop.
     rng = np.random.default_rng(6)
     n = 120
-    year = 2015.0 + rng.integers(-3, 4, size=n)
+    rare = np.zeros(n)
+    rare[[5, 50]] = 1.0
+    x = rng.normal(size=n)
     y = (rng.random(n) < 0.4).astype(float)
-    trial = Dataset(("year",), ids=[f"s{i}" for i in range(n)], trial=np.ones(n, bool),
-                    X=year[:, None], outcome=y, outcome_kind=OutcomeKind.BINARY)
-    target = AggregateSummary(covariate_names=("year",), covariate_means=(2016.0,), n=80,
-                              outcome_kind=OutcomeKind.BINARY,
+    y[[5, 50]] = [0.0, 1.0]
+    trial = Dataset(("rare", "x"), ids=[f"s{i}" for i in range(n)], trial=np.ones(n, bool),
+                    X=np.column_stack([rare, x]), outcome=y, outcome_kind=OutcomeKind.BINARY)
+    target = AggregateSummary(covariate_names=("rare", "x"), covariate_means=(0.02, 0.0),
+                              n=80, outcome_kind=OutcomeKind.BINARY,
                               outcome_summary={"responders": 30})
-    assert set(fit_logistic_counts(add_intercept(year), y, bootstrap_counts(n, 10, 3))[1]) \
-        == {REFIT}
+    X = add_intercept(np.column_stack([rare, x]))
+    assert REFIT in fit_logistic_counts(X, y, bootstrap_counts(n, 10, 3))[1]
     config = BootstrapConfig(replicates=30, seed=2, resampling=Resampling.TRIAL_ONLY, threads=2)
     assert_same_replicates(
         replicate_estimates(StcAnalysis(target, None, Link.LOGIT, Scale.RISK_DIFFERENCE),

@@ -439,6 +439,27 @@ def test_bad_input_file_exit_code(argv, code, toy_csv, tmp_path, capsys):
         assert "nope." in err  # the message names the file
 
 
+@pytest.mark.parametrize("change", [
+    {"covariates": [{"name": "id", "kind": "binary", "p": 0.4}]},
+    {"covariates": [{"name": 7, "kind": "binary", "p": 0.4}]},
+    {"covariates": [{"name": "age", "kind": "continuous", "mean": "x"}]},
+    {"n_trial": 2.5},
+    {"n_external": "40"},
+    {"seed": "x"},
+    {"effect": None},
+    {"assignment": [0.0, "a"]},
+    {"unmeasured_confounder": 1},
+], ids=["role-name", "name-number", "mean-string", "n-float", "n-string", "seed-string",
+        "effect-null", "coefficient-string", "flag-number"])
+def test_bad_scenario_field_is_usage_error(change, tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(dict(SCENARIO, **change)), encoding="utf-8")
+    out = tmp_path / "sim.csv"
+    assert run_cli(["simulate", "--scenario", scenario, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["weight", "{toy}", "--estimand", "bogus"],
     ["balance", "{toy}", "--estimand", "trim:x"],

@@ -6,14 +6,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from extctrl import (
+    CovariateSpec,
     Dataset,
     OutcomeKind,
+    ScenarioConfig,
     load_aggregate,
     load_dataset,
     save_dataset,
 )
 from extctrl.errors import (
     EmptyDataset,
+    InvalidConfig,
     MissingColumn,
     MissingValue,
     NonNumericCovariate,
@@ -272,3 +275,33 @@ def test_covariate_matrix_is_c_contiguous_and_row_exact():
         assert np.array_equal(got, expected)
     with pytest.raises(ValueError):
         data.covariate_matrix()[0, 0] = 1.0  # stored columns are read-only
+
+
+@pytest.mark.parametrize("name", ["id", "group", "outcome", "time", "event"])
+def test_covariate_named_like_a_role_column_is_rejected(name):
+    # save_dataset would write a header that load_dataset cannot read back.
+    with pytest.raises(SchemaViolation):
+        Dataset((name,), ids=["a"], trial=[True], X=[[1.0]])
+    with pytest.raises(InvalidConfig):
+        ScenarioConfig(n_trial=5, n_external=5,
+                       covariates=(CovariateSpec(name, "binary", p=0.4),),
+                       assignment=(0.0, 1.0), outcome_kind=OutcomeKind.BINARY,
+                       outcome_coefficients=(0.0, 1.0), effect=0.1)
+
+
+@pytest.mark.parametrize("change", [
+    {"outcome": 5},
+    {"outcome": {"kind": "binary", "responders": "3"}},
+    {"outcome": {"kind": ["binary"], "responders": 3}},
+    {"covariates": [34.5]},
+    {"covariates": {"age": "34.5", "severe": 0.75}},
+    {"binary_covariates": 5},
+    {"binary_covariates": [["severe"]]},
+    {"n": 2.5},
+], ids=["outcome-number", "responders-string", "kind-list", "covariates-list",
+        "mean-string", "binary-number", "binary-nested", "n-float"])
+def test_aggregate_field_of_wrong_type_is_schema_violation(change, tmp_path):
+    path = tmp_path / "agg.json"
+    path.write_text(json.dumps(aggregate_payload(**change)))
+    with pytest.raises(SchemaViolation):
+        load_aggregate(path)

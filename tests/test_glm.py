@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from extctrl import add_intercept, fit_linear, fit_logistic
-from extctrl.glm import DEFAULT_MAX_ITER
+from extctrl.glm import DEFAULT_MAX_ITER, REFIT, fit_logistic_counts
 from extctrl.errors import (
     ConstantResponse,
     RankDeficientDesign,
     SeparationDetected,
+    SolverError,
 )
 
 
@@ -129,3 +133,62 @@ def test_linear_high_condition_number():
     fitted = X @ fit.coefficients
     assert np.isfinite(fitted).all()
     assert np.max(np.abs(X.T @ (y - fitted))) < 1e-4
+
+
+def test_quasi_separated_design_detected():
+    # beta = (-1, -1, 1) puts every row on its own side, (2y - 1) x'beta >= 0,
+    # with equality on the two rows at x = (0, 1): the likelihood rises
+    # along that ray without a maximum.
+    X4 = add_intercept(np.array([[1, 0], [0, 1], [0, 3], [0, 1]], dtype=float))
+    y4 = np.array([0, 0, 1, 1], dtype=float)
+    counts = np.array([2, 1, 1, 1])
+    with pytest.raises(SeparationDetected):
+        fit_logistic(np.repeat(X4, counts, axis=0), np.repeat(y4, counts))
+    assert fit_logistic_counts(X4, y4, counts[None])[1] == [SeparationDetected]
+
+
+def test_hessian_singular_during_fit_is_rank_deficient(monkeypatch):
+    # A nearly collinear design can pass the rank check at the start and have
+    # its weighted Hessian turn singular to rounding as the fit runs (Hypothesis
+    # found one at eigenvalue ratio 2.3e-15). That ends the fit with a typed
+    # error, and the batch leaves the replicate to fit_logistic.
+    X, y = toy_design()
+
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(RankDeficientDesign):
+        fit_logistic(X, y)
+    assert fit_logistic_counts(X, y, np.ones((2, len(y))))[1] == [REFIT, REFIT]
+
+
+def fitted_or_error(X, y):
+    try:
+        return fit_logistic(X, y).predict(X), None
+    except SolverError as exc:
+        return None, type(exc)
+
+
+@st.composite
+def scaled_covariate_problems(draw):
+    n = draw(st.integers(4, 40))
+    p = draw(st.integers(1, 3))
+    cells = st.one_of(st.sampled_from([0.0, 1.0]),
+                      st.floats(-3.0, 3.0, allow_nan=False, allow_subnormal=False))
+    X = add_intercept(draw(arrays(float, (n, p), elements=cells)))
+    y = draw(arrays(float, n, elements=st.sampled_from([0.0, 1.0])))
+    return X, y, draw(st.integers(1, p)), draw(st.integers(-4, 5))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(scaled_covariate_problems())
+def test_covariate_units_change_neither_verdict_nor_fit(problem):
+    X, y, j, k = problem
+    scaled = X.copy()
+    scaled[:, j] *= 10.0 ** k
+    want, want_error = fitted_or_error(X, y)
+    got, got_error = fitted_or_error(scaled, y)
+    assert got_error is want_error
+    if want is not None:
+        assert np.max(np.abs(got - want)) <= 1e-9
