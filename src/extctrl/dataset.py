@@ -33,6 +33,7 @@ from .errors import (
     SchemaViolation,
     UnknownGroupLabel,
     checked_field,
+    is_count,
     is_int,
     is_number,
 )
@@ -226,8 +227,9 @@ class AggregateSummary:
             raise SchemaViolation("covariate names/means length mismatch")
         if self.outcome_kind is OutcomeKind.BINARY:
             x0 = self.outcome_summary.get("responders")
-            if x0 is None or not 0 <= x0:
-                raise SchemaViolation("binary aggregate outcome needs responders >= 0")
+            if not is_count(x0):
+                raise SchemaViolation(
+                    f"binary aggregate outcome needs responders, an integer >= 0, got {x0!r}")
             if x0 > self.n:
                 raise ResponderCountExceedsN(f"responders {x0} > n {self.n}")
         elif self.outcome_kind is OutcomeKind.CONTINUOUS:
@@ -483,8 +485,6 @@ def load_aggregate(path) -> AggregateSummary:
     summary = {k: v for k, v in outcome.items() if k != "kind"}
     for key in summary:
         field(summary, key, is_number, "a number", where="outcome ")
-    if kind is OutcomeKind.BINARY and "responders" not in summary:
-        raise SchemaViolation(f"{path}: binary outcome needs 'responders'")
     if kind is OutcomeKind.CONTINUOUS and "mean" not in summary:
         raise SchemaViolation(f"{path}: continuous outcome needs 'mean'")
     return AggregateSummary(

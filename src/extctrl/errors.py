@@ -7,6 +7,7 @@ error family when the value has the wrong type or range.
 """
 
 import math
+import numbers
 
 
 class ExtCtrlError(Exception):
@@ -124,12 +125,13 @@ class PlanInvalid(ExtCtrlError):
 # --- typed fields of JSON inputs -------------------------------------------
 
 def is_number(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite real, NumPy scalars included, that is not a bool."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and math.isfinite(value))
 
 
 def is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def is_count(value) -> bool:

@@ -13,6 +13,7 @@ on fixed rows; a single fit is a block of one all-ones row.
   only for a fit whose linear predictor leaves the plausible range or that
   runs out of steps.
 
+The MAIC tilt in ``maic`` solves its Newton steps by the same rules and helpers.
 Linear fits solve by QR. Inference is bootstrap-based elsewhere, so no
 Hessian-derived standard errors are reported here.
 """
@@ -87,9 +88,19 @@ def expit(eta: np.ndarray) -> np.ndarray:
     return np.where(eta >= 0, 1.0, e) / (1.0 + e)
 
 
-def _eigenvalue_ratio(H: np.ndarray) -> np.ndarray:
+def _ill_conditioned(H: np.ndarray, cut: float) -> np.ndarray:
+    """Per stacked symmetric matrix: eigenvalue ratio at most ``cut`` (a zero matrix too)."""
     eig = np.linalg.eigvalsh(H)
-    return eig[:, 0] / eig[:, -1]
+    return eig[:, 0] <= cut * eig[:, -1]
+
+
+def _unit_columns(X: np.ndarray):
+    """``X`` with unit-norm columns, reached through the largest entry so no
+    square underflows, and the factor each column was divided by."""
+    big = np.abs(X).max(axis=0)
+    X = X / np.where(big > 0, big, 1.0)
+    norm = np.sqrt(np.einsum("ij,ij->j", X, X))
+    return X / np.where(norm > 0, norm, 1.0), np.where(big > 0, big * norm, 1.0)
 
 
 def _separated(X: np.ndarray, y: np.ndarray, c: np.ndarray) -> bool:
@@ -122,11 +133,7 @@ def _newton(X, y, counts, tol, cut):
     decrement that of beta. A fit is RankDeficientDesign when the Hessian at
     the start, X' diag(c) X, has eigenvalue ratio at most ``cut``.
     """
-    # Unit-norm columns, reached through the largest entry so no square underflows.
-    big = np.abs(X).max(axis=0)
-    data, X = X, X / np.where(big > 0, big, 1.0)
-    norm = np.sqrt(np.einsum("ij,ij->j", X, X))
-    X, scale = X / np.where(norm > 0, norm, 1.0), np.where(big > 0, big * norm, 1.0)
+    data, (X, scale) = X, _unit_columns(X)
     XT = np.ascontiguousarray(X.T)
     b, p = counts.shape[0], X.shape[1]
     # Row i of outer is x_i x_i' flattened: one matmul gives every Hessian.
@@ -155,7 +162,7 @@ def _newton(X, y, counts, tol, cut):
         score = r @ X
         H = ((XT * w) @ X)[None] if outer is None else (w @ outer).reshape(-1, p, p)
         if iterations == 1:
-            ill = _eigenvalue_ratio(H) <= cut
+            ill = _ill_conditioned(H, cut)
             if ill.any():
                 for i in fits[ill]:
                     errors[i] = RankDeficientDesign
@@ -236,7 +243,7 @@ def fit_logistic_counts(X: np.ndarray, y: np.ndarray, counts: np.ndarray):
         ok = np.array([e is None for e in fit_errors])
         refit = np.max(np.abs(beta[fit]), axis=1) > _COEFFICIENT_SCREEN
         if ok.any():
-            refit[ok] |= _eigenvalue_ratio(hessians[ok]) <= _GRAM_SCREEN
+            refit[ok] |= _ill_conditioned(hessians[ok], _GRAM_SCREEN)
         for r, error, screen in zip(fit, fit_errors, refit):
             errors[r] = REFIT if screen or error in (RankDeficientDesign, NoConvergence) else error
         beta[[e is not None for e in errors]] = np.nan

@@ -47,8 +47,8 @@ def _splitmix64(z: int) -> int:
 
 
 def replicate_seed(root_seed: int, index: int) -> int:
-    """Independent 64-bit substream seed for one replicate."""
-    return _splitmix64((root_seed & _MASK64) ^ _splitmix64(index))
+    """Independent 64-bit substream seed for one replicate (NumPy integer roots too)."""
+    return _splitmix64((int(root_seed) & _MASK64) ^ _splitmix64(index))
 
 
 class Resampling(enum.Enum):

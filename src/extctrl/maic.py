@@ -4,8 +4,10 @@ Trial subjects get exponential-tilt weights w_i = exp(x_i' alpha), with
 covariates centered at the published external means, so the weighted trial
 covariate means match the external ones. The target population is the
 external control population (ATC). The moment condition is solved by
-minimizing the convex objective sum_i exp(x_i' alpha) with a damped Newton
-method.
+minimizing the convex objective sum_i exp(x_i' alpha) by the rules of the
+logistic Newton core in ``glm`` (unit-norm columns, full steps, a stop on the
+Newton decrement, its rank check and Konis's program for the trial convex
+hull), so no verdict depends on covariate units.
 """
 
 from __future__ import annotations
@@ -18,15 +20,16 @@ import numpy as np
 from .dataset import AggregateSummary, Dataset, Group, OutcomeKind
 from .errors import (
     CollinearCovariates,
+    MissingColumn,
     NoConvergence,
     ScaleIncompatibleWithOutcome,
     TargetOutsideSupport,
 )
 from .estimators import EffectReport, Scale, check_scale, contrast_on_scale, hajek_mean
+from .glm import (_EPS, _ETA_BOUND, DEFAULT_MAX_ITER, DEFAULT_TOL, _ill_conditioned,
+                  _separated, _unit_columns)
 
 TARGET_POPULATION = "external control population (ATC)"
-
-_LINE_SEARCH_SLACK = 1.0 + 8.0 * np.finfo(float).eps
 
 CONSTANCY_CAVEAT = (
     "unanchored comparison: validity rests on conditional constancy of the "
@@ -44,17 +47,19 @@ class MaicFit:
     target_means: np.ndarray
     ess: float
     iterations: int
-    objective_trace: tuple[float, ...] = ()
 
 
 def maic_weights(
     trial: Dataset,
     target: AggregateSummary,
     covariates: Optional[Sequence[str]] = None,
-    tol: float = 1e-8,
-    max_iter: int = 200,
 ) -> MaicFit:
     """Solve for exponential-tilt weights matching trial means to the target.
+
+    The objective has a minimum exactly when the target lies inside the trial
+    convex hull; otherwise some alpha != 0 has x_i' alpha >= 0 on every
+    centered row (TargetOutsideSupport). The covariates are CollinearCovariates
+    when their centered Gram matrix has eigenvalue ratio at most max(n, p) eps.
 
     Parameters
     ----------
@@ -69,68 +74,54 @@ def maic_weights(
     if covariates is None:
         covariates = [c for c in trial.covariate_names if c in target.covariate_names]
     names = tuple(covariates)
+    if not names:
+        raise MissingColumn("no covariate to match: the trial and the aggregate share none")
     X = trial.covariate_matrix(names)
     mu = np.array([target.mean_of(c) for c in names])
-
-    # Feasibility: positive exponential weights can only reach means strictly
-    # inside the componentwise range of the trial values.
-    for j, name in enumerate(names):
-        lo, hi = X[:, j].min(), X[:, j].max()
-        if not lo < mu[j] < hi:
-            raise TargetOutsideSupport(
-                f"target mean {mu[j]} for {name!r} outside open trial range ({lo}, {hi})"
-            )
-
     Xc = X - mu
-    if np.linalg.matrix_rank(Xc) < Xc.shape[1]:
-        raise CollinearCovariates("centered covariate matrix is rank deficient")
+    Z, scale = _unit_columns(Xc)
+    n, p = Z.shape
 
-    alpha = np.zeros(Xc.shape[1])
-    converged = False
-    iterations = 0
-    objective = float(np.sum(np.exp(Xc @ alpha)))
-    trace = [objective]
-    for iterations in range(1, max_iter + 1):
-        expo = np.exp(Xc @ alpha)
-        grad = Xc.T @ expo
-        if np.max(np.abs(grad)) < tol:
-            converged = True
+    def check_support():
+        if _separated(Xc, np.ones(n), np.ones(n)):
+            raise TargetOutsideSupport(f"target means {mu.tolist()} for {list(names)} lie "
+                                       "outside the interior of the trial convex hull")
+
+    a, tested = np.zeros(p), False  # tested: the support check has run
+    for iterations in range(1, DEFAULT_MAX_ITER + 1):
+        eta = Z @ a
+        if not tested and np.abs(eta).max() > _ETA_BOUND:
+            tested = True
+            check_support()
+        # The objective scaled so its largest term is 1: the step is unchanged,
+        # nothing overflows, and the decrement stays of order 1 on the way out
+        # of the hull and falls like exp(-|x'alpha|) towards its boundary.
+        w = np.exp(eta - eta.max())
+        grad = w @ Z
+        hess = (Z.T * w) @ Z
+        if iterations == 1 and _ill_conditioned(hess[None], max(n, p) * _EPS)[0]:
+            raise CollinearCovariates("centered covariate matrix is rank deficient")
+        step = np.linalg.solve(hess, grad)
+        a -= step
+        if grad @ step < DEFAULT_TOL:
             break
-        hess = (Xc * expo[:, None]).T @ Xc
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            raise NoConvergence("singular Hessian in MAIC solver") from None
-        # Damped Newton: halve until the convex objective does not increase.
-        # Near the optimum a sum of many exponentials cannot fall by more
-        # than its rounding, so a rise within a few ulps counts as no rise;
-        # otherwise the step would be halved to nothing with the gradient
-        # still above tol.
-        scale = 1.0
-        for _ in range(60):
-            cand = alpha - scale * step
-            cand_obj = float(np.sum(np.exp(Xc @ cand)))
-            if cand_obj <= objective * _LINE_SEARCH_SLACK:
-                break
-            scale *= 0.5
-        alpha = alpha - scale * step
-        objective = float(np.sum(np.exp(Xc @ alpha)))
-        trace.append(objective)
-    if not converged:
-        raise NoConvergence(f"MAIC did not converge in {max_iter} iterations")
+    else:
+        if not tested:
+            check_support()
+        raise NoConvergence(f"MAIC did not converge in {DEFAULT_MAX_ITER} iterations")
 
+    alpha = a / scale
     w = np.exp(Xc @ alpha)
-    achieved = (w @ X) / np.sum(w)
+    achieved = mu + (w @ Xc) / np.sum(w)  # centered sums keep the digits of a small gap
     ess = float(np.sum(w)) ** 2 / float(np.sum(w * w))
     return MaicFit(
-        alpha=alpha[: len(names)],
+        alpha=alpha,
         weights=w,
         matched_covariates=names,
         achieved_means=achieved,
         target_means=mu,
         ess=ess,
         iterations=iterations,
-        objective_trace=tuple(trace),
     )
 
 

@@ -11,7 +11,7 @@ emulate time-lag bias.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from itertools import product
 from typing import Optional
 
@@ -37,6 +37,10 @@ class CovariateSpec:
     sd: float = 1.0
 
     def __post_init__(self):
+        for key in ("p", "mean", "sd"):
+            checked_field(vars(self), key, None,
+                          lambda v: is_number(v) or (key == "p" and v is None), "a number",
+                          "covariate ", InvalidConfig)
         if self.kind == "binary":
             if self.p is None or not 0.0 < self.p < 1.0:
                 raise InvalidConfig(f"binary covariate {self.name!r} needs p in (0,1)")
@@ -63,6 +67,21 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
+        def numbers(v):
+            return isinstance(v, (tuple, list)) and all(is_number(x) for x in v)
+
+        for keys, ok, what in (
+            (("n_trial", "n_external", "seed"), is_int, "an integer"),
+            (("effect", "residual_sd", "censoring_rate", "time_lag"), is_number, "a number"),
+            (("assignment", "outcome_coefficients"), numbers, "a list of numbers"),
+            (("covariates",), lambda v: isinstance(v, (tuple, list))
+             and all(isinstance(c, CovariateSpec) for c in v), "a list of CovariateSpec"),
+            (("outcome_kind",), lambda v: isinstance(v, OutcomeKind), "an OutcomeKind"),
+            (("unmeasured_confounder",), lambda v: isinstance(v, (bool, np.bool_)),
+             "true or false"),
+        ):
+            for key in keys:
+                checked_field(vars(self), key, None, ok, what, error=InvalidConfig)
         if self.n_trial <= 0 or self.n_external <= 0:
             raise InvalidConfig("group sizes must be positive")
         if not self.covariates:
@@ -77,6 +96,8 @@ class ScenarioConfig:
             raise InvalidConfig("assignment coefficients must be intercept + one per covariate")
         if len(self.outcome_coefficients) != len(self.covariates) + 1:
             raise InvalidConfig("outcome coefficients must be intercept + one per covariate")
+        if self.residual_sd < 0:
+            raise InvalidConfig("residual sd must be >= 0")
         if not 0.0 <= self.censoring_rate < 1.0:
             raise InvalidConfig("censoring rate must be in [0,1)")
         if self.unmeasured_confounder and len(self.covariates) < 2:
@@ -88,42 +109,19 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ScenarioConfig":
-        def field(key, default, ok, what):
-            return checked_field(payload, key, default, ok, what, error=InvalidConfig)
-
-        def positive(v):
-            return is_int(v) and v > 0
-
-        def numbers(v):
-            return isinstance(v, list) and all(is_number(x) for x in v)
-
-        specs = field("covariates", None, lambda v: isinstance(v, list)
-                      and all(isinstance(c, dict) for c in v), "a list of objects")
-        for spec in specs:
-            for key in ("p", "mean", "sd"):
-                checked_field(spec, key, None, lambda v: v is None or is_number(v), "a number",
-                              "covariate ", InvalidConfig)
+        """A scenario from its JSON object; the field checks are ``__post_init__``'s."""
+        specs = checked_field(payload, "covariates", None, lambda v: isinstance(v, list)
+                              and all(isinstance(c, dict) for c in v), "a list of objects",
+                              error=InvalidConfig)
+        known = {f.name for f in fields(cls)}
+        kwargs = {k: tuple(v) if isinstance(v, list) else v
+                  for k, v in payload.items() if k in known}
         try:
-            covs = tuple(CovariateSpec(**c) for c in specs)
-            outcome_kind = OutcomeKind(payload.get("outcome_kind"))
+            kwargs["covariates"] = tuple(CovariateSpec(**c) for c in specs)
+            kwargs["outcome_kind"] = OutcomeKind(payload.get("outcome_kind"))
+            return cls(**kwargs)
         except (TypeError, ValueError) as exc:
             raise InvalidConfig(f"bad scenario payload: {exc}") from None
-        return cls(
-            n_trial=field("n_trial", None, positive, "a positive integer"),
-            n_external=field("n_external", None, positive, "a positive integer"),
-            covariates=covs,
-            assignment=tuple(field("assignment", None, numbers, "a list of numbers")),
-            outcome_kind=outcome_kind,
-            outcome_coefficients=tuple(
-                field("outcome_coefficients", None, numbers, "a list of numbers")),
-            effect=field("effect", None, is_number, "a number"),
-            residual_sd=field("residual_sd", 1.0, is_number, "a number"),
-            censoring_rate=field("censoring_rate", 0.0, is_number, "a number"),
-            unmeasured_confounder=field("unmeasured_confounder", False,
-                                        lambda v: isinstance(v, bool), "true or false"),
-            time_lag=field("time_lag", 0.0, is_number, "a number"),
-            seed=field("seed", 0, is_int, "an integer"),
-        )
 
 
 @dataclass(frozen=True)

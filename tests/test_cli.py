@@ -439,6 +439,16 @@ def test_bad_input_file_exit_code(argv, code, toy_csv, tmp_path, capsys):
         assert "nope." in err  # the message names the file
 
 
+def test_fractional_responder_count_is_data_error(toy_csv, tmp_path, capsys):
+    # 3.5 responders out of 10 was once reported as an external rate of 0.35.
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps({"n": 10, "covariates": {"severe": 0.5},
+                                  "outcome": {"kind": "binary", "responders": 3.5}}),
+                      encoding="utf-8")
+    assert run_cli(["maic", toy_csv, "--target", target]) == 3
+    assert "responders" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("change", [
     {"covariates": [{"name": "id", "kind": "binary", "p": 0.4}]},
     {"covariates": [{"name": 7, "kind": "binary", "p": 0.4}]},

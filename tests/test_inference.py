@@ -51,6 +51,13 @@ def test_determinism_same_seed_identical_interval():
     assert np.array_equal(r1.replicates, r2.replicates)
 
 
+def test_numpy_integer_seed_gives_the_same_replicates():
+    data = small_dataset(np.random.default_rng(0))
+    want = bootstrap_ci(ipw_pipeline, data, BootstrapConfig(replicates=20, seed=99))
+    got = bootstrap_ci(ipw_pipeline, data, BootstrapConfig(replicates=20, seed=np.int64(99)))
+    assert np.array_equal(got.replicates, want.replicates)
+
+
 def test_serial_vs_parallel_identical():
     rng = np.random.default_rng(1)
     data = small_dataset(rng)

@@ -202,6 +202,31 @@ def test_config_validation():
         binary_scenario(unmeasured_confounder=True)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: binary_scenario(n_trial=2.5),
+    lambda: binary_scenario(n_external="40"),
+    lambda: binary_scenario(seed="x"),
+    lambda: binary_scenario(effect=None),
+    lambda: binary_scenario(assignment=(0.0, "a")),
+    lambda: binary_scenario(outcome_kind="binary"),
+    lambda: binary_scenario(unmeasured_confounder=0),
+    lambda: CovariateSpec("age", "continuous", sd="a"),
+    lambda: binary_scenario(residual_sd=-1.0),
+], ids=["n-float", "n-string", "seed-string", "effect-none", "coefficient-string",
+        "kind-string", "flag-number", "sd-string", "residual-sd-negative"])
+def test_bad_config_field_is_invalid(build):
+    # Built directly, not through from_dict: generate once ended in a TypeError
+    # or, for a negative residual sd, a ValueError from NumPy.
+    with pytest.raises(InvalidConfig):
+        build()
+
+
+def test_numpy_integer_sizes_and_seed_are_accepted():
+    config = binary_scenario(n_trial=np.int64(20), n_external=np.int32(30), seed=np.int64(7))
+    assert same_subjects(generate(config)[0],
+                         generate(binary_scenario(n_trial=20, n_external=30, seed=7))[0])
+
+
 def test_from_dict_round_trip():
     payload = {
         "n_trial": 50,
