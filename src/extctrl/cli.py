@@ -18,8 +18,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import plan as planmod
 from .balancing import balancing_weights
 from .borrow import a0_sensitivity
@@ -38,12 +36,23 @@ EXIT_SOLVER = 4
 EXIT_POSITIVITY = 5
 
 
-def _emit(payload: dict, out_path=None) -> None:
-    text = planmod.canonical_json(payload) + "\n"
+def _out_file(path) -> Path:
+    """``path`` as a Path, with its directory created if it is missing."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
+def _write(text: str, out_path=None) -> None:
+    """Write ``text`` to ``out_path``, or to stdout when there is none."""
     if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
+        _out_file(out_path).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
+
+
+def _emit(payload: dict, out_path=None) -> None:
+    _write(planmod.canonical_json(payload) + "\n", out_path)
 
 
 def _add_bootstrap_flags(parser) -> None:
@@ -137,13 +146,10 @@ def _cmd_ps_fit(args) -> int:
     report = positivity_report(model, data, band)
     out_dir = Path(args.out_dir) if args.out_dir else None
     if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        lines = ["id,score"]
-        for rid, s in zip(data.ids.tolist(), model.scores.tolist()):
-            lines.append(f"{rid},{format(s, '.17g')}")
-        (out_dir / "scores.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write(planmod.csv_text(("id", "score"), (data.ids, model.scores)),
+               out_dir / "scores.csv")
     _emit(
-        {"positivity": report.to_dict(),
+        {"positivity": report,
          "coefficients": [float(c) for c in model.glm.coefficients]},
         out_dir / "positivity.json" if out_dir else None,
     )
@@ -160,15 +166,9 @@ def _weights(args):
 
 def _cmd_weight(args) -> int:
     data, model, wset = _weights(args)
-    groups = np.where(data.group_mask, "trial", "external").tolist()
-    rows = list(zip(data.ids.tolist(), groups, model.scores.tolist(),
-                    wset.weights.tolist()))
     out_dir = Path(args.out_dir) if args.out_dir else None
-    if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "weights.csv").write_text(planmod.weights_csv(rows), encoding="utf-8")
-    else:
-        sys.stdout.write(planmod.weights_csv(rows))
+    table = planmod.weights_table(data, model.scores, wset.weights)
+    _write(planmod.csv_text(*table), out_dir / "weights.csv" if out_dir else None)
     _emit(
         {"estimand": wset.estimand.label,
          "ess_trial": wset.ess_treated,
@@ -182,7 +182,7 @@ def _cmd_weight(args) -> int:
 def _cmd_balance(args) -> int:
     data, _, wset = _weights(args)
     table = balance_table(data, wset, args.threshold)
-    _emit({"balance": table.to_dict()},
+    _emit({"balance": table},
           Path(args.out_dir) / "balance.json" if args.out_dir else None)
     return EXIT_OK
 
@@ -214,13 +214,10 @@ def _cmd_compare(args) -> int:
         fields["horizon"] = args.horizon
     artifacts = _run(args, _analysis_plan(args, "weighting", **fields))
     if args.out_dir and artifacts.curves:
-        for name, curve in artifacts.curves.items():
-            lines = ["time,survival,at_risk"] + [
-                ",".join(format(float(v), ".17g") for v in row)
-                for row in zip(curve.times, curve.survival, curve.at_risk)
-            ]
-            (Path(args.out_dir) / f"curve_{name}.csv").write_text(
-                "\n".join(lines) + "\n", encoding="utf-8")
+        for name, c in artifacts.curves.items():
+            _write(planmod.csv_text(("time", "survival", "at_risk"),
+                                    (c.times, c.survival, c.at_risk)),
+                   Path(args.out_dir) / f"curve_{name}.csv")
     return EXIT_OK
 
 
@@ -256,11 +253,7 @@ def _cmd_borrow(args) -> int:
         report["sensitivity"] = a0_sensitivity(
             args.x, args.n, args.x0, args.n0, grid, *prior, args.level
         )
-    out_path = None
-    if args.out_dir:
-        Path(args.out_dir).mkdir(parents=True, exist_ok=True)
-        out_path = Path(args.out_dir) / "posterior.json"
-    _emit(report, out_path)
+    _emit(report, Path(args.out_dir) / "posterior.json" if args.out_dir else None)
     return EXIT_OK
 
 
@@ -275,8 +268,8 @@ def _cmd_simulate(args) -> int:
         payload["seed"] = args.seed
     config = ScenarioConfig.from_dict(payload)
     data, truth = generate(config)
-    save_dataset(data, args.out)
-    _emit({"truth": truth.to_dict()},
+    save_dataset(data, _out_file(args.out))
+    _emit({"truth": truth},
           Path(args.out).with_suffix(".truth.json"))
     return EXIT_OK
 

@@ -487,10 +487,13 @@ def load_aggregate(path) -> AggregateSummary:
         field(summary, key, is_number, "a number", where="outcome ")
     if kind is OutcomeKind.CONTINUOUS and "mean" not in summary:
         raise SchemaViolation(f"{path}: continuous outcome needs 'mean'")
-    return AggregateSummary(
-        covariate_names=names,
-        covariate_means=means,
-        n=n,
-        outcome_kind=kind,
-        outcome_summary=summary,
-    )
+    try:
+        return AggregateSummary(
+            covariate_names=names,
+            covariate_means=means,
+            n=n,
+            outcome_kind=kind,
+            outcome_summary=summary,
+        )
+    except DataError as exc:
+        raise type(exc)(f"{path}: {exc}") from None

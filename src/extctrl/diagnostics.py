@@ -79,24 +79,6 @@ class BalanceTable:
     imbalance: bool
     undefined_covariates: tuple[str, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "rows": [
-                {
-                    "covariate": r.covariate,
-                    "unweighted_smd": r.unweighted_smd,
-                    "weighted_smd": r.weighted_smd,
-                }
-                for r in self.rows
-            ],
-            "ess_trial": self.ess_trial,
-            "ess_external": self.ess_external,
-            "threshold": self.threshold,
-            "max_abs_weighted_smd": self.max_abs_weighted_smd,
-            "imbalance": self.imbalance,
-            "undefined_covariates": list(self.undefined_covariates),
-        }
-
 
 def balance_table(
     data: Dataset,
@@ -135,13 +117,6 @@ class ChecklistReport:
     status: str  # PASS | WARN | INCOMPLETE
     items: dict = field(default_factory=dict)
     caveats: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "items": dict(self.items),
-            "caveats": list(self.caveats),
-        }
 
 
 def comparability_checklist(meta: dict) -> ChecklistReport:

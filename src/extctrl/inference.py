@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .dataset import Dataset
-from .errors import ExtCtrlError, TooManyReplicateFailures
+from .errors import ExtCtrlError, InvalidConfig, TooManyReplicateFailures
 from .glm import REFIT
 
 MAX_FAILURE_FRACTION = 0.2
@@ -66,9 +66,9 @@ class BootstrapConfig:
 
     def __post_init__(self):
         if self.replicates < 2:
-            raise ValueError("bootstrap needs at least 2 replicates")
+            raise InvalidConfig("bootstrap needs at least 2 replicates")
         if not 0.0 < self.level < 1.0:
-            raise ValueError("level must be in (0,1)")
+            raise InvalidConfig("level must be in (0,1)")
 
 
 @dataclass(frozen=True)

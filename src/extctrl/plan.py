@@ -9,11 +9,13 @@ comparison.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Optional
 
@@ -58,9 +60,13 @@ def canonical_json(payload) -> str:
     Floats are rendered with 17 significant digits so equal values hash and
     serialize identically across runs. The output is strict JSON: a
     non-finite float (an infinite odds ratio, say) is written as null, and
-    the report's ``infinite`` flag says why.
+    the report's ``infinite`` flag says why. A dataclass instance is
+    written as an object of its fields, so field names are output keys.
     """
     def normalize(obj):
+        if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+            return {f.name: normalize(getattr(obj, f.name))
+                    for f in dataclasses.fields(obj)}
         if isinstance(obj, dict):
             return {k: normalize(obj[k]) for k in sorted(obj)}
         if isinstance(obj, (list, tuple)):
@@ -228,20 +234,44 @@ def parse_plan(raw: dict) -> AnalysisPlan:
     )
 
 
-def weights_csv(rows) -> str:
-    """CSV text of (id, group, score, weight) rows; a None score is left empty."""
-    lines = ["id,group,score,weight"]
-    for rid, grp, score, weight in rows:
-        score_txt = "" if score is None else format(score, ".17g")
-        lines.append(f"{rid},{grp},{score_txt},{format(weight, '.17g')}")
+def _needs_quotes(text: str) -> bool:
+    return any(ch in text for ch in ',"\r\n')
+
+
+def _text_cells(column) -> list:
+    """``column`` as text cells, each quoted as RFC 4180 says where it must be."""
+    text = list(map(str, column.tolist() if isinstance(column, np.ndarray) else column))
+    if not _needs_quotes("".join(text)):
+        return text
+    return ['"' + c.replace('"', '""') + '"' if _needs_quotes(c) else c for c in text]
+
+
+def csv_text(header, columns) -> str:
+    """CSV text of ``columns`` under ``header``, one line per row.
+
+    A float array is written with 17 significant digits, and NaN as an empty
+    cell. Any other column is written as text, and a cell holding a comma, a
+    double quote, CR or LF is quoted as RFC 4180 says.
+    """
+    # Float cells are generators, so each row is built as it is joined.
+    cells = [("" if v != v else format(v, ".17g") for v in col.tolist())
+             if isinstance(col, np.ndarray) and col.dtype.kind == "f"
+             else _text_cells(col) for col in columns]
+    lines = chain([",".join(_text_cells(header))], map(",".join, zip(*cells)))
     return "\n".join(lines) + "\n"
+
+
+def weights_table(data: Dataset, scores: np.ndarray, weights: np.ndarray) -> tuple:
+    """The (header, columns) of ``weights.csv``, one row per subject of ``data``."""
+    groups = np.where(data.group_mask, "trial", "external")
+    return ("id", "group", "score", "weight"), (data.ids, groups, scores, weights)
 
 
 @dataclass
 class RunArtifacts:
     report: dict
-    weights_rows: Optional[list] = None  # (id, group, score, weight)
-    balance: Optional[dict] = None
+    # CSV tables by file name, each a (header, columns) pair for ``csv_text``.
+    tables: dict = field(default_factory=dict)
     # Weighted KM curves by group ("trial", "external") of a time-to-event
     # weighting run. ``write`` leaves them out; ``extctrl compare`` writes them.
     curves: Optional[dict] = None
@@ -251,21 +281,8 @@ class RunArtifacts:
         out.mkdir(parents=True, exist_ok=True)
         (out / "report.json").write_text(canonical_json(self.report) + "\n",
                                          encoding="utf-8")
-        if self.weights_rows is not None:
-            (out / "weights.csv").write_text(weights_csv(self.weights_rows),
-                                             encoding="utf-8")
-        if self.balance is not None:
-            lines = ["covariate,unweighted_smd,weighted_smd"]
-            for row in self.balance["rows"]:
-                u = row["unweighted_smd"]
-                w = row["weighted_smd"]
-                lines.append(
-                    f"{row['covariate']},"
-                    f"{'' if u is None else format(u, '.17g')},"
-                    f"{'' if w is None else format(w, '.17g')}"
-                )
-            (out / "balance.csv").write_text("\n".join(lines) + "\n",
-                                             encoding="utf-8")
+        for name, (header, columns) in self.tables.items():
+            (out / name).write_text(csv_text(header, columns), encoding="utf-8")
 
 
 class PositivityHardFail(Exception):
@@ -293,7 +310,7 @@ def run_plan(plan: AnalysisPlan) -> RunArtifacts:
         )
         report = {
             "provenance": provenance,
-            "checklist": checklist.to_dict(),
+            "checklist": checklist,
             "posterior": post.to_dict(pp.get("level", 0.95)),
         }
         return RunArtifacts(report=report)
@@ -347,25 +364,27 @@ def _run_weighting(plan, data: Dataset, checklist, provenance) -> RunArtifacts:
         name: weighted_prevalence(wset, data, name) for name in data.covariate_names
     }
     effect.diagnostics = {
-        "positivity": positivity.to_dict(),
-        "balance": table.to_dict(),
+        "positivity": positivity,
+        "balance": table,
         "weighted_prevalence": {k: list(v) for k, v in prevalences.items()},
     }
     effect.provenance = provenance
     report = {
         "provenance": provenance,
-        "checklist": checklist.to_dict(),
+        "checklist": checklist,
         "effect": effect.to_dict(),
     }
     if plan.bootstrap:
         analysis = WeightingAnalysis(plan.estimand, plan.scale, plan.covariates, plan.horizon)
         attach_bootstrap(report, analysis, data, plan.bootstrap)
 
-    groups = np.where(data.group_mask, "trial", "external").tolist()
-    rows = list(zip(data.ids.tolist(), groups, model.scores.tolist(),
-                    wset.weights.tolist()))
-    return RunArtifacts(report=report, weights_rows=rows, balance=table.to_dict(),
-                        curves=curves)
+    balance = (("covariate", "unweighted_smd", "weighted_smd"), (
+        [r.covariate for r in table.rows],
+        np.array([r.unweighted_smd for r in table.rows], dtype=float),
+        np.array([r.weighted_smd for r in table.rows], dtype=float)))
+    tables = {"weights.csv": weights_table(data, model.scores, wset.weights),
+              "balance.csv": balance}
+    return RunArtifacts(report=report, tables=tables, curves=curves)
 
 
 def _run_maic(plan, data, target, checklist, provenance) -> RunArtifacts:
@@ -381,7 +400,7 @@ def _run_maic(plan, data, target, checklist, provenance) -> RunArtifacts:
 
     report = {
         "provenance": provenance,
-        "checklist": checklist.to_dict(),
+        "checklist": checklist,
         "effect": effect.to_dict(),
         "maic": {
             "ess": fit.ess,
@@ -391,9 +410,8 @@ def _run_maic(plan, data, target, checklist, provenance) -> RunArtifacts:
     }
     if plan.bootstrap:
         attach_bootstrap(report, pipeline, trial, plan.bootstrap)
-    rows = [(rid, "trial", None, w)
-            for rid, w in zip(trial.ids.tolist(), fit.weights.tolist())]
-    return RunArtifacts(report=report, weights_rows=rows)
+    weights = weights_table(trial, np.full(len(fit.weights), np.nan), fit.weights)
+    return RunArtifacts(report=report, tables={"weights.csv": weights})
 
 
 def _run_stc(plan, data, target, checklist, provenance) -> RunArtifacts:
@@ -402,7 +420,7 @@ def _run_stc(plan, data, target, checklist, provenance) -> RunArtifacts:
     result.report.provenance = provenance
     report = {
         "provenance": provenance,
-        "checklist": checklist.to_dict(),
+        "checklist": checklist,
         "effect": result.report.to_dict(),
     }
     if plan.bootstrap:

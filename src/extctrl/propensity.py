@@ -37,21 +37,6 @@ class PositivityReport:
     prop_outside_external: float
     insufficient_overlap: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "trial_range": list(self.trial_range),
-            "external_range": list(self.external_range),
-            "overlap_interval": None
-            if self.overlap_interval is None
-            else list(self.overlap_interval),
-            "band": list(self.band),
-            "n_outside_trial": self.n_outside_trial,
-            "n_outside_external": self.n_outside_external,
-            "prop_outside_trial": self.prop_outside_trial,
-            "prop_outside_external": self.prop_outside_external,
-            "insufficient_overlap": self.insufficient_overlap,
-        }
-
 
 def estimate_propensity(
     data: Dataset,

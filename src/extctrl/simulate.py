@@ -109,13 +109,19 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ScenarioConfig":
-        """A scenario from its JSON object; the field checks are ``__post_init__``'s."""
+        """A scenario from its JSON object; the field checks are ``__post_init__``'s.
+
+        A key that names no field is InvalidConfig, so a misspelled optional
+        field cannot fall back to its default unseen.
+        """
         specs = checked_field(payload, "covariates", None, lambda v: isinstance(v, list)
                               and all(isinstance(c, dict) for c in v), "a list of objects",
                               error=InvalidConfig)
         known = {f.name for f in fields(cls)}
-        kwargs = {k: tuple(v) if isinstance(v, list) else v
-                  for k, v in payload.items() if k in known}
+        unknown = sorted(set(payload) - known)
+        if unknown:
+            raise InvalidConfig(f"unknown scenario key {unknown[0]!r}")
+        kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in payload.items()}
         try:
             kwargs["covariates"] = tuple(CovariateSpec(**c) for c in specs)
             kwargs["outcome_kind"] = OutcomeKind(payload.get("outcome_kind"))
@@ -139,15 +145,6 @@ class TruthRecord:
             raise EstimandMismatch(
                 f"truth record has no value for estimand {estimand_label!r}"
             ) from None
-
-    def to_dict(self) -> dict:
-        return {
-            "scale": self.scale,
-            "ate": self.ate,
-            "att": self.att,
-            "atc": self.atc,
-            "mc_se": self.mc_se,
-        }
 
 
 def _draw_covariates(config: ScenarioConfig, n: int, rng) -> np.ndarray:

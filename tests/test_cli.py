@@ -470,6 +470,31 @@ def test_bad_scenario_field_is_usage_error(change, tmp_path, capsys):
     assert not out.exists()
 
 
+
+def test_unknown_scenario_key_is_usage_error(tmp_path, capsys):
+    # "censoring" for "censoring_rate" once ran with no censoring at all.
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(dict(SCENARIO, outcome_kind="survival", censoring=0.5)),
+                        encoding="utf-8")
+    out = tmp_path / "sim.csv"
+    assert run_cli(["simulate", "--scenario", scenario, "--out", out]) == 2
+    assert "'censoring'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_creates_the_output_directory(tmp_path):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(SCENARIO), encoding="utf-8")
+    out = tmp_path / "new" / "nested" / "sim.csv"
+    assert run_cli(["simulate", "--scenario", scenario, "--out", out]) == 0
+    assert out.exists() and (out.parent / "sim.truth.json").exists()
+
+
+def test_balance_creates_the_output_directory(toy_csv, tmp_path):
+    out = tmp_path / "new" / "nested"
+    assert run_cli(["--out-dir", out, "balance", toy_csv, "--estimand", "ate"]) == 0
+    assert "balance" in json.loads((out / "balance.json").read_text(encoding="utf-8"))
+
 @pytest.mark.parametrize("argv", [
     ["weight", "{toy}", "--estimand", "bogus"],
     ["balance", "{toy}", "--estimand", "trim:x"],

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -196,6 +197,14 @@ def test_aggregate_responders_exceed_n(tmp_path):
     with pytest.raises(ResponderCountExceedsN):
         load_aggregate(path)
 
+
+
+def test_aggregate_field_errors_name_the_file(tmp_path):
+    path = tmp_path / "agg.json"
+    path.write_text(json.dumps(aggregate_payload(
+        n=10, outcome={"kind": "binary", "responders": 11})))
+    with pytest.raises(ResponderCountExceedsN, match=f"^{re.escape(str(path))}: responders"):
+        load_aggregate(path)
 
 def test_aggregate_proportion_out_of_range(tmp_path):
     path = tmp_path / "agg.json"

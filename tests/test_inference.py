@@ -13,7 +13,7 @@ from extctrl import (
     estimate_propensity,
     weighted_mean_contrast,
 )
-from extctrl.errors import SolverError, TooManyReplicateFailures
+from extctrl.errors import InvalidConfig, SolverError, TooManyReplicateFailures
 from extctrl.inference import replicate_seed, resample_dataset
 
 from conftest import make_dataset
@@ -145,9 +145,9 @@ def test_too_many_failures_raises():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig):
         BootstrapConfig(replicates=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig):
         BootstrapConfig(level=1.0)
 
 
