@@ -38,7 +38,7 @@ from .estimators import (
 )
 from .glm import GlmFit, add_intercept, fit_linear, fit_logistic
 from .inference import BootstrapConfig, BootstrapResult, Resampling, bootstrap_ci
-from .maic import MaicFit, maic_compare, maic_weights
+from .maic import MaicAnalysis, MaicFit, maic_compare, maic_weights
 from .propensity import (
     PositivityReport,
     PropensityModel,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from scipy.special import betainc
+from scipy.special import betainc, betaincinv
 
 from .errors import ParameterOutOfRange
 
@@ -35,19 +35,11 @@ class PowerPriorPosterior:
             return 1.0
         return float(betainc(self.posterior_alpha, self.posterior_beta, theta))
 
-    def quantile(self, q: float, tol: float = 1e-8) -> float:
-        """Posterior quantile by bisection on the Beta CDF (tol in probability)."""
+    def quantile(self, q: float) -> float:
+        """Posterior quantile: the inverse of the regularized incomplete beta."""
         if not 0.0 < q < 1.0:
             raise ParameterOutOfRange(f"quantile level {q} outside (0,1)")
-        lo, hi = 0.0, 1.0
-        # Bisect until the bracket pins the CDF to within tol.
-        while hi - lo > 1e-15 and self.cdf(hi) - self.cdf(lo) > tol:
-            mid = 0.5 * (lo + hi)
-            if self.cdf(mid) < q:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        return float(betaincinv(self.posterior_alpha, self.posterior_beta, q))
 
     def credible_interval(self, level: float = 0.95) -> tuple[float, float]:
         """Equal-tailed posterior credible interval."""

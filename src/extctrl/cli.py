@@ -169,13 +169,16 @@ def _cmd_weight(args) -> int:
     out_dir = Path(args.out_dir) if args.out_dir else None
     table = planmod.weights_table(data, model.scores, wset.weights)
     _write(planmod.csv_text(*table), out_dir / "weights.csv" if out_dir else None)
-    _emit(
+    ess = planmod.canonical_json(
         {"estimand": wset.estimand.label,
          "ess_trial": wset.ess_treated,
          "ess_external": wset.ess_control,
-         "n_zero_weight": wset.n_zero_weight},
-        out_dir / "ess.json" if out_dir else None,
-    )
+         "n_zero_weight": wset.n_zero_weight}) + "\n"
+    # Without --out-dir stdout holds only the CSV, so the ESS line goes to stderr.
+    if out_dir:
+        _write(ess, out_dir / "ess.json")
+    else:
+        sys.stderr.write(ess)
     return EXIT_OK
 
 

@@ -22,7 +22,7 @@ from .errors import (
     ScaleIncompatibleWithOutcome,
     ZeroDenominator,
 )
-from .propensity import estimate_propensity
+from .propensity import PropensityModel, estimate_propensity
 
 
 class Scale(enum.Enum):
@@ -244,11 +244,14 @@ def survival_contrast(
 
 @dataclass(frozen=True)
 class WeightingAnalysis:
-    """Propensity model, balancing weights and contrast, as one bootstrap analysis.
+    """Propensity model, balancing weights and contrast, as one analysis.
 
-    Calling it on a dataset refits the propensity model and returns the
-    point estimate: the weighted mean contrast on ``scale``, or for a
-    time-to-event outcome the survival difference at ``horizon``.
+    ``estimate`` gives the weights, the weighted KM curves of a time-to-event
+    outcome (None otherwise) and the effect report for a fitted propensity
+    model: the weighted mean contrast on ``scale``, or the survival
+    difference at ``horizon``. Calling it on a dataset refits the propensity
+    model and returns the point of that effect, so a bootstrap replicate runs
+    the same code as the point estimate.
     """
 
     estimand: Estimand
@@ -256,10 +259,19 @@ class WeightingAnalysis:
     covariates: Optional[Sequence[str]] = None
     horizon: Optional[float] = None
 
-    def __call__(self, data: Dataset) -> float:
-        model = estimate_propensity(data, self.covariates)
+    def estimate(
+        self, data: Dataset, model: PropensityModel
+    ) -> tuple[WeightSet, Optional[dict[str, SurvivalCurve]], EffectReport]:
         wset = balancing_weights(model, data, self.estimand)
-        if data.outcome_kind is OutcomeKind.TIME_TO_EVENT:
-            curves = weighted_km_by_group(data, wset)
-            return survival_contrast(curves["trial"], curves["external"], self.horizon).point
-        return weighted_mean_contrast(data, wset, self.scale).point
+        if data.outcome_kind is not OutcomeKind.TIME_TO_EVENT:
+            return wset, None, weighted_mean_contrast(data, wset, self.scale)
+        curves = weighted_km_by_group(data, wset)
+        effect = survival_contrast(
+            curves["trial"], curves["external"], self.horizon,
+            estimand_label=self.estimand.label,
+            target_population=self.estimand.target_population_label,
+        )
+        return wset, curves, effect
+
+    def __call__(self, data: Dataset) -> float:
+        return self.estimate(data, estimate_propensity(data, self.covariates))[2].point

@@ -167,3 +167,25 @@ def maic_compare(
         infinite=infinite,
         provenance={"matched_covariates": list(fit.matched_covariates)},
     )
+
+
+@dataclass(frozen=True)
+class MaicAnalysis:
+    """The MAIC effect as one analysis.
+
+    ``estimate`` solves the tilt on the trial rows of a dataset and returns
+    the fit and the effect report of ``maic_compare``; calling it on a
+    dataset returns the point of that report.
+    """
+
+    target: AggregateSummary
+    covariates: Optional[Sequence[str]] = None
+    scale: Scale = Scale.RISK_DIFFERENCE
+
+    def estimate(self, data: Dataset) -> tuple[MaicFit, EffectReport]:
+        trial = data.restrict(Group.TRIAL)
+        fit = maic_weights(trial, self.target, self.covariates)
+        return fit, maic_compare(fit, trial, self.target, self.scale)
+
+    def __call__(self, data: Dataset) -> float:
+        return self.estimate(data)[1].point

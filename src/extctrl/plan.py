@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .balancing import Estimand, balancing_weights, weighted_prevalence
+from .balancing import Estimand, weighted_prevalence
 from .borrow import power_prior_posterior
 from .dataset import (
     Dataset,
@@ -32,17 +32,11 @@ from .dataset import (
 )
 from .diagnostics import balance_table, comparability_checklist
 from .errors import PlanInvalid, checked_field as _field, is_count, is_int, is_number
-from .estimators import (
-    Scale,
-    WeightingAnalysis,
-    survival_contrast,
-    weighted_km_by_group,
-    weighted_mean_contrast,
-)
+from .estimators import Scale, WeightingAnalysis
 from .inference import BootstrapConfig, Resampling, bootstrap_ci
-from .maic import maic_compare, maic_weights
+from .maic import MaicAnalysis
 from .propensity import estimate_propensity, positivity_report
-from .stc import Link, StcAnalysis, stc_estimate
+from .stc import Link, StcAnalysis
 
 SCHEMA_VERSION = 1
 
@@ -290,7 +284,13 @@ class PositivityHardFail(Exception):
 
 
 def run_plan(plan: AnalysisPlan) -> RunArtifacts:
-    """Execute a validated plan and assemble its artifacts."""
+    """Execute a validated plan and assemble its artifacts.
+
+    Each method's runner builds its analysis, runs it once on the data and
+    returns the analysis, the data it ran on, the effect report and the
+    method's own report blocks and tables. The bootstrap, when the plan asks
+    for one, refits that same analysis on every replicate.
+    """
     checklist = comparability_checklist(plan.checklist)
     provenance = {
         "schema": SCHEMA_VERSION,
@@ -301,6 +301,7 @@ def run_plan(plan: AnalysisPlan) -> RunArtifacts:
         "covariates": plan.covariates,
         "scale": plan.scale.value,
     }
+    report = {"provenance": provenance, "checklist": checklist}
 
     if plan.method is Method.POWER_PRIOR:
         pp = plan.power_prior
@@ -308,58 +309,43 @@ def run_plan(plan: AnalysisPlan) -> RunArtifacts:
         post = power_prior_posterior(
             pp["x"], pp["n"], pp["x0"], pp["n0"], pp["a0"], prior[0], prior[1]
         )
-        report = {
-            "provenance": provenance,
-            "checklist": checklist,
-            "posterior": post.to_dict(pp.get("level", 0.95)),
-        }
+        report["posterior"] = post.to_dict(pp.get("level", 0.95))
         return RunArtifacts(report=report)
 
     data = load_dataset(plan.dataset_path)
     target = load_aggregate(plan.aggregate_path) if plan.aggregate_path else None
+    if plan.estimand is not None:
+        provenance["estimand"] = plan.estimand.label
+    runner = {Method.WEIGHTING: _run_weighting, Method.MAIC: _run_maic,
+              Method.STC: _run_stc}[plan.method]
+    analysis, sample, effect, run = runner(plan, data, target)
+    # The method's resolved names (matched covariates, link) win over the plan's.
+    effect.provenance = {**provenance, **effect.provenance}
+    run.report = {**report, "effect": effect.to_dict(), **run.report}
+    if plan.bootstrap:
+        config = plan.bootstrap
+        result = bootstrap_ci(analysis, sample, config)
+        run.report["effect"]["ci"] = [result.lower, result.upper]
+        run.report["effect"]["ci_level"] = config.level
+        run.report["bootstrap"] = {
+            "replicates": config.replicates,
+            "failures": result.n_failures,
+            "refits": result.n_refits,
+            "seed": config.seed,
+        }
+    return run
 
-    if plan.method is Method.WEIGHTING:
-        return _run_weighting(plan, data, checklist, provenance)
-    if plan.method is Method.MAIC:
-        return _run_maic(plan, data, target, checklist, provenance)
-    return _run_stc(plan, data, target, checklist, provenance)
 
-
-def attach_bootstrap(report: dict, analysis, data: Dataset, config: BootstrapConfig) -> None:
-    """Run the bootstrap of ``analysis`` and write its interval into ``report``."""
-    result = bootstrap_ci(analysis, data, config)
-    report["effect"]["ci"] = [result.lower, result.upper]
-    report["effect"]["ci_level"] = config.level
-    report["bootstrap"] = {
-        "replicates": config.replicates,
-        "failures": result.n_failures,
-        "refits": result.n_refits,
-        "seed": config.seed,
-    }
-
-
-def _run_weighting(plan, data: Dataset, checklist, provenance) -> RunArtifacts:
+def _run_weighting(plan, data: Dataset, target):
     if data.outcome_kind is OutcomeKind.TIME_TO_EVENT and plan.horizon is None:
         raise PlanInvalid("a time-to-event outcome needs a survival horizon")
-    provenance["estimand"] = plan.estimand.label
     model = estimate_propensity(data, plan.covariates)
     positivity = positivity_report(model, data, plan.positivity_a)
     if plan.fail_on_overlap and positivity.insufficient_overlap:
         raise PositivityHardFail("insufficient propensity-score overlap")
-    wset = balancing_weights(model, data, plan.estimand)
+    analysis = WeightingAnalysis(plan.estimand, plan.scale, plan.covariates, plan.horizon)
+    wset, curves, effect = analysis.estimate(data, model)
     table = balance_table(data, wset)
-
-    curves = None
-    if data.outcome_kind is OutcomeKind.TIME_TO_EVENT:
-        curves = weighted_km_by_group(data, wset)
-        effect = survival_contrast(
-            curves["trial"], curves["external"], plan.horizon,
-            estimand_label=plan.estimand.label,
-            target_population=plan.estimand.target_population_label,
-        )
-    else:
-        effect = weighted_mean_contrast(data, wset, plan.scale)
-
     prevalences = {
         name: weighted_prevalence(wset, data, name) for name in data.covariate_names
     }
@@ -368,62 +354,29 @@ def _run_weighting(plan, data: Dataset, checklist, provenance) -> RunArtifacts:
         "balance": table,
         "weighted_prevalence": {k: list(v) for k, v in prevalences.items()},
     }
-    effect.provenance = provenance
-    report = {
-        "provenance": provenance,
-        "checklist": checklist,
-        "effect": effect.to_dict(),
-    }
-    if plan.bootstrap:
-        analysis = WeightingAnalysis(plan.estimand, plan.scale, plan.covariates, plan.horizon)
-        attach_bootstrap(report, analysis, data, plan.bootstrap)
-
     balance = (("covariate", "unweighted_smd", "weighted_smd"), (
         [r.covariate for r in table.rows],
         np.array([r.unweighted_smd for r in table.rows], dtype=float),
         np.array([r.weighted_smd for r in table.rows], dtype=float)))
     tables = {"weights.csv": weights_table(data, model.scores, wset.weights),
               "balance.csv": balance}
-    return RunArtifacts(report=report, tables=tables, curves=curves)
+    return analysis, data, effect, RunArtifacts({}, tables, curves)
 
 
-def _run_maic(plan, data, target, checklist, provenance) -> RunArtifacts:
+def _run_maic(plan, data: Dataset, target):
+    analysis = MaicAnalysis(target, plan.covariates, plan.scale)
     trial = data.restrict(Group.TRIAL)
-    fit = maic_weights(trial, target, plan.covariates)
-    effect = maic_compare(fit, trial, target, plan.scale)
-    effect.provenance = provenance
-
-    def pipeline(d: Dataset) -> float:
-        t = d.restrict(Group.TRIAL)
-        f = maic_weights(t, target, plan.covariates)
-        return maic_compare(f, t, target, plan.scale).point
-
-    report = {
-        "provenance": provenance,
-        "checklist": checklist,
-        "effect": effect.to_dict(),
-        "maic": {
-            "ess": fit.ess,
-            "achieved_means": [float(v) for v in fit.achieved_means],
-            "target_means": [float(v) for v in fit.target_means],
-        },
-    }
-    if plan.bootstrap:
-        attach_bootstrap(report, pipeline, trial, plan.bootstrap)
+    fit, effect = analysis.estimate(trial)
+    block = {"maic": {
+        "ess": fit.ess,
+        "achieved_means": [float(v) for v in fit.achieved_means],
+        "target_means": [float(v) for v in fit.target_means],
+    }}
     weights = weights_table(trial, np.full(len(fit.weights), np.nan), fit.weights)
-    return RunArtifacts(report=report, tables={"weights.csv": weights})
+    return analysis, trial, effect, RunArtifacts(block, {"weights.csv": weights})
 
 
-def _run_stc(plan, data, target, checklist, provenance) -> RunArtifacts:
+def _run_stc(plan, data: Dataset, target):
+    analysis = StcAnalysis(target, plan.covariates, plan.link, plan.scale)
     trial = data.restrict(Group.TRIAL)
-    result = stc_estimate(trial, target, plan.covariates, plan.link, plan.scale)
-    result.report.provenance = provenance
-    report = {
-        "provenance": provenance,
-        "checklist": checklist,
-        "effect": result.report.to_dict(),
-    }
-    if plan.bootstrap:
-        analysis = StcAnalysis(target, plan.covariates, plan.link, plan.scale)
-        attach_bootstrap(report, analysis, trial, plan.bootstrap)
-    return RunArtifacts(report=report)
+    return analysis, trial, analysis.estimate(trial).report, RunArtifacts({})

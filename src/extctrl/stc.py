@@ -126,12 +126,13 @@ def stc_estimate(
 
 @dataclass(frozen=True)
 class StcAnalysis:
-    """The STC effect as one bootstrap analysis.
+    """The STC effect as one analysis.
 
-    Calling it on a dataset refits the outcome model on its trial rows and
-    returns the effect of ``stc_estimate``. With the logit link, ``batch``
-    gives the same effect for every count vector of a bootstrap block (see
-    ``inference.bootstrap_ci``), fitting the block's outcome models at once.
+    ``estimate`` fits the outcome model on the trial rows of a dataset and
+    returns the ``StcResult``; calling it on a dataset returns the point of
+    that result. With the logit link, ``batch`` gives the same effect for
+    every count vector of a bootstrap block (see ``inference.bootstrap_ci``),
+    fitting the block's outcome models at once.
     """
 
     target: AggregateSummary
@@ -139,8 +140,11 @@ class StcAnalysis:
     link: Link = Link.IDENTITY
     scale: Scale = Scale.MEAN_DIFFERENCE
 
+    def estimate(self, data: Dataset) -> StcResult:
+        return stc_estimate(data, self.target, self.covariates, self.link, self.scale)
+
     def __call__(self, data: Dataset) -> float:
-        return stc_estimate(data, self.target, self.covariates, self.link, self.scale).effect
+        return self.estimate(data).report.point
 
     @property
     def batch(self):

@@ -96,3 +96,16 @@ def test_a0_sensitivity_sweep():
     rows = a0_sensitivity(TRIAL_X, TRIAL_N, EXT_X0, EXT_N0, [0.0, 0.5, 1.0])
     assert [r["a0"] for r in rows] == [0.0, 0.5, 1.0]
     assert rows[0]["mean"] > rows[2]["mean"]
+
+
+@pytest.mark.parametrize("x, n, x0, n0", [(TRIAL_X, TRIAL_N, EXT_X0, EXT_N0), (0, 61, 30, 80),
+                                          (61, 61, 30, 80), (52, 61, 0, 80), (52, 61, 80, 80)])
+@pytest.mark.parametrize("a0", [0.0, 0.5, 1.0])
+def test_quantile_inverts_the_cdf(x, n, x0, n0, a0):
+    post = power_prior_posterior(x, n, x0, n0, a0)
+    for q in (0.005, 0.025, 0.975, 0.995):
+        theta = post.quantile(q)
+        assert 0.0 < theta < 1.0
+        assert abs(post.cdf(theta) - q) <= 1e-11
+    with pytest.raises(ParameterOutOfRange):
+        post.quantile(1.0)

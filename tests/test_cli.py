@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -87,6 +89,20 @@ def test_weight_emits_ipw_weights(toy_csv, tmp_path):
     assert weights["e4"] == pytest.approx(4.0, abs=1e-9)
     ess = json.loads((out / "ess.json").read_text())
     assert ess["estimand"] == "ate"
+
+
+def test_weight_stdout_is_only_the_csv(toy_csv, tmp_path, capsys):
+    assert run_cli(["weight", toy_csv, "--estimand", "att"]) == 0
+    captured = capsys.readouterr()
+    rows = list(csv.reader(io.StringIO(captured.out, newline="")))
+    assert len(rows) == len(TOY_ROWS) + 1
+    assert all(len(r) == 4 for r in rows)
+    assert [r[0] for r in rows[1:]] == [r[0] for r in TOY_ROWS]
+    out = tmp_path / "out"
+    assert run_cli(["--out-dir", out, "weight", toy_csv, "--estimand", "att"]) == 0
+    assert captured.out == (out / "weights.csv").read_text(encoding="utf-8")
+    assert captured.err == (out / "ess.json").read_text(encoding="utf-8")
+    assert json.loads(captured.err)["ess_external"] == pytest.approx(12.0 / 7.0, abs=1e-9)
 
 
 def test_weight_att_external_tilt(toy_csv, tmp_path):
@@ -198,6 +214,15 @@ def test_exit_code_positivity_hard_fail(toy_csv, tmp_path):
         "positivity_a": 0.45,
     }), encoding="utf-8")
     assert run_cli(["--out-dir", tmp_path / "o", "run", plan]) == 5
+    # The overlap check runs before any weight or effect: a plan whose effect
+    # would also fail ("md" on a binary outcome, exit 4) still exits 5.
+    payload = json.loads(plan.read_text(encoding="utf-8"))
+    payload["scale"] = "md"
+    plan.write_text(json.dumps(payload), encoding="utf-8")
+    assert run_cli(["--out-dir", tmp_path / "o", "run", plan]) == 5
+    payload["fail_on_overlap"] = False
+    plan.write_text(json.dumps(payload), encoding="utf-8")
+    assert run_cli(["--out-dir", tmp_path / "o", "run", plan]) == 4
 
 
 def make_plan(data_csv, tmp_path, **extra):

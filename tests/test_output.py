@@ -73,12 +73,11 @@ def test_awkward_cells_round_trip_through_every_table(awkward_csv, tmp_path, cap
     assert len(curve) > 1 and all(len(r) == 3 for r in curve)
     assert all(0.0 <= float(r[1]) <= 1.0 for r in curve[1:])
 
-    # Without --out-dir the same table goes to stdout, ahead of the ESS line.
+    # Without --out-dir the same table, and nothing else, goes to stdout.
     assert cli.main(["weight", str(data), "--estimand", "ate"]) == 0
     stdout = capsys.readouterr().out
-    assert stdout.startswith((weight_out / "weights.csv").read_text(encoding="utf-8"))
-    rows = list(csv.reader(io.StringIO(stdout, newline="")))
-    check_weights(rows[:len(ids) + 1], ids, groups)
+    assert stdout == (weight_out / "weights.csv").read_text(encoding="utf-8")
+    check_weights(list(csv.reader(io.StringIO(stdout, newline=""))), ids, groups)
 
 
 def test_csv_text_formats_floats_and_quotes_text():
