@@ -37,7 +37,7 @@ from .estimators import (
     weighted_mean_contrast,
 )
 from .glm import GlmFit, add_intercept, fit_linear, fit_logistic
-from .inference import BootstrapConfig, BootstrapResult, Resampling, bootstrap_ci
+from .inference import BootstrapConfig, BootstrapResult, bootstrap_ci
 from .maic import MaicAnalysis, MaicFit, maic_compare, maic_weights
 from .propensity import (
     PositivityReport,

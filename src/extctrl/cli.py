@@ -27,7 +27,6 @@ from .errors import DataError, ExtCtrlError, InvalidConfig, PlanInvalid, SolverE
 from .estimators import Scale
 from .propensity import estimate_propensity, positivity_report
 from .simulate import ScenarioConfig, generate
-from .stc import Link
 
 EXIT_OK = 0
 EXIT_PLAN = 2
@@ -91,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("data")
     p.add_argument("--estimand", required=True)
     p.add_argument("--covariates", default=None)
-    p.add_argument("--scale", default="rd", choices=[s.value for s in Scale])
+    p.add_argument("--scale", choices=[s.value for s in Scale])
     p.add_argument("--horizon", type=float, default=None,
                    help="survival horizon for time-to-event outcomes")
     _add_bootstrap_flags(p)
@@ -100,15 +99,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("data")
     p.add_argument("--target", required=True, help="aggregate JSON file")
     p.add_argument("--covariates", default=None)
-    p.add_argument("--scale", default="rd", choices=[s.value for s in Scale])
+    p.add_argument("--scale", choices=[s.value for s in Scale])
     _add_bootstrap_flags(p)
 
     p = sub.add_parser("stc", help="simulated treatment comparison")
     p.add_argument("data")
     p.add_argument("--target", required=True)
     p.add_argument("--covariates", default=None)
-    p.add_argument("--link", default="identity", choices=[l.value for l in Link])
-    p.add_argument("--scale", default="md", choices=[s.value for s in Scale])
+    p.add_argument("--scale", choices=[s.value for s in Scale])
     _add_bootstrap_flags(p)
 
     p = sub.add_parser("borrow", help="fixed power-prior borrowing (binary outcome)")
@@ -192,7 +190,9 @@ def _cmd_balance(args) -> int:
 
 def _analysis_plan(args, method: str, **fields) -> dict:
     """The plan document of a compare/maic/stc invocation."""
-    plan = {"method": method, "dataset": args.data, "scale": args.scale, **fields}
+    plan = {"method": method, "dataset": args.data, **fields}
+    if args.scale:
+        plan["scale"] = args.scale
     if args.covariates:
         plan["covariates"] = _split(args.covariates)
     if args.bootstrap > 0:
@@ -230,7 +230,7 @@ def _cmd_maic(args) -> int:
 
 
 def _cmd_stc(args) -> int:
-    _run(args, _analysis_plan(args, "stc", aggregate=args.target, link=args.link))
+    _run(args, _analysis_plan(args, "stc", aggregate=args.target))
     return EXIT_OK
 
 

@@ -240,6 +240,14 @@ class AggregateSummary:
             if s is not None and not 0.0 <= s <= 1.0:
                 raise ProportionOutOfRange(f"survival probability {s} outside [0,1]")
 
+    def matched_covariates(self, trial: Dataset, covariates=None) -> tuple[str, ...]:
+        """``covariates``, else the trial covariates the aggregate has; MissingColumn if none."""
+        if covariates is None:
+            covariates = [c for c in trial.covariate_names if c in self.covariate_names]
+        if not covariates:
+            raise MissingColumn("no covariate to match: the trial and the aggregate share none")
+        return tuple(covariates)
+
     def mean_of(self, name: str) -> float:
         if name not in self.covariate_names:
             raise MissingColumn(f"aggregate has no covariate {name!r}")

@@ -98,10 +98,6 @@ class AllWeightsZero(ExtCtrlError):
     pass
 
 
-class ScaleIncompatibleWithOutcome(ExtCtrlError):
-    pass
-
-
 class ZeroDenominator(ExtCtrlError):
     pass
 
@@ -120,6 +116,10 @@ class InvalidConfig(ExtCtrlError):
 
 class PlanInvalid(ExtCtrlError):
     pass
+
+
+class ScaleIncompatibleWithOutcome(PlanInvalid):
+    """A scale, model or comparison the outcome does not allow: a usage error."""
 
 
 # --- typed fields of JSON inputs -------------------------------------------

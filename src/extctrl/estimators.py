@@ -32,7 +32,12 @@ class Scale(enum.Enum):
     MEAN_DIFFERENCE = "md"
 
 
-_BINARY_SCALES = {Scale.RISK_DIFFERENCE, Scale.RISK_RATIO, Scale.ODDS_RATIO}
+# The scales each outcome allows, its default first; survival gives S1(t*) - S0(t*).
+_SCALES = {
+    OutcomeKind.BINARY: (Scale.RISK_DIFFERENCE, Scale.RISK_RATIO, Scale.ODDS_RATIO),
+    OutcomeKind.CONTINUOUS: (Scale.MEAN_DIFFERENCE,),
+    OutcomeKind.TIME_TO_EVENT: (Scale.RISK_DIFFERENCE,),
+}
 
 
 @dataclass
@@ -106,19 +111,26 @@ def contrast_on_scale(m1: float, m0: float, scale: Scale) -> tuple[float, bool]:
     raise ValueError(scale)  # pragma: no cover
 
 
-def check_scale(outcome_kind: OutcomeKind, scale: Scale) -> None:
-    if outcome_kind is OutcomeKind.BINARY and scale not in _BINARY_SCALES:
+def check_scale(
+    outcome_kind: Optional[OutcomeKind],
+    scale: Optional[Scale] = None,
+    aggregate_kind: Optional[OutcomeKind] = None,
+) -> Scale:
+    """``scale``, or the outcome's default (md if continuous, else rd) when it
+    is None, checked against the outcome. MAIC and STC pass the aggregate's
+    ``aggregate_kind``, which must equal ``outcome_kind`` and not be survival."""
+    if outcome_kind is None:
+        raise ScaleIncompatibleWithOutcome("dataset has no outcomes")
+    if aggregate_kind not in (None, outcome_kind):
+        raise ScaleIncompatibleWithOutcome(f"trial outcome is {outcome_kind.value} but "
+                                           f"the aggregate outcome is {aggregate_kind.value}")
+    if aggregate_kind is OutcomeKind.TIME_TO_EVENT:
+        raise ScaleIncompatibleWithOutcome("MAIC and STC need a binary or continuous outcome")
+    allowed = _SCALES[outcome_kind]
+    if scale not in (None, *allowed):
         raise ScaleIncompatibleWithOutcome(
-            f"scale {scale.value} not valid for binary outcomes"
-        )
-    if outcome_kind is OutcomeKind.CONTINUOUS and scale is not Scale.MEAN_DIFFERENCE:
-        raise ScaleIncompatibleWithOutcome(
-            f"scale {scale.value} not valid for continuous outcomes"
-        )
-    if outcome_kind is OutcomeKind.TIME_TO_EVENT:
-        raise ScaleIncompatibleWithOutcome(
-            "use weighted_km / survival_contrast for time-to-event outcomes"
-        )
+            f"scale {scale.value} not valid for {outcome_kind.value} outcomes")
+    return scale or allowed[0]
 
 
 def hajek_mean(y: np.ndarray, w: np.ndarray) -> float:
@@ -132,8 +144,9 @@ def weighted_mean_contrast(
     data: Dataset, weights: WeightSet, scale: Scale
 ) -> EffectReport:
     """Contrast Hajek-weighted group means on the requested scale."""
-    if data.outcome_kind is None:
-        raise ScaleIncompatibleWithOutcome("dataset has no outcomes")
+    if data.outcome_kind is OutcomeKind.TIME_TO_EVENT:
+        raise ScaleIncompatibleWithOutcome(
+            "use weighted_km / survival_contrast for time-to-event outcomes")
     check_scale(data.outcome_kind, scale)
     y = data.outcomes()
     trial = data.group_mask

@@ -66,7 +66,6 @@ class GlmFit:
     coefficients: np.ndarray
     iterations: int
     deviance: float
-    max_abs_coefficient: float
 
     def linear_predictor(self, X: np.ndarray) -> np.ndarray:
         return X @ self.coefficients
@@ -214,7 +213,7 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, tol: float = DEFAULT_TOL) -> GlmF
     beta = beta[0]
     # -2 log-likelihood: log(1 + exp(-x'beta)) for y = 1, log(1 + exp(x'beta)) for y = 0.
     deviance = 2.0 * float(np.logaddexp(0.0, (1.0 - 2.0 * y) * (X @ beta)).sum())
-    return GlmFit(Family.LOGISTIC, beta, iterations, deviance, float(np.max(np.abs(beta))))
+    return GlmFit(Family.LOGISTIC, beta, iterations, deviance)
 
 
 def fit_logistic_counts(X: np.ndarray, y: np.ndarray, counts: np.ndarray):
@@ -263,7 +262,7 @@ def fit_linear(X: np.ndarray, y: np.ndarray) -> GlmFit:
         raise RankDeficientDesign("design matrix is rank deficient")
     beta = np.linalg.solve(r, q.T @ y)
     resid = y - X @ beta
-    return GlmFit(Family.LINEAR, beta, 1, float(resid @ resid), float(np.max(np.abs(beta))))
+    return GlmFit(Family.LINEAR, beta, 1, float(resid @ resid))
 
 
 def add_intercept(X: np.ndarray) -> np.ndarray:

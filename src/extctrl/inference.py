@@ -1,10 +1,10 @@
 """Bootstrap percentile confidence intervals with a reproducible seeding rule.
 
-Each replicate resamples subjects with replacement and re-runs the full
-analysis pipeline, including re-estimation of any propensity or tilt model.
-Per-replicate RNG streams are derived from the root seed by mixing the
-replicate index through a fixed 64-bit hash, so serial and parallel
-execution produce identical results.
+Each replicate resamples subjects with replacement within each group and
+re-runs the full analysis pipeline, including re-estimation of any
+propensity or tilt model. Per-replicate RNG streams are derived from the
+root seed by mixing the replicate index through a fixed 64-bit hash, so
+serial and parallel execution produce identical results.
 
 A resample is a vector of frequency weights on the fixed rows: how many
 times each subject was drawn (Efron & Tibshirani 1993, ch. 6). An analysis
@@ -15,7 +15,6 @@ streams, so replicate i refits the same subjects either way.
 
 from __future__ import annotations
 
-import enum
 import math
 import os
 from collections import Counter
@@ -51,17 +50,11 @@ def replicate_seed(root_seed: int, index: int) -> int:
     return _splitmix64((int(root_seed) & _MASK64) ^ _splitmix64(index))
 
 
-class Resampling(enum.Enum):
-    STRATIFIED_BY_GROUP = "stratified"
-    TRIAL_ONLY = "trial-only"
-
-
 @dataclass(frozen=True)
 class BootstrapConfig:
     replicates: int = 1000
     level: float = 0.95
     seed: int = 0
-    resampling: Resampling = Resampling.STRATIFIED_BY_GROUP
     threads: int = 0  # 0 = serial
 
     def __post_init__(self):
@@ -78,7 +71,6 @@ class BootstrapResult:
     upper: float
     replicates: np.ndarray
     n_failures: int
-    n_refits: int
     failures_by_error: dict = field(default_factory=dict)
 
 
@@ -86,26 +78,22 @@ def _group_rows(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(data.group_mask), np.flatnonzero(~data.group_mask)
 
 
-def _resample_rows(trial_rows, ext_rows, rng: np.random.Generator,
-                   resampling: Resampling) -> np.ndarray:
+def _resample_rows(trial_rows, ext_rows, rng: np.random.Generator) -> np.ndarray:
     # Draw order and sizes (trial first, then external) fix which subjects
     # replicate i selects; keep them when changing this function.
     picked = trial_rows[rng.integers(0, len(trial_rows), size=len(trial_rows))]
-    if resampling is Resampling.STRATIFIED_BY_GROUP and len(ext_rows):
+    if len(ext_rows):
         ext_rows = ext_rows[rng.integers(0, len(ext_rows), size=len(ext_rows))]
     return np.concatenate([picked, ext_rows])
 
 
-def resample_dataset(
-    data: Dataset, rng: np.random.Generator, resampling: Resampling
-) -> Dataset:
-    """Draw a bootstrap dataset, preserving group sizes.
+def resample_dataset(data: Dataset, rng: np.random.Generator) -> Dataset:
+    """Draw a bootstrap dataset with replacement within each group.
 
-    Stratified resampling draws with replacement within each group.
-    Trial-only resampling keeps external records fixed (used when the
-    external side is an aggregate constant).
+    Group sizes are kept. MAIC and STC compare against an aggregate, so
+    their plans bootstrap the trial rows alone.
     """
-    return data.take(_resample_rows(*_group_rows(data), rng, resampling))
+    return data.take(_resample_rows(*_group_rows(data), rng))
 
 
 def _replicate_rng(config: BootstrapConfig, index: int) -> np.random.Generator:
@@ -128,7 +116,7 @@ def replicate_estimates(
     errors: list[Optional[str]] = [None] * config.replicates
 
     def one(index: int) -> tuple[float, Optional[str]]:
-        sample = resample_dataset(data, _replicate_rng(config, index), config.resampling)
+        sample = resample_dataset(data, _replicate_rng(config, index))
         try:
             return analysis(sample), None
         except ExtCtrlError as exc:
@@ -144,8 +132,7 @@ def replicate_estimates(
         for start in range(0, config.replicates, size):
             block = range(start, min(start + size, config.replicates))
             counts = np.array([
-                np.bincount(_resample_rows(*groups, _replicate_rng(config, i), config.resampling),
-                            minlength=n)
+                np.bincount(_resample_rows(*groups, _replicate_rng(config, i)), minlength=n)
                 for i in block
             ], dtype=float)
             estimates, block_errors = batch(data, counts)
@@ -218,6 +205,5 @@ def bootstrap_ci(
         upper=float(upper),
         replicates=estimates,
         n_failures=n_fail,
-        n_refits=len(estimates),
         failures_by_error=dict(sorted(failures.items())),
     )

@@ -18,13 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dataset import AggregateSummary, Dataset, Group, OutcomeKind
-from .errors import (
-    CollinearCovariates,
-    MissingColumn,
-    NoConvergence,
-    ScaleIncompatibleWithOutcome,
-    TargetOutsideSupport,
-)
+from .errors import CollinearCovariates, NoConvergence, TargetOutsideSupport
 from .estimators import EffectReport, Scale, check_scale, contrast_on_scale, hajek_mean
 from .glm import (_EPS, _ETA_BOUND, DEFAULT_MAX_ITER, DEFAULT_TOL, _ill_conditioned,
                   _separated, _unit_columns)
@@ -68,14 +62,11 @@ def maic_weights(
     target : AggregateSummary
         Published covariate means of the external population.
     covariates : sequence of str, optional
-        Names to match; defaults to the intersection order of the trial set.
+        Names to match; defaults to the trial covariates the aggregate also
+        reports (``AggregateSummary.matched_covariates``).
     """
     trial = trial.restrict(Group.TRIAL)
-    if covariates is None:
-        covariates = [c for c in trial.covariate_names if c in target.covariate_names]
-    names = tuple(covariates)
-    if not names:
-        raise MissingColumn("no covariate to match: the trial and the aggregate share none")
+    names = target.matched_covariates(trial, covariates)
     X = trial.covariate_matrix(names)
     mu = np.array([target.mean_of(c) for c in names])
     Xc = X - mu
@@ -129,21 +120,17 @@ def maic_compare(
     fit: MaicFit,
     trial: Dataset,
     target: AggregateSummary,
-    scale: Scale,
+    scale: Optional[Scale],
     continuity_correction: bool = False,
 ) -> EffectReport:
     """Contrast the reweighted trial outcome against the aggregate outcome.
 
-    Zero-cell odds ratios yield a typed infinite contrast rather than an
-    exception; opt in to ``continuity_correction`` to add 0.5 per cell
-    instead.
+    A ``scale`` of None is the outcome's default. Zero-cell odds ratios
+    yield a typed infinite contrast rather than an exception; opt in to
+    ``continuity_correction`` to add 0.5 per cell instead.
     """
     trial = trial.restrict(Group.TRIAL)
-    check_scale(target.outcome_kind, scale)
-    if trial.outcome_kind is not target.outcome_kind:
-        raise ScaleIncompatibleWithOutcome(
-            "trial and aggregate outcome kinds differ"
-        )
+    scale = check_scale(trial.outcome_kind, scale, target.outcome_kind)
     y = trial.outcomes()
     w = fit.weights
     m1 = hajek_mean(y, w)
@@ -180,7 +167,7 @@ class MaicAnalysis:
 
     target: AggregateSummary
     covariates: Optional[Sequence[str]] = None
-    scale: Scale = Scale.RISK_DIFFERENCE
+    scale: Optional[Scale] = None
 
     def estimate(self, data: Dataset) -> tuple[MaicFit, EffectReport]:
         trial = data.restrict(Group.TRIAL)

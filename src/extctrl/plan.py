@@ -32,11 +32,11 @@ from .dataset import (
 )
 from .diagnostics import balance_table, comparability_checklist
 from .errors import PlanInvalid, checked_field as _field, is_count, is_int, is_number
-from .estimators import Scale, WeightingAnalysis
-from .inference import BootstrapConfig, Resampling, bootstrap_ci
+from .estimators import Scale, WeightingAnalysis, check_scale
+from .inference import BootstrapConfig, bootstrap_ci
 from .maic import MaicAnalysis
 from .propensity import estimate_propensity, positivity_report
-from .stc import Link, StcAnalysis
+from .stc import Link, StcAnalysis, outcome_link
 
 SCHEMA_VERSION = 1
 
@@ -95,8 +95,7 @@ class AnalysisPlan:
     aggregate_path: Optional[str]
     estimand: Optional[Estimand]
     covariates: Optional[list]
-    scale: Scale
-    link: Link
+    scale: Optional[Scale]  # None: the outcome's default (estimators.check_scale)
     bootstrap: Optional[BootstrapConfig]
     checklist: dict
     fail_on_overlap: bool
@@ -159,8 +158,8 @@ def parse_plan(raw: dict) -> AnalysisPlan:
         estimand = parse_estimand(_field(raw, "estimand", "ate",
                                          lambda v: isinstance(v, str), "a string"))
     try:
-        scale = Scale(raw.get("scale", "rd"))
-        link = Link(raw.get("link", "identity"))
+        scale = Scale(raw["scale"]) if "scale" in raw else None
+        Link(raw.get("link", "identity"))  # STC checks it against the outcome's link
     except ValueError as exc:
         raise PlanInvalid(f"bad scale or link: {exc}") from None
 
@@ -183,9 +182,6 @@ def parse_plan(raw: dict) -> AnalysisPlan:
             level=_field(b, "level", 0.95, lambda v: is_number(v) and 0 < v < 1,
                          "in (0, 1)", "bootstrap "),
             seed=_field(b, "seed", seed, is_int, "an integer", "bootstrap "),
-            resampling=Resampling.TRIAL_ONLY
-            if method in (Method.MAIC, Method.STC)
-            else Resampling.STRATIFIED_BY_GROUP,
             threads=_field(b, "threads", 0, is_count, "an integer >= 0", "bootstrap "),
         )
 
@@ -217,7 +213,6 @@ def parse_plan(raw: dict) -> AnalysisPlan:
         estimand=estimand,
         covariates=covariates,
         scale=scale,
-        link=link,
         bootstrap=bconf,
         checklist=checklist,
         fail_on_overlap=fail_on_overlap,
@@ -286,12 +281,21 @@ class PositivityHardFail(Exception):
 def run_plan(plan: AnalysisPlan) -> RunArtifacts:
     """Execute a validated plan and assemble its artifacts.
 
-    Each method's runner builds its analysis, runs it once on the data and
+    The plan's scale is checked against the outcome before any fit. Each
+    method's runner builds its analysis, runs it once on the data and
     returns the analysis, the data it ran on, the effect report and the
     method's own report blocks and tables. The bootstrap, when the plan asks
     for one, refits that same analysis on every replicate.
     """
     checklist = comparability_checklist(plan.checklist)
+    data = target = None
+    kind = OutcomeKind.BINARY  # a power prior's outcome
+    if plan.method is not Method.POWER_PRIOR:
+        data = load_dataset(plan.dataset_path)
+        target = load_aggregate(plan.aggregate_path) if plan.aggregate_path else None
+        kind = data.outcome_kind
+    scale = check_scale(kind, plan.scale, target.outcome_kind
+                        if plan.method in (Method.MAIC, Method.STC) else None)
     provenance = {
         "schema": SCHEMA_VERSION,
         "plan_hash": plan.hash,
@@ -299,7 +303,7 @@ def run_plan(plan: AnalysisPlan) -> RunArtifacts:
         "steps": ["estimand", "selection-diagnostics", "comparison"],
         "seed": plan.seed,
         "covariates": plan.covariates,
-        "scale": plan.scale.value,
+        "scale": scale.value,
     }
     report = {"provenance": provenance, "checklist": checklist}
 
@@ -312,13 +316,11 @@ def run_plan(plan: AnalysisPlan) -> RunArtifacts:
         report["posterior"] = post.to_dict(pp.get("level", 0.95))
         return RunArtifacts(report=report)
 
-    data = load_dataset(plan.dataset_path)
-    target = load_aggregate(plan.aggregate_path) if plan.aggregate_path else None
     if plan.estimand is not None:
         provenance["estimand"] = plan.estimand.label
     runner = {Method.WEIGHTING: _run_weighting, Method.MAIC: _run_maic,
               Method.STC: _run_stc}[plan.method]
-    analysis, sample, effect, run = runner(plan, data, target)
+    analysis, sample, effect, run = runner(plan, data, target, scale)
     # The method's resolved names (matched covariates, link) win over the plan's.
     effect.provenance = {**provenance, **effect.provenance}
     run.report = {**report, "effect": effect.to_dict(), **run.report}
@@ -330,20 +332,20 @@ def run_plan(plan: AnalysisPlan) -> RunArtifacts:
         run.report["bootstrap"] = {
             "replicates": config.replicates,
             "failures": result.n_failures,
-            "refits": result.n_refits,
+            "refits": len(result.replicates),
             "seed": config.seed,
         }
     return run
 
 
-def _run_weighting(plan, data: Dataset, target):
+def _run_weighting(plan, data: Dataset, target, scale):
     if data.outcome_kind is OutcomeKind.TIME_TO_EVENT and plan.horizon is None:
         raise PlanInvalid("a time-to-event outcome needs a survival horizon")
     model = estimate_propensity(data, plan.covariates)
     positivity = positivity_report(model, data, plan.positivity_a)
     if plan.fail_on_overlap and positivity.insufficient_overlap:
         raise PositivityHardFail("insufficient propensity-score overlap")
-    analysis = WeightingAnalysis(plan.estimand, plan.scale, plan.covariates, plan.horizon)
+    analysis = WeightingAnalysis(plan.estimand, scale, plan.covariates, plan.horizon)
     wset, curves, effect = analysis.estimate(data, model)
     table = balance_table(data, wset)
     prevalences = {
@@ -363,8 +365,8 @@ def _run_weighting(plan, data: Dataset, target):
     return analysis, data, effect, RunArtifacts({}, tables, curves)
 
 
-def _run_maic(plan, data: Dataset, target):
-    analysis = MaicAnalysis(target, plan.covariates, plan.scale)
+def _run_maic(plan, data: Dataset, target, scale):
+    analysis = MaicAnalysis(target, plan.covariates, scale)
     trial = data.restrict(Group.TRIAL)
     fit, effect = analysis.estimate(trial)
     block = {"maic": {
@@ -376,7 +378,11 @@ def _run_maic(plan, data: Dataset, target):
     return analysis, trial, effect, RunArtifacts(block, {"weights.csv": weights})
 
 
-def _run_stc(plan, data: Dataset, target):
-    analysis = StcAnalysis(target, plan.covariates, plan.link, plan.scale)
+def _run_stc(plan, data: Dataset, target, scale):
+    link = outcome_link(target.outcome_kind).value
+    if plan.raw.get("link", link) != link:
+        raise PlanInvalid(f"link {plan.raw['link']} does not fit a "
+                          f"{target.outcome_kind.value} outcome; its STC link is {link}")
+    analysis = StcAnalysis(target, plan.covariates, scale)
     trial = data.restrict(Group.TRIAL)
     return analysis, trial, analysis.estimate(trial).report, RunArtifacts({})

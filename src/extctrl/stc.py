@@ -1,9 +1,10 @@
 """Simulated Treatment Comparison.
 
-An outcome model is fitted on trial subjects, its linear predictor is
-evaluated at the external population's published covariate means, and the
-inverse-linked prediction is contrasted against the observed aggregate
-outcome. For the logit link this plug-in at the mean is not the same as the
+An outcome model is fitted on trial subjects (logistic for a binary outcome,
+linear for a continuous one), its linear predictor is evaluated at the
+external population's published covariate means, and the inverse-linked
+prediction is contrasted against the observed aggregate outcome. For the
+logit link this plug-in at the mean is not the same as the
 population-average prediction (non-collapsibility); every report carries
 that warning.
 """
@@ -18,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dataset import AggregateSummary, Dataset, Group, OutcomeKind
-from .errors import ScaleIncompatibleWithOutcome, ZeroDenominator
+from .errors import ZeroDenominator
 from .estimators import EffectReport, Scale, check_scale, contrast_on_scale
 from .glm import GlmFit, add_intercept, fit_linear, fit_logistic, fit_logistic_counts
 
@@ -41,6 +42,11 @@ class Link(enum.Enum):
     LOGIT = "logit"
 
 
+def outcome_link(kind: OutcomeKind) -> Link:
+    """The outcome model's link: logit for a binary outcome, identity otherwise."""
+    return Link.LOGIT if kind is OutcomeKind.BINARY else Link.IDENTITY
+
+
 @dataclass(frozen=True)
 class StcResult:
     outcome_model: GlmFit
@@ -52,49 +58,40 @@ class StcResult:
     report: EffectReport
 
 
-def _stc_inputs(trial, target, covariates, link, scale):
+def _stc_inputs(trial, target, covariates, scale):
     """Checked inputs of the outcome model and of the prediction.
 
-    Returns the covariate names, the trial design and outcomes, the target
-    design row (intercept and aggregate means) and the observed aggregate
-    outcome.
+    Returns the resolved scale, the covariate names, the trial design and
+    outcomes, the target design row (intercept and aggregate means) and the
+    observed aggregate outcome.
     """
     trial = trial.restrict(Group.TRIAL)
-    if covariates is None:
-        covariates = [c for c in trial.covariate_names if c in target.covariate_names]
-    names = tuple(covariates)
-
-    if link is Link.LOGIT and trial.outcome_kind is not OutcomeKind.BINARY:
-        raise ScaleIncompatibleWithOutcome("logit link requires a binary outcome")
-    if link is Link.IDENTITY and trial.outcome_kind is OutcomeKind.BINARY:
-        raise ScaleIncompatibleWithOutcome("use the logit link for binary outcomes")
-    check_scale(target.outcome_kind, scale)
-
+    scale = check_scale(trial.outcome_kind, scale, target.outcome_kind)
+    names = target.matched_covariates(trial, covariates)
     X = add_intercept(trial.covariate_matrix(names))
     y = trial.outcomes()
     x_target = np.concatenate([[1.0], [target.mean_of(c) for c in names]])
-    return names, X, y, x_target, target.outcome_value()
+    return scale, names, X, y, x_target, target.outcome_value()
 
 
 def stc_estimate(
     trial: Dataset,
     target: AggregateSummary,
     covariates: Optional[Sequence[str]] = None,
-    link: Link = Link.IDENTITY,
-    scale: Scale = Scale.MEAN_DIFFERENCE,
+    scale: Optional[Scale] = None,
 ) -> StcResult:
     """Fit the trial outcome model and predict into the external population.
 
-    The covariate list is the analyst's explicit designation of effect
-    modifiers and prognostic variables; nothing is selected automatically.
+    The model follows the outcome of the trial, which must be of the
+    aggregate's kind, and a ``scale`` of None is that outcome's default
+    (``estimators.check_scale``). The covariate list is the analyst's
+    explicit designation of effect modifiers and prognostic variables.
     """
-    names, X, y, x_target, observed = _stc_inputs(trial, target, covariates, link, scale)
+    scale, names, X, y, x_target, observed = _stc_inputs(trial, target, covariates, scale)
+    link = outcome_link(target.outcome_kind)
     fit = fit_logistic(X, y) if link is Link.LOGIT else fit_linear(X, y)
     eta = float(fit.coefficients @ x_target)
-    if link is Link.LOGIT:
-        predicted = 1.0 / (1.0 + math.exp(-eta))
-    else:
-        predicted = eta
+    predicted = 1.0 / (1.0 + math.exp(-eta)) if link is Link.LOGIT else eta
 
     effect, infinite = contrast_on_scale(predicted, observed, scale)
     warnings = [CONSTANCY_CAVEAT]
@@ -130,18 +127,17 @@ class StcAnalysis:
 
     ``estimate`` fits the outcome model on the trial rows of a dataset and
     returns the ``StcResult``; calling it on a dataset returns the point of
-    that result. With the logit link, ``batch`` gives the same effect for
-    every count vector of a bootstrap block (see ``inference.bootstrap_ci``),
-    fitting the block's outcome models at once.
+    that result. With the logit link (a binary outcome), ``batch`` gives the
+    same effect for every count vector of a bootstrap block (see
+    ``inference.bootstrap_ci``), fitting the block's outcome models at once.
     """
 
     target: AggregateSummary
     covariates: Optional[Sequence[str]] = None
-    link: Link = Link.IDENTITY
-    scale: Scale = Scale.MEAN_DIFFERENCE
+    scale: Optional[Scale] = None
 
     def estimate(self, data: Dataset) -> StcResult:
-        return stc_estimate(data, self.target, self.covariates, self.link, self.scale)
+        return stc_estimate(data, self.target, self.covariates, self.scale)
 
     def __call__(self, data: Dataset) -> float:
         return self.estimate(data).report.point
@@ -150,18 +146,18 @@ class StcAnalysis:
     def batch(self):
         # Only the logit model has a batched fit; None sends every replicate
         # through the pipeline (see ``inference.bootstrap_ci``).
-        return self._batch_logit if self.link is Link.LOGIT else None
+        return self._batch_logit if outcome_link(self.target.outcome_kind) is Link.LOGIT else None
 
     def _batch_logit(self, data: Dataset, counts: np.ndarray):
         """Replicate effects and error classes for a b x n count block."""
-        _, X, y, x_target, observed = _stc_inputs(
-            data, self.target, self.covariates, self.link, self.scale)
+        scale, _, X, y, x_target, observed = _stc_inputs(
+            data, self.target, self.covariates, self.scale)
         beta, errors = fit_logistic_counts(X, y, counts[:, data.group_mask])
         values = np.full(len(counts), np.nan)
         for r in np.flatnonzero([e is None for e in errors]):
             predicted = 1.0 / (1.0 + math.exp(-float(beta[r] @ x_target)))
             try:
-                values[r] = contrast_on_scale(predicted, observed, self.scale)[0]
+                values[r] = contrast_on_scale(predicted, observed, scale)[0]
             except ZeroDenominator:
                 errors[r] = ZeroDenominator
         return values, errors

@@ -20,9 +20,7 @@ from extctrl import (
     Dataset,
     Estimand,
     Group,
-    Link,
     OutcomeKind,
-    Resampling,
     Scale,
     StcAnalysis,
     add_intercept,
@@ -37,6 +35,7 @@ from extctrl import (
 from extctrl.errors import ExtCtrlError, SolverError
 from extctrl.glm import REFIT, fit_logistic_counts
 from extctrl.inference import replicate_estimates, replicate_seed, resample_dataset
+from extctrl.stc import outcome_link
 
 
 def make_data(rng, n, kind=OutcomeKind.BINARY, p_severe=0.4, p_response=0.4):
@@ -76,7 +75,7 @@ def reference_replicates(pipeline, data, config):
     values, errors = [], []
     for i in range(config.replicates):
         rng = np.random.default_rng(replicate_seed(config.seed, i))
-        sample = resample_dataset(data, rng, config.resampling)
+        sample = resample_dataset(data, rng)
         try:
             values.append(pipeline(sample))
             errors.append(None)
@@ -103,15 +102,15 @@ def weighting_pipeline(estimand, scale):
     return pipeline
 
 
-def stc_pipeline(target, link, scale):
-    return lambda d: stc_estimate(d.restrict(Group.TRIAL), target, None, link, scale).effect
+def stc_pipeline(target, scale):
+    return lambda d: stc_estimate(d.restrict(Group.TRIAL), target, None, scale).effect
 
 
 @pytest.mark.parametrize("link,scale,kind", [
-    (Link.LOGIT, Scale.RISK_DIFFERENCE, OutcomeKind.BINARY),
-    (Link.LOGIT, Scale.RISK_RATIO, OutcomeKind.BINARY),
-    (Link.LOGIT, Scale.ODDS_RATIO, OutcomeKind.BINARY),
-    (Link.IDENTITY, Scale.MEAN_DIFFERENCE, OutcomeKind.CONTINUOUS),
+    ("logit", Scale.RISK_DIFFERENCE, OutcomeKind.BINARY),
+    ("logit", Scale.RISK_RATIO, OutcomeKind.BINARY),
+    ("logit", Scale.ODDS_RATIO, OutcomeKind.BINARY),
+    ("identity", Scale.MEAN_DIFFERENCE, OutcomeKind.CONTINUOUS),
 ], ids=lambda v: getattr(v, "value", v))
 def test_stc_replicates_match_pipeline(link, scale, kind):
     trial = make_data(np.random.default_rng(3), 500, kind).restrict(Group.TRIAL)
@@ -120,22 +119,23 @@ def test_stc_replicates_match_pipeline(link, scale, kind):
     else:
         target = AggregateSummary(covariate_names=("severe", "x"), covariate_means=(0.3, 0.2),
                                   n=80, outcome_kind=kind, outcome_summary={"mean": 0.4})
-    config = BootstrapConfig(replicates=100, seed=9, resampling=Resampling.TRIAL_ONLY)
+    analysis = StcAnalysis(target, None, scale)
+    assert outcome_link(kind).value == link
+    config = BootstrapConfig(replicates=100, seed=9)
     assert_same_replicates(
-        replicate_estimates(StcAnalysis(target, None, link, scale), trial, config),
-        reference_replicates(stc_pipeline(target, link, scale), trial, config),
+        replicate_estimates(analysis, trial, config),
+        reference_replicates(stc_pipeline(target, scale), trial, config),
     )
 
 
 def test_small_n_failures_match_pipeline():
     trial = small_data().restrict(Group.TRIAL)
-    config = BootstrapConfig(replicates=40, seed=1, resampling=Resampling.TRIAL_ONLY)
+    config = BootstrapConfig(replicates=40, seed=1)
     target = binary_target()
     reference = reference_replicates(
-        stc_pipeline(target, Link.LOGIT, Scale.RISK_DIFFERENCE), trial, config)
+        stc_pipeline(target, Scale.RISK_DIFFERENCE), trial, config)
     assert_same_replicates(
-        replicate_estimates(StcAnalysis(target, None, Link.LOGIT, Scale.RISK_DIFFERENCE),
-                            trial, config),
+        replicate_estimates(StcAnalysis(target, None, Scale.RISK_DIFFERENCE), trial, config),
         reference,
     )
     # A replicate that holds only one value of "severe" has a rank-deficient
@@ -152,11 +152,10 @@ def test_failures_by_error_counts_each_class():
     assert loop.n_failures == 5
 
     trial = small_data(n=96, seed=11).restrict(Group.TRIAL)
-    config = BootstrapConfig(replicates=40, seed=1, resampling=Resampling.TRIAL_ONLY)
+    config = BootstrapConfig(replicates=40, seed=1)
     target = binary_target()
-    batched = bootstrap_ci(StcAnalysis(target, None, Link.LOGIT, Scale.RISK_DIFFERENCE),
-                           trial, config)
-    loop = bootstrap_ci(stc_pipeline(target, Link.LOGIT, Scale.RISK_DIFFERENCE), trial, config)
+    batched = bootstrap_ci(StcAnalysis(target, None, Scale.RISK_DIFFERENCE), trial, config)
+    loop = bootstrap_ci(stc_pipeline(target, Scale.RISK_DIFFERENCE), trial, config)
     assert batched.failures_by_error == loop.failures_by_error == {"SeparationDetected": 7}
     assert sum(batched.failures_by_error.values()) == batched.n_failures
     assert np.allclose(batched.replicates, loop.replicates, rtol=0.0, atol=1e-10)
@@ -247,12 +246,10 @@ def test_refit_replicates_run_through_threaded_pipeline():
                               outcome_summary={"responders": 30})
     X = add_intercept(np.column_stack([rare, x]))
     assert REFIT in fit_logistic_counts(X, y, bootstrap_counts(n, 10, 3))[1]
-    config = BootstrapConfig(replicates=30, seed=2, resampling=Resampling.TRIAL_ONLY, threads=2)
+    config = BootstrapConfig(replicates=30, seed=2, threads=2)
     assert_same_replicates(
-        replicate_estimates(StcAnalysis(target, None, Link.LOGIT, Scale.RISK_DIFFERENCE),
-                            trial, config),
-        reference_replicates(stc_pipeline(target, Link.LOGIT, Scale.RISK_DIFFERENCE),
-                             trial, config),
+        replicate_estimates(StcAnalysis(target, None, Scale.RISK_DIFFERENCE), trial, config),
+        reference_replicates(stc_pipeline(target, Scale.RISK_DIFFERENCE), trial, config),
     )
 
 
@@ -301,7 +298,7 @@ def test_compare_bootstrap_matches_run(trial_csv, tmp_path, capsys):
 
 
 def test_stc_bootstrap_matches_run(trial_csv, target_json, tmp_path, capsys):
-    assert cli.main(["stc", str(trial_csv), "--target", str(target_json), "--link", "logit",
+    assert cli.main(["stc", str(trial_csv), "--target", str(target_json),
                      "--scale", "rd", "--bootstrap", "60", "--seed", "4"]) == 0
     payload = json.loads(capsys.readouterr().out)
     report = run_plan_report(tmp_path, {

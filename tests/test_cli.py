@@ -136,8 +136,7 @@ def test_maic_and_stc_commands(toy_csv, big_csv, aggregate_json, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["maic"]["achieved_means"][0] == pytest.approx(0.75, abs=1e-8)
 
-    assert run_cli(["stc", big_csv, "--target", aggregate_json,
-                    "--link", "logit", "--scale", "rd"]) == 0
+    assert run_cli(["stc", big_csv, "--target", aggregate_json, "--scale", "rd"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert "effect" in payload
 
@@ -214,15 +213,21 @@ def test_exit_code_positivity_hard_fail(toy_csv, tmp_path):
         "positivity_a": 0.45,
     }), encoding="utf-8")
     assert run_cli(["--out-dir", tmp_path / "o", "run", plan]) == 5
-    # The overlap check runs before any weight or effect: a plan whose effect
-    # would also fail ("md" on a binary outcome, exit 4) still exits 5.
+    # The overlap check runs before any weight or effect: a plan whose weights
+    # would also fail still exits 5. The toy scores are 0.25 and 0.75, so
+    # trimming at 0.3 leaves every subject with weight zero (exit 4).
     payload = json.loads(plan.read_text(encoding="utf-8"))
-    payload["scale"] = "md"
+    payload["estimand"] = "trim:0.3"
     plan.write_text(json.dumps(payload), encoding="utf-8")
     assert run_cli(["--out-dir", tmp_path / "o", "run", plan]) == 5
     payload["fail_on_overlap"] = False
     plan.write_text(json.dumps(payload), encoding="utf-8")
     assert run_cli(["--out-dir", tmp_path / "o", "run", plan]) == 4
+    # A scale the outcome does not allow ("md" on a binary outcome) is a
+    # usage error, found before the propensity model is fitted.
+    payload["scale"] = "md"
+    plan.write_text(json.dumps(payload), encoding="utf-8")
+    assert run_cli(["--out-dir", tmp_path / "o", "run", plan]) == 2
 
 
 def make_plan(data_csv, tmp_path, **extra):
@@ -542,18 +547,16 @@ FRONT_END_CASES = {
     ),
     "compare-survival": (
         ["compare", "{surv}", "--estimand", "ato", "--horizon", "3"],
-        {"method": "weighting", "dataset": "{surv}", "estimand": "ato", "scale": "rd",
-         "horizon": 3.0},
+        {"method": "weighting", "dataset": "{surv}", "estimand": "ato", "horizon": 3.0},
     ),
     "maic": (
         ["maic", "{big}", "--target", "{agg}", "--covariates", "severe"],
-        {"method": "maic", "dataset": "{big}", "aggregate": "{agg}", "scale": "rd",
+        {"method": "maic", "dataset": "{big}", "aggregate": "{agg}",
          "covariates": ["severe"]},
     ),
     "stc": (
-        ["stc", "{big}", "--target", "{agg}", "--link", "logit", "--scale", "or"],
-        {"method": "stc", "dataset": "{big}", "aggregate": "{agg}", "link": "logit",
-         "scale": "or"},
+        ["stc", "{big}", "--target", "{agg}", "--scale", "or"],
+        {"method": "stc", "dataset": "{big}", "aggregate": "{agg}", "scale": "or"},
     ),
 }
 

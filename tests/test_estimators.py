@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extctrl import (
     Estimand,
@@ -151,16 +153,25 @@ def test_km_matches_oracle_on_censored_fixture():
         assert s == pytest.approx(sj, abs=0.0)
 
 
-def test_km_unit_weights_equal_classical_km():
-    rng = np.random.default_rng(19)
-    times = rng.exponential(5.0, size=25)
-    events = rng.integers(0, 2, size=25)
-    if events.sum() == 0:
-        events[0] = 1
-    curve = weighted_km(times, events, np.ones(25))
-    oracle = km_oracle(list(times), list(events), [1.0] * 25)
-    for (tj, sj), s in zip(oracle, curve.survival):
-        assert s == pytest.approx(sj, abs=0.0)
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(0, 12), st.booleans()), min_size=1, max_size=40))
+def test_km_unit_weights_equal_classical_km(subjects):
+    # Follow-up times on a half-unit grid, so ties between events, between
+    # censorings and across the two are common.
+    times = [t / 2 for t, _ in subjects]
+    events = [int(e) for _, e in subjects]
+    want_times, want = [], []
+    s = 1.0
+    for t in sorted(set(times)):
+        at_risk = sum(u >= t for u in times)
+        deaths = sum(u == t and e for u, e in zip(times, events))
+        if deaths:
+            s *= 1.0 - deaths / at_risk
+            want_times.append(t)
+            want.append(s)
+    curve = weighted_km(times, events, np.ones(len(times)))
+    assert curve.times.tolist() == want_times
+    assert np.max(np.abs(curve.survival - want), initial=0.0) <= 1e-15
 
 
 def test_km_curve_non_increasing_and_bounded():

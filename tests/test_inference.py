@@ -6,7 +6,6 @@ from extctrl import (
     Estimand,
     EstimandKind,
     Group,
-    Resampling,
     Scale,
     balancing_weights,
     bootstrap_ci,
@@ -82,8 +81,7 @@ def test_refit_counter_equals_successes():
     rng = np.random.default_rng(2)
     data = small_dataset(rng)
     result = bootstrap_ci(ipw_pipeline, data, BootstrapConfig(replicates=25, seed=11))
-    assert result.n_refits == 25 - result.n_failures
-    assert result.n_refits == len(result.replicates)
+    assert len(result.replicates) == 25 - result.n_failures
 
 
 def test_percentile_interval_contains_median():
@@ -105,28 +103,6 @@ def test_stratified_resampling_preserves_group_sizes():
 
     bootstrap_ci(probe, data, BootstrapConfig(replicates=10, seed=3))
     assert all(s == (data.n_trial, data.n_external) for s in seen)
-
-
-def test_trial_only_resampling_keeps_external_fixed():
-    rng = np.random.default_rng(8)
-    data = small_dataset(rng)
-    def external_rows(d):
-        ext = ~d.trial
-        return d.ids[ext].tolist(), d.X[ext].tolist(), d.outcome[ext].tolist()
-
-    externals = external_rows(data)
-    seen = []
-
-    def probe(d):
-        seen.append(external_rows(d))
-        return 0.0
-
-    bootstrap_ci(
-        probe, data,
-        BootstrapConfig(replicates=5, seed=3, resampling=Resampling.TRIAL_ONLY),
-    )
-    # First call is the point estimate on the original data.
-    assert all(s == externals for s in seen[1:])
 
 
 def test_too_many_failures_raises():
@@ -151,25 +127,22 @@ def test_config_validation():
         BootstrapConfig(level=1.0)
 
 
-def _row_resample_reference(data, rng, resampling):
+def _row_resample_reference(data, rng):
     # The per-group list algorithm the columnar resampler must reproduce.
     trial_ids = data.ids[data.trial].tolist()
     ext_ids = data.ids[~data.trial].tolist()
     idx_t = rng.integers(0, len(trial_ids), size=len(trial_ids))
     picked = [trial_ids[i] for i in idx_t]
-    if resampling is Resampling.STRATIFIED_BY_GROUP and ext_ids:
+    if ext_ids:
         idx_e = rng.integers(0, len(ext_ids), size=len(ext_ids))
         picked += [ext_ids[i] for i in idx_e]
-    else:
-        picked += ext_ids
     return picked
 
 
-@pytest.mark.parametrize("resampling", list(Resampling))
-def test_resample_matches_row_reference(resampling):
+def test_resample_matches_row_reference():
     data = small_dataset(np.random.default_rng(12))
     for seed in range(6):
-        got = resample_dataset(data, np.random.default_rng(seed), resampling)
-        expected = _row_resample_reference(data, np.random.default_rng(seed), resampling)
+        got = resample_dataset(data, np.random.default_rng(seed))
+        expected = _row_resample_reference(data, np.random.default_rng(seed))
         assert got.ids.tolist() == expected
         assert got.covariate_matrix().flags.c_contiguous

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from extctrl import MaicAnalysis, StcAnalysis, WeightingAnalysis
+from extctrl import MaicAnalysis, StcAnalysis, WeightingAnalysis, maic, stc
 from extctrl import plan as planmod
 from extctrl.inference import bootstrap_ci
 from extctrl.plan import canonical_json, parse_plan, run_plan
@@ -15,7 +15,7 @@ from extctrl.plan import canonical_json, parse_plan, run_plan
 @pytest.fixture
 def inputs(tmp_path):
     """Binary, continuous and survival CSVs on covariates (age, severe), and
-    binary and continuous aggregates that list them as (severe, age)."""
+    binary, continuous and survival aggregates that list them as (severe, age)."""
     rng = np.random.default_rng(23)
     n = 80
     trial = np.arange(n) % 2 == 0
@@ -37,7 +37,8 @@ def inputs(tmp_path):
         paths[name] = tmp_path / f"{name}.csv"
         paths[name].write_text("\n".join(lines) + "\n", encoding="utf-8")
     for name, outcome in (("agg_binary", {"kind": "binary", "responders": 30}),
-                          ("agg_continuous", {"kind": "continuous", "mean": 4.0, "sd": 1.5})):
+                          ("agg_continuous", {"kind": "continuous", "mean": 4.0, "sd": 1.5}),
+                          ("agg_survival", {"kind": "survival", "survival": 0.6})):
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps({
             "n": 100, "covariates": {"severe": 0.5, "age": 51.0},
@@ -101,3 +102,99 @@ def test_stc_report_names_the_resolved_covariates_and_link(inputs):
     assert effect["link"] == "logit"
     assert {k: v for k, v in effect.items() if k not in ("covariates", "link")} == {
         k: v for k, v in report["provenance"].items() if k != "covariates"}
+
+
+# --- settings the inputs decide: the scale, STC's link -------------------------
+
+def _run_cli(tmp_path, argv):
+    from extctrl import cli
+    out = tmp_path / "out"
+    code = cli.main(["--out-dir", str(out)] + [str(a) for a in argv])
+    report = json.loads((out / "report.json").read_text()) if code == 0 else None
+    return code, report
+
+
+def test_stc_on_binary_data_needs_no_flags(inputs, tmp_path):
+    code, report = _run_cli(tmp_path, ["stc", inputs["binary"], "--target",
+                                       inputs["agg_binary"]])
+    assert code == 0
+    assert report["effect"]["scale"] == "rd"
+    assert report["effect"]["provenance"]["link"] == "logit"
+
+
+@pytest.mark.parametrize("argv", [
+    ["maic", "continuous", "--target", "agg_continuous"],
+    ["compare", "continuous", "--estimand", "ato"],
+], ids=["maic", "compare"])
+def test_continuous_outcome_defaults_to_mean_difference(argv, inputs, tmp_path):
+    code, report = _run_cli(tmp_path, [inputs.get(a, a) for a in argv])
+    assert code == 0
+    assert report["effect"]["scale"] == report["provenance"]["scale"] == "md"
+
+
+def _run_plan_file(tmp_path, inputs, doc):
+    from extctrl import cli
+    doc = {k: inputs.get(v, v) if k in ("dataset", "aggregate") else v
+           for k, v in doc.items()}
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return cli.main(["--out-dir", str(tmp_path / "out"), "run", str(path)])
+
+
+@pytest.fixture
+def no_fits(monkeypatch):
+    """Fail the test if a propensity model, MAIC tilt or STC outcome model is fitted."""
+    def reached(*args, **kwargs):
+        raise AssertionError("a model was fitted")
+
+    monkeypatch.setattr(planmod, "estimate_propensity", reached)
+    monkeypatch.setattr(maic, "maic_weights", reached)
+    monkeypatch.setattr(stc, "fit_logistic", reached)
+    monkeypatch.setattr(stc, "fit_linear", reached)
+
+
+@pytest.mark.parametrize("doc", [
+    {"method": "weighting", "dataset": "survival", "estimand": "ato", "horizon": 3.0,
+     "scale": "or"},
+    {"method": "weighting", "dataset": "binary", "estimand": "att", "scale": "md"},
+    {"method": "weighting", "dataset": "continuous", "estimand": "att", "scale": "rd"},
+    {"method": "maic", "dataset": "binary", "aggregate": "agg_continuous"},
+    {"method": "maic", "dataset": "continuous", "aggregate": "agg_binary", "scale": "md"},
+    {"method": "stc", "dataset": "binary", "aggregate": "agg_continuous"},
+    {"method": "stc", "dataset": "continuous", "aggregate": "agg_binary"},
+    {"method": "stc", "dataset": "survival", "aggregate": "agg_binary"},
+    {"method": "maic", "dataset": "survival", "aggregate": "agg_survival"},
+    {"method": "stc", "dataset": "survival", "aggregate": "agg_survival"},
+    {"method": "power_prior", "scale": "md", "power_prior": {
+        "x": 5, "n": 10, "x0": 4, "n0": 10, "a0": 0.5, "assume_comparable": True}},
+], ids=["survival-or", "binary-md", "continuous-rd", "maic-binary-vs-continuous",
+        "maic-continuous-vs-binary", "stc-binary-vs-continuous",
+        "stc-continuous-vs-binary", "stc-survival-vs-binary", "maic-survival",
+        "stc-survival", "power-prior-md"])
+def test_scale_or_outcome_mismatch_is_plan_invalid_before_any_fit(doc, inputs, tmp_path,
+                                                                  no_fits, capsys):
+    assert _run_plan_file(tmp_path, inputs, doc) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_stc_link_is_an_assertion_on_the_outcome(inputs, tmp_path, request):
+    binary = {"method": "stc", "dataset": "binary", "aggregate": "agg_binary"}
+    continuous = {"method": "stc", "dataset": "continuous", "aggregate": "agg_continuous"}
+    assert _run_plan_file(tmp_path, inputs, {**binary, "link": "logit"}) == 0
+    assert _run_plan_file(tmp_path, inputs, {**continuous, "link": "identity"}) == 0
+    request.getfixturevalue("no_fits")
+    for doc, link in ((binary, "identity"), (binary, "probit"), (continuous, "logit")):
+        assert _run_plan_file(tmp_path, inputs, {**doc, "link": link}) == 2
+
+
+@pytest.mark.parametrize("method", ["maic", "stc"])
+@pytest.mark.parametrize("covariates", [None, []], ids=["none-shared", "empty-list"])
+def test_aggregate_methods_need_a_shared_covariate(method, covariates, inputs, tmp_path):
+    aggregate = tmp_path / "agg.json"
+    aggregate.write_text(json.dumps({"n": 100, "covariates": {"weight": 70.0},
+                                     "outcome": {"kind": "binary", "responders": 30}}),
+                         encoding="utf-8")
+    doc = {"method": method, "dataset": "binary", "aggregate": str(aggregate)}
+    if covariates is not None:
+        doc = {**doc, "covariates": covariates, "aggregate": "agg_binary"}
+    assert _run_plan_file(tmp_path, inputs, doc) == 3

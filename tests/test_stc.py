@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from extctrl import AggregateSummary, Group, OutcomeKind, Scale, stc_estimate
-from extctrl.errors import ScaleIncompatibleWithOutcome
+from extctrl.errors import MissingColumn, ScaleIncompatibleWithOutcome
 from extctrl.stc import Link
 
 from conftest import make_dataset
@@ -37,8 +37,7 @@ def test_identity_plugin_at_trial_means_is_trial_mean():
     data = make_dataset(list(x), [Group.TRIAL] * 25, outcomes=list(y),
                         covariate_names=("x",))
     target = continuous_target([float(x.mean())], ["x"], mean=0.0)
-    result = stc_estimate(data, target, link=Link.IDENTITY,
-                          scale=Scale.MEAN_DIFFERENCE)
+    result = stc_estimate(data, target, scale=Scale.MEAN_DIFFERENCE)
     assert result.predicted_external_outcome == pytest.approx(float(y.mean()),
                                                               abs=1e-10)
 
@@ -48,8 +47,7 @@ def test_null_effect_when_observed_equals_predicted():
     y = [1.0, 2.0, 3.0, 4.0]  # exact line y = 1 + x
     data = make_dataset(x, [Group.TRIAL] * 4, outcomes=y, covariate_names=("x",))
     target = continuous_target([1.5], ["x"], mean=2.5)
-    result = stc_estimate(data, target, link=Link.IDENTITY,
-                          scale=Scale.MEAN_DIFFERENCE)
+    result = stc_estimate(data, target, scale=Scale.MEAN_DIFFERENCE)
     assert result.effect == pytest.approx(0.0, abs=1e-10)
 
 
@@ -61,8 +59,7 @@ def test_logit_plugin_matches_hand_evaluation():
     data = make_dataset([float(v) for v in x], [Group.TRIAL] * 12,
                         outcomes=[float(v) for v in y], covariate_names=("x",))
     target = binary_target([0.4], ["x"], responders=5, n=20)
-    result = stc_estimate(data, target, link=Link.LOGIT,
-                          scale=Scale.RISK_DIFFERENCE)
+    result = stc_estimate(data, target, scale=Scale.RISK_DIFFERENCE)
     b0, b1 = result.outcome_model.coefficients
     expected = 1.0 / (1.0 + math.exp(-(b0 + b1 * 0.4)))
     assert result.predicted_external_outcome == pytest.approx(expected, abs=1e-12)
@@ -80,8 +77,7 @@ def test_covariate_shift_monotonicity():
     for mu in (-0.5, 0.0, 0.5):
         target = binary_target([mu], ["x"], responders=5, n=20)
         preds.append(
-            stc_estimate(data, target, link=Link.LOGIT,
-                         scale=Scale.RISK_DIFFERENCE).predicted_external_outcome
+            stc_estimate(data, target, scale=Scale.RISK_DIFFERENCE).predicted_external_outcome
         )
     assert preds[0] < preds[1] < preds[2]
 
@@ -92,17 +88,46 @@ def test_logit_prediction_stays_in_unit_interval():
     data = make_dataset([float(v) for v in x], [Group.TRIAL] * 8,
                         outcomes=[float(v) for v in y], covariate_names=("x",))
     target = binary_target([0.9], ["x"], responders=3, n=10)
-    result = stc_estimate(data, target, link=Link.LOGIT,
-                          scale=Scale.RISK_DIFFERENCE)
+    result = stc_estimate(data, target, scale=Scale.RISK_DIFFERENCE)
     assert 0.0 < result.predicted_external_outcome < 1.0
 
 
 def test_link_outcome_mismatch_rejected():
+    # The model follows the outcome, so a continuous trial cannot be compared
+    # with a binary aggregate (nor the other way round).
     data = make_dataset([0.0, 1.0, 2.0, 3.0], [Group.TRIAL] * 4,
                         outcomes=[1.5, 2.5, 3.5, 4.5], covariate_names=("x",))
-    target = continuous_target([1.0], ["x"])
+    target = binary_target([1.0], ["x"], responders=3, n=10)
     with pytest.raises(ScaleIncompatibleWithOutcome):
-        stc_estimate(data, target, link=Link.LOGIT, scale=Scale.RISK_DIFFERENCE)
+        stc_estimate(data, target, scale=Scale.RISK_DIFFERENCE)
+    binary = make_dataset([0.0, 1.0, 2.0, 3.0], [Group.TRIAL] * 4,
+                          outcomes=[0.0, 1.0, 0.0, 1.0], covariate_names=("x",))
+    with pytest.raises(ScaleIncompatibleWithOutcome):
+        stc_estimate(binary, continuous_target([1.0], ["x"]))
+
+
+def test_model_and_scale_follow_the_outcome():
+    x = [0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 1.0]
+    binary = make_dataset(x, [Group.TRIAL] * 8, outcomes=[0, 1, 1, 0, 0, 1, 1, 1],
+                          covariate_names=("x",))
+    result = stc_estimate(binary, binary_target([0.5], ["x"], responders=4, n=10))
+    assert (result.link, result.scale) == (Link.LOGIT, Scale.RISK_DIFFERENCE)
+    assert result.report.provenance["link"] == "logit"
+    continuous = make_dataset(x, [Group.TRIAL] * 8, outcomes=[0.5, 1.5, 2.0, 1.0, 0.2, 2.5,
+                                                              0.7, 1.8],
+                              covariate_names=("x",))
+    result = stc_estimate(continuous, continuous_target([0.5], ["x"]))
+    assert (result.link, result.scale) == (Link.IDENTITY, Scale.MEAN_DIFFERENCE)
+
+
+def test_no_shared_covariate_is_missing_column():
+    # Once an intercept-only model: an unadjusted comparison, reported as STC.
+    data = make_dataset([0.0, 1.0, 2.0, 3.0], [Group.TRIAL] * 4,
+                        outcomes=[1.5, 2.5, 3.5, 4.5], covariate_names=("x",))
+    with pytest.raises(MissingColumn):
+        stc_estimate(data, continuous_target([1.0], ["z"]))
+    with pytest.raises(MissingColumn):
+        stc_estimate(data, continuous_target([1.0], ["x"]), covariates=[])
 
 
 def test_report_notes_noncollapsibility_for_logit():
@@ -111,7 +136,6 @@ def test_report_notes_noncollapsibility_for_logit():
     data = make_dataset([float(v) for v in x], [Group.TRIAL] * 8,
                         outcomes=[float(v) for v in y], covariate_names=("x",))
     target = binary_target([0.5], ["x"], responders=4, n=10)
-    result = stc_estimate(data, target, link=Link.LOGIT,
-                          scale=Scale.RISK_DIFFERENCE)
+    result = stc_estimate(data, target, scale=Scale.RISK_DIFFERENCE)
     assert any("plug-in" in w for w in result.report.warnings)
     assert result.report.target_population == "external control population"
