@@ -85,6 +85,24 @@ def effective_sample_size(w: np.ndarray) -> float:
     return total_sq / denom if denom > 0 else 0.0
 
 
+# The per-group helpers below sum each group in one bincount over the trial
+# mask (index 1 the trial rows), with no masked copies.
+def group_ess(w: np.ndarray, trial: np.ndarray) -> tuple[float, float]:
+    """``effective_sample_size`` of the trial and of the external weights."""
+    (t0, t1), (s0, s1) = np.bincount(trial, w, 2).tolist(), np.bincount(trial, w * w, 2).tolist()
+    return (t1 * t1 / s1 if s1 > 0 else 0.0), (t0 * t0 / s0 if s0 > 0 else 0.0)
+
+
+def group_means(w: np.ndarray, trial: np.ndarray, values: np.ndarray) -> tuple[float, float]:
+    """Hajek (weighted) means of ``values`` in the trial and the external group."""
+    t0, t1 = np.bincount(trial, w, 2).tolist()
+    if not (t0 > 0 and t1 > 0):
+        group = "external" if t1 > 0 else "trial"
+        raise AllWeightsZero(f"all weights are zero in the {group} group")
+    s0, s1 = np.bincount(trial, w * values, 2).tolist()
+    return s1 / t1, s0 / t0
+
+
 def tilting(estimand: Estimand, e) -> np.ndarray | float:
     """Evaluate the estimand's tilting function h at score(s) e in (0,1)."""
     e_arr = np.asarray(e, dtype=float)
@@ -116,13 +134,7 @@ def balancing_weights(
     # IEEE division gives e/e == 1 exactly, so the ATT/ATC unit-weight rows
     # hold without special-casing.
     w = np.where(trial, h / e, h / (1.0 - e))
-    return WeightSet(
-        estimand=estimand,
-        weights=w,
-        ess_treated=effective_sample_size(w[trial]),
-        ess_control=effective_sample_size(w[~trial]),
-        n_zero_weight=int(np.sum(w == 0.0)),
-    )
+    return WeightSet(estimand, w, *group_ess(w, trial), int(np.count_nonzero(w == 0.0)))
 
 
 def weighted_prevalence(
@@ -130,16 +142,4 @@ def weighted_prevalence(
 ) -> tuple[float, float]:
     """Weighted mean of one covariate in the trial and external groups."""
     x = data.covariate_matrix([covariate])[:, 0]
-    trial = data.group_mask
-    w = weights.weights
-    out = []
-    for mask in (trial, ~trial):
-        total = float(np.sum(w[mask]))
-        if total <= 0:
-            raise AllWeightsZero(
-                "all weights are zero in the "
-                + ("trial" if mask is trial else "external")
-                + " group"
-            )
-        out.append(float(np.sum(w[mask] * x[mask]) / total))
-    return out[0], out[1]
+    return group_means(weights.weights, data.group_mask, x)

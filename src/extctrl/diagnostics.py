@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .balancing import WeightSet, effective_sample_size
+from .balancing import WeightSet, group_ess
 from .dataset import Dataset
 from .errors import AllWeightsZero
 
@@ -102,9 +102,8 @@ def balance_table(
         rows.append(BalanceRow(covariate=name, unweighted_smd=raw, weighted_smd=adj))
     max_abs = max(weighted_vals) if weighted_vals else None
     return BalanceTable(
-        rows=tuple(rows),
-        ess_trial=effective_sample_size(w[trial]),
-        ess_external=effective_sample_size(w[~trial]),
+        tuple(rows),
+        *group_ess(w, trial),
         threshold=threshold,
         max_abs_weighted_smd=max_abs,
         imbalance=max_abs is not None and max_abs > threshold,

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .balancing import Estimand, WeightSet, balancing_weights
+from .balancing import Estimand, WeightSet, balancing_weights, group_means
 from .dataset import Dataset, OutcomeKind
 from .errors import (
     AllWeightsZero,
@@ -133,13 +133,6 @@ def check_scale(
     return scale or allowed[0]
 
 
-def hajek_mean(y: np.ndarray, w: np.ndarray) -> float:
-    total = float(np.sum(w))
-    if total <= 0:
-        raise AllWeightsZero("group total weight is zero")
-    return float(np.sum(w * y) / total)
-
-
 def weighted_mean_contrast(
     data: Dataset, weights: WeightSet, scale: Scale
 ) -> EffectReport:
@@ -148,11 +141,7 @@ def weighted_mean_contrast(
         raise ScaleIncompatibleWithOutcome(
             "use weighted_km / survival_contrast for time-to-event outcomes")
     check_scale(data.outcome_kind, scale)
-    y = data.outcomes()
-    trial = data.group_mask
-    w = weights.weights
-    m1 = hajek_mean(y[trial], w[trial])
-    m0 = hajek_mean(y[~trial], w[~trial])
+    m1, m0 = group_means(weights.weights, data.group_mask, data.outcomes())
     point, infinite = contrast_on_scale(m1, m0, scale)
     return EffectReport(
         estimand_label=weights.estimand.label,

@@ -37,6 +37,7 @@ DEFAULT_MAX_ITER = 100
 # A fitted |x'beta| beyond this (a probability within 2e-9 of 0 or 1) runs the
 # separation test: on separated data the decrement only falls like exp(-|x'beta|).
 _ETA_BOUND = 20.0
+_W_BOUND = 1.0 - np.tanh(_ETA_BOUND / 2) ** 2  # the Newton weight 1 - tanh^2 u at the bound
 
 # Unless the rows are separated, beta = 0 is the program's only feasible point.
 _SEPARATION_MARGIN = 1e-6
@@ -65,14 +66,10 @@ class GlmFit:
     family: Family
     coefficients: np.ndarray
     iterations: int
-    deviance: float
-
-    def linear_predictor(self, X: np.ndarray) -> np.ndarray:
-        return X @ self.coefficients
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Fitted mean response: expit of the linear predictor for logistic."""
-        eta = self.linear_predictor(X)
+        eta = X @ self.coefficients
         if self.family is Family.LOGISTIC:
             return expit(eta)
         return eta
@@ -94,12 +91,14 @@ def _ill_conditioned(H: np.ndarray, cut: float) -> np.ndarray:
 
 
 def _unit_columns(X: np.ndarray):
-    """``X`` with unit-norm columns, reached through the largest entry so no
-    square underflows, and the factor each column was divided by."""
-    big = np.abs(X).max(axis=0)
-    X = X / np.where(big > 0, big, 1.0)
-    norm = np.sqrt(np.einsum("ij,ij->j", X, X))
-    return X / np.where(norm > 0, norm, 1.0), np.where(big > 0, big * norm, 1.0)
+    """The transpose of ``X`` (p x n, C-ordered, so each reduction below is one
+    contiguous pass) with rows of unit norm, reached through the largest entry
+    so no square underflows, and the factor each row was divided by."""
+    XT = np.ascontiguousarray(X.T)
+    big = np.abs(XT).max(axis=1)
+    XT = XT / np.where(big > 0, big, 1.0)[:, None]
+    norm = np.sqrt(np.einsum("ij,ij->i", XT, XT))
+    return XT / np.where(norm > 0, norm, 1.0)[:, None], np.where(big > 0, big * norm, 1.0)
 
 
 def _separated(X: np.ndarray, y: np.ndarray, c: np.ndarray) -> bool:
@@ -121,7 +120,7 @@ def _separated(X: np.ndarray, y: np.ndarray, c: np.ndarray) -> bool:
     return result.status == 0 and -result.fun > _SEPARATION_MARGIN
 
 
-def _newton(X, y, counts, tol, cut):
+def _newton(X, y, counts, tol, cut, weighted=True):
     """Newton fits of the design ``X`` for every count vector in ``counts``.
 
     Returns the b x p coefficients (NaN where a fit failed), per fit None or
@@ -130,32 +129,33 @@ def _newton(X, y, counts, tol, cut):
     s = 2y - 1, where expit(x'beta) = (1 + tanh u) / 2: the score is
     sum c (s - tanh u) x, the Hessian sum c (1 - tanh^2 u) x x', and the
     decrement that of beta. A fit is RankDeficientDesign when the Hessian at
-    the start, X' diag(c) X, has eigenvalue ratio at most ``cut``.
+    the start, X' diag(c) X, has eigenvalue ratio at most ``cut``. A caller
+    whose counts are all 1 passes ``weighted`` False, and the steps skip them.
     """
-    data, (X, scale) = X, _unit_columns(X)
-    XT = np.ascontiguousarray(X.T)
+    data, (XT, scale) = X, _unit_columns(X)
+    X = XT.T
     b, p = counts.shape[0], X.shape[1]
-    # Row i of outer is x_i x_i' flattened: one matmul gives every Hessian.
-    outer = (X[:, :, None] * X[:, None, :]).reshape(-1, p * p) if b > 1 else None
+    # Row i of outer is x_i x_i' flattened, C-ordered: one matmul gives every Hessian.
+    outer = None if b == 1 else np.multiply(
+        X[:, :, None], X[:, None, :], order="C").reshape(-1, p * p)
     sign = 2.0 * y - 1.0
-    weighted = (counts != 1).any()
     beta, hessians = np.full((b, p), np.nan), np.zeros((b, p, p))
     errors = [None] * b
     tested = np.zeros(b, dtype=bool)  # the separation test has run
     fits, B, C = np.arange(b), np.zeros((b, p)), counts  # the fits still running
     for iterations in range(1, DEFAULT_MAX_ITER + 1):
-        u = B @ XT
-        if np.abs(u).max() > _ETA_BOUND / 2:
-            for k in np.flatnonzero((np.abs(u).max(axis=1) > _ETA_BOUND / 2) & ~tested[fits]):
+        t = np.tanh(B @ XT)
+        w = 1.0 - t * t  # below _W_BOUND where |x'beta| > _ETA_BOUND
+        if w.min() < _W_BOUND:
+            for k in np.flatnonzero((w.min(axis=1) < _W_BOUND) & ~tested[fits]):
                 tested[fits[k]] = True
                 if _separated(data, y, C[k]):
                     errors[fits[k]] = SeparationDetected
             keep = np.array([errors[i] is None for i in fits])
-            fits, B, C, u = fits[keep], B[keep], C[keep], u[keep]
+            fits, B, C, t, w = fits[keep], B[keep], C[keep], t[keep], w[keep]
             if not len(fits):
                 break
-        t = np.tanh(u)
-        r, w = sign - t, 1.0 - t * t
+        r = sign - t
         if weighted:
             r, w = C * r, C * w
         score = r @ X
@@ -178,9 +178,9 @@ def _newton(X, y, counts, tol, cut):
         done = (score * step).sum(axis=1) < tol
         if done.any():
             beta[fits[done]], hessians[fits[done]] = B[done], H[done]
-            fits, B, C = fits[~done], B[~done], C[~done]
-            if not len(fits):
+            if done.all():
                 break
+            fits, B, C = fits[~done], B[~done], C[~done]
     else:
         for k, i in enumerate(fits):
             separated = not tested[i] and _separated(data, y, C[k])
@@ -203,17 +203,15 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, tol: float = DEFAULT_TOL) -> GlmF
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, p = X.shape
-    if np.all(y == y[0]):
+    if y.min() == y.max():
         raise ConstantResponse("response takes a single value")
     if n < p + 1:
         raise RankDeficientDesign(f"need at least {p + 1} rows, got {n}")
-    beta, errors, _, iterations = _newton(X, y, np.ones((1, n)), tol, max(n, p) * _EPS)
+    beta, errors, _, iterations = _newton(X, y, np.ones((1, n)), tol, max(n, p) * _EPS,
+                                          weighted=False)
     if errors[0] is not None:
         raise errors[0](_MESSAGES[errors[0]])
-    beta = beta[0]
-    # -2 log-likelihood: log(1 + exp(-x'beta)) for y = 1, log(1 + exp(x'beta)) for y = 0.
-    deviance = 2.0 * float(np.logaddexp(0.0, (1.0 - 2.0 * y) * (X @ beta)).sum())
-    return GlmFit(Family.LOGISTIC, beta, iterations, deviance)
+    return GlmFit(Family.LOGISTIC, beta[0], iterations)
 
 
 def fit_logistic_counts(X: np.ndarray, y: np.ndarray, counts: np.ndarray):
@@ -250,7 +248,7 @@ def fit_logistic_counts(X: np.ndarray, y: np.ndarray, counts: np.ndarray):
 
 
 def fit_linear(X: np.ndarray, y: np.ndarray) -> GlmFit:
-    """Ordinary least squares by QR; deviance is the residual sum of squares."""
+    """Ordinary least squares by QR."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, p = X.shape
@@ -260,13 +258,11 @@ def fit_linear(X: np.ndarray, y: np.ndarray) -> GlmFit:
     s = np.linalg.svd(r, compute_uv=False)  # the singular values of X
     if s[-1] <= s[0] * max(n, p) * _EPS:
         raise RankDeficientDesign("design matrix is rank deficient")
-    beta = np.linalg.solve(r, q.T @ y)
-    resid = y - X @ beta
-    return GlmFit(Family.LINEAR, beta, 1, float(resid @ resid))
+    return GlmFit(Family.LINEAR, np.linalg.solve(r, q.T @ y), 1)
 
 
 def add_intercept(X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
-    return np.hstack([np.ones((X.shape[0], 1)), X])
+    return np.concatenate((np.ones((X.shape[0], 1)), X), axis=1)

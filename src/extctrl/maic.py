@@ -18,8 +18,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dataset import AggregateSummary, Dataset, Group, OutcomeKind
-from .errors import CollinearCovariates, NoConvergence, TargetOutsideSupport
-from .estimators import EffectReport, Scale, check_scale, contrast_on_scale, hajek_mean
+from .errors import AllWeightsZero, CollinearCovariates, NoConvergence, TargetOutsideSupport
+from .estimators import EffectReport, Scale, check_scale, contrast_on_scale
 from .glm import (_EPS, _ETA_BOUND, DEFAULT_MAX_ITER, DEFAULT_TOL, _ill_conditioned,
                   _separated, _unit_columns)
 
@@ -70,7 +70,8 @@ def maic_weights(
     X = trial.covariate_matrix(names)
     mu = np.array([target.mean_of(c) for c in names])
     Xc = X - mu
-    Z, scale = _unit_columns(Xc)
+    ZT, scale = _unit_columns(Xc)
+    Z = ZT.T
     n, p = Z.shape
 
     def check_support():
@@ -89,7 +90,7 @@ def maic_weights(
         # of the hull and falls like exp(-|x'alpha|) towards its boundary.
         w = np.exp(eta - eta.max())
         grad = w @ Z
-        hess = (Z.T * w) @ Z
+        hess = (ZT * w) @ Z
         if iterations == 1 and _ill_conditioned(hess[None], max(n, p) * _EPS)[0]:
             raise CollinearCovariates("centered covariate matrix is rank deficient")
         step = np.linalg.solve(hess, grad)
@@ -133,15 +134,16 @@ def maic_compare(
     scale = check_scale(trial.outcome_kind, scale, target.outcome_kind)
     y = trial.outcomes()
     w = fit.weights
-    m1 = hajek_mean(y, w)
-    m0 = target.outcome_value()
+    total, wy = float(np.sum(w)), float(np.sum(w * y))
+    if total <= 0:
+        raise AllWeightsZero("all weights are zero in the trial group")
+    m1, m0 = wy / total, target.outcome_value()
     if continuity_correction and target.outcome_kind is OutcomeKind.BINARY:
         boundary = m0 in (0.0, 1.0) or m1 in (0.0, 1.0)
         if boundary:
             x0 = target.outcome_summary["responders"]
             m0 = (x0 + 0.5) / (target.n + 1.0)
-            sw = float(np.sum(w))
-            m1 = (float(np.sum(w * y)) + 0.5) / (sw + 1.0)
+            m1 = (wy + 0.5) / (total + 1.0)
     point, infinite = contrast_on_scale(m1, m0, scale)
     return EffectReport(
         estimand_label="maic",

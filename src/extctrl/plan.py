@@ -30,7 +30,7 @@ from .dataset import (
     load_aggregate,
     load_dataset,
 )
-from .diagnostics import balance_table, comparability_checklist
+from .diagnostics import CHECKLIST_FIELDS, balance_table, comparability_checklist
 from .errors import PlanInvalid, checked_field as _field, is_count, is_int, is_number
 from .estimators import Scale, WeightingAnalysis, check_scale
 from .inference import BootstrapConfig, bootstrap_ci
@@ -134,10 +134,23 @@ def positivity_band(value, name: str = "positivity_a") -> float:
     return value
 
 
+# The keys a plan ("") and each of its blocks may hold.
+_KEYS = {"": {"method", "dataset", "aggregate", "estimand", "scale", "link", "covariates",
+              "seed", "checklist", "fail_on_overlap", "positivity_a", "horizon",
+              "bootstrap", "power_prior"},
+         "bootstrap": {"replicates", "level", "seed", "threads"},
+         "power_prior": {"x", "n", "x0", "n0", "a0", "prior", "level", "assume_comparable"},
+         "checklist": set(CHECKLIST_FIELDS)}
+
+
 def parse_plan(raw: dict) -> AnalysisPlan:
-    """Validate a plan document; a malformed field raises PlanInvalid."""
+    """Validate a plan document; a malformed field or an unknown key raises PlanInvalid."""
     if not isinstance(raw, dict):
         raise PlanInvalid("a plan must be a JSON object")
+    for block, known in _KEYS.items():
+        doc = raw.get(block) if block else raw
+        if isinstance(doc, dict) and not set(doc) <= known:
+            raise PlanInvalid(f"unknown {block or 'plan'} key {min(set(doc) - known)!r}")
     try:
         method = Method(raw["method"])
     except (KeyError, ValueError) as exc:
@@ -152,6 +165,8 @@ def parse_plan(raw: dict) -> AnalysisPlan:
         raise PlanInvalid(f"method {method.value} requires a dataset path")
     if method in (Method.MAIC, Method.STC) and not aggregate_path:
         raise PlanInvalid(f"method {method.value} requires an aggregate file")
+    if method not in (Method.MAIC, Method.STC) and aggregate_path is not None:
+        raise PlanInvalid(f"method {method.value} takes no aggregate file")
 
     estimand = None
     if method is Method.WEIGHTING:
@@ -294,8 +309,7 @@ def run_plan(plan: AnalysisPlan) -> RunArtifacts:
         data = load_dataset(plan.dataset_path)
         target = load_aggregate(plan.aggregate_path) if plan.aggregate_path else None
         kind = data.outcome_kind
-    scale = check_scale(kind, plan.scale, target.outcome_kind
-                        if plan.method in (Method.MAIC, Method.STC) else None)
+    scale = check_scale(kind, plan.scale, target.outcome_kind if target else None)
     provenance = {
         "schema": SCHEMA_VERSION,
         "plan_hash": plan.hash,

@@ -57,14 +57,14 @@ def estimate_propensity(
     if data.n_external == 0:
         raise EmptyDataset("propensity estimation needs external records")
     names = tuple(covariates) if covariates is not None else data.covariate_names
-    X_raw = data.covariate_matrix(names)
+    X = data.covariate_matrix(names)
     # Drop covariates constant across all subjects; they carry no membership
-    # information and would make the design rank deficient.
-    X = add_intercept(X_raw[:, np.ptp(X_raw, axis=0) > 0])
-    y = data.group_mask.astype(float)
-    fit = fit_logistic(X, y, tol=tol)
+    # information and would make the design rank deficient. Each range is one
+    # pass over a contiguous row of the transpose.
+    X = add_intercept(X[:, np.ptp(np.ascontiguousarray(X.T), axis=1) > 0])
+    fit = fit_logistic(X, data.group_mask.astype(float), tol=tol)
     scores = fit.predict(X)
-    if np.any(scores <= 0.0) or np.any(scores >= 1.0):
+    if not 0.0 < scores.min() <= scores.max() < 1.0:
         raise DegenerateScores("fitted propensity score hit 0 or 1")
     return PropensityModel(glm=fit, scores=scores, covariate_names=names)
 

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from extctrl import (
+    balance_table,
     Estimand,
     EstimandKind,
     Group,
@@ -11,6 +14,8 @@ from extctrl import (
     tilting,
     weighted_prevalence,
 )
+
+from extctrl.errors import SolverError
 
 from conftest import make_dataset, random_confounded_dataset
 
@@ -141,6 +146,42 @@ def test_overlap_weights_exact_balance():
             m1 = np.sum(w[trial] * X[trial, j]) / np.sum(w[trial])
             m0 = np.sum(w[~trial] * X[~trial, j]) / np.sum(w[~trial])
             assert abs(m1 - m0) < 1e-6
+
+
+@st.composite
+def logistic_designs(draw):
+    """A dataset of 1-4 binary or continuous covariates whose group follows a logistic model."""
+    n = draw(st.integers(20, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            columns.append((rng.random(n) < draw(st.floats(0.1, 0.9))).astype(float))
+        else:
+            shift, scale = draw(st.floats(-5, 5)), draw(st.floats(0.01, 100))
+            columns.append(shift + scale * rng.normal(size=n))
+    X = np.column_stack(columns)
+    gamma = rng.normal(size=X.shape[1]) / X.std(axis=0).clip(1e-3)
+    trial = rng.random(n) < 1 / (1 + np.exp(-(X - X.mean(axis=0)) @ gamma))
+    groups = [Group.TRIAL if t else Group.EXTERNAL for t in trial]
+    return make_dataset([tuple(row) for row in X], groups,
+                        covariate_names=tuple(f"x{j}" for j in range(X.shape[1])))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(logistic_designs())
+def test_overlap_weights_balance_every_covariate_exactly(data):
+    # The score equations of a logistic fit with an intercept say that the
+    # (1 - e)-weighted trial mean of each covariate equals its e-weighted
+    # external mean: ATO balances means exactly, whatever the design.
+    try:
+        model = estimate_propensity(data)
+    except SolverError:
+        assume(False)
+    table = balance_table(data, balancing_weights(model, data, Estimand(EstimandKind.ATO)))
+    for row, x in zip(table.rows, data.covariate_matrix().T):
+        if np.ptp(x) > 0:  # a constant covariate has no SMD
+            assert abs(row.weighted_smd) < 1e-10
 
 
 def test_trimmed_zero_outside_band_ipw_inside():

@@ -327,6 +327,22 @@ def test_parse_plan_validation_errors(toy_csv):
                                     "a0": 0.5}})  # assume_comparable missing
 
 
+@pytest.mark.parametrize("plan,message", [
+    ({"method": "weighting", "dataset": "b.csv", "scael": "or"}, "unknown plan key 'scael'"),
+    ({"method": "weighting", "dataset": "b.csv", "bootstrap": {"sed": 4}},
+     "unknown bootstrap key 'sed'"),
+    ({"method": "weighting", "dataset": "b.csv", "checklist": {"calender_time": "aligned"}},
+     "unknown checklist key 'calender_time'"),
+    ({"method": "weighting", "dataset": "b.csv", "aggregate": "a.json"},
+     "method weighting takes no aggregate file"),
+])
+def test_plan_error_names_the_key(plan, message):
+    from extctrl.errors import PlanInvalid
+
+    with pytest.raises(PlanInvalid, match=message):
+        parse_plan(plan)
+
+
 def test_power_prior_plan_runs(tmp_path):
     plan = tmp_path / "pp.json"
     plan.write_text(json.dumps({
@@ -412,6 +428,17 @@ def test_report_json_strict_for_infinite_odds_ratio(tmp_path):
     {"method": "weighting", "dataset": "d.csv", "horizon": -1.0},
     {"method": "weighting", "dataset": "d.csv", "checklist": ["aligned"]},
     {"method": "weighting", "dataset": "d.csv", "seed": "7"},
+    # A key the schema does not know, at the top level or in a block.
+    {"method": "weighting", "dataset": "d.csv", "estimand": "att", "scael": "or"},
+    {"method": "weighting", "dataset": "d.csv", "bootstrap": {"replicates": 20, "sed": 4}},
+    {"method": "weighting", "dataset": "d.csv", "checklist": {"eligibilty": "aligned"}},
+    {"method": "power_prior", "power_prior": {
+        "x": 52, "n": 61, "x0": 30, "n0": 80, "a0": 0.5, "assume_comparable": True,
+        "levl": 0.9}},
+    # Only MAIC and STC read an aggregate.
+    {"method": "weighting", "dataset": "d.csv", "aggregate": "nope.json"},
+    {"method": "power_prior", "aggregate": "a.json", "power_prior": {
+        "x": 52, "n": 61, "x0": 30, "n0": 80, "a0": 0.5, "assume_comparable": True}},
     {"method": "power_prior", "power_prior": {
         "x": 52, "n": 61, "x0": 30, "n0": 80, "a0": 0.5, "assume_comparable": True,
         "prior": [1]}},

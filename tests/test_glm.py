@@ -75,7 +75,8 @@ def test_linear_exact_line():
     X = add_intercept(x)
     fit = fit_linear(X, 2 * x + 1)
     assert np.allclose(fit.coefficients, [1.0, 2.0], atol=1e-12)
-    assert fit.deviance == pytest.approx(0.0, abs=1e-20)
+    resid = 2 * x + 1 - fit.predict(X)
+    assert resid @ resid == pytest.approx(0.0, abs=1e-20)
 
 
 def test_linear_constant_response():

@@ -3,17 +3,21 @@ import pytest
 
 from extctrl import (
     BootstrapConfig,
+    CovariateSpec,
     Estimand,
     EstimandKind,
     Group,
+    OutcomeKind,
     Scale,
+    ScenarioConfig,
     balancing_weights,
     bootstrap_ci,
     estimate_propensity,
+    generate,
     weighted_mean_contrast,
 )
 from extctrl.errors import InvalidConfig, SolverError, TooManyReplicateFailures
-from extctrl.inference import replicate_seed, resample_dataset
+from extctrl.inference import replicate_estimates, replicate_seed, resample_dataset
 
 from conftest import make_dataset
 
@@ -146,3 +150,27 @@ def test_resample_matches_row_reference():
         expected = _row_resample_reference(data, np.random.default_rng(seed))
         assert got.ids.tolist() == expected
         assert got.covariate_matrix().flags.c_contiguous
+
+
+def cell_standardised_contrast(data):
+    """Sum over cells c of P(c) (mean trial outcome in c - mean external outcome in c)."""
+    x, trial, y = data.covariate_matrix()[:, 0], data.group_mask, data.outcomes()
+    return sum(np.mean(x == c) * (y[(x == c) & trial].mean() - y[(x == c) & ~trial].mean())
+               for c in (0.0, 1.0))
+
+
+def test_every_replicate_equals_the_closed_form_of_its_resample():
+    # The criterion-9 design: a saturated propensity model on one binary
+    # covariate reproduces the cell trial fractions, so the ATE Hajek IPW
+    # contrast is the cell-standardised difference of means, replicate by replicate.
+    data, _ = generate(ScenarioConfig(
+        n_trial=250, n_external=250, covariates=(CovariateSpec("severe", "binary", p=0.4),),
+        assignment=(0.2, -1.0), outcome_kind=OutcomeKind.BINARY,
+        outcome_coefficients=(-0.4, 1.0), effect=0.12, seed=9003))
+    config = BootstrapConfig(replicates=200, seed=3)
+    values, errors = replicate_estimates(ipw_pipeline, data, config)
+    assert errors == [None] * config.replicates
+    for i, value in enumerate(values):
+        sample = resample_dataset(data, np.random.default_rng(replicate_seed(config.seed, i)))
+        assert abs(value - cell_standardised_contrast(sample)) < 1e-9
+    assert abs(ipw_pipeline(data) - cell_standardised_contrast(data)) < 1e-9
