@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import csv
 import enum
+import io
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -58,12 +60,13 @@ _MISSING_TOKENS = {"", "na", "nan", "null", "none", "."}
 ROLE_COLUMNS = ("id", "group", "outcome", "time", "event")
 
 
-def _check_follow_up(rid, time: float, event: float) -> None:
-    """Follow-up rules for one subject; NaN marks a missing time or event."""
+def _check_follow_up(rid, time: float, event: float, row: int) -> None:
+    """Follow-up rules for subject ``row``; NaN marks a missing time or event."""
     if math.isnan(time) != math.isnan(event):
-        raise SchemaViolation(f"record {rid!r}: time and event must be present together")
+        raise SchemaViolation(f"record {rid!r}: time and event must be present together",
+                              row=row)
     if time < 0:
-        raise SchemaViolation(f"record {rid!r}: negative follow-up time")
+        raise SchemaViolation(f"record {rid!r}: negative follow-up time", row=row)
 
 
 _COLUMNS = ("ids", "trial", "X", "outcome", "time", "event")
@@ -125,7 +128,7 @@ class Dataset:
         bad = (np.isnan(time) != np.isnan(event)) | (time < 0)
         if bad.any():
             i = int(np.argmax(bad))
-            _check_follow_up(self.ids[i], time[i], event[i])
+            _check_follow_up(self.ids[i], time[i], event[i], i)
         if len(set(self.covariate_names)) != p:
             raise SchemaViolation("covariate names must be unique")
         for name in self.covariate_names:
@@ -265,73 +268,99 @@ class AggregateSummary:
         )
 
 
-def _parse_number(token: str, column: str, row: int) -> float:
-    token = token.strip()
-    if token.lower() in _MISSING_TOKENS:
-        raise MissingValue(f"missing value in column {column!r} at row {row}", row=row)
-    try:
-        value = float(token)
-    except ValueError:
-        raise NonNumericCovariate(
-            f"non-numeric value {token!r} in column {column!r} at row {row}"
-        ) from None
-    if not math.isfinite(value):
-        raise NonNumericCovariate(
-            f"non-finite value {token!r} in column {column!r} at row {row}"
-        )
-    return value
+def _parse_optional(token: str, column=None, row=None) -> float:
+    """One number cell as a float, NaN for a missing token.
 
-
-def _parse_optional(token: str, column: str, row: int) -> float:
-    if token.strip().lower() in _MISSING_TOKENS:
-        return math.nan
-    return _parse_number(token, column, row)
-
-
-class _Malformed(Exception):
-    """Some cell does not parse; a row-by-row scan reports the first one."""
-
-
-def _parse_column(tokens, optional: bool) -> np.ndarray:
-    """All cells of one column as floats, NaN where an optional cell is empty.
-
-    Raises ``_Malformed`` on any value ``_parse_number`` would reject.
+    A number is what NumPy's text reader reads: ``float``'s grammar less the
+    digit-group underscores (``1_000``) and non-ASCII digits ``float`` allows.
     """
-    missing = None
-    if optional:
-        missing = np.array([t.strip().lower() in _MISSING_TOKENS for t in tokens], dtype=bool)
-        tokens = ["nan" if m else t for t, m in zip(tokens, missing.tolist())]
-    try:
-        values = np.fromiter(map(float, tokens), dtype=float, count=len(tokens))
-    except ValueError:
-        raise _Malformed from None
-    ok = np.isfinite(values)
-    if missing is not None:
-        ok |= missing
-    if not ok.all():
-        raise _Malformed
-    return values
+    token = token.strip()
+    value = None
+    if token.isascii() and "_" not in token:
+        try:
+            value = float(token)
+        except ValueError:
+            pass
+        else:
+            if math.isfinite(value):
+                return value
+    if token.lower() in _MISSING_TOKENS:
+        return math.nan
+    what = "non-numeric" if value is None else "non-finite"
+    raise NonNumericCovariate(f"{what} value {token!r} in column {column!r} at row {row}",
+                              row=row)
+
+
+def _parse_number(token: str, column: str, row: int) -> float:
+    value = _parse_optional(token, column, row)
+    if math.isnan(value):
+        raise MissingValue(f"missing value in column {column!r} at row {row}", row=row)
+    return value
 
 
 def _raise_first_error(path, rows, header, col_index, cov_names, optional) -> None:
     """Scan rows in order and raise the error of the first offending cell.
 
-    Used only once the column parse has found a problem, so that errors
-    name the same row and cell as a row-at-a-time reader would.
+    Used only once the C pass has stopped, so that errors name the same row
+    and cell as a row-at-a-time reader would.
     """
     for i, row in enumerate(rows):
         if len(row) != len(header):
-            raise SchemaViolation(f"{path}: row {i} has {len(row)} cells, expected {len(header)}")
+            raise SchemaViolation(
+                f"{path}: row {i} has {len(row)} cells, expected {len(header)}", row=i)
         label = row[col_index["group"]].strip().lower()
         if label not in _GROUP_LABELS:
-            raise UnknownGroupLabel(f"{path}: unknown group label {label!r} at row {i}")
+            raise UnknownGroupLabel(f"{path}: unknown group label {label!r} at row {i}", row=i)
         for name in cov_names:
             _parse_number(row[col_index[name]], name, i)
         _, time, event = (
             math.nan if col is None else _parse_optional(row[col_index[col]], col, i)
             for col in optional
         )
-        _check_follow_up(row[col_index["id"]].strip(), time, event)
+        _check_follow_up(row[col_index["id"]].strip(), time, event, i)
+
+
+# Per-cell text clean-ups, looped in C over an object column.
+_strip = np.frompyfunc(str.strip, 1, 1)
+_label = np.frompyfunc(lambda cell: cell.strip().lower(), 1, 1)
+
+
+def _read_columns(source, header, col_index, cov_names, optional) -> Optional[dict]:
+    """The ``Dataset`` columns of the data rows in text file ``source``, in one C pass.
+
+    None where NumPy's reader stops (at a fault, or at a row of blank cells,
+    which it does not skip) or a group label or covariate value is invalid.
+    """
+    converters = {col_index[col]: _parse_optional for col in optional if col is not None}
+    numeric = {col_index[name] for name in cov_names}.union(converters)
+    dtype = [(f"f{j}", float if j in numeric else object) for j in range(len(header))]
+    with warnings.catch_warnings():
+        # A file of a header alone is EmptyDataset, raised by the caller.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            table = np.loadtxt(source, dtype=dtype, delimiter=",", quotechar='"',
+                               comments=None, converters=converters, ndmin=1)
+        except (ValueError, DataError):
+            return None
+
+    def column(name):
+        return None if name is None else table[f"f{col_index[name]}"]
+
+    labels = _label(column("group"))
+    trial = labels == "trial"
+    X = np.stack([column(name) for name in cov_names], axis=1)
+    if not (trial | (labels == "external")).all() or not np.isfinite(X).all():
+        return None
+    outcome, time, event = map(column, optional)
+    return dict(
+        ids=_strip(column("id")),
+        trial=trial,
+        X=X,
+        outcome=outcome,
+        time=time,
+        # Event indicators are read as integers, truncating toward zero.
+        event=None if event is None else np.trunc(event),
+    )
 
 
 def load_dataset(path) -> Dataset:
@@ -341,62 +370,55 @@ def load_dataset(path) -> Dataset:
     ``outcome``, ``time`` and ``event`` are read when present; every other
     column is a covariate, in header order. The outcome kind is inferred
     from the values. Returns the validated dataset in file row order.
+
+    A valid file is parsed in one C pass (``np.loadtxt``). Where that pass
+    stops, the rows a ``csv.reader`` scan keeps, blank rows dropped, are
+    parsed again; if that fails too, the scan raises the error of the first
+    offending cell.
     """
     path = Path(path)
     try:
         with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise EmptyDataset(f"{path}: file is empty") from None
+            header = next(csv.reader(fh), None)
+            if header is None:
+                raise EmptyDataset(f"{path}: file is empty")
             header = [h.strip() for h in header]
-            rows = [row for row in reader if any(map(str.strip, row))]
+            for required in ("id", "group"):
+                if required not in header:
+                    raise MissingColumn(f"{path}: required column {required!r} not found")
+            # Where a name repeats, its first column is the one read.
+            col_index = {name: header.index(name) for name in header}
+            cov_names = [h for h in header if h not in ROLE_COLUMNS]
+            # Outcome, time and event columns present in the file, else None.
+            optional = [col if col in header else None for col in ("outcome", "time", "event")]
+
+            columns = (_read_columns(fh, header, col_index, cov_names, optional)
+                       if cov_names else None)
+            if columns is None or not len(columns["ids"]):
+                fh.seek(0)
+                reader = csv.reader(fh)
+                next(reader)
+                rows = [row for row in reader if any(map(str.strip, row))]
+                if not rows:
+                    raise EmptyDataset(f"{path}: no data rows")
+                if not cov_names:
+                    raise MissingColumn(f"{path}: no covariate columns")
+                # NumPy's reader stops at a row of blank cells; without them,
+                # it stops only where the row scan finds the first fault.
+                text = io.StringIO()
+                csv.writer(text).writerows(rows)
+                text.seek(0)
+                columns = _read_columns(text, header, col_index, cov_names, optional)
+                if columns is None:
+                    _raise_first_error(path, rows, header, col_index, cov_names, optional)
+                    raise AssertionError("C pass and row scan disagree")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: cannot read file ({exc})") from None
 
-    for required in ("id", "group"):
-        if required not in header:
-            raise MissingColumn(f"{path}: required column {required!r} not found")
-    if not rows:
-        raise EmptyDataset(f"{path}: no data rows")
-
-    cov_names = [h for h in header if h not in ROLE_COLUMNS]
-    if not cov_names:
-        raise MissingColumn(f"{path}: no covariate columns")
-
-    col_index = {name: header.index(name) for name in header}
-    # Outcome, time and event columns present in the file, else None.
-    optional = [col if col in header else None for col in ("outcome", "time", "event")]
-
-    try:
-        if set(map(len, rows)) != {len(header)}:
-            raise _Malformed
-        cells = list(zip(*rows))
-        groups = [_GROUP_LABELS.get(t.strip().lower()) for t in cells[col_index["group"]]]
-        if None in groups:
-            raise _Malformed
-        X = np.empty((len(rows), len(cov_names)))
-        for j, name in enumerate(cov_names):
-            X[:, j] = _parse_column(cells[col_index[name]], optional=False)
-        outcome, time, event = (
-            None if col is None else _parse_column(cells[col_index[col]], optional=True)
-            for col in optional
-        )
-    except _Malformed:
-        _raise_first_error(path, rows, header, col_index, cov_names, optional)
-        raise AssertionError("column parse and row scan disagree") from None
-
     return Dataset(
         tuple(cov_names),
-        ids=[t.strip() for t in cells[col_index["id"]]],
-        trial=[g is Group.TRIAL for g in groups],
-        X=X,
-        outcome=outcome,
-        time=time,
-        # Event indicators are read as integers, truncating toward zero.
-        event=None if event is None else np.trunc(event),
-        outcome_kind=_infer_outcome_kind(outcome, time),
+        **columns,
+        outcome_kind=_infer_outcome_kind(columns["outcome"], columns["time"]),
     )
 
 

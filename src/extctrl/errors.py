@@ -17,7 +17,14 @@ class ExtCtrlError(Exception):
 # --- data ingestion -------------------------------------------------------
 
 class DataError(ExtCtrlError):
-    """Base class for ingestion and validation failures."""
+    """Base class for ingestion and validation failures.
+
+    ``row`` is the 0-based data row of a CSV cell at fault, when one is.
+    """
+
+    def __init__(self, message, row=None):
+        super().__init__(message)
+        self.row = row
 
 
 class MissingColumn(DataError):
@@ -33,9 +40,7 @@ class NonNumericCovariate(DataError):
 
 
 class MissingValue(DataError):
-    def __init__(self, message, row=None):
-        super().__init__(message)
-        self.row = row
+    pass
 
 
 class UnknownGroupLabel(DataError):

@@ -250,6 +250,14 @@ def _text_cells(column) -> list:
     return ['"' + c.replace('"', '""') + '"' if _needs_quotes(c) else c for c in text]
 
 
+def _float_cells(col: np.ndarray) -> list:
+    """``col`` as text cells of 17 significant digits, NaN as an empty cell."""
+    cells = (("%.17g\n" * len(col)) % tuple(col.tolist())).split("\n")[:-1]
+    for i in np.flatnonzero(np.isnan(col)).tolist():
+        cells[i] = ""
+    return cells
+
+
 def csv_text(header, columns) -> str:
     """CSV text of ``columns`` under ``header``, one line per row.
 
@@ -257,9 +265,7 @@ def csv_text(header, columns) -> str:
     cell. Any other column is written as text, and a cell holding a comma, a
     double quote, CR or LF is quoted as RFC 4180 says.
     """
-    # Float cells are generators, so each row is built as it is joined.
-    cells = [("" if v != v else format(v, ".17g") for v in col.tolist())
-             if isinstance(col, np.ndarray) and col.dtype.kind == "f"
+    cells = [_float_cells(col) if isinstance(col, np.ndarray) and col.dtype.kind == "f"
              else _text_cells(col) for col in columns]
     lines = chain([",".join(_text_cells(header))], map(",".join, zip(*cells)))
     return "\n".join(lines) + "\n"

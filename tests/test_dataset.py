@@ -1,5 +1,9 @@
+import csv
+import io
 import json
+import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -72,10 +76,13 @@ def test_empty_csv(tmp_path):
 
 
 def test_header_only_csv(tmp_path):
+    # NumPy's "input contained no data" warning does not escape.
     path = tmp_path / "hdr.csv"
     path.write_text("id,group,x\n")
-    with pytest.raises(EmptyDataset):
-        load_dataset(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EmptyDataset):
+            load_dataset(path)
 
 
 def test_missing_required_column(tmp_path):
@@ -250,6 +257,188 @@ def test_first_offending_row_wins(tmp_path):
     path.write_text("id,group,x,outcome\na,trial,1,\nb,external,0,inf\n")
     with pytest.raises(NonNumericCovariate, match="row 1"):
         load_dataset(path)
+
+
+def test_rows_of_blank_cells_are_skipped(tmp_path):
+    # Spreadsheet exports end a table with rows of commas; whitespace-only
+    # lines and empty lines are skipped too, between rows and at the end.
+    path = tmp_path / "d.csv"
+    path.write_text('id,group,x,outcome\n'
+                    'a,trial,1,0\n'
+                    ',,,\n'
+                    '   \n'
+                    '"b,1",external,2,1\n'
+                    '\n'
+                    ' , ,"", \t\n'
+                    'c,trial,3,\n'
+                    ',,,\n'
+                    '\t\n')
+    data = load_dataset(path)
+    assert data.ids.tolist() == ["a", "b,1", "c"]
+    assert data.trial.tolist() == [True, False, True]
+    assert data.X[:, 0].tolist() == [1.0, 2.0, 3.0]
+    assert np.array_equal(data.outcome, [0.0, 1.0, np.nan], equal_nan=True)
+    # A fault after a blank row is named by its row among the data rows.
+    path.write_text("id,group,x\na,trial,1\n,,\nb,external,oops\n")
+    with pytest.raises(NonNumericCovariate, match="at row 1"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("token", ["1_000", "1_0", "\u0661", "\uff11", "\uff11.5"])
+@pytest.mark.parametrize("column", ["x", "time"])
+def test_underscores_and_non_ascii_digits_are_not_numbers(token, column, tmp_path):
+    # float() reads these; NumPy's text reader, and so the CSV grammar, does not.
+    path = tmp_path / "d.csv"
+    cells = {"x": "1", "time": "2"}
+    cells[column] = token
+    path.write_text(f"id,group,x,time,event\na,trial,1,2,1\nb,external,{cells['x']},"
+                    f"{cells['time']},0\n", encoding="utf-8")
+    with pytest.raises(NonNumericCovariate, match=f"column '{column}' at row 1") as exc:
+        load_dataset(path)
+    assert exc.value.row == 1
+
+
+# Cells for the reader property below. Each is CSV text: a padded or quoted
+# cell is written as it would appear in the file.
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-20, 20).map(str),
+    st.sampled_from(["1e3", "-2.5E-1", ".5", "3.", "+4", "0007", "1e-320"]),
+)
+_MISSING = st.sampled_from(["", "NA", "nan", "NaN", "NULL", "None", ".", "na"])
+_JUNK = st.sampled_from(["abc", "1_0", "1_000", "\u0661", "\uff11", "inf", "-Infinity",
+                         "-nan", "+nan", "0x10", "1e", "1d5", "--1", "1 2", "1e999"])
+
+
+def _dressed(cells):
+    """``cells`` as written in a file: bare, padded with whitespace, or quoted."""
+    def dress(cell, how):
+        if how == "pad":
+            return f" {cell}\t"
+        if how == "nbsp":
+            return f"\u00a0{cell} "
+        if how == "quote" or any(ch in cell for ch in ',"\n'):
+            return '"' + cell.replace('"', '""') + '"'
+        return cell
+    return st.tuples(cells, st.sampled_from(["bare", "bare", "pad", "nbsp", "quote"])).map(
+        lambda pair: dress(*pair))
+
+
+_IDS = _dressed(st.sampled_from(["a", "s1", "a,1", 'q"x', "line\nbreak", " pad "]))
+_LABELS = ["trial", "external", "Trial", "EXTERNAL"]
+_GROUPS = _dressed(st.sampled_from(_LABELS + ["martian", ""]))
+_BLANK_ROWS = st.sampled_from(["", "   ", "\t", ",,,,,,,,", " , ", '"",""'])
+
+
+@st.composite
+def _csv_files(draw):
+    """A small CSV: a header, rows of cells of every kind, and blank rows."""
+    p = draw(st.integers(1, 2))
+    faulty = draw(st.booleans())
+    optional = draw(st.lists(st.sampled_from(["outcome", "time", "event"]), unique=True)
+                    if faulty else
+                    st.sampled_from([[], ["outcome"], ["time", "event"],
+                                     ["outcome", "time", "event"]]))
+    header = ["id", "group"] + [f"x{j}" for j in range(p)] + optional
+    value = st.one_of(_NUMBERS, _MISSING, _JUNK) if faulty else _NUMBERS
+    event = st.sampled_from(["0", "1", "1.0"]) if not faulty else value
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(_BLANK_ROWS))
+            continue
+        cells = [draw(_IDS), draw(_GROUPS if faulty else _dressed(st.sampled_from(_LABELS)))]
+        for name in header[2:]:
+            if name == "event":
+                cell = event
+            elif name == "time" and not faulty:
+                cell = st.floats(0, 1e6).map(repr)
+            elif name in ("outcome", "time"):
+                cell = st.one_of(value, _MISSING)
+            else:
+                cell = value
+            cells.append(draw(_dressed(cell)))
+        if faulty and draw(st.integers(0, 9)) == 0:
+            cells.pop()
+        lines.append(",".join(cells))
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+_REFERENCE_MISSING = {"", "na", "nan", "null", "none", "."}
+
+
+def _reference_number(cell, column, row, optional):
+    """A cell by float(), less underscores and non-ASCII digits; NaN if missing."""
+    token = cell.strip()
+    if token.lower() in _REFERENCE_MISSING:
+        if optional:
+            return math.nan
+        raise MissingValue("missing", row=row)
+    if not token.isascii() or "_" in token:
+        raise NonNumericCovariate("non-numeric", row=row)
+    try:
+        value = float(token)
+    except ValueError:
+        raise NonNumericCovariate("non-numeric", row=row) from None
+    if not math.isfinite(value):
+        raise NonNumericCovariate("non-finite", row=row)
+    return value
+
+
+def _reference_load(text):
+    """The columns ``load_dataset`` should return, by csv.reader and float()."""
+    records = list(csv.reader(io.StringIO(text, newline="")))
+    header = [h.strip() for h in records[0]]
+    rows = [row for row in records[1:] if any(cell.strip() for cell in row)]
+    if not rows:
+        raise EmptyDataset("no data rows")
+    covariates = [h for h in header if h not in ("id", "group", "outcome", "time", "event")]
+    columns = {"ids": [], "trial": [], "X": [], "outcome": [], "time": [], "event": []}
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise SchemaViolation("row length", row=i)
+        cell = dict(zip(header, row))
+        label = cell["group"].strip().lower()
+        if label not in ("trial", "external"):
+            raise UnknownGroupLabel("group", row=i)
+        x = [_reference_number(cell[name], name, i, False) for name in covariates]
+        values = {name: _reference_number(cell[name], name, i, True) if name in cell
+                  else math.nan for name in ("outcome", "time", "event")}
+        if math.isnan(values["time"]) != math.isnan(values["event"]) or values["time"] < 0:
+            raise SchemaViolation("follow-up", row=i)
+        columns["ids"].append(cell["id"].strip())
+        columns["trial"].append(label == "trial")
+        columns["X"].append(x)
+        for name, v in values.items():
+            columns[name].append(float(math.trunc(v)) if name == "event" and v == v else v)
+    if not any(columns["trial"]):
+        raise EmptyDataset("no trial records")
+    return columns
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_csv_files())
+def test_load_dataset_agrees_with_a_row_by_row_reader(tmp_path, text):
+    # The C pass, the row scan and a csv.reader + float() reader written
+    # here agree on every file: the same columns, or the same error and row.
+    path = tmp_path / "d.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    try:
+        expected = _reference_load(text)
+    except (EmptyDataset, MissingValue, NonNumericCovariate, SchemaViolation,
+            UnknownGroupLabel) as exc:
+        with pytest.raises(type(exc)) as got:
+            load_dataset(path)
+        assert type(got.value) is type(exc)
+        assert got.value.row == exc.row
+        return
+    data = load_dataset(path)
+    assert data.ids.tolist() == expected["ids"]
+    assert data.trial.tolist() == expected["trial"]
+    assert data.X.tobytes() == np.array(expected["X"], dtype=float).tobytes()
+    for name in ("outcome", "time", "event"):
+        assert np.array_equal(getattr(data, name), expected[name], equal_nan=True)
 
 
 def test_take_keeps_row_order_and_needs_a_trial_row():

@@ -84,6 +84,20 @@ def test_csv_text_formats_floats_and_quotes_text():
     text = csv_text(("id", "x,y"), (["a", 'b"c'], np.array([0.1, np.nan])))
     assert text == 'id,"x,y"\na,0.10000000000000001\n"b""c",\n'
     assert csv_text(("t",), (np.array([], dtype=float),)) == "t\n"
+    # Each float cell is format(v, ".17g"), and NaN an empty cell: signed
+    # zero, subnormals, infinities, an all-NaN column (the score column MAIC
+    # writes) and a 0-length column.
+    nan = float("nan")
+    for values in ([-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e308, float("inf"),
+                    float("-inf")],
+                   [nan, nan, nan],
+                   [],
+                   [0.1, nan, -1 / 3, 1e-7, 123456789012345678.0, nan]):
+        cells = ["" if v != v else format(v, ".17g") for v in values]
+        ids = [f"s{i}" for i in range(len(values))]
+        assert csv_text(("v",), (np.array(values),)) == "".join(f"{c}\n" for c in ["v"] + cells)
+        rows = ["id,v"] + [f"{i},{c}" for i, c in zip(ids, cells)]
+        assert csv_text(("id", "v"), (ids, np.array(values))) == "\n".join(rows) + "\n"
 
 
 def test_csv_text_formats_only_float_arrays_as_numbers():
