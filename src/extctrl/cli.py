@@ -4,7 +4,9 @@ Subcommands: ps-fit, weight, balance, compare, maic, stc, borrow, simulate,
 run. ``compare``, ``maic``, ``stc`` and ``borrow`` turn their flags into a
 plan document and execute it with ``plan.run_plan``, exactly as ``run``
 does with a plan file, so their reports carry the same provenance (plan
-hash), checklist and diagnostics. Exit codes: 0 success, 2 plan/usage
+hash), checklist and diagnostics. ``ps-fit``, ``weight`` and ``balance``
+turn theirs into a weighting plan and run its design, which reads no
+outcome, with ``plan.run_design``. Exit codes: 0 success, 2 plan/usage
 error (including a bad scenario file), 3 data error (including an input file
 that cannot be read), 4 solver error, 5 positivity hard-fail. The
 EXTCTRL_THREADS environment variable caps bootstrap parallelism (0 or
@@ -19,13 +21,10 @@ import sys
 from pathlib import Path
 
 from . import plan as planmod
-from .balancing import balancing_weights
 from .borrow import a0_sensitivity
-from .dataset import load_dataset, save_dataset
-from .diagnostics import balance_table
+from .dataset import save_dataset
 from .errors import DataError, ExtCtrlError, InvalidConfig, PlanInvalid, SolverError
 from .estimators import Scale
-from .propensity import estimate_propensity, positivity_report
 from .simulate import ScenarioConfig, generate
 
 EXIT_OK = 0
@@ -72,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ps-fit", help="fit the propensity model and audit overlap")
     p.add_argument("data")
     p.add_argument("--covariates", default=None, help="comma-separated subset")
-    p.add_argument("--band", type=float, default=0.1, help="positivity band parameter a")
+    p.add_argument("--band", type=float, help="positivity band parameter a (default 0.1)")
 
     p = sub.add_parser("weight", help="estimand-specific balancing weights")
     p.add_argument("data")
@@ -84,7 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("data")
     p.add_argument("--estimand", required=True)
     p.add_argument("--covariates", default=None)
-    p.add_argument("--threshold", type=float, default=0.1)
+    p.add_argument("--threshold", type=float,
+                   help="|weighted SMD| above which a covariate is imbalanced (default 0.1)")
 
     p = sub.add_parser("compare", help="weighted effect estimate")
     p.add_argument("data")
@@ -137,41 +137,30 @@ def _split(names):
     return [s.strip() for s in names.split(",")] if names else None
 
 
+def _design(args, **fields) -> tuple:
+    """The design block, plan hash and tables of the weighting plan of a
+    ps-fit/weight/balance invocation; a flag not given stays out of the plan."""
+    plan = dict(fields, method="weighting", dataset=args.data, covariates=_split(args.covariates))
+    run = planmod.run_design(planmod.parse_plan({k: v for k, v in plan.items() if v is not None}))
+    return run.report["design"], {"plan_hash": run.report["provenance"]["plan_hash"]}, run.tables
+
+
 def _cmd_ps_fit(args) -> int:
-    band = planmod.positivity_band(args.band, "--band")
-    data = load_dataset(args.data)
-    model = estimate_propensity(data, _split(args.covariates))
-    report = positivity_report(model, data, band)
+    design, stamp, tables = _design(args, positivity_a=args.band)
     out_dir = Path(args.out_dir) if args.out_dir else None
     if out_dir:
-        _write(planmod.csv_text(("id", "score"), (data.ids, model.scores)),
-               out_dir / "scores.csv")
-    _emit(
-        {"positivity": report,
-         "coefficients": [float(c) for c in model.glm.coefficients]},
-        out_dir / "positivity.json" if out_dir else None,
-    )
+        ids, _, scores, _ = tables["weights.csv"][1]
+        _write(planmod.csv_text(("id", "score"), (ids, scores)), out_dir / "scores.csv")
+    _emit({"positivity": design["positivity"], "coefficients": design["coefficients"], **stamp},
+          out_dir / "positivity.json" if out_dir else None)
     return EXIT_OK
 
 
-def _weights(args):
-    """The data, propensity model and --estimand weights of weight/balance."""
-    estimand = planmod.parse_estimand(args.estimand)
-    data = load_dataset(args.data)
-    model = estimate_propensity(data, _split(args.covariates))
-    return data, model, balancing_weights(model, data, estimand)
-
-
 def _cmd_weight(args) -> int:
-    data, model, wset = _weights(args)
+    design, stamp, tables = _design(args, estimand=args.estimand)
     out_dir = Path(args.out_dir) if args.out_dir else None
-    table = planmod.weights_table(data, model.scores, wset.weights)
-    _write(planmod.csv_text(*table), out_dir / "weights.csv" if out_dir else None)
-    ess = planmod.canonical_json(
-        {"estimand": wset.estimand.label,
-         "ess_trial": wset.ess_treated,
-         "ess_external": wset.ess_control,
-         "n_zero_weight": wset.n_zero_weight}) + "\n"
+    _write(planmod.csv_text(*tables["weights.csv"]), out_dir / "weights.csv" if out_dir else None)
+    ess = planmod.canonical_json({**design["weights"], **stamp}) + "\n"
     # Without --out-dir stdout holds only the CSV, so the ESS line goes to stderr.
     if out_dir:
         _write(ess, out_dir / "ess.json")
@@ -181,9 +170,8 @@ def _cmd_weight(args) -> int:
 
 
 def _cmd_balance(args) -> int:
-    data, _, wset = _weights(args)
-    table = balance_table(data, wset, args.threshold)
-    _emit({"balance": table},
+    design, stamp, _ = _design(args, estimand=args.estimand, smd_threshold=args.threshold)
+    _emit({"balance": design["balance"], **stamp},
           Path(args.out_dir) / "balance.json" if args.out_dir else None)
     return EXIT_OK
 

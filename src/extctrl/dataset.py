@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import enum
-import io
 import json
 import math
 import warnings
@@ -298,13 +297,13 @@ def _parse_number(token: str, column: str, row: int) -> float:
     return value
 
 
-def _raise_first_error(path, rows, header, col_index, cov_names, optional) -> None:
-    """Scan rows in order and raise the error of the first offending cell.
+def _raise_first_error(path, lines, header, col_index, cov_names, optional) -> None:
+    """Scan the rows of CSV ``lines`` in order and raise the error of the first offending cell.
 
     Used only once the C pass has stopped, so that errors name the same row
     and cell as a row-at-a-time reader would.
     """
-    for i, row in enumerate(rows):
+    for i, row in enumerate(csv.reader(lines)):
         if len(row) != len(header):
             raise SchemaViolation(
                 f"{path}: row {i} has {len(row)} cells, expected {len(header)}", row=i)
@@ -372,9 +371,9 @@ def load_dataset(path) -> Dataset:
     from the values. Returns the validated dataset in file row order.
 
     A valid file is parsed in one C pass (``np.loadtxt``). Where that pass
-    stops, the rows a ``csv.reader`` scan keeps, blank rows dropped, are
-    parsed again; if that fails too, the scan raises the error of the first
-    offending cell.
+    stops, the lines of the records a ``csv.reader`` scan keeps, blank
+    records dropped, are parsed again; if that fails too, the scan raises
+    the error of the first offending cell.
     """
     path = Path(path)
     try:
@@ -396,21 +395,23 @@ def load_dataset(path) -> Dataset:
                        if cov_names else None)
             if columns is None or not len(columns["ids"]):
                 fh.seek(0)
-                reader = csv.reader(fh)
+                lines = fh.readlines()
+                reader = csv.reader(lines)
                 next(reader)
-                rows = [row for row in reader if any(map(str.strip, row))]
-                if not rows:
+                kept, start = [], reader.line_num
+                for row in reader:
+                    if any(map(str.strip, row)):
+                        kept += lines[start:reader.line_num]
+                    start = reader.line_num
+                if not kept:
                     raise EmptyDataset(f"{path}: no data rows")
                 if not cov_names:
                     raise MissingColumn(f"{path}: no covariate columns")
-                # NumPy's reader stops at a row of blank cells; without them,
-                # it stops only where the row scan finds the first fault.
-                text = io.StringIO()
-                csv.writer(text).writerows(rows)
-                text.seek(0)
-                columns = _read_columns(text, header, col_index, cov_names, optional)
+                # NumPy's reader stops at a row of blank cells; without their
+                # lines, it stops only where the row scan finds the first fault.
+                columns = _read_columns(kept, header, col_index, cov_names, optional)
                 if columns is None:
-                    _raise_first_error(path, rows, header, col_index, cov_names, optional)
+                    _raise_first_error(path, kept, header, col_index, cov_names, optional)
                     raise AssertionError("C pass and row scan disagree")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: cannot read file ({exc})") from None

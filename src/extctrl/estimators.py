@@ -22,7 +22,7 @@ from .errors import (
     ScaleIncompatibleWithOutcome,
     ZeroDenominator,
 )
-from .propensity import PropensityModel, estimate_propensity
+from .propensity import estimate_propensity
 
 
 class Scale(enum.Enum):
@@ -248,12 +248,12 @@ def survival_contrast(
 class WeightingAnalysis:
     """Propensity model, balancing weights and contrast, as one analysis.
 
-    ``estimate`` gives the weights, the weighted KM curves of a time-to-event
-    outcome (None otherwise) and the effect report for a fitted propensity
-    model: the weighted mean contrast on ``scale``, or the survival
-    difference at ``horizon``. Calling it on a dataset refits the propensity
-    model and returns the point of that effect, so a bootstrap replicate runs
-    the same code as the point estimate.
+    ``estimate`` gives the weighted KM curves of a time-to-event outcome
+    (None otherwise) and the effect report for the balancing ``weights``:
+    the weighted mean contrast on ``scale``, or the survival difference at
+    ``horizon``. Calling it on a dataset refits the propensity model and the
+    weights and returns the point of that effect, so a bootstrap replicate
+    runs the same code as the point estimate.
     """
 
     estimand: Estimand
@@ -262,18 +262,18 @@ class WeightingAnalysis:
     horizon: Optional[float] = None
 
     def estimate(
-        self, data: Dataset, model: PropensityModel
-    ) -> tuple[WeightSet, Optional[dict[str, SurvivalCurve]], EffectReport]:
-        wset = balancing_weights(model, data, self.estimand)
+        self, data: Dataset, weights: WeightSet
+    ) -> tuple[Optional[dict[str, SurvivalCurve]], EffectReport]:
         if data.outcome_kind is not OutcomeKind.TIME_TO_EVENT:
-            return wset, None, weighted_mean_contrast(data, wset, self.scale)
-        curves = weighted_km_by_group(data, wset)
+            return None, weighted_mean_contrast(data, weights, self.scale)
+        curves = weighted_km_by_group(data, weights)
         effect = survival_contrast(
             curves["trial"], curves["external"], self.horizon,
             estimand_label=self.estimand.label,
             target_population=self.estimand.target_population_label,
         )
-        return wset, curves, effect
+        return curves, effect
 
     def __call__(self, data: Dataset) -> float:
-        return self.estimate(data, estimate_propensity(data, self.covariates))[2].point
+        model = estimate_propensity(data, self.covariates)
+        return self.estimate(data, balancing_weights(model, data, self.estimand))[1].point

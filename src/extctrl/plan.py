@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .balancing import Estimand, weighted_prevalence
+from .balancing import Estimand, balancing_weights, weighted_prevalence
 from .borrow import power_prior_posterior
 from .dataset import (
     Dataset,
@@ -30,7 +30,8 @@ from .dataset import (
     load_aggregate,
     load_dataset,
 )
-from .diagnostics import CHECKLIST_FIELDS, balance_table, comparability_checklist
+from .diagnostics import (CHECKLIST_FIELDS, DEFAULT_SMD_THRESHOLD, balance_table,
+                          comparability_checklist)
 from .errors import PlanInvalid, checked_field as _field, is_count, is_int, is_number
 from .estimators import Scale, WeightingAnalysis, check_scale
 from .inference import BootstrapConfig, bootstrap_ci
@@ -100,6 +101,7 @@ class AnalysisPlan:
     checklist: dict
     fail_on_overlap: bool
     positivity_a: float
+    smd_threshold: float
     horizon: Optional[float]
     power_prior: Optional[dict]
     seed: int
@@ -119,25 +121,10 @@ def load_plan(path) -> AnalysisPlan:
     return parse_plan(raw)
 
 
-def parse_estimand(token: str) -> Estimand:
-    """Estimand of a plan or command token (``att``, ``trim:0.1``, ...)."""
-    try:
-        return Estimand.parse(token)
-    except ValueError as exc:
-        raise PlanInvalid(f"bad estimand {token!r}: {exc}") from None
-
-
-def positivity_band(value, name: str = "positivity_a") -> float:
-    """``value`` as the positivity band parameter a, which must lie in [0, 0.5)."""
-    if not (is_number(value) and 0 <= value < 0.5):
-        raise PlanInvalid(f"{name} must be in [0, 0.5), got {value!r}")
-    return value
-
-
 # The keys a plan ("") and each of its blocks may hold.
 _KEYS = {"": {"method", "dataset", "aggregate", "estimand", "scale", "link", "covariates",
-              "seed", "checklist", "fail_on_overlap", "positivity_a", "horizon",
-              "bootstrap", "power_prior"},
+              "seed", "checklist", "fail_on_overlap", "positivity_a", "smd_threshold",
+              "horizon", "bootstrap", "power_prior"},
          "bootstrap": {"replicates", "level", "seed", "threads"},
          "power_prior": {"x", "n", "x0", "n0", "a0", "prior", "level", "assume_comparable"},
          "checklist": set(CHECKLIST_FIELDS)}
@@ -170,8 +157,11 @@ def parse_plan(raw: dict) -> AnalysisPlan:
 
     estimand = None
     if method is Method.WEIGHTING:
-        estimand = parse_estimand(_field(raw, "estimand", "ate",
-                                         lambda v: isinstance(v, str), "a string"))
+        token = _field(raw, "estimand", "ate", lambda v: isinstance(v, str), "a string")
+        try:
+            estimand = Estimand.parse(token)
+        except ValueError as exc:
+            raise PlanInvalid(f"bad estimand {token!r}: {exc}") from None
     try:
         scale = Scale(raw["scale"]) if "scale" in raw else None
         Link(raw.get("link", "identity"))  # STC checks it against the outcome's link
@@ -184,7 +174,10 @@ def parse_plan(raw: dict) -> AnalysisPlan:
     checklist = _field(raw, "checklist", {}, lambda v: isinstance(v, dict), "an object")
     fail_on_overlap = _field(raw, "fail_on_overlap", False,
                              lambda v: isinstance(v, bool), "true or false")
-    positivity_a = positivity_band(raw.get("positivity_a", 0.1))
+    positivity_a = _field(raw, "positivity_a", 0.1, lambda v: is_number(v) and 0 <= v < 0.5,
+                          "in [0, 0.5)")
+    smd_threshold = _field(raw, "smd_threshold", DEFAULT_SMD_THRESHOLD,
+                           lambda v: is_number(v) and v > 0, "a finite number > 0")
     horizon = _field(raw, "horizon", None,
                      lambda v: v is None or (is_number(v) and v >= 0), "a number >= 0")
 
@@ -232,6 +225,7 @@ def parse_plan(raw: dict) -> AnalysisPlan:
         checklist=checklist,
         fail_on_overlap=fail_on_overlap,
         positivity_a=positivity_a,
+        smd_threshold=smd_threshold,
         horizon=horizon,
         power_prior=pp,
         seed=seed,
@@ -299,6 +293,19 @@ class PositivityHardFail(Exception):
     """Raised when the plan demands failure on insufficient overlap."""
 
 
+_STEPS = ("estimand", "selection-diagnostics", "comparison")
+
+
+def _report(plan: AnalysisPlan, steps, **provenance) -> dict:
+    """The provenance and the checklist that open every report."""
+    provenance = {"schema": SCHEMA_VERSION, "plan_hash": plan.hash, "method": plan.method.value,
+                  "steps": list(steps), "seed": plan.seed, "covariates": plan.covariates,
+                  **provenance}
+    if plan.estimand is not None:
+        provenance["estimand"] = plan.estimand.label
+    return {"provenance": provenance, "checklist": comparability_checklist(plan.checklist)}
+
+
 def run_plan(plan: AnalysisPlan) -> RunArtifacts:
     """Execute a validated plan and assemble its artifacts.
 
@@ -306,26 +313,22 @@ def run_plan(plan: AnalysisPlan) -> RunArtifacts:
     method's runner builds its analysis, runs it once on the data and
     returns the analysis, the data it ran on, the effect report and the
     method's own report blocks and tables. The bootstrap, when the plan asks
-    for one, refits that same analysis on every replicate.
+    for one, refits that same analysis on every replicate. On data without
+    outcomes a weighting plan runs ``run_design`` and may set no scale, horizon or bootstrap.
     """
-    checklist = comparability_checklist(plan.checklist)
     data = target = None
     kind = OutcomeKind.BINARY  # a power prior's outcome
     if plan.method is not Method.POWER_PRIOR:
         data = load_dataset(plan.dataset_path)
         target = load_aggregate(plan.aggregate_path) if plan.aggregate_path else None
         kind = data.outcome_kind
+    if kind is None and plan.method is Method.WEIGHTING:
+        for key in ("scale", "horizon", "bootstrap"):
+            if key in plan.raw:
+                raise PlanInvalid(f"{key} needs outcomes, and {plan.dataset_path} has none")
+        return run_design(plan, data)
     scale = check_scale(kind, plan.scale, target.outcome_kind if target else None)
-    provenance = {
-        "schema": SCHEMA_VERSION,
-        "plan_hash": plan.hash,
-        "method": plan.method.value,
-        "steps": ["estimand", "selection-diagnostics", "comparison"],
-        "seed": plan.seed,
-        "covariates": plan.covariates,
-        "scale": scale.value,
-    }
-    report = {"provenance": provenance, "checklist": checklist}
+    report = _report(plan, _STEPS, scale=scale.value)
 
     if plan.method is Method.POWER_PRIOR:
         pp = plan.power_prior
@@ -336,13 +339,11 @@ def run_plan(plan: AnalysisPlan) -> RunArtifacts:
         report["posterior"] = post.to_dict(pp.get("level", 0.95))
         return RunArtifacts(report=report)
 
-    if plan.estimand is not None:
-        provenance["estimand"] = plan.estimand.label
     runner = {Method.WEIGHTING: _run_weighting, Method.MAIC: _run_maic,
               Method.STC: _run_stc}[plan.method]
     analysis, sample, effect, run = runner(plan, data, target, scale)
     # The method's resolved names (matched covariates, link) win over the plan's.
-    effect.provenance = {**provenance, **effect.provenance}
+    effect.provenance = {**report["provenance"], **effect.provenance}
     run.report = {**report, "effect": effect.to_dict(), **run.report}
     if plan.bootstrap:
         config = plan.bootstrap
@@ -358,30 +359,48 @@ def run_plan(plan: AnalysisPlan) -> RunArtifacts:
     return run
 
 
-def _run_weighting(plan, data: Dataset, target, scale):
-    if data.outcome_kind is OutcomeKind.TIME_TO_EVENT and plan.horizon is None:
-        raise PlanInvalid("a time-to-event outcome needs a survival horizon")
+def run_design(plan: AnalysisPlan, data: Optional[Dataset] = None) -> RunArtifacts:
+    """The design steps of a weighting plan, which read no outcome of ``data``
+    (by default the plan's dataset). The report's ``design`` block holds the
+    diagnostics a full run reports under ``effect``, the ESS and the propensity fit."""
+    data = load_dataset(plan.dataset_path) if data is None else data
+    model, positivity, wset = _design(plan, data)
+    diagnostics, tables = _diagnostics(plan, data, model, positivity, wset)
+    weights = {"estimand": wset.estimand.label, "ess_trial": wset.ess_treated,
+               "ess_external": wset.ess_control, "n_zero_weight": wset.n_zero_weight}
+    design = {**diagnostics, "weights": weights, "coefficients": model.glm.coefficients}
+    return RunArtifacts({**_report(plan, _STEPS[:2]), "design": design}, tables)
+
+
+def _design(plan: AnalysisPlan, data: Dataset) -> tuple:
+    """The propensity model, its positivity report and the weights of a weighting plan."""
     model = estimate_propensity(data, plan.covariates)
     positivity = positivity_report(model, data, plan.positivity_a)
     if plan.fail_on_overlap and positivity.insufficient_overlap:
         raise PositivityHardFail("insufficient propensity-score overlap")
+    return model, positivity, balancing_weights(model, data, plan.estimand)
+
+
+def _diagnostics(plan: AnalysisPlan, data: Dataset, model, positivity, wset) -> tuple:
+    """The diagnostics of a weighting design, and its weights.csv and balance.csv."""
+    table = balance_table(data, wset, plan.smd_threshold)
+    diagnostics = {"positivity": positivity, "balance": table, "weighted_prevalence": {
+        name: list(weighted_prevalence(wset, data, name)) for name in data.covariate_names}}
+    smds = np.array([(r.unweighted_smd, r.weighted_smd) for r in table.rows], dtype=float)
+    return diagnostics, {"weights.csv": weights_table(data, model.scores, wset.weights),
+                         "balance.csv": (("covariate", "unweighted_smd", "weighted_smd"), (
+                             [r.covariate for r in table.rows], smds[:, 0], smds[:, 1]))}
+
+
+def _run_weighting(plan, data: Dataset, target, scale):
+    if data.outcome_kind is OutcomeKind.TIME_TO_EVENT and plan.horizon is None:
+        raise PlanInvalid("a time-to-event outcome needs a survival horizon")
+    model, positivity, wset = _design(plan, data)
     analysis = WeightingAnalysis(plan.estimand, scale, plan.covariates, plan.horizon)
-    wset, curves, effect = analysis.estimate(data, model)
-    table = balance_table(data, wset)
-    prevalences = {
-        name: weighted_prevalence(wset, data, name) for name in data.covariate_names
-    }
-    effect.diagnostics = {
-        "positivity": positivity,
-        "balance": table,
-        "weighted_prevalence": {k: list(v) for k, v in prevalences.items()},
-    }
-    balance = (("covariate", "unweighted_smd", "weighted_smd"), (
-        [r.covariate for r in table.rows],
-        np.array([r.unweighted_smd for r in table.rows], dtype=float),
-        np.array([r.weighted_smd for r in table.rows], dtype=float)))
-    tables = {"weights.csv": weights_table(data, model.scores, wset.weights),
-              "balance.csv": balance}
+    curves, effect = analysis.estimate(data, wset)
+    # The tables follow the effect: the text columns of a large weights.csv
+    # would otherwise add to the peak memory of the weighted KM.
+    effect.diagnostics, tables = _diagnostics(plan, data, model, positivity, wset)
     return analysis, data, effect, RunArtifacts({}, tables, curves)
 
 

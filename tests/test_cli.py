@@ -428,6 +428,11 @@ def test_report_json_strict_for_infinite_odds_ratio(tmp_path):
     {"method": "weighting", "dataset": "d.csv", "horizon": -1.0},
     {"method": "weighting", "dataset": "d.csv", "checklist": ["aligned"]},
     {"method": "weighting", "dataset": "d.csv", "seed": "7"},
+    {"method": "weighting", "dataset": "d.csv", "smd_threshold": float("nan")},
+    {"method": "weighting", "dataset": "d.csv", "smd_threshold": float("inf")},
+    {"method": "weighting", "dataset": "d.csv", "smd_threshold": -1},
+    {"method": "weighting", "dataset": "d.csv", "smd_threshold": 0},
+    {"method": "weighting", "dataset": "d.csv", "smd_threshold": "0.1"},
     # A key the schema does not know, at the top level or in a block.
     {"method": "weighting", "dataset": "d.csv", "estimand": "att", "scael": "or"},
     {"method": "weighting", "dataset": "d.csv", "bootstrap": {"replicates": 20, "sed": 4}},
@@ -559,6 +564,11 @@ def test_balance_creates_the_output_directory(toy_csv, tmp_path):
     ["ps-fit", "{toy}", "--band", "0.7"],
     ["ps-fit", "{toy}", "--band", "-0.1"],
     ["compare", "{toy}", "--estimand", "ate:x"],
+    # The imbalance threshold is a finite number > 0 (plan key smd_threshold).
+    ["balance", "{toy}", "--estimand", "ato", "--threshold", "nan"],
+    ["balance", "{toy}", "--estimand", "ato", "--threshold", "inf"],
+    ["balance", "{toy}", "--estimand", "ato", "--threshold", "-1"],
+    ["balance", "{toy}", "--estimand", "ato", "--threshold", "0"],
 ])
 def test_bad_estimand_or_band_is_usage_error(argv, toy_csv, capsys):
     assert run_cli([a.format(toy=toy_csv) for a in argv]) == 2
@@ -629,3 +639,143 @@ def test_compare_survival_curves(survival_csv, tmp_path):
     s_at = [float(line.split(",")[1]) for line in trial[1:] if float(line.split(",")[0]) <= 3]
     assert report["effect"]["group_summary"]["horizon"] == 3.0
     assert report["effect"]["group_summary"]["trial_survival"] == s_at[-1]
+
+
+# --- the design alone: ps-fit, weight and balance, and plans without outcomes ---
+
+@pytest.fixture
+def design_csv(big_csv, tmp_path):
+    """``big_csv`` with its outcome column cut off."""
+    lines = big_csv.read_text(encoding="utf-8").splitlines()
+    path = tmp_path / "design.csv"
+    path.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in lines), encoding="utf-8")
+    return path
+
+
+def _design_run(plan, tmp_path):
+    """The report and output directory of ``extctrl run`` on ``plan``."""
+    plan_path, out = tmp_path / "plan.json", tmp_path / "run"
+    tmp_path.mkdir(exist_ok=True)
+    plan_path.write_text(json.dumps(plan), encoding="utf-8")
+    assert run_cli(["--out-dir", out, "run", plan_path]) == 0
+    return json.loads((out / "report.json").read_text(encoding="utf-8")), out
+
+
+def test_weighting_plan_without_outcomes_runs_the_design(design_csv, big_csv, tmp_path):
+    plan = {"method": "weighting", "dataset": str(design_csv), "estimand": "ato"}
+    report, out = _design_run(plan, tmp_path)
+    assert sorted(report) == ["checklist", "design", "provenance"]
+    assert report["provenance"]["steps"] == ["estimand", "selection-diagnostics"]
+    assert "scale" not in report["provenance"]
+    assert report["provenance"]["plan_hash"] == plan_hash(plan)
+    assert sorted(p.name for p in out.iterdir()) == ["balance.csv", "report.json", "weights.csv"]
+
+    # The same plan on the data with outcomes reports the same diagnostics
+    # under its effect, and writes the same tables.
+    full, full_out = _design_run(dict(plan, dataset=str(big_csv)), tmp_path / "full")
+    diagnostics = full["effect"]["diagnostics"]
+    assert {k: report["design"][k] for k in diagnostics} == diagnostics
+    assert sorted(diagnostics) == ["balance", "positivity", "weighted_prevalence"]
+    for name in ("weights.csv", "balance.csv"):
+        assert (out / name).read_bytes() == (full_out / name).read_bytes()
+
+
+@pytest.mark.parametrize("key,value", [("scale", "rd"), ("horizon", 3.0),
+                                       ("bootstrap", {"replicates": 20})])
+def test_design_only_plan_rejects_what_only_a_comparison_reads(key, value, design_csv,
+                                                                tmp_path, capsys):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"method": "weighting", "dataset": str(design_csv),
+                                "estimand": "att", key: value}), encoding="utf-8")
+    assert run_cli(["--out-dir", tmp_path / "o", "run", plan]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key} needs outcomes")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("method", ["maic", "stc"])
+def test_aggregate_plan_without_outcomes_is_usage_error(method, design_csv, aggregate_json,
+                                                        tmp_path, capsys):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"method": method, "dataset": str(design_csv),
+                                "aggregate": str(aggregate_json)}), encoding="utf-8")
+    assert run_cli(["--out-dir", tmp_path / "o", "run", plan]) == 2
+    assert "no outcomes" in capsys.readouterr().err
+
+
+DESIGN_CASES = {
+    "ps-fit": (["ps-fit", "{data}", "--band", "0.2"], {"positivity_a": 0.2}),
+    "weight": (["weight", "{data}", "--estimand", "att", "--covariates", "severe"],
+               {"estimand": "att", "covariates": ["severe"]}),
+    "balance": (["balance", "{data}", "--estimand", "ato", "--threshold", "0.05"],
+                {"estimand": "ato", "smd_threshold": 0.05}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DESIGN_CASES))
+def test_design_front_end_equals_design_run(case, design_csv, tmp_path):
+    argv, fields = DESIGN_CASES[case]
+    plan = {"method": "weighting", "dataset": str(design_csv), **fields}
+    cli_out = tmp_path / "cli"
+    assert run_cli(["--out-dir", cli_out] + [a.format(data=design_csv) for a in argv]) == 0
+    report, run_out = _design_run(plan, tmp_path)
+    design, stamp = report["design"], {"plan_hash": plan_hash(plan)}
+    assert report["provenance"]["plan_hash"] == stamp["plan_hash"]
+    expected = {
+        "ps-fit": {"positivity.json": {"positivity": design["positivity"],
+                                       "coefficients": design["coefficients"], **stamp}},
+        "weight": {"ess.json": {**design["weights"], **stamp}},
+        "balance": {"balance.json": {"balance": design["balance"], **stamp}},
+    }[case]
+    for name, payload in expected.items():
+        assert json.loads((cli_out / name).read_text(encoding="utf-8")) == payload
+    run_weights = list(csv.reader(io.StringIO((run_out / "weights.csv").read_text())))
+    if case == "weight":
+        assert (cli_out / "weights.csv").read_bytes() == (run_out / "weights.csv").read_bytes()
+    if case == "ps-fit":
+        scores = list(csv.reader(io.StringIO((cli_out / "scores.csv").read_text())))
+        assert scores == [[r[0], r[2]] for r in run_weights]
+    if case == "balance":
+        assert design["balance"]["threshold"] == 0.05
+
+
+def test_weight_and_balance_with_the_same_flags_share_a_plan_hash(toy_csv, tmp_path):
+    flags = [toy_csv, "--estimand", "att", "--covariates", "severe"]
+    assert run_cli(["--out-dir", tmp_path, "weight"] + flags) == 0
+    assert run_cli(["--out-dir", tmp_path, "balance"] + flags) == 0
+    ess = json.loads((tmp_path / "ess.json").read_text(encoding="utf-8"))
+    balance = json.loads((tmp_path / "balance.json").read_text(encoding="utf-8"))
+    assert ess["plan_hash"] == balance["plan_hash"]
+
+
+def test_design_with_no_weight_in_a_group_is_solver_error(toy_csv, capsys):
+    # The toy scores are 0.25 and 0.75, so trimming at 0.3 leaves every
+    # subject with weight zero, and the design's balance table is undefined.
+    for command in ("weight", "balance"):
+        assert run_cli([command, toy_csv, "--estimand", "trim:0.3"]) == 4
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_design_commands_do_not_read_the_outcome(big_csv, tmp_path, capsys):
+    commands = [["ps-fit", big_csv], ["weight", big_csv, "--estimand", "att"],
+                ["balance", big_csv, "--estimand", "ato"]]
+
+    def outputs(tag):
+        files = {}
+        for i, argv in enumerate(commands):
+            out = tmp_path / f"{tag}{i}"
+            assert run_cli(["--out-dir", out] + argv) == 0
+            files.update({(i, p.name): p.read_bytes() for p in out.iterdir()})
+        return files
+
+    def point():
+        assert run_cli(["compare", big_csv, "--estimand", "att"]) == 0
+        return json.loads(capsys.readouterr().out)["effect"]["point"]
+
+    before, point_before = outputs("before"), point()
+    # Rewrite the outcome column in place, in reverse row order.
+    lines = big_csv.read_text(encoding="utf-8").splitlines()
+    cells = [line.rsplit(",", 1) for line in lines[1:]]
+    rows = [f"{rest},{y}" for (rest, _), (_, y) in zip(cells, reversed(cells))]
+    big_csv.write_text("\n".join([lines[0]] + rows) + "\n", encoding="utf-8")
+    assert point() != point_before  # the rewrite changes what a comparison reads
+    assert outputs("after") == before

@@ -284,6 +284,23 @@ def test_rows_of_blank_cells_are_skipped(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("text,ids", [
+    (b'id,group,x\r\n,,\r\n"a\r\nb",trial,1\r\n\r\n"c\n\nz",external,2\r\n , ,\r\n"d",trial,"3"',
+     ["a\r\nb", "c\n\nz", "d"]),
+    (b'id,group,x\n"a\n,,\n",trial,1\n,,\n"b",external,2\n', ["a\n,,", "b"]),
+    (b'id,group,x\r,,\r"a\rb",trial,1\r\r"c",external,2\r', ["a\rb", "c"]),
+], ids=["crlf", "quoted-blank-line", "cr"])
+def test_blank_rows_between_records_that_span_lines(text, ids, tmp_path):
+    # Once a blank row stops the C pass, the lines of each record that is not
+    # blank are parsed again: a quoted line break, even one before a line of
+    # commas, stays inside its cell, whatever the line ends.
+    path = tmp_path / "d.csv"
+    path.write_bytes(text)
+    data = load_dataset(path)
+    assert data.ids.tolist() == ids
+    assert data.X[:, 0].tolist() == [float(i + 1) for i in range(len(ids))]
+
+
 @pytest.mark.parametrize("token", ["1_000", "1_0", "\u0661", "\uff11", "\uff11.5"])
 @pytest.mark.parametrize("column", ["x", "time"])
 def test_underscores_and_non_ascii_digits_are_not_numbers(token, column, tmp_path):

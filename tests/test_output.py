@@ -115,6 +115,10 @@ POSITIVITY_KEYS = ["band", "external_range", "insufficient_overlap", "n_outside_
 BALANCE_KEYS = ["ess_external", "ess_trial", "imbalance", "max_abs_weighted_smd", "rows",
                 "threshold", "undefined_covariates"]
 BALANCE_ROW_KEYS = ["covariate", "unweighted_smd", "weighted_smd"]
+# The design block of a weighting plan run on data without outcomes; its
+# weights block is what extctrl weight writes to ess.json.
+DESIGN_KEYS = ["balance", "coefficients", "positivity", "weighted_prevalence", "weights"]
+ESS_KEYS = ["ess_external", "ess_trial", "estimand", "n_zero_weight"]
 CHECKLIST_KEYS = ["caveats", "items", "status"]
 TRUTH_KEYS = ["atc", "ate", "att", "mc_se", "scale"]
 
@@ -149,6 +153,28 @@ def test_report_key_sets_are_pinned(awkward_csv, tmp_path, capsys):
                      "--out", str(tmp_path / "sim.csv")]) == 0
     truth = json.loads((tmp_path / "sim.truth.json").read_text(encoding="utf-8"))
     assert sorted(truth["truth"]) == TRUTH_KEYS
+
+
+def test_design_report_key_sets_are_pinned(awkward_csv, tmp_path):
+    data, _, _ = awkward_csv
+    # The same subjects with the time and event columns cut off.
+    design = tmp_path / "design.csv"
+    with design.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(row[:4] for row in read_csv(data))
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"method": "weighting", "dataset": str(design),
+                                "estimand": "ato"}), encoding="utf-8")
+    assert cli.main(["--out-dir", str(tmp_path / "r"), "run", str(plan)]) == 0
+    report = json.loads((tmp_path / "r" / "report.json").read_text(encoding="utf-8"))
+    assert sorted(report["design"]) == DESIGN_KEYS
+    assert sorted(report["design"]["positivity"]) == POSITIVITY_KEYS
+    assert sorted(report["design"]["balance"]) == BALANCE_KEYS
+    assert sorted(report["design"]["weights"]) == ESS_KEYS
+
+    assert cli.main(["--out-dir", str(tmp_path / "w"), "weight", str(data),
+                     "--estimand", "ato"]) == 0
+    ess = json.loads((tmp_path / "w" / "ess.json").read_text(encoding="utf-8"))
+    assert sorted(ess) == sorted(ESS_KEYS + ["plan_hash"])
 
 
 def test_canonical_json_writes_nested_dataclasses_by_field():
