@@ -324,14 +324,17 @@ _strip = np.frompyfunc(str.strip, 1, 1)
 _label = np.frompyfunc(lambda cell: cell.strip().lower(), 1, 1)
 
 
-def _read_columns(source, header, col_index, cov_names, optional) -> Optional[dict]:
+def _read_columns(source, header, col_index, cov_names, optional, parse=True) -> Optional[dict]:
     """The ``Dataset`` columns of the data rows in text file ``source``, in one C pass.
 
     None where NumPy's reader stops (at a fault, or at a row of blank cells,
     which it does not skip) or a group label or covariate value is invalid.
+    ``parse`` reads the outcome, time and event cells with ``_parse_optional``;
+    without it, NumPy reads them, and a missing or non-finite one is None too.
     """
-    converters = {col_index[col]: _parse_optional for col in optional if col is not None}
-    numeric = {col_index[name] for name in cov_names}.union(converters)
+    present = [col_index[col] for col in optional if col is not None]
+    converters = dict.fromkeys(present, _parse_optional) if parse else None
+    numeric = {col_index[name] for name in cov_names}.union(present)
     dtype = [(f"f{j}", float if j in numeric else object) for j in range(len(header))]
     with warnings.catch_warnings():
         # A file of a header alone is EmptyDataset, raised by the caller.
@@ -345,12 +348,16 @@ def _read_columns(source, header, col_index, cov_names, optional) -> Optional[di
     def column(name):
         return None if name is None else table[f"f{col_index[name]}"]
 
-    labels = _label(column("group"))
-    trial = labels == "trial"
+    labels = column("group")
+    trial, external = labels == "trial", labels == "external"
+    if not (trial | external).all():  # padded or not lower-case labels, or invalid ones
+        labels = _label(labels)
+        trial, external = labels == "trial", labels == "external"
     X = np.stack([column(name) for name in cov_names], axis=1)
-    if not (trial | (labels == "external")).all() or not np.isfinite(X).all():
-        return None
     outcome, time, event = map(column, optional)
+    finite = [X] if parse else [X] + [col for col in (outcome, time, event) if col is not None]
+    if not (trial | external).all() or not all(np.isfinite(col).all() for col in finite):
+        return None
     return dict(
         ids=_strip(column("id")),
         trial=trial,
@@ -370,7 +377,9 @@ def load_dataset(path) -> Dataset:
     column is a covariate, in header order. The outcome kind is inferred
     from the values. Returns the validated dataset in file row order.
 
-    A valid file is parsed in one C pass (``np.loadtxt``). Where that pass
+    A valid file is parsed in one C pass (``np.loadtxt``), with no per-cell
+    Python unless an outcome, time or event cell is missing or non-finite:
+    then a second pass reads those cells with ``_parse_optional``. Where that
     stops, the lines of the records a ``csv.reader`` scan keeps, blank
     records dropped, are parsed again; if that fails too, the scan raises
     the error of the first offending cell.
@@ -378,7 +387,8 @@ def load_dataset(path) -> Dataset:
     path = Path(path)
     try:
         with path.open(newline="", encoding="utf-8") as fh:
-            header = next(csv.reader(fh), None)
+            # Read by ``readline``, which leaves ``tell`` working.
+            header = next(csv.reader(iter(fh.readline, "")), None)
             if header is None:
                 raise EmptyDataset(f"{path}: file is empty")
             header = [h.strip() for h in header]
@@ -391,8 +401,13 @@ def load_dataset(path) -> Dataset:
             # Outcome, time and event columns present in the file, else None.
             optional = [col if col in header else None for col in ("outcome", "time", "event")]
 
-            columns = (_read_columns(fh, header, col_index, cov_names, optional)
-                       if cov_names else None)
+            columns = None
+            if cov_names:
+                body = fh.tell()
+                columns = _read_columns(fh, header, col_index, cov_names, optional, parse=False)
+                if columns is None and any(optional):
+                    fh.seek(body)
+                    columns = _read_columns(fh, header, col_index, cov_names, optional)
             if columns is None or not len(columns["ids"]):
                 fh.seek(0)
                 lines = fh.readlines()

@@ -35,14 +35,25 @@ _IMMORTAL_TIME_CAVEAT = (
 )
 
 
-def weighted_mean_var(x: np.ndarray, w: np.ndarray) -> tuple[float, float]:
-    """Weighted mean and frequency-weight (biased) variance."""
-    total = float(np.sum(w))
+def weighted_mean_var(x: np.ndarray, w: Optional[np.ndarray] = None) -> tuple[float, float]:
+    """Weighted mean and frequency-weight (biased) variance; unit weights by default."""
+    total = float(len(x) if w is None else np.sum(w))
     if total <= 0:
         raise AllWeightsZero("group total weight is zero")
-    m = float(np.sum(w * x) / total)
-    v = float(np.sum(w * (x - m) ** 2) / total)
+    m = float(np.sum(x if w is None else w * x) / total)
+    d2 = (x - m) ** 2
+    v = float(np.sum(d2 if w is None else w * d2) / total)
     return m, v
+
+
+def _group_smd(x1, x0, w1=None, w0=None) -> Optional[float]:
+    """SMD of trial values ``x1`` (weights ``w1``) minus external values ``x0``."""
+    m1, v1 = weighted_mean_var(x1, w1)
+    m0, v0 = weighted_mean_var(x0, w0)
+    pooled = (v1 + v0) / 2.0
+    if pooled <= 0:
+        return None
+    return (m1 - m0) / np.sqrt(pooled)
 
 
 def smd(
@@ -52,14 +63,8 @@ def smd(
 
     Returns None when the pooled variance is zero (SMD undefined).
     """
-    if weights is None:
-        weights = np.ones_like(x, dtype=float)
-    m1, v1 = weighted_mean_var(x[trial_mask], weights[trial_mask])
-    m0, v0 = weighted_mean_var(x[~trial_mask], weights[~trial_mask])
-    pooled = (v1 + v0) / 2.0
-    if pooled <= 0:
-        return None
-    return (m1 - m0) / np.sqrt(pooled)
+    w = (None, None) if weights is None else (weights[trial_mask], weights[~trial_mask])
+    return _group_smd(x[trial_mask], x[~trial_mask], *w)
 
 
 @dataclass(frozen=True)
@@ -88,13 +93,16 @@ def balance_table(
     """Per-covariate SMD before and after weighting, with an imbalance flag."""
     trial = data.group_mask
     w = weights.weights
-    X = data.covariate_matrix()
+    # Each group's rows, gathered once: one contiguous row per covariate.
+    XT = data.covariate_matrix().T
+    x1, x0 = np.ascontiguousarray(XT[:, trial]), np.ascontiguousarray(XT[:, ~trial])
+    w1, w0 = w[trial], w[~trial]
     rows = []
     undefined = []
     weighted_vals = []
     for j, name in enumerate(data.covariate_names):
-        raw = smd(X[:, j], trial)
-        adj = smd(X[:, j], trial, w)
+        raw = _group_smd(x1[j], x0[j])
+        adj = _group_smd(x1[j], x0[j], w1, w0)
         if adj is None:
             undefined.append(name)
         else:

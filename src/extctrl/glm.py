@@ -228,8 +228,10 @@ def fit_logistic_counts(X: np.ndarray, y: np.ndarray, counts: np.ndarray):
     counts = np.asarray(counts, dtype=float)
     b, p = len(counts), X.shape[1]
     held = counts > 0
-    constant = (np.where(held, y, np.inf).min(axis=1)
-                == np.where(held, y, -np.inf).max(axis=1))
+    # Rows and responders each replicate holds, exact integer counts for 0/1 y;
+    # a replicate that holds no row is left to the row-count test below.
+    k, s = held.sum(axis=1), held @ y
+    constant = (k > 0) & ((s == 0) | (s == k))
     errors = [ConstantResponse if c else None for c in constant]
     for r in np.flatnonzero(~constant & (counts.sum(axis=1) < p + 1)):
         errors[r] = RankDeficientDesign

@@ -129,9 +129,16 @@ _KEYS = {"": {"method", "dataset", "aggregate", "estimand", "scale", "link", "co
          "power_prior": {"x", "n", "x0", "n0", "a0", "prior", "level", "assume_comparable"},
          "checklist": set(CHECKLIST_FIELDS)}
 
+# The plan keys only some methods read, with the methods whose runner reads them.
+_METHOD_KEYS = {"link": {Method.STC}, "power_prior": {Method.POWER_PRIOR},
+                **dict.fromkeys(("dataset", "bootstrap"), set(Method) - {Method.POWER_PRIOR}),
+                **dict.fromkeys(("estimand", "fail_on_overlap", "positivity_a", "smd_threshold",
+                                 "horizon"), {Method.WEIGHTING})}
+
 
 def parse_plan(raw: dict) -> AnalysisPlan:
-    """Validate a plan document; a malformed field or an unknown key raises PlanInvalid."""
+    """Validate a plan document; a malformed field, an unknown key or a key
+    the plan's method does not read raises PlanInvalid."""
     if not isinstance(raw, dict):
         raise PlanInvalid("a plan must be a JSON object")
     for block, known in _KEYS.items():
@@ -142,6 +149,9 @@ def parse_plan(raw: dict) -> AnalysisPlan:
         method = Method(raw["method"])
     except (KeyError, ValueError) as exc:
         raise PlanInvalid(f"missing or unknown method: {exc}") from None
+    unread = sorted(k for k in raw if method not in _METHOD_KEYS.get(k, {method}))
+    if unread:
+        raise PlanInvalid(f"method {method.value} reads no plan key {unread[0]!r}")
 
     def path(value):
         return value is None or isinstance(value, str)

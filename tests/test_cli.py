@@ -335,12 +335,65 @@ def test_parse_plan_validation_errors(toy_csv):
      "unknown checklist key 'calender_time'"),
     ({"method": "weighting", "dataset": "b.csv", "aggregate": "a.json"},
      "method weighting takes no aggregate file"),
+    ({"method": "weighting", "dataset": "b.csv", "link": "logit"},
+     "method weighting reads no plan key 'link'"),
+    ({"method": "weighting", "dataset": "b.csv", "power_prior": {"x": 1}},
+     "method weighting reads no plan key 'power_prior'"),
+    ({"method": "maic", "dataset": "b.csv", "aggregate": "a.json", "horizon": 3},
+     "method maic reads no plan key 'horizon'"),
+    ({"method": "maic", "dataset": "b.csv", "aggregate": "a.json", "link": "logit"},
+     "method maic reads no plan key 'link'"),
+    ({"method": "stc", "dataset": "b.csv", "aggregate": "a.json", "estimand": "ato"},
+     "method stc reads no plan key 'estimand'"),
+    ({"method": "stc", "dataset": "b.csv", "aggregate": "a.json", "positivity_a": 0.1},
+     "method stc reads no plan key 'positivity_a'"),
+    ({"method": "power_prior", "smd_threshold": 0.2, "power_prior": {}},
+     "method power_prior reads no plan key 'smd_threshold'"),
+    ({"method": "power_prior", "fail_on_overlap": True, "power_prior": {}},
+     "method power_prior reads no plan key 'fail_on_overlap'"),
+    ({"method": "power_prior", "bootstrap": {"replicates": 50}, "power_prior": {}},
+     "method power_prior reads no plan key 'bootstrap'"),
+    ({"method": "power_prior", "dataset": "b.csv", "power_prior": {}},
+     "method power_prior reads no plan key 'dataset'"),
 ])
 def test_plan_error_names_the_key(plan, message):
     from extctrl.errors import PlanInvalid
 
     with pytest.raises(PlanInvalid, match=message):
         parse_plan(plan)
+
+
+def test_front_ends_emit_only_keys_their_method_reads(big_csv, survival_csv, aggregate_json,
+                                                      tmp_path, monkeypatch):
+    # Every flag of compare, maic, stc, ps-fit, weight and balance at once:
+    # the plan each builds passes parse_plan, which rejects a key its method
+    # does not read.
+    plans = []
+    parse = cli.planmod.parse_plan
+    monkeypatch.setattr(cli.planmod, "parse_plan", lambda raw: plans.append(raw) or parse(raw))
+    boot = ["--bootstrap", "20", "--seed", "3", "--level", "0.9"]
+    runs = [
+        ["compare", survival_csv, "--estimand", "ato", "--covariates", "x",
+         "--scale", "rd", "--horizon", "3"] + boot,
+        ["maic", big_csv, "--target", aggregate_json, "--covariates", "severe",
+         "--scale", "rd"] + boot,
+        ["stc", big_csv, "--target", aggregate_json, "--covariates", "severe",
+         "--scale", "rd"] + boot,
+        ["ps-fit", big_csv, "--covariates", "severe", "--band", "0.05"],
+        ["weight", big_csv, "--estimand", "att", "--covariates", "severe"],
+        ["balance", big_csv, "--estimand", "ato", "--covariates", "severe",
+         "--threshold", "0.2"],
+    ]
+    for k, argv in enumerate(runs):
+        assert run_cli(["--out-dir", tmp_path / str(k)] + argv) == 0, argv
+    assert [sorted(p) for p in plans] == [
+        ["bootstrap", "covariates", "dataset", "estimand", "horizon", "method", "scale", "seed"],
+        ["aggregate", "bootstrap", "covariates", "dataset", "method", "scale", "seed"],
+        ["aggregate", "bootstrap", "covariates", "dataset", "method", "scale", "seed"],
+        ["covariates", "dataset", "method", "positivity_a"],
+        ["covariates", "dataset", "estimand", "method"],
+        ["covariates", "dataset", "estimand", "method", "smd_threshold"],
+    ]
 
 
 def test_power_prior_plan_runs(tmp_path):
@@ -454,6 +507,9 @@ def test_report_json_strict_for_infinite_odds_ratio(tmp_path):
     {"method": "power_prior", "power_prior": {
         "x": 52, "n": 61, "x0": 30, "n0": 80, "a0": 0.5, "assume_comparable": True,
         "level": 1.0}},
+    # Keys the method does not read, which a MAIC plan once ignored.
+    {"method": "maic", "dataset": "d.csv", "aggregate": "a.json", "estimand": "ato",
+     "horizon": 3, "smd_threshold": 5, "fail_on_overlap": True},
 ])
 def test_malformed_plan_is_plan_invalid(plan, tmp_path, capsys):
     path = tmp_path / "plan.json"

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from extctrl import dataset as dataset_module
 from extctrl import (
     CovariateSpec,
     Dataset,
@@ -313,6 +314,72 @@ def test_underscores_and_non_ascii_digits_are_not_numbers(token, column, tmp_pat
     with pytest.raises(NonNumericCovariate, match=f"column '{column}' at row 1") as exc:
         load_dataset(path)
     assert exc.value.row == 1
+
+
+SURVIVAL_CSV = ("id,group,x,time,event\n"
+                "a,trial,1,2.5,1\n"
+                "b,external,0,0.5,0\n"
+                "c, Trial ,1,4,0\n"
+                "d,EXTERNAL,0,3,1\n")
+
+
+def _counting_parser(monkeypatch):
+    """Count the calls of the per-cell parser of outcome, time and event cells."""
+    calls = []
+    parse = dataset_module._parse_optional
+
+    def counted(*args):
+        calls.append(args[0])
+        return parse(*args)
+
+    monkeypatch.setattr(dataset_module, "_parse_optional", counted)
+    return calls
+
+
+def test_valid_file_reads_no_cell_in_python(tmp_path, monkeypatch):
+    # Present, finite outcome, time and event cells are read by NumPy alone;
+    # padded and upper-case group labels are still trial and external.
+    calls = _counting_parser(monkeypatch)
+    path = tmp_path / "d.csv"
+    path.write_text(SURVIVAL_CSV)
+    data = load_dataset(path)
+    assert calls == []
+    assert data.trial.tolist() == [True, False, True, False]
+    assert data.time.tolist() == [2.5, 0.5, 4.0, 3.0]
+    assert data.event.tolist() == [1.0, 0.0, 0.0, 1.0]
+    # A missing cell is read by the per-cell parser, in a second pass.
+    path.write_text(SURVIVAL_CSV.replace("0.5,0", ","))
+    data = load_dataset(path)
+    assert calls
+    assert np.isnan(data.time[1]) and np.isnan(data.event[1])
+
+
+@pytest.mark.parametrize("cell,expected", [
+    ("nan", math.nan), ("NaN", math.nan), ("", math.nan), ("NA", math.nan),
+    (" 1.5 ", 1.5), ('"2"', 2.0),
+    ("-nan", NonNumericCovariate), ("inf", NonNumericCovariate),
+    ("-inf", NonNumericCovariate),
+])
+@pytest.mark.parametrize("column", ["outcome", "time"])
+def test_outcome_and_time_cells(cell, expected, column, tmp_path):
+    # Row 1's outcome, or its time and event, hold ``cell``: a missing token
+    # is NaN, and a non-finite number is an error naming the row.
+    cells = {"outcome": "1", "time": "3", "event": "1"}
+    cells.update({"outcome": cell} if column == "outcome" else {"time": cell, "event": cell})
+    path = tmp_path / "d.csv"
+    path.write_text("id,group,x,outcome,time,event\na,trial,1,0,2,1\n"
+                    f"b,external,0,{cells['outcome']},{cells['time']},{cells['event']}\n")
+    if expected is NonNumericCovariate:
+        with pytest.raises(NonNumericCovariate, match=f"column '{column}' at row 1") as exc:
+            load_dataset(path)
+        assert exc.value.row == 1
+        return
+    data = load_dataset(path)
+    assert np.array_equal(getattr(data, column), [0.0 if column == "outcome" else 2.0, expected],
+                          equal_nan=True)
+    if column == "time":
+        assert np.array_equal(data.event, [1.0, math.trunc(expected)] if expected == expected
+                              else [1.0, math.nan], equal_nan=True)
 
 
 # Cells for the reader property below. Each is CSV text: a padded or quoted

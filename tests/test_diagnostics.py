@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from extctrl import (
+    Dataset,
     Estimand,
     EstimandKind,
     Group,
@@ -70,6 +71,38 @@ def test_unit_weighted_smd_equals_unweighted():
     table = balance_table(data, unit_weights(80))
     for row in table.rows:
         assert row.weighted_smd == pytest.approx(row.unweighted_smd, abs=0.0)
+
+
+def _reference_smd(x, trial, w):
+    """SMD as one formula: each group's weighted mean and frequency-weight variance."""
+    def moments(x, w):
+        total = float(np.sum(w))
+        m = float(np.sum(w * x) / total)
+        return m, float(np.sum(w * (x - m) ** 2) / total)
+
+    (m1, v1), (m0, v0) = moments(x[trial], w[trial]), moments(x[~trial], w[~trial])
+    pooled = (v1 + v0) / 2.0
+    return None if pooled <= 0 else (m1 - m0) / np.sqrt(pooled)
+
+
+@pytest.mark.parametrize("kind,seed", [(EstimandKind.ATO, 21), (EstimandKind.ATE, 22)])
+def test_balance_table_is_bitwise_smd_per_covariate(kind, seed):
+    # The table gathers each group once; each SMD has the bits of the formula
+    # on the covariate's column, the unweighted one with unit weights.
+    rng = np.random.default_rng(seed)
+    base = random_confounded_dataset(rng, n=20001, p=3)
+    X = np.column_stack([base.X, (base.X[:, 0] > 0.3).astype(float), np.full(20001, 2.0)])
+    data = Dataset(base.covariate_names + ("b", "const"), ids=base.ids, trial=base.trial, X=X)
+    wset = balancing_weights(estimate_propensity(data, ["x0", "x1", "x2", "b"]), data,
+                             Estimand(kind))
+    table = balance_table(data, wset)
+    for j, row in enumerate(table.rows):
+        x = data.X[:, j]
+        assert row.unweighted_smd == _reference_smd(x, data.trial, np.ones(len(x)))
+        assert row.weighted_smd == _reference_smd(x, data.trial, wset.weights)
+        assert row.unweighted_smd == smd(x, data.trial)
+        assert row.weighted_smd == smd(x, data.trial, wset.weights)
+    assert table.undefined_covariates == ("const",)
 
 
 def test_zero_pooled_variance_flagged_not_fatal():

@@ -148,6 +148,20 @@ def test_quasi_separated_design_detected():
     assert fit_logistic_counts(X4, y4, counts[None])[1] == [SeparationDetected]
 
 
+def test_counts_constant_response_screen():
+    # The screen sees only the rows a replicate holds, whatever their counts:
+    # responders only, or none, is ConstantResponse; a replicate holding no
+    # row is RankDeficientDesign (too few rows), as fit_logistic says.
+    X, y = toy_design()
+    counts = np.array([[2.5, 1, 0, 3, 0, 0, 0, 0],
+                       [0, 0, 0, 0, 0.5, 1, 4, 1],
+                       [0, 0, 0, 0, 0, 0, 0, 0],
+                       [1, 0, 0, 2, 1, 0, 3, 1]])
+    errors = fit_logistic_counts(X, y, counts)[1]
+    assert errors[:3] == [ConstantResponse, ConstantResponse, RankDeficientDesign]
+    assert errors[3] is not ConstantResponse
+
+
 def test_hessian_singular_during_fit_is_rank_deficient(monkeypatch):
     # A nearly collinear design can pass the rank check at the start and have
     # its weighted Hessian turn singular to rounding as the fit runs (Hypothesis
