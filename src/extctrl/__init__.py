@@ -45,7 +45,7 @@ from .propensity import (
     estimate_propensity,
     positivity_report,
 )
-from .simulate import CovariateSpec, ScenarioConfig, TruthRecord, generate, truth_gap
+from .simulate import CovariateSpec, ScenarioConfig, TruthRecord, generate
 from .stc import Link, StcAnalysis, StcResult, stc_estimate
 
 __version__ = "0.1.0"

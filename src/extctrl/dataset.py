@@ -1,4 +1,4 @@
-"""Individual-level and aggregate-level data model, CSV/JSON ingestion, validation.
+"""Individual-level and aggregate-level data model, CSV/JSON ingestion, CSV output, validation.
 
 Subjects exist only as the columns of a ``Dataset``. The CSV layout is fixed:
 ``id,group,<covariate...>,outcome[,time,event]`` with a header row, UTF-8,
@@ -17,6 +17,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -449,32 +450,54 @@ def _infer_outcome_kind(outcome, time) -> Optional[OutcomeKind]:
     return OutcomeKind.CONTINUOUS
 
 
+def _needs_quotes(text: str) -> bool:
+    return any(ch in text for ch in ',"\r\n')
+
+
+def _text_cells(column) -> list:
+    """``column`` as text cells, each quoted as RFC 4180 says where it must be."""
+    text = list(map(str, column.tolist() if isinstance(column, np.ndarray) else column))
+    if not _needs_quotes("".join(text)):
+        return text
+    return ['"' + c.replace('"', '""') + '"' if _needs_quotes(c) else c for c in text]
+
+
+def _float_cells(col: np.ndarray) -> list:
+    """``col`` as text cells of 17 significant digits, NaN as an empty cell."""
+    cells = (("%.17g\n" * len(col)) % tuple(col.tolist())).split("\n")[:-1]
+    for i in np.flatnonzero(np.isnan(col)).tolist():
+        cells[i] = ""
+    return cells
+
+
+def csv_text(header, columns) -> str:
+    """CSV text of ``columns`` under ``header``, one line per row.
+
+    A float array is written with 17 significant digits, and NaN as an empty
+    cell. Any other column is written as text, and a cell holding a comma, a
+    double quote, CR or LF is quoted as RFC 4180 says.
+    """
+    cells = [_float_cells(col) if isinstance(col, np.ndarray) and col.dtype.kind == "f"
+             else _text_cells(col) for col in columns]
+    lines = chain([",".join(_text_cells(header))], map(",".join, zip(*cells)))
+    return "\n".join(lines) + "\n"
+
+
 def save_dataset(data: Dataset, path) -> None:
-    """Write a Dataset back to the canonical CSV layout (round-trip safe)."""
-    path = Path(path)
-    has_outcome = not np.isnan(data.outcome).all()
-    has_time = not np.isnan(data.time).all()
-    header = ["id", "group"] + list(data.covariate_names)
-    if has_outcome:
+    """Write a Dataset in the canonical CSV layout with ``csv_text``.
+
+    Every value reads back bit for bit: floats have 17 significant digits,
+    and a missing outcome, time or event is an empty cell.
+    """
+    header = ["id", "group", *data.covariate_names]
+    columns = [data.ids, np.where(data.trial, "trial", "external"), *data.X.T]
+    if not np.isnan(data.outcome).all():
         header.append("outcome")
-    if has_time:
+        columns.append(data.outcome)
+    if not np.isnan(data.time).all():
         header += ["time", "event"]
-    columns = zip(
-        data.ids.tolist(), data.trial.tolist(), data.X.tolist(),
-        data.outcome.tolist(), data.time.tolist(), data.event.tolist(),
-    )
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for rid, is_trial, x, y, t, d in columns:
-            row = [rid, "trial" if is_trial else "external"]
-            row += [repr(v) for v in x]
-            if has_outcome:
-                row.append("" if math.isnan(y) else repr(y))
-            if has_time:
-                row.append("" if math.isnan(t) else repr(t))
-                row.append("" if math.isnan(d) else str(int(d)))
-            writer.writerow(row)
+        columns += [data.time, data.event]
+    Path(path).write_text(csv_text(header, columns), encoding="utf-8")
 
 
 def load_aggregate(path) -> AggregateSummary:

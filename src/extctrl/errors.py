@@ -111,10 +111,6 @@ class ParameterOutOfRange(ExtCtrlError):
     pass
 
 
-class EstimandMismatch(ExtCtrlError):
-    pass
-
-
 class InvalidConfig(ExtCtrlError):
     pass
 

@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .balancing import effective_sample_size
 from .dataset import AggregateSummary, Dataset, Group, OutcomeKind
 from .errors import AllWeightsZero, CollinearCovariates, NoConvergence, TargetOutsideSupport
 from .estimators import EffectReport, Scale, check_scale, contrast_on_scale
@@ -105,14 +106,13 @@ def maic_weights(
     alpha = a / scale
     w = np.exp(Xc @ alpha)
     achieved = mu + (w @ Xc) / np.sum(w)  # centered sums keep the digits of a small gap
-    ess = float(np.sum(w)) ** 2 / float(np.sum(w * w))
     return MaicFit(
         alpha=alpha,
         weights=w,
         matched_covariates=names,
         achieved_means=achieved,
         target_means=mu,
-        ess=ess,
+        ess=effective_sample_size(w),
         iterations=iterations,
     )
 

@@ -15,7 +15,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 from typing import Optional
 
@@ -27,6 +26,7 @@ from .dataset import (
     Dataset,
     Group,
     OutcomeKind,
+    csv_text,
     load_aggregate,
     load_dataset,
 )
@@ -131,7 +131,8 @@ _KEYS = {"": {"method", "dataset", "aggregate", "estimand", "scale", "link", "co
 
 # The plan keys only some methods read, with the methods whose runner reads them.
 _METHOD_KEYS = {"link": {Method.STC}, "power_prior": {Method.POWER_PRIOR},
-                **dict.fromkeys(("dataset", "bootstrap"), set(Method) - {Method.POWER_PRIOR}),
+                **dict.fromkeys(("dataset", "bootstrap", "scale", "covariates"),
+                                set(Method) - {Method.POWER_PRIOR}),
                 **dict.fromkeys(("estimand", "fail_on_overlap", "positivity_a", "smd_threshold",
                                  "horizon"), {Method.WEIGHTING})}
 
@@ -242,39 +243,6 @@ def parse_plan(raw: dict) -> AnalysisPlan:
     )
 
 
-def _needs_quotes(text: str) -> bool:
-    return any(ch in text for ch in ',"\r\n')
-
-
-def _text_cells(column) -> list:
-    """``column`` as text cells, each quoted as RFC 4180 says where it must be."""
-    text = list(map(str, column.tolist() if isinstance(column, np.ndarray) else column))
-    if not _needs_quotes("".join(text)):
-        return text
-    return ['"' + c.replace('"', '""') + '"' if _needs_quotes(c) else c for c in text]
-
-
-def _float_cells(col: np.ndarray) -> list:
-    """``col`` as text cells of 17 significant digits, NaN as an empty cell."""
-    cells = (("%.17g\n" * len(col)) % tuple(col.tolist())).split("\n")[:-1]
-    for i in np.flatnonzero(np.isnan(col)).tolist():
-        cells[i] = ""
-    return cells
-
-
-def csv_text(header, columns) -> str:
-    """CSV text of ``columns`` under ``header``, one line per row.
-
-    A float array is written with 17 significant digits, and NaN as an empty
-    cell. Any other column is written as text, and a cell holding a comma, a
-    double quote, CR or LF is quoted as RFC 4180 says.
-    """
-    cells = [_float_cells(col) if isinstance(col, np.ndarray) and col.dtype.kind == "f"
-             else _text_cells(col) for col in columns]
-    lines = chain([",".join(_text_cells(header))], map(",".join, zip(*cells)))
-    return "\n".join(lines) + "\n"
-
-
 def weights_table(data: Dataset, scores: np.ndarray, weights: np.ndarray) -> tuple:
     """The (header, columns) of ``weights.csv``, one row per subject of ``data``."""
     groups = np.where(data.group_mask, "trial", "external")
@@ -324,7 +292,8 @@ def run_plan(plan: AnalysisPlan) -> RunArtifacts:
     returns the analysis, the data it ran on, the effect report and the
     method's own report blocks and tables. The bootstrap, when the plan asks
     for one, refits that same analysis on every replicate. On data without
-    outcomes a weighting plan runs ``run_design`` and may set no scale, horizon or bootstrap.
+    outcomes a weighting plan runs ``run_design`` and may set no scale, horizon or bootstrap;
+    a horizon needs a time-to-event outcome.
     """
     data = target = None
     kind = OutcomeKind.BINARY  # a power prior's outcome
@@ -337,6 +306,9 @@ def run_plan(plan: AnalysisPlan) -> RunArtifacts:
             if key in plan.raw:
                 raise PlanInvalid(f"{key} needs outcomes, and {plan.dataset_path} has none")
         return run_design(plan, data)
+    if plan.horizon is not None and kind is not OutcomeKind.TIME_TO_EVENT:
+        raise PlanInvalid(f"horizon needs a time-to-event outcome, and the outcome of "
+                          f"{plan.dataset_path} is {kind.value}")
     scale = check_scale(kind, plan.scale, target.outcome_kind if target else None)
     report = _report(plan, _STEPS, scale=scale.value)
 

@@ -2,9 +2,10 @@
 
 Scenarios draw covariates, assign trial membership through a logistic
 model, and generate binary, continuous, or exponential survival outcomes.
-The returned truth record carries exact ATE/ATT/ATC values (enumeration
-over the finite covariate support when all covariates are binary, a large
-Monte-Carlo oracle otherwise). Toggles deliberately break assumptions:
+The returned truth record carries the ATE, ATT and ATC, each the average of
+the individual effect under the estimand's tilting function h(e), over the
+finite covariate support when all covariates are binary (exact) and over a
+large Monte-Carlo sample otherwise. Toggles deliberately break assumptions:
 hiding a generated confounder, or shifting external follow-up start to
 emulate time-lag bias.
 """
@@ -17,9 +18,9 @@ from typing import Optional
 
 import numpy as np
 
+from .balancing import Estimand, EstimandKind, tilting
 from .dataset import ROLE_COLUMNS, Dataset, OutcomeKind
-from .errors import EstimandMismatch, InvalidConfig, checked_field, is_int, is_number
-from .estimators import EffectReport
+from .errors import InvalidConfig, checked_field, is_int, is_number
 from .glm import expit
 from .inference import replicate_seed
 
@@ -138,14 +139,6 @@ class TruthRecord:
     atc: float
     mc_se: float = 0.0
 
-    def value_for(self, estimand_label: str) -> float:
-        try:
-            return {"ate": self.ate, "att": self.att, "atc": self.atc}[estimand_label]
-        except KeyError:
-            raise EstimandMismatch(
-                f"truth record has no value for estimand {estimand_label!r}"
-            ) from None
-
 
 def _draw_covariates(config: ScenarioConfig, n: int, rng) -> np.ndarray:
     cols = []
@@ -255,7 +248,15 @@ def generate(config: ScenarioConfig) -> tuple[Dataset, TruthRecord]:
 
 
 def compute_truth(config: ScenarioConfig) -> TruthRecord:
-    """Exact (all-binary covariates) or Monte-Carlo truth for the scenario."""
+    """The scenario's ATE, ATT and ATC: each the tilted average
+    E[h(e(X)) Δ(X)] / E[h(e(X))] of the individual effect Δ(X), with h the
+    estimand's ``balancing.tilting``.
+
+    The expectation runs over the covariate cells with their probabilities
+    when every covariate is binary (exact, ``mc_se`` 0), and otherwise over
+    ``MC_ORACLE_DRAWS`` draws of mass 1 (``mc_se`` the largest of the three
+    standard errors).
+    """
     if config.outcome_kind is OutcomeKind.CONTINUOUS:
         return TruthRecord(scale="md", ate=config.effect, att=config.effect,
                            atc=config.effect)
@@ -264,41 +265,23 @@ def compute_truth(config: ScenarioConfig) -> TruthRecord:
         return TruthRecord(scale="log_hazard", ate=config.effect,
                            att=config.effect, atc=config.effect)
 
-    if all(spec.kind == "binary" for spec in config.covariates):
-        cells = np.array(list(product((0.0, 1.0), repeat=len(config.covariates))))
-        probs = np.ones(len(cells))
+    exact = all(spec.kind == "binary" for spec in config.covariates)
+    if exact:
+        X = np.array(list(product((0.0, 1.0), repeat=len(config.covariates))))
+        mass = np.ones(len(X))
         for j, spec in enumerate(config.covariates):
-            probs *= np.where(cells[:, j] == 1.0, spec.p, 1.0 - spec.p)
-        delta = _treated_prob(config, cells) - _control_prob(config, cells)
-        e = _propensity(config, cells)
-        ate = float(np.sum(probs * delta))
-        att = float(np.sum(probs * e * delta) / np.sum(probs * e))
-        atc = float(np.sum(probs * (1 - e) * delta) / np.sum(probs * (1 - e)))
-        return TruthRecord(scale="rd", ate=ate, att=att, atc=atc)
-
-    rng = np.random.default_rng(replicate_seed(config.seed, 1))
-    X = _draw_covariates(config, MC_ORACLE_DRAWS, rng)
+            mass *= np.where(X[:, j] == 1.0, spec.p, 1.0 - spec.p)
+    else:
+        rng = np.random.default_rng(replicate_seed(config.seed, 1))
+        X = _draw_covariates(config, MC_ORACLE_DRAWS, rng)
+        mass = 1.0
     delta = _treated_prob(config, X) - _control_prob(config, X)
     e = _propensity(config, X)
 
-    def weighted(w):
+    truths, ses = {}, []
+    for kind in (EstimandKind.ATE, EstimandKind.ATT, EstimandKind.ATC):
+        w = mass * tilting(Estimand(kind), e)
         wn = w / np.sum(w)
-        est = float(np.sum(wn * delta))
-        se = float(np.sqrt(np.sum(wn**2 * (delta - est) ** 2)))
-        return est, se
-
-    ate, se_ate = weighted(np.ones(len(delta)))
-    att, se_att = weighted(e)
-    atc, se_atc = weighted(1.0 - e)
-    return TruthRecord(scale="rd", ate=ate, att=att, atc=atc,
-                       mc_se=max(se_ate, se_att, se_atc))
-
-
-def truth_gap(report: EffectReport, truth: TruthRecord) -> float:
-    """Signed estimation error: report point minus the matching true value."""
-    if report.scale.value != truth.scale:
-        raise EstimandMismatch(
-            f"report scale {report.scale.value!r} does not match truth scale "
-            f"{truth.scale!r}"
-        )
-    return report.point - truth.value_for(report.estimand_label)
+        truths[kind.value] = value = float(np.sum(wn * delta))
+        ses.append(float(np.sqrt(np.sum(wn**2 * (delta - value) ** 2))))
+    return TruthRecord(scale="rd", mc_se=0.0 if exact else max(ses), **truths)

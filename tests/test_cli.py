@@ -355,6 +355,11 @@ def test_parse_plan_validation_errors(toy_csv):
      "method power_prior reads no plan key 'bootstrap'"),
     ({"method": "power_prior", "dataset": "b.csv", "power_prior": {}},
      "method power_prior reads no plan key 'dataset'"),
+    # A power prior's report once echoed these two into its provenance.
+    ({"method": "power_prior", "scale": "or", "power_prior": {}},
+     "method power_prior reads no plan key 'scale'"),
+    ({"method": "power_prior", "covariates": ["x"], "power_prior": {}},
+     "method power_prior reads no plan key 'covariates'"),
 ])
 def test_plan_error_names_the_key(plan, message):
     from extctrl.errors import PlanInvalid
@@ -408,6 +413,9 @@ def test_power_prior_plan_runs(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["posterior"]["mean"] == pytest.approx(
         (1 + 52 + 15) / (2 + 61 + 40), abs=1e-12)
+    # A Beta posterior of a response rate: no covariates, the default scale.
+    assert report["provenance"]["scale"] == "rd"
+    assert report["provenance"]["covariates"] is None
 
 
 @pytest.fixture
@@ -442,6 +450,18 @@ def test_compare_survival_without_horizon_is_usage_error(survival_csv, capsys):
     assert run_cli(["compare", survival_csv, "--estimand", "ate"]) == 2
     assert "horizon" in capsys.readouterr().err
     assert run_cli(["compare", survival_csv, "--estimand", "ate", "--horizon", "3"]) == 0
+
+
+def test_horizon_without_time_to_event_outcome_is_usage_error(toy_csv, tmp_path, capsys):
+    # Once accepted and ignored: the horizon of a weighting plan on a binary outcome.
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"method": "weighting", "dataset": str(toy_csv),
+                                "estimand": "att", "horizon": 3}), encoding="utf-8")
+    assert run_cli(["--out-dir", tmp_path / "o", "run", plan]) == 2
+    assert capsys.readouterr().err.startswith("error: horizon needs a time-to-event outcome")
+    assert not (tmp_path / "o").exists()
+    assert run_cli(["compare", toy_csv, "--estimand", "att", "--horizon", "3"]) == 2
+    assert "horizon" in capsys.readouterr().err
 
 
 def test_report_json_strict_for_infinite_odds_ratio(tmp_path):

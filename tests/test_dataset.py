@@ -152,7 +152,7 @@ def datasets(draw):
                               min_size=n, max_size=n))
     return Dataset(
         tuple(f"x{j}" for j in range(p)),
-        ids=draw(st.lists(st.from_regex(r"[A-Za-z0-9_]{1,8}", fullmatch=True),
+        ids=draw(st.lists(st.from_regex(r'[A-Za-z0-9_,"]{1,8}', fullmatch=True),
                           min_size=n, max_size=n)),
         trial=trial,
         X=X,
@@ -177,6 +177,10 @@ def test_round_trip(tmp_path, data):
         a, b = getattr(again, col), getattr(data, col)
         assert np.array_equal(np.isnan(a), np.isnan(b))
         assert a[~np.isnan(a)].tobytes() == b[~np.isnan(b)].tobytes()
+    # What is read back is written as the same bytes.
+    again_path = tmp_path / "again.csv"
+    save_dataset(again, again_path)
+    assert again_path.read_bytes() == path.read_bytes()
 
 
 def aggregate_payload(**overrides):

@@ -5,11 +5,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from extctrl import MaicAnalysis, StcAnalysis, WeightingAnalysis, maic, stc
 from extctrl import plan as planmod
 from extctrl.inference import bootstrap_ci
-from extctrl.plan import canonical_json, parse_plan, run_plan
+from extctrl.diagnostics import CHECKLIST_FIELDS
+from extctrl.plan import canonical_json, parse_plan, plan_hash, run_plan
 
 
 @pytest.fixture
@@ -198,3 +201,61 @@ def test_aggregate_methods_need_a_shared_covariate(method, covariates, inputs, t
     if covariates is not None:
         doc = {**doc, "covariates": covariates, "aggregate": "agg_binary"}
     assert _run_plan_file(tmp_path, inputs, doc) == 3
+
+
+# A value for each plan key, and the keys each method reads, its required ones first.
+_integers = st.integers(-2**40, 2**40)
+PLAN_VALUES = {
+    "method": st.sampled_from(["weighting", "maic", "stc", "power_prior"]),
+    "dataset": st.text(min_size=1, max_size=8),
+    "aggregate": st.text(min_size=1, max_size=8),
+    "estimand": st.sampled_from(["ate", "att", "atc", "ato", "matching", "trim:0.1", "trim:0.2"]),
+    "scale": st.sampled_from(["rd", "rr", "or", "md"]),
+    "link": st.sampled_from(["identity", "logit"]),
+    "covariates": st.lists(st.text(max_size=6), max_size=3),
+    "seed": _integers,
+    "checklist": st.dictionaries(st.sampled_from(CHECKLIST_FIELDS),
+                                 st.sampled_from(["aligned", "not aligned", "unknown"])),
+    "fail_on_overlap": st.booleans(),
+    "positivity_a": st.floats(0.0, 0.5, exclude_max=True),
+    "smd_threshold": st.floats(1e-3, 10.0),
+    "horizon": st.floats(0.0, 100.0),
+    "bootstrap": st.fixed_dictionaries({}, optional={
+        "replicates": st.integers(2, 10_000), "level": st.floats(0.5, 0.99),
+        "seed": _integers, "threads": st.integers(0, 8)}),
+    "power_prior": st.fixed_dictionaries(
+        {"x": st.integers(0, 50), "n": st.integers(50, 100), "x0": st.integers(0, 50),
+         "n0": st.integers(50, 100), "a0": st.floats(0.0, 1.0),
+         "assume_comparable": st.just(True)},
+        optional={"prior": st.lists(st.floats(0.1, 10.0), min_size=2, max_size=2),
+                  "level": st.floats(0.5, 0.99)}),
+}
+_SHARED = ["scale", "covariates", "seed", "checklist", "bootstrap"]
+METHOD_KEYS = {
+    "weighting": (["dataset"], _SHARED + ["estimand", "fail_on_overlap", "positivity_a",
+                                          "smd_threshold", "horizon"]),
+    "maic": (["dataset", "aggregate"], _SHARED),
+    "stc": (["dataset", "aggregate"], _SHARED + ["link"]),
+    "power_prior": (["power_prior"], ["seed", "checklist"]),
+}
+
+
+@st.composite
+def valid_plans(draw):
+    method = draw(PLAN_VALUES["method"])
+    required, optional = METHOD_KEYS[method]
+    keys = required + [k for k in optional if draw(st.booleans())]
+    plan = {"method": method, **{k: draw(PLAN_VALUES[k]) for k in keys}}
+    parse_plan(plan)
+    return plan
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(valid_plans(), st.data())
+def test_plan_hash_changes_with_any_field(plan, data):
+    base = plan_hash(plan)
+    key = data.draw(st.sampled_from(sorted(plan)))
+    value = data.draw(PLAN_VALUES[key])
+    assume(value != plan[key])
+    assert plan_hash({**plan, key: value}) != base
+    assert plan_hash({k: v for k, v in plan.items() if k != key}) != base

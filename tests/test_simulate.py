@@ -1,5 +1,9 @@
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extctrl import (
     CovariateSpec,
@@ -11,12 +15,13 @@ from extctrl import (
     balancing_weights,
     estimate_propensity,
     generate,
-    truth_gap,
     weighted_mean_contrast,
 )
-from extctrl.errors import EstimandMismatch, InvalidConfig
-from extctrl.estimators import EffectReport
+from extctrl.errors import InvalidConfig
 from extctrl.glm import expit
+from extctrl.inference import replicate_seed
+from extctrl.simulate import (MC_ORACLE_DRAWS, _control_prob, _draw_covariates, _propensity,
+                              _treated_prob, compute_truth)
 
 
 def binary_scenario(**overrides):
@@ -160,35 +165,6 @@ def test_time_lag_shifts_external_times():
     assert np.allclose(t1[~ext], t0[~ext])
 
 
-def test_truth_gap_subtraction():
-    from extctrl.simulate import TruthRecord
-
-    truth = TruthRecord(scale="rd", ate=0.25, att=0.3, atc=0.2)
-    report = EffectReport(
-        estimand_label="ate", target_population="", scale=Scale.RISK_DIFFERENCE,
-        point=0.30,
-    )
-    assert truth_gap(report, truth) == pytest.approx(0.05, abs=1e-12)
-
-
-def test_truth_gap_estimand_mismatch():
-    from extctrl.simulate import TruthRecord
-
-    truth = TruthRecord(scale="rd", ate=0.25, att=0.3, atc=0.2)
-    report = EffectReport(
-        estimand_label="ato", target_population="", scale=Scale.RISK_DIFFERENCE,
-        point=0.30,
-    )
-    with pytest.raises(EstimandMismatch):
-        truth_gap(report, truth)
-    wrong_scale = EffectReport(
-        estimand_label="ate", target_population="", scale=Scale.MEAN_DIFFERENCE,
-        point=0.30,
-    )
-    with pytest.raises(EstimandMismatch):
-        truth_gap(wrong_scale, truth)
-
-
 def test_config_validation():
     with pytest.raises(InvalidConfig):
         binary_scenario(n_trial=0)
@@ -255,7 +231,73 @@ def test_ipw_recovers_truth_on_average():
         model = estimate_propensity(data)
         wset = balancing_weights(model, data, Estimand(EstimandKind.ATE))
         report = weighted_mean_contrast(data, wset, Scale.RISK_DIFFERENCE)
-        gaps.append(truth_gap(report, truth))
+        gaps.append(report.point - truth.ate)
     gaps = np.array(gaps)
     se = gaps.std(ddof=1) / np.sqrt(len(gaps))
     assert abs(gaps.mean()) < 4 * se + 1e-3
+
+
+# The reference compute_truth's tilted average must match: ATE, ATT and ATC
+# written out one by one, with the weights 1, e and 1 - e spelled by hand.
+def enumerated_truth(config):
+    cells = np.array(list(product((0.0, 1.0), repeat=len(config.covariates))))
+    probs = np.ones(len(cells))
+    for j, spec in enumerate(config.covariates):
+        probs *= np.where(cells[:, j] == 1.0, spec.p, 1.0 - spec.p)
+    delta = _treated_prob(config, cells) - _control_prob(config, cells)
+    e = _propensity(config, cells)
+    ate = float(np.sum(probs * delta))
+    att = float(np.sum(probs * e * delta) / np.sum(probs * e))
+    atc = float(np.sum(probs * (1 - e) * delta) / np.sum(probs * (1 - e)))
+    return ate, att, atc
+
+
+def monte_carlo_truth(config):
+    rng = np.random.default_rng(replicate_seed(config.seed, 1))
+    X = _draw_covariates(config, MC_ORACLE_DRAWS, rng)
+    delta = _treated_prob(config, X) - _control_prob(config, X)
+    e = _propensity(config, X)
+
+    def weighted(w):
+        wn = w / np.sum(w)
+        est = float(np.sum(wn * delta))
+        se = float(np.sqrt(np.sum(wn**2 * (delta - est) ** 2)))
+        return est, se
+
+    ate, se_ate = weighted(np.ones(len(delta)))
+    att, se_att = weighted(e)
+    atc, se_atc = weighted(1.0 - e)
+    return ate, att, atc, max(se_ate, se_att, se_atc)
+
+
+coefficient = st.floats(-3.0, 3.0)
+
+
+@st.composite
+def binary_scenarios(draw):
+    k = draw(st.integers(1, 4))
+    return binary_scenario(
+        covariates=tuple(CovariateSpec(f"x{j}", "binary", p=draw(st.floats(0.05, 0.95)))
+                         for j in range(k)),
+        assignment=tuple(draw(coefficient) for _ in range(k + 1)),
+        outcome_coefficients=tuple(draw(coefficient) for _ in range(k + 1)),
+        effect=draw(st.floats(-0.5, 0.5)),
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(binary_scenarios())
+def test_tilted_truth_matches_the_enumeration_formulas(config):
+    truth = compute_truth(config)
+    for value, reference in zip((truth.ate, truth.att, truth.atc), enumerated_truth(config)):
+        assert abs(value - reference) <= 4e-16
+    assert truth.mc_se == 0.0
+
+
+def test_tilted_truth_matches_the_monte_carlo_formulas():
+    config = binary_scenario(
+        covariates=(CovariateSpec("severe", "binary", p=0.4),
+                    CovariateSpec("age", "continuous", mean=0.5, sd=1.5)),
+        assignment=(0.2, -1.0, 0.8), outcome_coefficients=(-0.5, 1.0, -0.7), effect=0.2)
+    truth = compute_truth(config)
+    assert (truth.ate, truth.att, truth.atc, truth.mc_se) == monte_carlo_truth(config)
