@@ -17,6 +17,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence
@@ -160,6 +161,13 @@ class Dataset:
     def group_mask(self) -> np.ndarray:
         """Boolean mask, True for trial subjects, in row order (read-only)."""
         return self.trial
+
+    @cached_property
+    def group_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row indices of the trial and of the external subjects, each in row
+        order (read-only, computed once per dataset)."""
+        return (_read_only(np.flatnonzero(self.trial)),
+                _read_only(np.flatnonzero(~self.trial)))
 
     def covariate_matrix(self, names: Optional[Sequence[str]] = None) -> np.ndarray:
         """n x p C-contiguous matrix of the named covariates (all, by default).

@@ -3,7 +3,9 @@
 Every logistic fit runs one stacked Newton core that fits a design to a block
 of frequency-weight vectors at once. Row r of the count block says how many
 times each design row enters fit r, which is how a bootstrap resample looks
-on fixed rows; a single fit is a block of one all-ones row.
+on fixed rows; a single fit is a block of one all-ones row. A
+``LogisticDesign`` is prepared once for any number of blocks, and each step
+writes into work arrays that every block reuses.
 
 - The columns are scaled to unit norm, and each step solves the p x p normal
   equations H d = s with H = X' diag(c w) X, so no step depends on units.
@@ -120,8 +122,48 @@ def _separated(X: np.ndarray, y: np.ndarray, c: np.ndarray) -> bool:
     return result.status == 0 and -result.fun > _SEPARATION_MARGIN
 
 
-def _newton(X, y, counts, tol, cut, weighted=True):
-    """Newton fits of the design ``X`` for every count vector in ``counts``.
+class LogisticDesign:
+    """A design ``X`` (n x p, intercept column included) and 0/1 responses
+    ``y``, prepared once for any number of Newton fits: the unit-norm
+    transpose of ``X`` with its column scales, the signs s = 2y - 1, the row
+    outer products once a block of several fits needs them, and b x n work
+    arrays that every block and step reuses (see ``inference._BLOCK_ELEMENTS``).
+    """
+
+    def __init__(self, X: np.ndarray, y: np.ndarray):
+        self.X = np.asarray(X, dtype=float)
+        self.y = np.asarray(y, dtype=float)
+        self.XT, self.scale = _unit_columns(self.X)
+        self.sign = 2.0 * self.y - 1.0
+        self._outer = self._work = None
+
+    def outer(self) -> np.ndarray:
+        """Row i is x_i x_i' flattened, C-ordered: one matmul gives every Hessian."""
+        if self._outer is None:
+            X, p = self.XT.T, len(self.XT)
+            self._outer = np.multiply(X[:, :, None], X[:, None, :], order="C").reshape(-1, p * p)
+        return self._outer
+
+    def work(self, b: int) -> np.ndarray:
+        """Four b x n work arrays: tanh u, Newton weights, residuals and counts."""
+        if self._work is None or self._work.shape[1] < b:
+            self._work = np.empty((4, b, self.XT.shape[1]))
+        return self._work[:, :b]
+
+
+def _keep_rows(keep, *blocks):
+    """Move the rows of each block where ``keep`` holds to its front, in
+    order and in place; return the blocks cut to those rows."""
+    rows = np.flatnonzero(keep)
+    for k, j in enumerate(rows):
+        if k != j:
+            for block in blocks:
+                block[k] = block[j]
+    return [block[:len(rows)] for block in blocks]
+
+
+def _newton(design, counts, tol, cut, weighted=True):
+    """Newton fits of a ``LogisticDesign`` for every count vector in ``counts``.
 
     Returns the b x p coefficients (NaN where a fit failed), per fit None or
     the ``SolverError`` subclass it ends in, the Hessian where each fit
@@ -131,33 +173,40 @@ def _newton(X, y, counts, tol, cut, weighted=True):
     decrement that of beta. A fit is RankDeficientDesign when the Hessian at
     the start, X' diag(c) X, has eigenvalue ratio at most ``cut``. A caller
     whose counts are all 1 passes ``weighted`` False, and the steps skip them.
+    Each step writes into the design's work arrays; the fits still running
+    hold their first rows, and ``counts`` is copied there, never written.
     """
-    data, (XT, scale) = X, _unit_columns(X)
+    XT = design.XT
     X = XT.T
     b, p = counts.shape[0], X.shape[1]
-    # Row i of outer is x_i x_i' flattened, C-ordered: one matmul gives every Hessian.
-    outer = None if b == 1 else np.multiply(
-        X[:, :, None], X[:, None, :], order="C").reshape(-1, p * p)
-    sign = 2.0 * y - 1.0
+    T, W, R, C = design.work(b)
+    np.copyto(C, counts)
+    outer = None if b == 1 else design.outer()
     beta, hessians = np.full((b, p), np.nan), np.zeros((b, p, p))
     errors = [None] * b
     tested = np.zeros(b, dtype=bool)  # the separation test has run
-    fits, B, C = np.arange(b), np.zeros((b, p)), counts  # the fits still running
+    fits, B = np.arange(b), np.zeros((b, p))  # the fits still running
     for iterations in range(1, DEFAULT_MAX_ITER + 1):
-        t = np.tanh(B @ XT)
-        w = 1.0 - t * t  # below _W_BOUND where |x'beta| > _ETA_BOUND
+        m = len(fits)
+        t, w, r, c = T[:m], W[:m], R[:m], C[:m]
+        np.tanh(np.matmul(B, XT, out=t), out=t)
+        # 1 - t^2, below _W_BOUND where |x'beta| > _ETA_BOUND
+        np.subtract(1.0, np.multiply(t, t, out=w), out=w)
         if w.min() < _W_BOUND:
             for k in np.flatnonzero((w.min(axis=1) < _W_BOUND) & ~tested[fits]):
                 tested[fits[k]] = True
-                if _separated(data, y, C[k]):
+                if _separated(design.X, design.y, c[k]):
                     errors[fits[k]] = SeparationDetected
             keep = np.array([errors[i] is None for i in fits])
-            fits, B, C, t, w = fits[keep], B[keep], C[keep], t[keep], w[keep]
+            fits, B = fits[keep], B[keep]
             if not len(fits):
                 break
-        r = sign - t
+            t, w, c = _keep_rows(keep, t, w, c)
+            r = r[:len(fits)]
+        np.subtract(design.sign, t, out=r)
         if weighted:
-            r, w = C * r, C * w
+            np.multiply(c, r, out=r)
+            np.multiply(c, w, out=w)
         score = r @ X
         H = ((XT * w) @ X)[None] if outer is None else (w @ outer).reshape(-1, p, p)
         if iterations == 1:
@@ -165,9 +214,10 @@ def _newton(X, y, counts, tol, cut, weighted=True):
             if ill.any():
                 for i in fits[ill]:
                     errors[i] = RankDeficientDesign
-                fits, B, C, score, H = fits[~ill], B[~ill], C[~ill], score[~ill], H[~ill]
+                fits, B, score, H = fits[~ill], B[~ill], score[~ill], H[~ill]
                 if not len(fits):
                     break
+                _keep_rows(~ill, c)
         try:
             step = np.linalg.solve(H, score[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:  # a Hessian singular to rounding; the batch refits
@@ -180,12 +230,13 @@ def _newton(X, y, counts, tol, cut, weighted=True):
             beta[fits[done]], hessians[fits[done]] = B[done], H[done]
             if done.all():
                 break
-            fits, B, C = fits[~done], B[~done], C[~done]
+            fits, B = fits[~done], B[~done]
+            _keep_rows(~done, c)
     else:
         for k, i in enumerate(fits):
-            separated = not tested[i] and _separated(data, y, C[k])
+            separated = not tested[i] and _separated(design.X, design.y, C[k])
             errors[i] = SeparationDetected if separated else NoConvergence
-    return 2.0 * beta / scale, errors, hessians, iterations
+    return 2.0 * beta / design.scale, errors, hessians, iterations
 
 
 _MESSAGES = {RankDeficientDesign: "design matrix is rank deficient",
@@ -207,30 +258,30 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, tol: float = DEFAULT_TOL) -> GlmF
         raise ConstantResponse("response takes a single value")
     if n < p + 1:
         raise RankDeficientDesign(f"need at least {p + 1} rows, got {n}")
-    beta, errors, _, iterations = _newton(X, y, np.ones((1, n)), tol, max(n, p) * _EPS,
-                                          weighted=False)
+    beta, errors, _, iterations = _newton(LogisticDesign(X, y), np.ones((1, n)), tol,
+                                          max(n, p) * _EPS, weighted=False)
     if errors[0] is not None:
         raise errors[0](_MESSAGES[errors[0]])
     return GlmFit(Family.LOGISTIC, beta[0], iterations)
 
 
-def fit_logistic_counts(X: np.ndarray, y: np.ndarray, counts: np.ndarray):
-    """``fit_logistic`` for every row of a b x n block of frequency weights.
+def fit_logistic_counts(design: LogisticDesign, counts: np.ndarray):
+    """``fit_logistic`` of a prepared design for every row of a b x n block of
+    frequency weights.
 
     Returns the b x p coefficients (NaN where a replicate has no fit) and,
     per replicate, None, the ``SolverError`` subclass ``fit_logistic`` raises
     on its repeated rows (ConstantResponse, RankDeficientDesign for too few
     rows, SeparationDetected), or ``REFIT`` (see _GRAM_SCREEN, and a fit not
-    converged within the iteration cap).
+    converged within the iteration cap). A bootstrap prepares its design once
+    and calls this for each block.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
     counts = np.asarray(counts, dtype=float)
-    b, p = len(counts), X.shape[1]
+    b, p = len(counts), design.X.shape[1]
     held = counts > 0
     # Rows and responders each replicate holds, exact integer counts for 0/1 y;
     # a replicate that holds no row is left to the row-count test below.
-    k, s = held.sum(axis=1), held @ y
+    k, s = held.sum(axis=1), np.count_nonzero(held & (design.y > 0), axis=1)
     constant = (k > 0) & ((s == 0) | (s == k))
     errors = [ConstantResponse if c else None for c in constant]
     for r in np.flatnonzero(~constant & (counts.sum(axis=1) < p + 1)):
@@ -238,7 +289,8 @@ def fit_logistic_counts(X: np.ndarray, y: np.ndarray, counts: np.ndarray):
     beta = np.full((b, p), np.nan)
     fit = np.flatnonzero([e is None for e in errors])
     if len(fit):
-        beta[fit], fit_errors, hessians, _ = _newton(X, y, counts[fit], DEFAULT_TOL, _GRAM_SCREEN)
+        block = counts if len(fit) == b else counts[fit]
+        beta[fit], fit_errors, hessians, _ = _newton(design, block, DEFAULT_TOL, _GRAM_SCREEN)
         ok = np.array([e is None for e in fit_errors])
         refit = np.max(np.abs(beta[fit]), axis=1) > _COEFFICIENT_SCREEN
         if ok.any():

@@ -30,8 +30,12 @@ from .glm import REFIT
 
 MAX_FAILURE_FRACTION = 0.2
 
-# Entries in one count block (replicates x subjects). It bounds the b x n
-# temporaries of a batched refit to a few hundred kB, whatever n.
+# Entries in one count block (replicates x subjects). The count block and the
+# b x n work arrays of a batched refit are made once per bootstrap and reused
+# by every block and Newton step, so they hold a few hundred kB whatever n and
+# the number of replicates. They are reused because allocation, not arithmetic,
+# dominated: on a 2-vCPU host a fresh array of 256 kB or more cost about 6-7 ns
+# per element, against about 1 ns below 128 kB.
 _BLOCK_ELEMENTS = 32768
 
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -74,10 +78,6 @@ class BootstrapResult:
     failures_by_error: dict = field(default_factory=dict)
 
 
-def _group_rows(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    return np.flatnonzero(data.group_mask), np.flatnonzero(~data.group_mask)
-
-
 def _resample_rows(trial_rows, ext_rows, rng: np.random.Generator) -> np.ndarray:
     # Draw order and sizes (trial first, then external) fix which subjects
     # replicate i selects; keep them when changing this function.
@@ -93,7 +93,7 @@ def resample_dataset(data: Dataset, rng: np.random.Generator) -> Dataset:
     Group sizes are kept. MAIC and STC compare against an aggregate, so
     their plans bootstrap the trial rows alone.
     """
-    return data.take(_resample_rows(*_group_rows(data), rng))
+    return data.take(_resample_rows(*data.group_rows, rng))
 
 
 def _replicate_rng(config: BootstrapConfig, index: int) -> np.random.Generator:
@@ -126,16 +126,16 @@ def replicate_estimates(
     batch = getattr(analysis, "batch", None)
     if batch is not None:
         pending = []
+        fit_block = batch(data)
         n = len(data)
-        size = max(1, _BLOCK_ELEMENTS // n)
-        groups = _group_rows(data)
+        size = min(max(1, _BLOCK_ELEMENTS // n), config.replicates)
+        counts = np.empty((size, n))  # refilled in place for every block
         for start in range(0, config.replicates, size):
             block = range(start, min(start + size, config.replicates))
-            counts = np.array([
-                np.bincount(_resample_rows(*groups, _replicate_rng(config, i)), minlength=n)
-                for i in block
-            ], dtype=float)
-            estimates, block_errors = batch(data, counts)
+            for row, i in zip(counts, block):
+                row[:] = np.bincount(_resample_rows(*data.group_rows, _replicate_rng(config, i)),
+                                     minlength=n)
+            estimates, block_errors = fit_block(counts[:len(block)])
             for i, value, error in zip(block, estimates, block_errors):
                 if error is REFIT:
                     pending.append(i)
@@ -163,6 +163,7 @@ def bootstrap_ci(
     analysis: Callable[[Dataset], float],
     data: Dataset,
     config: BootstrapConfig,
+    point: Optional[float] = None,
 ) -> BootstrapResult:
     """Percentile bootstrap interval for a full analysis pipeline.
 
@@ -172,23 +173,29 @@ def bootstrap_ci(
         Re-runnable pipeline mapping a Dataset to a scalar estimate; any
         model fitting happens inside, so it is re-done per replicate. An
         analysis may also have an attribute ``batch``: None, or a method
-        ``batch(data, counts)`` that, given a b x n block of replicate
-        counts on the rows of ``data``, returns the b estimates and, per
-        replicate, None, the ``ExtCtrlError`` subclass the pipeline raises
-        on that resample, or ``REFIT`` to have that replicate run through
-        the pipeline itself. Such analyses are run on blocks of at most
-        32768 counts; ``config.threads`` applies only to replicates run
-        through the pipeline.
+        ``batch(data)`` that prepares ``data`` once and returns a function
+        of a b x n block of replicate counts on the rows of ``data``. That
+        function returns the b estimates and, per replicate, None, the
+        ``ExtCtrlError`` subclass the pipeline raises on that resample, or
+        ``REFIT`` to have that replicate run through the pipeline itself;
+        it is called once per block, on blocks of at most 32768 counts, and
+        may not keep the block, which is refilled for the next one.
+        ``config.threads`` applies only to replicates run through the
+        pipeline.
     data : Dataset
         Original data; the point estimate is the pipeline applied to it.
     config : BootstrapConfig
+    point : float, optional
+        ``analysis(data)`` when the caller has it already; by default it is
+        computed here.
 
     Raises
     ------
     TooManyReplicateFailures
         When more than 20% of replicates fail with a typed solver error.
     """
-    point = analysis(data)
+    if point is None:
+        point = analysis(data)
     values, errors = replicate_estimates(analysis, data, config)
     failures = Counter(e for e in errors if e is not None)
     n_fail = sum(failures.values())

@@ -329,7 +329,7 @@ def run_plan(plan: AnalysisPlan) -> RunArtifacts:
     run.report = {**report, "effect": effect.to_dict(), **run.report}
     if plan.bootstrap:
         config = plan.bootstrap
-        result = bootstrap_ci(analysis, sample, config)
+        result = bootstrap_ci(analysis, sample, config, point=effect.point)
         run.report["effect"]["ci"] = [result.lower, result.upper]
         run.report["effect"]["ci_level"] = config.level
         run.report["bootstrap"] = {

@@ -21,7 +21,8 @@ import numpy as np
 from .dataset import AggregateSummary, Dataset, Group, OutcomeKind
 from .errors import ZeroDenominator
 from .estimators import EffectReport, Scale, check_scale, contrast_on_scale
-from .glm import GlmFit, add_intercept, fit_linear, fit_logistic, fit_logistic_counts
+from .glm import (GlmFit, LogisticDesign, add_intercept, fit_linear, fit_logistic,
+                  fit_logistic_counts)
 
 TARGET_POPULATION = "external control population"
 
@@ -127,7 +128,8 @@ class StcAnalysis:
 
     ``estimate`` fits the outcome model on the trial rows of a dataset and
     returns the ``StcResult``; calling it on a dataset returns the point of
-    that result. With the logit link (a binary outcome), ``batch`` gives the
+    that result. With the logit link (a binary outcome), ``batch`` prepares
+    the outcome model's design once and returns a function that gives the
     same effect for every count vector of a bootstrap block (see
     ``inference.bootstrap_ci``), fitting the block's outcome models at once.
     """
@@ -148,16 +150,26 @@ class StcAnalysis:
         # through the pipeline (see ``inference.bootstrap_ci``).
         return self._batch_logit if outcome_link(self.target.outcome_kind) is Link.LOGIT else None
 
-    def _batch_logit(self, data: Dataset, counts: np.ndarray):
-        """Replicate effects and error classes for a b x n count block."""
+    def _batch_logit(self, data: Dataset):
+        """The block fit of ``data``: prepared once, it maps each b x n count
+        block to the replicate effects and error classes."""
         scale, _, X, y, x_target, observed = _stc_inputs(
             data, self.target, self.covariates, self.scale)
-        beta, errors = fit_logistic_counts(X, y, counts[:, data.group_mask])
-        values = np.full(len(counts), np.nan)
-        for r in np.flatnonzero([e is None for e in errors]):
-            predicted = 1.0 / (1.0 + math.exp(-float(beta[r] @ x_target)))
-            try:
-                values[r] = contrast_on_scale(predicted, observed, scale)[0]
-            except ZeroDenominator:
-                errors[r] = ZeroDenominator
-        return values, errors
+        design = LogisticDesign(X, y)
+        # A plan's STC sample holds trial rows only, and its counts are the design's.
+        trial = None if data.group_mask.all() else data.group_mask
+
+        def fit_block(counts: np.ndarray):
+            if trial is not None:
+                counts = counts[:, trial]
+            beta, errors = fit_logistic_counts(design, counts)
+            values = np.full(len(counts), np.nan)
+            for r in np.flatnonzero([e is None for e in errors]):
+                predicted = 1.0 / (1.0 + math.exp(-float(beta[r] @ x_target)))
+                try:
+                    values[r] = contrast_on_scale(predicted, observed, scale)[0]
+                except ZeroDenominator:
+                    errors[r] = ZeroDenominator
+            return values, errors
+
+        return fit_block

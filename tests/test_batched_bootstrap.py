@@ -33,8 +33,9 @@ from extctrl import (
     weighted_mean_contrast,
 )
 from extctrl.errors import ExtCtrlError, SolverError
-from extctrl.glm import REFIT, fit_logistic_counts
-from extctrl.inference import replicate_estimates, replicate_seed, resample_dataset
+from extctrl.glm import REFIT, LogisticDesign, fit_logistic_counts
+from extctrl.inference import (_BLOCK_ELEMENTS, _resample_rows, replicate_estimates,
+                               replicate_seed, resample_dataset)
 from extctrl.stc import outcome_link
 
 
@@ -161,6 +162,45 @@ def test_failures_by_error_counts_each_class():
     assert np.allclose(batched.replicates, loop.replicates, rtol=0.0, atol=1e-10)
 
 
+def test_block_fits_share_work_arrays_but_no_result():
+    # Every block is fitted in the same work arrays. A block's results must not
+    # be one of them, and a block's estimates must not depend on which blocks
+    # were fitted before it, or in which order.
+    trial = make_data(np.random.default_rng(3), 1500).restrict(Group.TRIAL)
+    analysis = StcAnalysis(binary_target(), None, Scale.RISK_DIFFERENCE)
+    config = BootstrapConfig(replicates=100, seed=9)
+    values, errors = replicate_estimates(analysis, trial, config)
+    again, again_errors = replicate_estimates(analysis, trial, config)
+    assert np.array_equal(values, again, equal_nan=True) and errors == again_errors
+
+    n = len(trial)
+    counts = np.array([np.bincount(_resample_rows(*trial.group_rows, np.random.default_rng(
+        replicate_seed(config.seed, i))), minlength=n) for i in range(config.replicates)],
+        dtype=float)
+    size = _BLOCK_ELEMENTS // n
+    blocks = [counts[start:start + size] for start in range(0, config.replicates, size)]
+    assert len(blocks) == 3 and len(blocks[-1]) < size
+    fit_block, forward, kept = analysis.batch(trial), [], []
+    for block in blocks:
+        forward.append(fit_block(block))
+        kept.append((forward[-1][0].copy(), list(forward[-1][1])))
+    fit_block = analysis.batch(trial)
+    backward = [fit_block(block) for block in reversed(blocks)][::-1]
+    for (v, e), (kept_v, kept_e), (back_v, back_e) in zip(forward, kept, backward):
+        assert np.array_equal(v, kept_v, equal_nan=True) and e == kept_e
+        assert np.array_equal(back_v, v, equal_nan=True) and back_e == e
+    batched = np.concatenate([v for v, _ in forward])
+    fitted = np.array([e is None for _, block_errors in forward for e in block_errors])
+    assert fitted.sum() >= 95
+    assert np.array_equal(batched[fitted], values[fitted])
+
+    design = LogisticDesign(add_intercept(trial.X), trial.outcome)
+    first = fit_logistic_counts(design, blocks[0])
+    beta = first[0].copy()
+    fit_logistic_counts(design, blocks[1])
+    assert np.array_equal(first[0], beta)
+
+
 # --- batched GLM fits against the one-replicate fits --------------------------
 
 @st.composite
@@ -179,7 +219,7 @@ def count_problems(draw):
 
 def assert_matches_repeated_rows(X, y, counts):
     """Each replicate is REFIT or has fit_logistic's verdict on its rows."""
-    coefficients, errors = fit_logistic_counts(X, y, counts)
+    coefficients, errors = fit_logistic_counts(LogisticDesign(X, y), counts)
     for r, c in enumerate(counts):
         if errors[r] is REFIT:
             assert np.isnan(coefficients[r]).all()
@@ -245,7 +285,7 @@ def test_refit_replicates_run_through_threaded_pipeline():
                               n=80, outcome_kind=OutcomeKind.BINARY,
                               outcome_summary={"responders": 30})
     X = add_intercept(np.column_stack([rare, x]))
-    assert REFIT in fit_logistic_counts(X, y, bootstrap_counts(n, 10, 3))[1]
+    assert REFIT in fit_logistic_counts(LogisticDesign(X, y), bootstrap_counts(n, 10, 3))[1]
     config = BootstrapConfig(replicates=30, seed=2, threads=2)
     assert_same_replicates(
         replicate_estimates(StcAnalysis(target, None, Scale.RISK_DIFFERENCE), trial, config),

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from extctrl import add_intercept, fit_linear, fit_logistic
-from extctrl.glm import DEFAULT_MAX_ITER, REFIT, fit_logistic_counts
+from extctrl.glm import DEFAULT_MAX_ITER, REFIT, LogisticDesign, fit_logistic_counts
 from extctrl.errors import (
     ConstantResponse,
     RankDeficientDesign,
@@ -145,7 +145,7 @@ def test_quasi_separated_design_detected():
     counts = np.array([2, 1, 1, 1])
     with pytest.raises(SeparationDetected):
         fit_logistic(np.repeat(X4, counts, axis=0), np.repeat(y4, counts))
-    assert fit_logistic_counts(X4, y4, counts[None])[1] == [SeparationDetected]
+    assert fit_logistic_counts(LogisticDesign(X4, y4), counts[None])[1] == [SeparationDetected]
 
 
 def test_counts_constant_response_screen():
@@ -157,7 +157,7 @@ def test_counts_constant_response_screen():
                        [0, 0, 0, 0, 0.5, 1, 4, 1],
                        [0, 0, 0, 0, 0, 0, 0, 0],
                        [1, 0, 0, 2, 1, 0, 3, 1]])
-    errors = fit_logistic_counts(X, y, counts)[1]
+    errors = fit_logistic_counts(LogisticDesign(X, y), counts)[1]
     assert errors[:3] == [ConstantResponse, ConstantResponse, RankDeficientDesign]
     assert errors[3] is not ConstantResponse
 
@@ -175,7 +175,30 @@ def test_hessian_singular_during_fit_is_rank_deficient(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", singular)
     with pytest.raises(RankDeficientDesign):
         fit_logistic(X, y)
-    assert fit_logistic_counts(X, y, np.ones((2, len(y))))[1] == [REFIT, REFIT]
+    assert fit_logistic_counts(LogisticDesign(X, y), np.ones((2, len(y))))[1] == [REFIT, REFIT]
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_fits_leave_design_responses_and_counts_unchanged(order):
+    # The fits write only into work arrays of their own. An F-ordered X has a
+    # C-ordered transpose that is a view of it, so an in-place scaling of that
+    # transpose would rewrite the caller's design.
+    rng = np.random.default_rng(5)
+    n = 60
+    X = np.asarray(add_intercept(rng.normal(size=(n, 2)) * [1.0, 30.0]), order=order)
+    y = (rng.random(n) < 0.4).astype(float)
+    counts = np.array([np.bincount(rng.integers(0, n, size=n), minlength=n)
+                       for _ in range(5)], dtype=float)
+    # The first replicate holds rows that x separates; it stops first, and
+    # the fits still running move up in the work arrays.
+    counts[0] = (y == 1) == (X[:, 2] > 0)
+    inputs = X.copy(order="K"), y.copy(), counts.copy()
+    fit_logistic(X, y)
+    beta, errors = fit_logistic_counts(LogisticDesign(X, y), counts)
+    assert errors == [SeparationDetected] + [None] * 4
+    for given, kept in zip((X, y, counts), inputs):
+        assert np.array_equal(given, kept)
+    assert X.flags.f_contiguous == (order == "F")
 
 
 def fitted_or_error(X, y):

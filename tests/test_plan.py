@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from extctrl import MaicAnalysis, StcAnalysis, WeightingAnalysis, maic, stc
 from extctrl import plan as planmod
+from extctrl.glm import fit_logistic
 from extctrl.inference import bootstrap_ci
 from extctrl.diagnostics import CHECKLIST_FIELDS
 from extctrl.plan import canonical_json, parse_plan, plan_hash, run_plan
@@ -74,17 +75,34 @@ def test_report_point_is_the_bootstrapped_analysis_on_the_data(case, inputs, mon
     doc, kind = PLANS[case]
     calls = []
 
-    def recording_bootstrap(analysis, data, config):
-        calls.append((analysis, data))
-        return bootstrap_ci(analysis, data, config)
+    def recording_bootstrap(analysis, data, config, point=None):
+        calls.append((analysis, data, point))
+        return bootstrap_ci(analysis, data, config, point)
 
     monkeypatch.setattr(planmod, "bootstrap_ci", recording_bootstrap)
     plan = _plan(inputs, doc, seed=4, bootstrap={"replicates": 10})
     report = json.loads(canonical_json(run_plan(plan).report))
-    [(analysis, data)] = calls
+    [(analysis, data, point)] = calls
     assert isinstance(analysis, kind)
+    assert point == analysis(data)
     assert report["effect"]["point"] == analysis(data)
     assert report["bootstrap"]["failures"] == 0
+
+
+def test_batched_bootstrap_plan_fits_the_point_once(inputs, monkeypatch):
+    # The runner hands its point to the bootstrap, and the batch refits every
+    # replicate of this plan in blocks, so the one single fit is the point's.
+    fits = []
+
+    def counting_fit(X, y):
+        fits.append(len(y))
+        return fit_logistic(X, y)
+
+    monkeypatch.setattr(stc, "fit_logistic", counting_fit)
+    plan = _plan(inputs, PLANS["stc-logit"][0], bootstrap={"replicates": 40})
+    report = run_plan(plan).report
+    assert report["bootstrap"]["refits"] == 40
+    assert fits == [40]
 
 
 def test_maic_report_names_the_matched_covariates(inputs):
