@@ -250,7 +250,7 @@ def _cmd_borrow(args) -> int:
 
 def _cmd_simulate(args) -> int:
     try:
-        payload = json.loads(Path(args.scenario).read_text(encoding="utf-8"))
+        payload = json.loads(Path(args.scenario).read_text(encoding="utf-8-sig"))
     except (OSError, ValueError) as exc:
         raise PlanInvalid(f"{args.scenario}: cannot read scenario ({exc})") from None
     if not isinstance(payload, dict):

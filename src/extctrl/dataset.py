@@ -68,6 +68,9 @@ def _check_follow_up(rid, time: float, event: float, row: int) -> None:
                               row=row)
     if time < 0:
         raise SchemaViolation(f"record {rid!r}: negative follow-up time", row=row)
+    if not (math.isnan(event) or event in (0.0, 1.0)):
+        raise SchemaViolation(f"record {rid!r}: event must be 0 or 1, got {event:g} at row {row}",
+                              row=row)
 
 
 _COLUMNS = ("ids", "trial", "X", "outcome", "time", "event")
@@ -126,7 +129,8 @@ class Dataset:
             object.__setattr__(self, name, _read_only(col))
 
         time, event = columns["time"], columns["event"]
-        bad = (np.isnan(time) != np.isnan(event)) | (time < 0)
+        missing = np.isnan(event)
+        bad = (np.isnan(time) != missing) | (time < 0) | ~(missing | (event == 0) | (event == 1))
         if bad.any():
             i = int(np.argmax(bad))
             _check_follow_up(self.ids[i], time[i], event[i], i)
@@ -306,52 +310,28 @@ def _parse_number(token: str, column: str, row: int) -> float:
     return value
 
 
-def _raise_first_error(path, lines, header, col_index, cov_names, optional) -> None:
-    """Scan the rows of CSV ``lines`` in order and raise the error of the first offending cell.
-
-    Used only once the C pass has stopped, so that errors name the same row
-    and cell as a row-at-a-time reader would.
-    """
-    for i, row in enumerate(csv.reader(lines)):
-        if len(row) != len(header):
-            raise SchemaViolation(
-                f"{path}: row {i} has {len(row)} cells, expected {len(header)}", row=i)
-        label = row[col_index["group"]].strip().lower()
-        if label not in _GROUP_LABELS:
-            raise UnknownGroupLabel(f"{path}: unknown group label {label!r} at row {i}", row=i)
-        for name in cov_names:
-            _parse_number(row[col_index[name]], name, i)
-        _, time, event = (
-            math.nan if col is None else _parse_optional(row[col_index[col]], col, i)
-            for col in optional
-        )
-        _check_follow_up(row[col_index["id"]].strip(), time, event, i)
-
-
 # Per-cell text clean-ups, looped in C over an object column.
 _strip = np.frompyfunc(str.strip, 1, 1)
 _label = np.frompyfunc(lambda cell: cell.strip().lower(), 1, 1)
 
 
-def _read_columns(source, header, col_index, cov_names, optional, parse=True) -> Optional[dict]:
+def _read_columns(source, header, col_index, cov_names, optional) -> Optional[dict]:
     """The ``Dataset`` columns of the data rows in text file ``source``, in one C pass.
 
     None where NumPy's reader stops (at a fault, or at a row of blank cells,
-    which it does not skip) or a group label or covariate value is invalid.
-    ``parse`` reads the outcome, time and event cells with ``_parse_optional``;
-    without it, NumPy reads them, and a missing or non-finite one is None too.
+    which it does not skip), or where a group label is invalid or a
+    covariate, outcome, time or event value is missing or non-finite.
     """
     present = [col_index[col] for col in optional if col is not None]
-    converters = dict.fromkeys(present, _parse_optional) if parse else None
     numeric = {col_index[name] for name in cov_names}.union(present)
     dtype = [(f"f{j}", float if j in numeric else object) for j in range(len(header))]
     with warnings.catch_warnings():
-        # A file of a header alone is EmptyDataset, raised by the caller.
+        # A file of a header alone is EmptyDataset, raised by the row reader.
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
             table = np.loadtxt(source, dtype=dtype, delimiter=",", quotechar='"',
-                               comments=None, converters=converters, ndmin=1)
-        except (ValueError, DataError):
+                               comments=None, ndmin=1)
+        except ValueError:
             return None
 
     def column(name):
@@ -364,8 +344,8 @@ def _read_columns(source, header, col_index, cov_names, optional, parse=True) ->
         trial, external = labels == "trial", labels == "external"
     X = np.stack([column(name) for name in cov_names], axis=1)
     outcome, time, event = map(column, optional)
-    finite = [X] if parse else [X] + [col for col in (outcome, time, event) if col is not None]
-    if not (trial | external).all() or not all(np.isfinite(col).all() for col in finite):
+    numbers = [col for col in (X, outcome, time, event) if col is not None]
+    if not (trial | external).all() or not all(np.isfinite(col).all() for col in numbers):
         return None
     return dict(
         ids=_strip(column("id")),
@@ -373,9 +353,42 @@ def _read_columns(source, header, col_index, cov_names, optional, parse=True) ->
         X=X,
         outcome=outcome,
         time=time,
-        # Event indicators are read as integers, truncating toward zero.
-        event=None if event is None else np.trunc(event),
+        event=event,
     )
+
+
+def _read_rows(path, records, header, col_index, cov_names, optional) -> dict:
+    """The ``Dataset`` columns of CSV ``records``, read one cell at a time.
+
+    Records whose cells are all blank are skipped, and rows are counted
+    among the records kept. Raises the error of the first offending cell,
+    in row order.
+    """
+    rows = [row for row in records if any(map(str.strip, row))]
+    if not rows:
+        raise EmptyDataset(f"{path}: no data rows")
+    if not cov_names:
+        raise MissingColumn(f"{path}: no covariate columns")
+    ids, trial, X, follow_up = [], [], [], []
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise SchemaViolation(
+                f"{path}: row {i} has {len(row)} cells, expected {len(header)}", row=i)
+        label = row[col_index["group"]].strip().lower()
+        if label not in _GROUP_LABELS:
+            raise UnknownGroupLabel(f"{path}: unknown group label {label!r} at row {i}", row=i)
+        X.append([_parse_number(row[col_index[name]], name, i) for name in cov_names])
+        outcome, time, event = [
+            math.nan if col is None else _parse_optional(row[col_index[col]], col, i)
+            for col in optional
+        ]
+        rid = row[col_index["id"]].strip()
+        _check_follow_up(rid, time, event, i)
+        ids.append(rid)
+        trial.append(label == "trial")
+        follow_up.append((outcome, time, event))
+    outcome, time, event = np.array(follow_up).T
+    return dict(ids=ids, trial=trial, X=np.array(X), outcome=outcome, time=time, event=event)
 
 
 def load_dataset(path) -> Dataset:
@@ -386,16 +399,17 @@ def load_dataset(path) -> Dataset:
     column is a covariate, in header order. The outcome kind is inferred
     from the values. Returns the validated dataset in file row order.
 
-    A valid file is parsed in one C pass (``np.loadtxt``), with no per-cell
-    Python unless an outcome, time or event cell is missing or non-finite:
-    then a second pass reads those cells with ``_parse_optional``. Where that
-    stops, the lines of the records a ``csv.reader`` scan keeps, blank
-    records dropped, are parsed again; if that fails too, the scan raises
-    the error of the first offending cell.
+    A file is read by one of two readers. A complete file (no blank row, no
+    fault, and every outcome, time and event cell present and finite) is
+    parsed in one C pass (``np.loadtxt``), with no per-cell Python. Any
+    other file is read again from its first data row by a ``csv.reader``
+    row reader, which skips blank records, parses each cell in Python and
+    raises the error of the first offending cell.
     """
     path = Path(path)
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
+        # utf-8-sig drops the byte-order mark of a spreadsheet's UTF-8 export.
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             # Read by ``readline``, which leaves ``tell`` working.
             header = next(csv.reader(iter(fh.readline, "")), None)
             if header is None:
@@ -410,33 +424,12 @@ def load_dataset(path) -> Dataset:
             # Outcome, time and event columns present in the file, else None.
             optional = [col if col in header else None for col in ("outcome", "time", "event")]
 
-            columns = None
+            body, columns = fh.tell(), None
             if cov_names:
-                body = fh.tell()
-                columns = _read_columns(fh, header, col_index, cov_names, optional, parse=False)
-                if columns is None and any(optional):
-                    fh.seek(body)
-                    columns = _read_columns(fh, header, col_index, cov_names, optional)
+                columns = _read_columns(fh, header, col_index, cov_names, optional)
             if columns is None or not len(columns["ids"]):
-                fh.seek(0)
-                lines = fh.readlines()
-                reader = csv.reader(lines)
-                next(reader)
-                kept, start = [], reader.line_num
-                for row in reader:
-                    if any(map(str.strip, row)):
-                        kept += lines[start:reader.line_num]
-                    start = reader.line_num
-                if not kept:
-                    raise EmptyDataset(f"{path}: no data rows")
-                if not cov_names:
-                    raise MissingColumn(f"{path}: no covariate columns")
-                # NumPy's reader stops at a row of blank cells; without their
-                # lines, it stops only where the row scan finds the first fault.
-                columns = _read_columns(kept, header, col_index, cov_names, optional)
-                if columns is None:
-                    _raise_first_error(path, kept, header, col_index, cov_names, optional)
-                    raise AssertionError("C pass and row scan disagree")
+                fh.seek(body)
+                columns = _read_rows(path, csv.reader(fh), header, col_index, cov_names, optional)
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: cannot read file ({exc})") from None
 
@@ -523,7 +516,7 @@ def load_aggregate(path) -> AggregateSummary:
     """
     path = Path(path)
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload = json.loads(path.read_text(encoding="utf-8-sig"))
     except json.JSONDecodeError as exc:
         raise SchemaViolation(f"{path}: invalid JSON ({exc})") from None
     except (OSError, UnicodeDecodeError) as exc:

@@ -42,13 +42,13 @@ _SCALES = {
 
 @dataclass
 class EffectReport:
-    """Point estimate with provenance; CI attached by the inference module."""
+    """Point estimate with provenance. ``to_dict`` writes ``ci`` as null; a
+    plan with a bootstrap fills it in the report."""
 
     estimand_label: str
     target_population: str
     scale: Scale
     point: float
-    ci: Optional[tuple[float, float]] = None
     group_summary: dict = field(default_factory=dict)
     ess: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
@@ -62,7 +62,7 @@ class EffectReport:
             "target_population": self.target_population,
             "scale": self.scale.value,
             "point": self.point,
-            "ci": None if self.ci is None else list(self.ci),
+            "ci": None,
             "group_summary": self.group_summary,
             "ess": self.ess,
             "diagnostics": self.diagnostics,

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .balancing import effective_sample_size
-from .dataset import AggregateSummary, Dataset, Group, OutcomeKind
+from .dataset import AggregateSummary, Dataset, Group
 from .errors import AllWeightsZero, CollinearCovariates, NoConvergence, TargetOutsideSupport
 from .estimators import EffectReport, Scale, check_scale, contrast_on_scale
 from .glm import (_EPS, _ETA_BOUND, DEFAULT_MAX_ITER, DEFAULT_TOL, _ill_conditioned,
@@ -122,13 +122,11 @@ def maic_compare(
     trial: Dataset,
     target: AggregateSummary,
     scale: Optional[Scale],
-    continuity_correction: bool = False,
 ) -> EffectReport:
     """Contrast the reweighted trial outcome against the aggregate outcome.
 
     A ``scale`` of None is the outcome's default. Zero-cell odds ratios
-    yield a typed infinite contrast rather than an exception; opt in to
-    ``continuity_correction`` to add 0.5 per cell instead.
+    yield a typed infinite contrast rather than an exception.
     """
     trial = trial.restrict(Group.TRIAL)
     scale = check_scale(trial.outcome_kind, scale, target.outcome_kind)
@@ -138,12 +136,6 @@ def maic_compare(
     if total <= 0:
         raise AllWeightsZero("all weights are zero in the trial group")
     m1, m0 = wy / total, target.outcome_value()
-    if continuity_correction and target.outcome_kind is OutcomeKind.BINARY:
-        boundary = m0 in (0.0, 1.0) or m1 in (0.0, 1.0)
-        if boundary:
-            x0 = target.outcome_summary["responders"]
-            m0 = (x0 + 0.5) / (target.n + 1.0)
-            m1 = (wy + 0.5) / (total + 1.0)
     point, infinite = contrast_on_scale(m1, m0, scale)
     return EffectReport(
         estimand_label="maic",

@@ -115,8 +115,8 @@ class AnalysisPlan:
 def load_plan(path) -> AnalysisPlan:
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        raw = json.loads(path.read_text(encoding="utf-8-sig"))
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
         raise PlanInvalid(f"{path}: cannot read plan ({exc})") from None
     return parse_plan(raw)
 

@@ -178,6 +178,18 @@ def test_simulate_writes_dataset_and_truth(tmp_path):
     assert len(lines) == 81
 
 
+def test_json_inputs_with_a_byte_order_mark(tmp_path):
+    # An editor's or a spreadsheet's UTF-8 export may start with a byte-order mark.
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text("\ufeff" + json.dumps(SCENARIO), encoding="utf-8")
+    data = tmp_path / "sim.csv"
+    assert run_cli(["simulate", "--scenario", scenario, "--out", data]) == 0
+    plan = tmp_path / "plan.json"
+    plan.write_text("\ufeff" + json.dumps({"method": "weighting", "dataset": str(data),
+                                           "estimand": "att"}), encoding="utf-8")
+    assert run_cli(["--out-dir", tmp_path / "out", "run", plan]) == 0
+
+
 def test_exit_code_data_error(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("id,group,severe,outcome\n1,martian,1,0\n", encoding="utf-8")
@@ -199,6 +211,8 @@ def test_exit_code_plan_invalid(tmp_path):
     plan.write_text(json.dumps({"method": "teleport"}), encoding="utf-8")
     assert run_cli(["run", plan]) == 2
     plan.write_text("{ not json", encoding="utf-8")
+    assert run_cli(["run", plan]) == 2
+    plan.write_bytes(b'{"method": "weighting", "dataset": "\xff.csv"}')  # not UTF-8
     assert run_cli(["run", plan]) == 2
 
 

@@ -296,9 +296,9 @@ def test_rows_of_blank_cells_are_skipped(tmp_path):
     (b'id,group,x\r,,\r"a\rb",trial,1\r\r"c",external,2\r', ["a\rb", "c"]),
 ], ids=["crlf", "quoted-blank-line", "cr"])
 def test_blank_rows_between_records_that_span_lines(text, ids, tmp_path):
-    # Once a blank row stops the C pass, the lines of each record that is not
-    # blank are parsed again: a quoted line break, even one before a line of
-    # commas, stays inside its cell, whatever the line ends.
+    # A blank row stops the C pass, and the row reader reads the records: a
+    # quoted line break, even one before a line of commas, stays inside its
+    # cell, whatever the line ends.
     path = tmp_path / "d.csv"
     path.write_bytes(text)
     data = load_dataset(path)
@@ -351,7 +351,7 @@ def test_valid_file_reads_no_cell_in_python(tmp_path, monkeypatch):
     assert data.trial.tolist() == [True, False, True, False]
     assert data.time.tolist() == [2.5, 0.5, 4.0, 3.0]
     assert data.event.tolist() == [1.0, 0.0, 0.0, 1.0]
-    # A missing cell is read by the per-cell parser, in a second pass.
+    # A missing cell sends the file to the row reader, which parses each cell.
     path.write_text(SURVIVAL_CSV.replace("0.5,0", ","))
     data = load_dataset(path)
     assert calls
@@ -378,12 +378,56 @@ def test_outcome_and_time_cells(cell, expected, column, tmp_path):
             load_dataset(path)
         assert exc.value.row == 1
         return
+    if column == "time" and expected == expected:
+        # The event cell holds the same number, and an event is 0 or 1.
+        with pytest.raises(SchemaViolation, match="event must be 0 or 1") as exc:
+            load_dataset(path)
+        assert exc.value.row == 1
+        return
     data = load_dataset(path)
     assert np.array_equal(getattr(data, column), [0.0 if column == "outcome" else 2.0, expected],
                           equal_nan=True)
     if column == "time":
-        assert np.array_equal(data.event, [1.0, math.trunc(expected)] if expected == expected
-                              else [1.0, math.nan], equal_nan=True)
+        assert np.array_equal(data.event, [1.0, math.nan], equal_nan=True)
+
+
+# A trailing row of commas stops the C pass, so the row reader reads the file.
+_READERS = pytest.mark.parametrize("tail", ["", ",,,,\n"], ids=["c-pass", "row-reader"])
+
+
+@_READERS
+@pytest.mark.parametrize("event", ["2", "-1", "1.5"])
+def test_event_other_than_0_or_1_is_rejected(event, tail, tmp_path, monkeypatch):
+    # A competing-risk code or a fraction is not a censoring indicator; both
+    # readers name the record and its row. An event of 1.0 reads as 1.
+    calls = _counting_parser(monkeypatch)
+    path = tmp_path / "d.csv"
+    path.write_text(SURVIVAL_CSV.replace("2.5,1", "2.5,1.0") + tail)
+    assert load_dataset(path).event.tolist() == [1.0, 0.0, 0.0, 1.0]
+    assert bool(calls) == bool(tail)
+    path.write_text(SURVIVAL_CSV.replace("4,0", f"4,{event}") + tail)
+    with pytest.raises(SchemaViolation,
+                       match=f"record 'c': event must be 0 or 1, got {event} at row 2") as exc:
+        load_dataset(path)
+    assert exc.value.row == 2
+
+
+@_READERS
+def test_byte_order_mark_is_not_part_of_the_header(tail, tmp_path, monkeypatch):
+    # A spreadsheet's "CSV UTF-8" export starts with a byte-order mark.
+    calls = _counting_parser(monkeypatch)
+    path = tmp_path / "d.csv"
+    path.write_text("\ufeff" + SURVIVAL_CSV + tail, encoding="utf-8")
+    data = load_dataset(path)
+    assert bool(calls) == bool(tail)
+    assert data.ids.tolist() == ["a", "b", "c", "d"]
+    assert data.time.tolist() == [2.5, 0.5, 4.0, 3.0]
+
+
+def test_aggregate_with_byte_order_mark(tmp_path):
+    path = tmp_path / "agg.json"
+    path.write_text("\ufeff" + json.dumps(aggregate_payload()), encoding="utf-8")
+    assert load_aggregate(path).n == aggregate_payload()["n"]
 
 
 # Cells for the reader property below. Each is CSV text: a padded or quoted
@@ -494,11 +538,13 @@ def _reference_load(text):
                   else math.nan for name in ("outcome", "time", "event")}
         if math.isnan(values["time"]) != math.isnan(values["event"]) or values["time"] < 0:
             raise SchemaViolation("follow-up", row=i)
+        if not (math.isnan(values["event"]) or values["event"] in (0.0, 1.0)):
+            raise SchemaViolation("event", row=i)
         columns["ids"].append(cell["id"].strip())
         columns["trial"].append(label == "trial")
         columns["X"].append(x)
         for name, v in values.items():
-            columns[name].append(float(math.trunc(v)) if name == "event" and v == v else v)
+            columns[name].append(v)
     if not any(columns["trial"]):
         raise EmptyDataset("no trial records")
     return columns
@@ -527,6 +573,44 @@ def test_load_dataset_agrees_with_a_row_by_row_reader(tmp_path, text):
     assert data.X.tobytes() == np.array(expected["X"], dtype=float).tobytes()
     for name in ("outcome", "time", "event"):
         assert np.array_equal(getattr(data, name), expected[name], equal_nan=True)
+
+
+def test_both_readers_read_the_same_bits(tmp_path, monkeypatch):
+    # One seeded file, read as it is by the C pass and, with a trailing row of
+    # commas, by the row reader: every column is equal bit for bit.
+    rng = np.random.default_rng(2024)
+    n = 5000
+
+    def dressed(cells):
+        how = rng.integers(0, 3, size=len(cells)).tolist()
+        return [c if h == 0 else f" {c}\t" if h == 1 else f'"{c}"' for c, h in zip(cells, how)]
+
+    def numbers(values):
+        return dressed(list(map(repr, values.tolist())))
+
+    X = rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-300, 300, size=(n, 2))
+    X[0, 0] = 1e-320
+    time = rng.exponential(5.0, size=n)
+    time[1] = 1e-320
+    ids = [f'"s,{i}"' if i % 3 == 0 else f" s{i}\t" if i % 3 == 1 else f"s{i}" for i in range(n)]
+    groups = rng.choice(["trial", " Trial ", "EXTERNAL", '"external"'], size=n).tolist()
+    events = rng.choice(["0", "1", "1.0", " 0 ", '"1"'], size=n).tolist()
+    columns = [ids, groups, numbers(X[:, 0]), numbers(X[:, 1]),
+               numbers(rng.standard_normal(n)), numbers(time), events]
+    text = "id,group,x0,x1,outcome,time,event\n" + "".join(
+        ",".join(row) + "\n" for row in zip(*columns))
+    calls = _counting_parser(monkeypatch)
+    path = tmp_path / "d.csv"
+    path.write_text(text, encoding="utf-8")
+    c_pass = load_dataset(path)
+    assert calls == []
+    path.write_text(text + ",,,,,,\n", encoding="utf-8")
+    row_reader = load_dataset(path)
+    assert calls
+    assert c_pass.ids.tolist() == row_reader.ids.tolist()
+    assert c_pass.ids.tolist()[:3] == ["s,0", "s1", "s2"]
+    for name in ("trial", "X", "outcome", "time", "event"):
+        assert getattr(c_pass, name).tobytes() == getattr(row_reader, name).tobytes(), name
 
 
 def test_take_keeps_row_order_and_needs_a_trial_row():

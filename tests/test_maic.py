@@ -160,10 +160,6 @@ def test_zero_cell_odds_ratio_flagged_infinite():
     report = maic_compare(fit, data, target, Scale.ODDS_RATIO)
     assert report.infinite
     assert np.isinf(report.point)
-    corrected = maic_compare(fit, data, target, Scale.ODDS_RATIO,
-                             continuity_correction=True)
-    assert not corrected.infinite
-    assert np.isfinite(corrected.point)
 
 
 def test_report_carries_constancy_caveat_and_atc_label():
