@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from scipy.special import betainc, betaincinv
-
 from .errors import ParameterOutOfRange
 
 
@@ -33,12 +31,16 @@ class PowerPriorPosterior:
             return 0.0
         if theta >= 1.0:
             return 1.0
+        from scipy.special import betainc  # at module level it slows start-up
+
         return float(betainc(self.posterior_alpha, self.posterior_beta, theta))
 
     def quantile(self, q: float) -> float:
         """Posterior quantile: the inverse of the regularized incomplete beta."""
         if not 0.0 < q < 1.0:
             raise ParameterOutOfRange(f"quantile level {q} outside (0,1)")
+        from scipy.special import betaincinv  # at module level it slows start-up
+
         return float(betaincinv(self.posterior_alpha, self.posterior_beta, q))
 
     def credible_interval(self, level: float = 0.95) -> tuple[float, float]:

@@ -9,8 +9,9 @@ turn theirs into a weighting plan and run its design, which reads no
 outcome, with ``plan.run_design``. Exit codes: 0 success, 2 plan/usage
 error (including a bad scenario file), 3 data error (including an input file
 that cannot be read), 4 solver error, 5 positivity hard-fail. The
-EXTCTRL_THREADS environment variable caps bootstrap parallelism (0 or
-unset = auto/serial).
+EXTCTRL_THREADS environment variable caps bootstrap parallelism when the
+plan sets no thread count; 0, unset, or anything that is not a positive
+integer runs the replicates serially.
 """
 
 from __future__ import annotations

@@ -74,20 +74,21 @@ class EffectReport:
 
 @dataclass(frozen=True)
 class SurvivalCurve:
-    """Right-continuous step function starting at S(0) = 1."""
+    """Right-continuous step function starting at S(0) = 1.
+
+    ``times`` are the event times; ``last_time`` is the end of follow-up, the
+    largest time of a subject with positive weight, censored or not.
+    """
 
     times: np.ndarray
     survival: np.ndarray
     at_risk: np.ndarray
+    last_time: float
 
     def evaluate(self, t: float) -> float:
         """S(t), right-continuous."""
         idx = np.searchsorted(self.times, t, side="right") - 1
         return 1.0 if idx < 0 else float(self.survival[idx])
-
-    @property
-    def last_time(self) -> float:
-        return float(self.times[-1]) if len(self.times) else 0.0
 
     def median(self) -> Optional[float]:
         """First time with S(t) <= 0.5, or None if never reached."""
@@ -192,7 +193,8 @@ def weighted_km(
             f"no weight at risk at event time {event_times[np.argmax(n <= 0)]}"
         )
     return SurvivalCurve(
-        times=event_times, survival=np.cumprod(1.0 - d / n), at_risk=n
+        times=event_times, survival=np.cumprod(1.0 - d / n), at_risk=n,
+        last_time=float(times[weights > 0].max()),
     )
 
 
@@ -215,8 +217,8 @@ def survival_contrast(
 ) -> EffectReport:
     """S_trial(t*) - S_external(t*), evaluated right-continuously.
 
-    A horizon beyond either group's follow-up is evaluated at the last
-    observed time and flagged, not rejected.
+    A horizon beyond either group's follow-up, its last observed time, is
+    evaluated there and flagged, not rejected.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")

@@ -147,7 +147,7 @@ def replicate_estimates(
     threads = config.threads
     if threads == 0:
         env = os.environ.get("EXTCTRL_THREADS", "")
-        threads = int(env) if env.isdigit() and int(env) > 0 else 1
+        threads = int(env) if env.isdecimal() and int(env) > 0 else 1
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             # map() yields in index order, keeping reduction deterministic.

@@ -59,6 +59,14 @@ class StcResult:
     report: EffectReport
 
 
+def _inverse_logit(eta: float) -> float:
+    """1 / (1 + exp(-eta)), and its limit 0.0 where exp(-eta) overflows."""
+    try:
+        return 1.0 / (1.0 + math.exp(-eta))
+    except OverflowError:
+        return 0.0
+
+
 def _stc_inputs(trial, target, covariates, scale):
     """Checked inputs of the outcome model and of the prediction.
 
@@ -92,7 +100,7 @@ def stc_estimate(
     link = outcome_link(target.outcome_kind)
     fit = fit_logistic(X, y) if link is Link.LOGIT else fit_linear(X, y)
     eta = float(fit.coefficients @ x_target)
-    predicted = 1.0 / (1.0 + math.exp(-eta)) if link is Link.LOGIT else eta
+    predicted = _inverse_logit(eta) if link is Link.LOGIT else eta
 
     effect, infinite = contrast_on_scale(predicted, observed, scale)
     warnings = [CONSTANCY_CAVEAT]
@@ -165,7 +173,7 @@ class StcAnalysis:
             beta, errors = fit_logistic_counts(design, counts)
             values = np.full(len(counts), np.nan)
             for r in np.flatnonzero([e is None for e in errors]):
-                predicted = 1.0 / (1.0 + math.exp(-float(beta[r] @ x_target)))
+                predicted = _inverse_logit(float(beta[r] @ x_target))
                 try:
                     values[r] = contrast_on_scale(predicted, observed, scale)[0]
                 except ZeroDenominator:

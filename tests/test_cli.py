@@ -141,6 +141,34 @@ def test_maic_and_stc_commands(toy_csv, big_csv, aggregate_json, capsys):
     assert "effect" in payload
 
 
+@pytest.mark.parametrize("bootstrap", [[], ["--bootstrap", "20"]])
+def test_stc_prediction_below_exp_range_is_zero(bootstrap, tmp_path, capsys):
+    # An outcome that falls with age and an aggregate age in days, not years:
+    # the linear predictor at the aggregate is far below -709.8, where
+    # exp(-eta) overflows, and the predicted response rate is its limit 0.
+    import numpy as np
+
+    rng = np.random.default_rng(0)
+    lines = ["id,group,age,outcome"]
+    for i in range(40):
+        age = 50.0 + 5.0 * rng.normal()
+        lines.append(f"t{i},trial,{age:.2f},{int(rng.random() < 1 / (1 + np.exp(age - 50)))}")
+    data = tmp_path / "trial.csv"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps({"n": 80, "covariates": {"age": 100000.0},
+                                  "outcome": {"kind": "binary", "responders": 30}}),
+                      encoding="utf-8")
+    assert run_cli(["stc", data, "--target", target, "--scale", "rd", *bootstrap]) == 0
+    effect = json.loads(capsys.readouterr().out)["effect"]
+    assert effect["group_summary"]["predicted_trial_outcome_in_external_population"] == 0.0
+    assert effect["point"] == -30 / 80 and effect["infinite"] is False
+    if bootstrap:
+        assert effect["ci"] == [-30 / 80, -30 / 80]
+    assert run_cli(["stc", data, "--target", target, "--scale", "or", *bootstrap]) == 0
+    assert json.loads(capsys.readouterr().out)["effect"]["infinite"] is True
+
+
 def test_borrow_requires_assertion(capsys):
     code = run_cli(["borrow", "--x", "52", "--n", "61",
                     "--x0", "30", "--n0", "80", "--a0", "0.5"])

@@ -213,6 +213,18 @@ def test_survival_contrast_horizon_beyond_followup_flagged():
     assert report.warnings
 
 
+def test_horizon_within_follow_up_after_last_event_not_flagged():
+    # Events at 1 and 2, censorings at 10: follow-up runs to 10, not to 2.
+    curve = weighted_km([1.0, 2.0, 10.0, 10.0], [1, 1, 0, 0], [1.0] * 4)
+    assert curve.last_time == 10.0
+    assert survival_contrast(curve, curve, 5.0).warnings == []
+    assert survival_contrast(curve, curve, 12.0).warnings
+    # A subject with zero weight is not followed up.
+    curve = weighted_km([1.0, 2.0, 10.0, 20.0], [1, 1, 0, 0], [1.0, 1.0, 1.0, 0.0])
+    assert curve.last_time == 10.0
+    assert survival_contrast(curve, curve, 12.0).warnings
+
+
 def test_weighted_km_by_group_and_median():
     times = [1, 2, 3, 4, 5, 6, 7, 8]
     events = [1] * 8

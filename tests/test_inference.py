@@ -72,6 +72,16 @@ def test_serial_vs_parallel_identical():
     assert (serial.lower, serial.upper) == (parallel.lower, parallel.upper)
 
 
+@pytest.mark.parametrize("threads", ["3", "0", "-2", "x", "\u00b2"])
+def test_threads_variable_never_changes_the_replicates(threads, monkeypatch):
+    # Anything but a positive integer, a superscript digit included, runs serially.
+    data = small_dataset(np.random.default_rng(1))
+    want = bootstrap_ci(ipw_pipeline, data, BootstrapConfig(replicates=20, seed=7, threads=1))
+    monkeypatch.setenv("EXTCTRL_THREADS", threads)
+    got = bootstrap_ci(ipw_pipeline, data, BootstrapConfig(replicates=20, seed=7))
+    assert np.array_equal(got.replicates, want.replicates)
+
+
 def test_degenerate_data_zero_width():
     # Identical outcome within each group and constant covariate: every
     # resample reproduces the same contrast.
