@@ -1,17 +1,20 @@
 """Batch command-line front end.
 
 Subcommands: ps-fit, weight, balance, compare, maic, stc, borrow, simulate,
-run. ``compare``, ``maic``, ``stc`` and ``borrow`` turn their flags into a
-plan document and execute it with ``plan.run_plan``, exactly as ``run``
-does with a plan file, so their reports carry the same provenance (plan
-hash), checklist and diagnostics. ``ps-fit``, ``weight`` and ``balance``
-turn theirs into a weighting plan and run its design, which reads no
-outcome, with ``plan.run_design``. Exit codes: 0 success, 2 plan/usage
-error (including a bad scenario file), 3 data error (including an input file
-that cannot be read), 4 solver error, 5 positivity hard-fail. The
-EXTCTRL_THREADS environment variable caps bootstrap parallelism when the
-plan sets no thread count; 0, unset, or anything that is not a positive
-integer runs the replicates serially.
+run. The first seven are front ends to the plan runner, and ``FRONT_ENDS``
+is the one map from their flags to plan keys: each turns its flags into a
+plan document, runs it and writes what the run gives. ``compare``,
+``maic``, ``stc`` and ``borrow`` run it with ``plan.run_plan``, exactly as
+``run`` does with a plan file, so their reports carry the same provenance
+(plan hash), checklist and diagnostics; ``compare`` also writes the
+weighted KM curves of a time-to-event outcome. ``ps-fit``, ``weight`` and
+``balance`` run the plan's design, which reads no outcome, with
+``plan.run_design``. Exit codes: 0 success, 2 plan/usage error (including
+a bad scenario file), 3 data error (including an input file that cannot be
+read), 4 solver error, 5 positivity hard-fail. The EXTCTRL_THREADS
+environment variable caps bootstrap parallelism when the plan sets no
+thread count; 0, unset, or anything that is not a positive integer runs
+the replicates serially.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import sys
 from pathlib import Path
 
 from . import plan as planmod
-from .borrow import a0_sensitivity
 from .dataset import save_dataset
 from .errors import DataError, ExtCtrlError, InvalidConfig, PlanInvalid, SolverError
 from .estimators import Scale
@@ -54,11 +56,76 @@ def _emit(payload: dict, out_path=None) -> None:
     _write(planmod.canonical_json(payload) + "\n", out_path)
 
 
-def _add_bootstrap_flags(parser) -> None:
-    parser.add_argument("--bootstrap", type=int, default=0, metavar="B",
-                        help="bootstrap replicates (0 = no CI)")
-    parser.add_argument("--level", type=float, default=0.95)
-    parser.add_argument("--seed", type=int, default=0)
+def _names(text):
+    return [s.strip() for s in text.split(",")] if text else None
+
+
+def _numbers(flag: str):
+    """The argparse type of ``flag``, a comma-separated list of numbers. Its
+    PlanInvalid is no ValueError, so argparse lets it reach ``main``."""
+    def parse(text):
+        try:
+            return [float(v) for v in text.split(",")]
+        except ValueError:
+            raise PlanInvalid(f"{flag} must be comma-separated numbers, got {text!r}") from None
+    return parse
+
+
+_DATA = {"data": ("dataset", {})}
+_ESTIMAND = {"--estimand": ("estimand", {"required": True,
+                                         "help": "ate|att|atc|ato|matching|trim:<a>"})}
+_TARGET = {"--target": ("aggregate", {"required": True, "help": "aggregate JSON file"})}
+_COVARIATES = {"--covariates": ("covariates", {"type": _names, "help": "comma-separated subset"})}
+_SCALE = {"--scale": ("scale", {"choices": [s.value for s in Scale]})}
+_BOOTSTRAP = {
+    "--bootstrap": ("bootstrap.replicates", {"type": int, "metavar": "B",
+                                             "help": "bootstrap replicates (0 = no CI)"}),
+    "--level": ("bootstrap.level", {"type": float, "help": "bootstrap CI level (default 0.95)"}),
+    "--seed": ("seed", {"type": int, "help": "bootstrap seed (default 0)"}),
+}
+
+# Each front end's plan method, help and flags. A flag names the plan key it
+# fills ("block.key" for a key inside a block) and its argparse settings; a
+# flag whose value is None stays out of the plan.
+FRONT_ENDS = {
+    "ps-fit": ("weighting", "fit the propensity model and audit overlap", {
+        **_DATA, **_COVARIATES,
+        "--band": ("positivity_a", {"type": float,
+                                    "help": "positivity band parameter a (default 0.1)"}),
+    }),
+    "weight": ("weighting", "estimand-specific balancing weights",
+               {**_DATA, **_ESTIMAND, **_COVARIATES}),
+    "balance": ("weighting", "covariate balance table for an estimand", {
+        **_DATA, **_ESTIMAND, **_COVARIATES,
+        "--threshold": ("smd_threshold", {"type": float, "help": "|weighted SMD| above which "
+                                          "a covariate is imbalanced (default 0.1)"}),
+    }),
+    "compare": ("weighting", "weighted effect estimate", {
+        **_DATA, **_ESTIMAND, **_COVARIATES, **_SCALE,
+        "--horizon": ("horizon", {"type": float,
+                                  "help": "survival horizon for time-to-event outcomes"}),
+        **_BOOTSTRAP,
+    }),
+    "maic": ("maic", "matching-adjusted indirect comparison",
+             {**_DATA, **_TARGET, **_COVARIATES, **_SCALE, **_BOOTSTRAP}),
+    "stc": ("stc", "simulated treatment comparison",
+            {**_DATA, **_TARGET, **_COVARIATES, **_SCALE, **_BOOTSTRAP}),
+    "borrow": ("power_prior", "fixed power-prior borrowing (binary outcome)", {
+        "--x": ("power_prior.x", {"type": int, "required": True, "help": "trial responders"}),
+        "--n": ("power_prior.n", {"type": int, "required": True, "help": "trial size"}),
+        "--x0": ("power_prior.x0", {"type": int, "required": True,
+                                    "help": "external responders"}),
+        "--n0": ("power_prior.n0", {"type": int, "required": True, "help": "external size"}),
+        "--a0": ("power_prior.a0", {"type": float, "required": True}),
+        "--prior": ("power_prior.prior", {"type": _numbers("--prior"), "default": "1,1",
+                                          "help": "Beta prior a,b"}),
+        "--level": ("power_prior.level", {"type": float, "default": 0.95}),
+        "--sweep": ("power_prior.sweep", {"type": _numbers("--sweep"), "help":
+                                          "comma-separated a0 grid for sensitivity output"}),
+        "--assume-comparable": ("power_prior.assume_comparable", {
+            "action": "store_true", "help": "required assertion that populations are comparable"}),
+    }),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,60 +135,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--out-dir", default=None, help="directory for output artifacts")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ps-fit", help="fit the propensity model and audit overlap")
-    p.add_argument("data")
-    p.add_argument("--covariates", default=None, help="comma-separated subset")
-    p.add_argument("--band", type=float, help="positivity band parameter a (default 0.1)")
-
-    p = sub.add_parser("weight", help="estimand-specific balancing weights")
-    p.add_argument("data")
-    p.add_argument("--estimand", required=True,
-                   help="ate|att|atc|ato|matching|trim:<a>")
-    p.add_argument("--covariates", default=None)
-
-    p = sub.add_parser("balance", help="covariate balance table for an estimand")
-    p.add_argument("data")
-    p.add_argument("--estimand", required=True)
-    p.add_argument("--covariates", default=None)
-    p.add_argument("--threshold", type=float,
-                   help="|weighted SMD| above which a covariate is imbalanced (default 0.1)")
-
-    p = sub.add_parser("compare", help="weighted effect estimate")
-    p.add_argument("data")
-    p.add_argument("--estimand", required=True)
-    p.add_argument("--covariates", default=None)
-    p.add_argument("--scale", choices=[s.value for s in Scale])
-    p.add_argument("--horizon", type=float, default=None,
-                   help="survival horizon for time-to-event outcomes")
-    _add_bootstrap_flags(p)
-
-    p = sub.add_parser("maic", help="matching-adjusted indirect comparison")
-    p.add_argument("data")
-    p.add_argument("--target", required=True, help="aggregate JSON file")
-    p.add_argument("--covariates", default=None)
-    p.add_argument("--scale", choices=[s.value for s in Scale])
-    _add_bootstrap_flags(p)
-
-    p = sub.add_parser("stc", help="simulated treatment comparison")
-    p.add_argument("data")
-    p.add_argument("--target", required=True)
-    p.add_argument("--covariates", default=None)
-    p.add_argument("--scale", choices=[s.value for s in Scale])
-    _add_bootstrap_flags(p)
-
-    p = sub.add_parser("borrow", help="fixed power-prior borrowing (binary outcome)")
-    p.add_argument("--x", type=int, required=True, help="trial responders")
-    p.add_argument("--n", type=int, required=True, help="trial size")
-    p.add_argument("--x0", type=int, required=True, help="external responders")
-    p.add_argument("--n0", type=int, required=True, help="external size")
-    p.add_argument("--a0", type=float, required=True)
-    p.add_argument("--prior", default="1,1", help="Beta prior a,b")
-    p.add_argument("--level", type=float, default=0.95)
-    p.add_argument("--sweep", default=None,
-                   help="comma-separated a0 grid for sensitivity output")
-    p.add_argument("--assume-comparable", action="store_true",
-                   help="required assertion that populations are comparable")
+    for command, (_, help_text, flags) in FRONT_ENDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for flag, (_, settings) in flags.items():
+            p.add_argument(flag, **settings)
 
     p = sub.add_parser("simulate", help="generate a synthetic scenario dataset")
     p.add_argument("--scenario", required=True, help="scenario JSON file")
@@ -134,20 +151,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _split(names):
-    return [s.strip() for s in names.split(",")] if names else None
+def _plan(args) -> dict:
+    """The plan document of a front-end invocation, from its row of FRONT_ENDS."""
+    method, _, flags = FRONT_ENDS[args.command]
+    plan = {"method": method}
+    for flag, (key, _) in flags.items():
+        value = getattr(args, flag.lstrip("-").replace("-", "_"))
+        if value is not None:
+            block, _, name = key.rpartition(".")
+            (plan.setdefault(block, {}) if block else plan)[name] = value
+    boot = plan.pop("bootstrap", {})
+    if boot.get("replicates", 0) > 0:  # --bootstrap 0 asks for no interval
+        # A bootstrap plan names its seed and level, so its hash fixes both.
+        plan["bootstrap"] = {"level": 0.95, **boot}
+        plan.setdefault("seed", 0)
+    elif "level" in boot or "seed" in plan:
+        raise PlanInvalid("--seed and --level need --bootstrap B with B > 0")
+    return plan
 
 
-def _design(args, **fields) -> tuple:
-    """The design block, plan hash and tables of the weighting plan of a
-    ps-fit/weight/balance invocation; a flag not given stays out of the plan."""
-    plan = dict(fields, method="weighting", dataset=args.data, covariates=_split(args.covariates))
-    run = planmod.run_design(planmod.parse_plan({k: v for k, v in plan.items() if v is not None}))
+def _design(args) -> tuple:
+    """The design block, plan hash and tables of a ps-fit/weight/balance invocation."""
+    run = planmod.run_design(planmod.parse_plan(_plan(args)))
     return run.report["design"], {"plan_hash": run.report["provenance"]["plan_hash"]}, run.tables
 
 
 def _cmd_ps_fit(args) -> int:
-    design, stamp, tables = _design(args, positivity_a=args.band)
+    design, stamp, tables = _design(args)
     out_dir = Path(args.out_dir) if args.out_dir else None
     if out_dir:
         ids, _, scores, _ = tables["weights.csv"][1]
@@ -158,7 +188,7 @@ def _cmd_ps_fit(args) -> int:
 
 
 def _cmd_weight(args) -> int:
-    design, stamp, tables = _design(args, estimand=args.estimand)
+    design, stamp, tables = _design(args)
     out_dir = Path(args.out_dir) if args.out_dir else None
     _write(planmod.csv_text(*tables["weights.csv"]), out_dir / "weights.csv" if out_dir else None)
     ess = planmod.canonical_json({**design["weights"], **stamp}) + "\n"
@@ -171,80 +201,29 @@ def _cmd_weight(args) -> int:
 
 
 def _cmd_balance(args) -> int:
-    design, stamp, _ = _design(args, estimand=args.estimand, smd_threshold=args.threshold)
+    design, stamp, _ = _design(args)
     _emit({"balance": design["balance"], **stamp},
           Path(args.out_dir) / "balance.json" if args.out_dir else None)
     return EXIT_OK
 
 
-def _analysis_plan(args, method: str, **fields) -> dict:
-    """The plan document of a compare/maic/stc invocation."""
-    plan = {"method": method, "dataset": args.data, **fields}
-    if args.scale:
-        plan["scale"] = args.scale
-    if args.covariates:
-        plan["covariates"] = _split(args.covariates)
-    if args.bootstrap > 0:
-        plan["seed"] = args.seed
-        plan["bootstrap"] = {"replicates": args.bootstrap, "level": args.level}
-    return plan
-
-
-def _run(args, plan: dict) -> planmod.RunArtifacts:
-    """Run ``plan``; write its artifacts under --out-dir, else print the report."""
-    artifacts = planmod.run_plan(planmod.parse_plan(plan))
-    if args.out_dir:
-        artifacts.write(args.out_dir)
-    else:
+def _cmd_analysis(args) -> int:
+    """compare, maic and stc: run the plan, then write its artifacts under
+    --out-dir, with the KM curves of a time-to-event comparison, or print
+    the report."""
+    artifacts = planmod.run_plan(planmod.parse_plan(_plan(args)))
+    if not args.out_dir:
         _emit(artifacts.report)
-    return artifacts
-
-
-def _cmd_compare(args) -> int:
-    fields = {"estimand": args.estimand}
-    if args.horizon is not None:
-        fields["horizon"] = args.horizon
-    artifacts = _run(args, _analysis_plan(args, "weighting", **fields))
-    if args.out_dir and artifacts.curves:
-        for name, c in artifacts.curves.items():
-            _write(planmod.csv_text(("time", "survival", "at_risk"),
-                                    (c.times, c.survival, c.at_risk)),
-                   Path(args.out_dir) / f"curve_{name}.csv")
+        return EXIT_OK
+    artifacts.write(args.out_dir)
+    for name, c in (artifacts.curves or {}).items():
+        _write(planmod.csv_text(("time", "survival", "at_risk"), (c.times, c.survival, c.at_risk)),
+               Path(args.out_dir) / f"curve_{name}.csv")
     return EXIT_OK
-
-
-def _cmd_maic(args) -> int:
-    _run(args, _analysis_plan(args, "maic", aggregate=args.target))
-    return EXIT_OK
-
-
-def _cmd_stc(args) -> int:
-    _run(args, _analysis_plan(args, "stc", aggregate=args.target))
-    return EXIT_OK
-
-
-def _numbers(text: str, flag: str) -> list:
-    try:
-        return [float(v) for v in text.split(",")]
-    except ValueError:
-        raise PlanInvalid(f"{flag} must be comma-separated numbers, got {text!r}") from None
 
 
 def _cmd_borrow(args) -> int:
-    prior = _numbers(args.prior, "--prior")
-    plan = {"method": "power_prior", "power_prior": {
-        "x": args.x, "n": args.n, "x0": args.x0, "n0": args.n0, "a0": args.a0,
-        "prior": prior, "level": args.level,
-        "assume_comparable": args.assume_comparable,
-    }}
-    grid = _numbers(args.sweep, "--sweep") if args.sweep else None
-    if grid and not all(0.0 <= a0 <= 1.0 for a0 in grid):
-        raise PlanInvalid(f"--sweep values must lie in [0, 1], got {args.sweep!r}")
-    report = planmod.run_plan(planmod.parse_plan(plan)).report
-    if grid:
-        report["sensitivity"] = a0_sensitivity(
-            args.x, args.n, args.x0, args.n0, grid, *prior, args.level
-        )
+    report = planmod.run_plan(planmod.parse_plan(_plan(args))).report
     _emit(report, Path(args.out_dir) / "posterior.json" if args.out_dir else None)
     return EXIT_OK
 
@@ -278,9 +257,9 @@ _COMMANDS = {
     "ps-fit": _cmd_ps_fit,
     "weight": _cmd_weight,
     "balance": _cmd_balance,
-    "compare": _cmd_compare,
-    "maic": _cmd_maic,
-    "stc": _cmd_stc,
+    "compare": _cmd_analysis,
+    "maic": _cmd_analysis,
+    "stc": _cmd_analysis,
     "borrow": _cmd_borrow,
     "simulate": _cmd_simulate,
     "run": _cmd_run,
@@ -288,9 +267,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # Inside the try: a flag type may raise PlanInvalid (see _numbers).
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except planmod.PositivityHardFail as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .balancing import Estimand, balancing_weights, weighted_prevalence
-from .borrow import power_prior_posterior
+from .borrow import a0_sensitivity, power_prior_posterior
 from .dataset import (
     Dataset,
     Group,
@@ -126,7 +126,8 @@ _KEYS = {"": {"method", "dataset", "aggregate", "estimand", "scale", "link", "co
               "seed", "checklist", "fail_on_overlap", "positivity_a", "smd_threshold",
               "horizon", "bootstrap", "power_prior"},
          "bootstrap": {"replicates", "level", "seed", "threads"},
-         "power_prior": {"x", "n", "x0", "n0", "a0", "prior", "level", "assume_comparable"},
+         "power_prior": {"x", "n", "x0", "n0", "a0", "prior", "level", "sweep",
+                         "assume_comparable"},
          "checklist": set(CHECKLIST_FIELDS)}
 
 # The plan keys only some methods read, with the methods whose runner reads them.
@@ -181,6 +182,9 @@ def parse_plan(raw: dict) -> AnalysisPlan:
 
     covariates = _field(raw, "covariates", None, lambda v: v is None or (
         isinstance(v, list) and all(isinstance(c, str) for c in v)), "a list of names")
+    repeated = [c for i, c in enumerate(covariates or ()) if c in covariates[:i]]
+    if repeated:
+        raise PlanInvalid(f"covariate {repeated[0]!r} is named twice")
     seed = _field(raw, "seed", 0, is_int, "an integer")
     checklist = _field(raw, "checklist", {}, lambda v: isinstance(v, dict), "an object")
     fail_on_overlap = _field(raw, "fail_on_overlap", False,
@@ -223,6 +227,10 @@ def parse_plan(raw: dict) -> AnalysisPlan:
                and all(is_number(p) and p > 0 for p in v), "two numbers > 0", "power_prior ")
         _field(pp, "level", 0.95, lambda v: is_number(v) and 0 < v < 1, "in (0, 1)",
                "power_prior ")
+        if "sweep" in pp:
+            _field(pp, "sweep", None, lambda v: isinstance(v, list) and len(v) > 0
+                   and all(is_number(a0) and 0 <= a0 <= 1 for a0 in v),
+                   "a non-empty list of numbers in [0, 1]", "power_prior ")
 
     return AnalysisPlan(
         raw=raw,
@@ -314,11 +322,13 @@ def run_plan(plan: AnalysisPlan) -> RunArtifacts:
 
     if plan.method is Method.POWER_PRIOR:
         pp = plan.power_prior
-        prior = pp.get("prior", [1.0, 1.0])
-        post = power_prior_posterior(
-            pp["x"], pp["n"], pp["x0"], pp["n0"], pp["a0"], prior[0], prior[1]
-        )
-        report["posterior"] = post.to_dict(pp.get("level", 0.95))
+        counts = (pp["x"], pp["n"], pp["x0"], pp["n0"])
+        prior, level = pp.get("prior", [1.0, 1.0]), pp.get("level", 0.95)
+        report["posterior"] = power_prior_posterior(*counts, pp["a0"], *prior).to_dict(level)
+        if "sweep" in pp:
+            # As floats, so a grid of [0, 1] gives the rows of `borrow --sweep 0,1`.
+            grid = [float(a0) for a0 in pp["sweep"]]
+            report["sensitivity"] = a0_sensitivity(*counts, grid, *prior, level)
         return RunArtifacts(report=report)
 
     runner = {Method.WEIGHTING: _run_weighting, Method.MAIC: _run_maic,

@@ -183,6 +183,29 @@ def test_borrow_requires_assertion(capsys):
     assert len(payload["sensitivity"]) == 3
 
 
+def test_power_prior_plan_with_sweep_equals_borrow_sweep(tmp_path):
+    flags = ["--x", "52", "--n", "61", "--x0", "30", "--n0", "80", "--a0", "0.5",
+             "--assume-comparable", "--sweep", "0,0.5,1"]
+    assert run_cli(["--out-dir", tmp_path / "cli", "borrow"] + flags) == 0
+    # The plan borrow builds from those flags: the grid is part of its hash.
+    pp = {"x": 52, "n": 61, "x0": 30, "n0": 80, "a0": 0.5, "prior": [1.0, 1.0], "level": 0.95,
+          "sweep": [0.0, 0.5, 1.0], "assume_comparable": True}
+    reports = {}
+    for name, sweep in (("floats", pp["sweep"]), ("ints", [0, 0.5, 1])):
+        plan = tmp_path / f"{name}.json"
+        plan.write_text(json.dumps({"method": "power_prior", "power_prior": {
+            **pp, "sweep": sweep}}), encoding="utf-8")
+        assert run_cli(["--out-dir", tmp_path / name, "run", plan]) == 0
+        reports[name] = (tmp_path / name / "report.json").read_bytes()
+    assert (tmp_path / "cli" / "posterior.json").read_bytes() == reports["floats"]
+    report = json.loads(reports["floats"])
+    assert report["provenance"]["plan_hash"] == plan_hash(
+        {"method": "power_prior", "power_prior": pp})
+    assert [row["a0"] for row in report["sensitivity"]] == [0.0, 0.5, 1.0]
+    assert report["sensitivity"][1] == report["posterior"]
+    assert json.loads(reports["ints"])["sensitivity"] == report["sensitivity"]
+
+
 SCENARIO = {
     "n_trial": 40, "n_external": 40,
     "covariates": [{"name": "severe", "kind": "binary", "p": 0.4}],
@@ -412,35 +435,34 @@ def test_plan_error_names_the_key(plan, message):
 
 def test_front_ends_emit_only_keys_their_method_reads(big_csv, survival_csv, aggregate_json,
                                                       tmp_path, monkeypatch):
-    # Every flag of compare, maic, stc, ps-fit, weight and balance at once:
-    # the plan each builds passes parse_plan, which rejects a key its method
-    # does not read.
+    # Every flag of every front end at once, taken from cli.FRONT_ENDS: the
+    # plan each builds passes parse_plan, which rejects a key its method does
+    # not read, and holds the plan key of each flag and nothing else.
     plans = []
     parse = cli.planmod.parse_plan
     monkeypatch.setattr(cli.planmod, "parse_plan", lambda raw: plans.append(raw) or parse(raw))
-    boot = ["--bootstrap", "20", "--seed", "3", "--level", "0.9"]
-    runs = [
-        ["compare", survival_csv, "--estimand", "ato", "--covariates", "x",
-         "--scale", "rd", "--horizon", "3"] + boot,
-        ["maic", big_csv, "--target", aggregate_json, "--covariates", "severe",
-         "--scale", "rd"] + boot,
-        ["stc", big_csv, "--target", aggregate_json, "--covariates", "severe",
-         "--scale", "rd"] + boot,
-        ["ps-fit", big_csv, "--covariates", "severe", "--band", "0.05"],
-        ["weight", big_csv, "--estimand", "att", "--covariates", "severe"],
-        ["balance", big_csv, "--estimand", "ato", "--covariates", "severe",
-         "--threshold", "0.2"],
-    ]
-    for k, argv in enumerate(runs):
-        assert run_cli(["--out-dir", tmp_path / str(k)] + argv) == 0, argv
-    assert [sorted(p) for p in plans] == [
-        ["bootstrap", "covariates", "dataset", "estimand", "horizon", "method", "scale", "seed"],
-        ["aggregate", "bootstrap", "covariates", "dataset", "method", "scale", "seed"],
-        ["aggregate", "bootstrap", "covariates", "dataset", "method", "scale", "seed"],
-        ["covariates", "dataset", "method", "positivity_a"],
-        ["covariates", "dataset", "estimand", "method"],
-        ["covariates", "dataset", "estimand", "method", "smd_threshold"],
-    ]
+    values = {"data": big_csv, "--target": aggregate_json, "--estimand": "ato",
+              "--covariates": "severe", "--scale": "rd", "--band": "0.05", "--threshold": "0.2",
+              "--bootstrap": "20", "--level": "0.9", "--seed": "3",
+              "--x": "52", "--n": "61", "--x0": "30", "--n0": "80", "--a0": "0.5",
+              "--prior": "2,3", "--sweep": "0,0.5,1", "--assume-comparable": None}
+    survival = {"data": survival_csv, "--covariates": "x", "--horizon": "3"}
+    assert set(cli.FRONT_ENDS) == {"ps-fit", "weight", "balance", "compare", "maic", "stc",
+                                   "borrow"}
+    for command, (_, _, flags) in cli.FRONT_ENDS.items():
+        given = {**values, **survival} if "--horizon" in flags else values
+        argv = [command]
+        for flag in flags:
+            value = given[flag]
+            if flag.startswith("--"):
+                argv += [flag] if value is None else [flag, value]
+            else:
+                argv.append(value)
+        assert run_cli(["--out-dir", tmp_path / command] + argv) == 0, argv
+        plan = plans.pop()
+        paths = {k for k, v in plan.items() if not isinstance(v, dict)}
+        paths |= {f"{k}.{name}" for k, v in plan.items() if isinstance(v, dict) for name in v}
+        assert paths == {"method"} | {key for key, _ in flags.values()}, command
 
 
 def test_power_prior_plan_runs(tmp_path):
@@ -572,6 +594,10 @@ def test_report_json_strict_for_infinite_odds_ratio(tmp_path):
     # Keys the method does not read, which a MAIC plan once ignored.
     {"method": "maic", "dataset": "d.csv", "aggregate": "a.json", "estimand": "ato",
      "horizon": 3, "smd_threshold": 5, "fail_on_overlap": True},
+    # A sensitivity grid is a non-empty list of numbers in [0, 1].
+    *({"method": "power_prior", "power_prior": {
+        "x": 52, "n": 61, "x0": 30, "n0": 80, "a0": 0.5, "assume_comparable": True,
+        "sweep": sweep}} for sweep in ([0, 1.5], [-0.5], [0, "x"], [0, None], [True], [], 0.5)),
 ])
 def test_malformed_plan_is_plan_invalid(plan, tmp_path, capsys):
     path = tmp_path / "plan.json"
@@ -691,6 +717,38 @@ def test_balance_creates_the_output_directory(toy_csv, tmp_path):
 def test_bad_estimand_or_band_is_usage_error(argv, toy_csv, capsys):
     assert run_cli([a.format(toy=toy_csv) for a in argv]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "{plan}"],
+    ["compare", "{big}", "--estimand", "ate", "--covariates", "severe,severe"],
+    ["stc", "{big}", "--target", "{agg}", "--covariates", "severe,severe"],
+    ["maic", "{big}", "--target", "{agg}", "--covariates", "severe, severe"],
+    ["ps-fit", "{big}", "--covariates", "severe,severe"],
+], ids=["plan", "compare", "stc", "maic", "ps-fit"])
+def test_covariate_named_twice_is_usage_error(argv, big_csv, aggregate_json, tmp_path, capsys):
+    # It once reached the solver and exited 4 as a rank-deficient design.
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"method": "weighting", "dataset": str(big_csv),
+                                "estimand": "ate", "covariates": ["severe", "severe"]}),
+                    encoding="utf-8")
+    argv = [a.format(plan=plan, big=big_csv, agg=aggregate_json) for a in argv]
+    assert run_cli(["--out-dir", tmp_path / "out"] + argv) == 2
+    assert capsys.readouterr().err == "error: covariate 'severe' is named twice\n"
+
+
+def test_seed_and_level_need_bootstrap(big_csv, capsys):
+    base = ["compare", big_csv, "--estimand", "ate"]
+    for flags in (["--seed", "3"], ["--level", "0.9"], ["--bootstrap", "0", "--seed", "3"]):
+        assert run_cli(base + flags) == 2, flags
+        assert capsys.readouterr().err == (
+            "error: --seed and --level need --bootstrap B with B > 0\n")
+    # --bootstrap alone gives the plan seed 0 and level 0.95, as it always has.
+    assert run_cli(base + ["--bootstrap", "20"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["provenance"]["plan_hash"] == plan_hash({
+        "method": "weighting", "dataset": str(big_csv), "estimand": "ate", "seed": 0,
+        "bootstrap": {"replicates": 20, "level": 0.95}})
 
 
 # --- compare/maic/stc are front ends to the plan runner ------------------------

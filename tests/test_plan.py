@@ -230,7 +230,7 @@ PLAN_VALUES = {
     "estimand": st.sampled_from(["ate", "att", "atc", "ato", "matching", "trim:0.1", "trim:0.2"]),
     "scale": st.sampled_from(["rd", "rr", "or", "md"]),
     "link": st.sampled_from(["identity", "logit"]),
-    "covariates": st.lists(st.text(max_size=6), max_size=3),
+    "covariates": st.lists(st.text(max_size=6), max_size=3, unique=True),
     "seed": _integers,
     "checklist": st.dictionaries(st.sampled_from(CHECKLIST_FIELDS),
                                  st.sampled_from(["aligned", "not aligned", "unknown"])),
@@ -246,7 +246,8 @@ PLAN_VALUES = {
          "n0": st.integers(50, 100), "a0": st.floats(0.0, 1.0),
          "assume_comparable": st.just(True)},
         optional={"prior": st.lists(st.floats(0.1, 10.0), min_size=2, max_size=2),
-                  "level": st.floats(0.5, 0.99)}),
+                  "level": st.floats(0.5, 0.99),
+                  "sweep": st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3)}),
 }
 _SHARED = ["scale", "covariates", "seed", "checklist", "bootstrap"]
 METHOD_KEYS = {
