@@ -71,11 +71,18 @@ class Estimand:
 
 @dataclass(frozen=True)
 class WeightSet:
+    """Per-subject weights in row order, with each group's ESS.
+
+    ``totals`` is the (external, trial) pair of weight sums when known, so a
+    Hajek mean over the same rows need not sum them again.
+    """
+
     estimand: Estimand
     weights: np.ndarray
     ess_treated: float
     ess_control: float
     n_zero_weight: int
+    totals: Optional[tuple[float, float]] = None
 
 
 def effective_sample_size(w: np.ndarray) -> float:
@@ -86,16 +93,19 @@ def effective_sample_size(w: np.ndarray) -> float:
 
 
 # The per-group helpers below sum each group in one bincount over the trial
-# mask (index 1 the trial rows), with no masked copies.
-def group_ess(w: np.ndarray, trial: np.ndarray) -> tuple[float, float]:
+# mask (index 1 the trial rows), with no masked copies. ``totals``, where
+# given, is the bincount of ``w``: the (external, trial) weight sums.
+def group_ess(w: np.ndarray, trial: np.ndarray, totals=None) -> tuple[float, float]:
     """``effective_sample_size`` of the trial and of the external weights."""
-    (t0, t1), (s0, s1) = np.bincount(trial, w, 2).tolist(), np.bincount(trial, w * w, 2).tolist()
+    t0, t1 = np.bincount(trial, w, 2).tolist() if totals is None else totals
+    s0, s1 = np.bincount(trial, w * w, 2).tolist()
     return (t1 * t1 / s1 if s1 > 0 else 0.0), (t0 * t0 / s0 if s0 > 0 else 0.0)
 
 
-def group_means(w: np.ndarray, trial: np.ndarray, values: np.ndarray) -> tuple[float, float]:
+def group_means(w: np.ndarray, trial: np.ndarray, values: np.ndarray,
+                totals=None) -> tuple[float, float]:
     """Hajek (weighted) means of ``values`` in the trial and the external group."""
-    t0, t1 = np.bincount(trial, w, 2).tolist()
+    t0, t1 = np.bincount(trial, w, 2).tolist() if totals is None else totals
     if not (t0 > 0 and t1 > 0):
         group = "external" if t1 > 0 else "trial"
         raise AllWeightsZero(f"all weights are zero in the {group} group")
@@ -133,8 +143,10 @@ def balancing_weights(
     trial = data.group_mask
     # IEEE division gives e/e == 1 exactly, so the ATT/ATC unit-weight rows
     # hold without special-casing.
-    w = np.where(trial, h / e, h / (1.0 - e))
-    return WeightSet(estimand, w, *group_ess(w, trial), int(np.count_nonzero(w == 0.0)))
+    w = h / np.where(trial, e, 1.0 - e)
+    totals = tuple(np.bincount(trial, w, 2).tolist())
+    return WeightSet(estimand, w, *group_ess(w, trial, totals),
+                     int(np.count_nonzero(w == 0.0)), totals)
 
 
 def weighted_prevalence(
@@ -142,4 +154,4 @@ def weighted_prevalence(
 ) -> tuple[float, float]:
     """Weighted mean of one covariate in the trial and external groups."""
     x = data.covariate_matrix([covariate])[:, 0]
-    return group_means(weights.weights, data.group_mask, x)
+    return group_means(weights.weights, data.group_mask, x, weights.totals)

@@ -161,6 +161,9 @@ def _plan(args) -> dict:
             block, _, name = key.rpartition(".")
             (plan.setdefault(block, {}) if block else plan)[name] = value
     boot = plan.pop("bootstrap", {})
+    if boot.get("replicates", 0) < 0:
+        raise PlanInvalid(f"--bootstrap must be an integer >= 0 (0 = no CI), "
+                          f"got {boot['replicates']}")
     if boot.get("replicates", 0) > 0:  # --bootstrap 0 asks for no interval
         # A bootstrap plan names its seed and level, so its hash fixes both.
         plan["bootstrap"] = {"level": 0.95, **boot}

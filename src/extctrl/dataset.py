@@ -74,6 +74,7 @@ def _check_follow_up(rid, time: float, event: float, row: int) -> None:
 
 
 _COLUMNS = ("ids", "trial", "X", "outcome", "time", "event")
+_FLOAT_COLUMNS = ("outcome", "time", "event")
 
 
 def _read_only(col: np.ndarray) -> np.ndarray:
@@ -190,13 +191,19 @@ class Dataset:
         # depend on the layout, so every matrix handed out is C-ordered.
         return np.ascontiguousarray(self.X[:, idx])
 
+    @cached_property
+    def _missing(self) -> dict:
+        """Per float column (outcome, time, event), the number of rows without a value."""
+        return {name: int(np.count_nonzero(np.isnan(getattr(self, name))))
+                for name in _FLOAT_COLUMNS}
+
     def outcomes(self) -> np.ndarray:
-        if np.isnan(self.outcome).any():
+        if self._missing["outcome"]:
             raise MissingValue("outcome missing for at least one record")
         return self.outcome
 
     def times_events(self) -> tuple[np.ndarray, np.ndarray]:
-        if np.isnan(self.time).any():
+        if self._missing["time"]:
             raise MissingValue("time/event missing for at least one record")
         return self.time, self.event.astype(int)
 
@@ -204,16 +211,26 @@ class Dataset:
         """Sub-dataset of the given row indices, in that order, repeats allowed.
 
         Rows of a validated dataset are valid, so only the one table-level
-        rule that a subset can break is checked: a trial subject remains.
+        rule that a subset can break is checked: a trial subject remains. A
+        float column with no value (all NaN) is not gathered, and where each
+        float column is full or empty, so is the sub-dataset's.
         """
         rows = np.asarray(rows, dtype=np.intp)
+        n, missing = len(rows), self._missing
         sub = object.__new__(Dataset)
-        vars(sub).update(
-            covariate_names=self.covariate_names,
-            outcome_kind=self.outcome_kind,
-            **{name: _read_only(getattr(self, name)[rows]) for name in _COLUMNS},
-        )
-        if not sub.trial.any():
+        columns = vars(sub)
+        columns.update(covariate_names=self.covariate_names, outcome_kind=self.outcome_kind)
+        for name in _COLUMNS:
+            col = getattr(self, name)
+            if missing.get(name) == len(col):
+                col = col if n == len(col) else np.full(n, np.nan)
+            else:
+                col = col.take(rows, axis=0)
+            col.flags.writeable = False
+            columns[name] = col
+        if {0, len(self)}.issuperset(missing.values()):
+            columns["_missing"] = {name: n if k else 0 for name, k in missing.items()}
+        if not np.count_nonzero(sub.trial):
             raise EmptyDataset("dataset contains no trial records")
         return sub
 

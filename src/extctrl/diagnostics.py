@@ -111,7 +111,7 @@ def balance_table(
     max_abs = max(weighted_vals) if weighted_vals else None
     return BalanceTable(
         tuple(rows),
-        *group_ess(w, trial),
+        *group_ess(w, trial, weights.totals),
         threshold=threshold,
         max_abs_weighted_smd=max_abs,
         imbalance=max_abs is not None and max_abs > threshold,

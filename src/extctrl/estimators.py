@@ -142,7 +142,7 @@ def weighted_mean_contrast(
         raise ScaleIncompatibleWithOutcome(
             "use weighted_km / survival_contrast for time-to-event outcomes")
     check_scale(data.outcome_kind, scale)
-    m1, m0 = group_means(weights.weights, data.group_mask, data.outcomes())
+    m1, m0 = group_means(weights.weights, data.group_mask, data.outcomes(), weights.totals)
     point, infinite = contrast_on_scale(m1, m0, scale)
     return EffectReport(
         estimand_label=weights.estimand.label,

@@ -3,9 +3,11 @@
 Every logistic fit runs one stacked Newton core that fits a design to a block
 of frequency-weight vectors at once. Row r of the count block says how many
 times each design row enters fit r, which is how a bootstrap resample looks
-on fixed rows; a single fit is a block of one all-ones row. A
+on fixed rows; a single fit is a block of one fit without counts. A
 ``LogisticDesign`` is prepared once for any number of blocks, and each step
-writes into work arrays that every block reuses.
+writes into work arrays that every block reuses. The first step starts at
+beta = 0, where the residuals and Newton weights are known exactly, and
+computes neither.
 
 - The columns are scaled to unit norm, and each step solves the p x p normal
   equations H d = s with H = X' diag(c w) X, so no step depends on units.
@@ -95,16 +97,22 @@ def _ill_conditioned(H: np.ndarray, cut: float) -> np.ndarray:
 def _unit_columns(X: np.ndarray):
     """The transpose of ``X`` (p x n, C-ordered, so each reduction below is one
     contiguous pass) with rows of unit norm, reached through the largest entry
-    so no square underflows, and the factor each row was divided by."""
-    XT = np.ascontiguousarray(X.T)
-    big = np.abs(XT).max(axis=1)
-    XT = XT / np.where(big > 0, big, 1.0)[:, None]
+    so no square underflows, and the factor each row was divided by. The
+    transpose is a fresh copy, scaled in place; a zero row keeps factor 1."""
+    XT = np.array(X.T, order="C")
+    big = np.maximum.reduce(np.abs(XT), axis=1)
+    zero = big == 0
+    big[zero] = 1.0
+    XT /= big[:, None]
     norm = np.sqrt(np.einsum("ij,ij->i", XT, XT))
-    return XT / np.where(norm > 0, norm, 1.0)[:, None], np.where(big > 0, big * norm, 1.0)
+    norm[zero] = 1.0
+    XT /= norm[:, None]
+    return XT, big * norm
 
 
-def _separated(X: np.ndarray, y: np.ndarray, c: np.ndarray) -> bool:
-    """Konis (2007): are the rows with c > 0 completely or quasi-separated?
+def _separated(X: np.ndarray, y: np.ndarray, c) -> bool:
+    """Konis (2007): are the rows with c > 0 (every row, for c None)
+    completely or quasi-separated?
 
     They are when some beta != 0 has (2y - 1) x'beta >= 0 on every row; the
     program maximises the count-weighted sum of those margins over a box. It
@@ -113,6 +121,8 @@ def _separated(X: np.ndarray, y: np.ndarray, c: np.ndarray) -> bool:
     """
     from scipy.optimize import linprog  # at module level it slows start-up
 
+    if c is None:
+        c = np.ones(len(y))
     held = c > 0
     rows, index = np.unique(np.column_stack([X[held], y[held]]), axis=0, return_inverse=True)
     A = (2.0 * rows[:, -1:] - 1.0) * rows[:, :-1]
@@ -153,16 +163,17 @@ class LogisticDesign:
 
 def _keep_rows(keep, *blocks):
     """Move the rows of each block where ``keep`` holds to its front, in
-    order and in place; return the blocks cut to those rows."""
+    order and in place; return the blocks cut to those rows (None stays None)."""
     rows = np.flatnonzero(keep)
+    held = [block for block in blocks if block is not None]
     for k, j in enumerate(rows):
         if k != j:
-            for block in blocks:
+            for block in held:
                 block[k] = block[j]
-    return [block[:len(rows)] for block in blocks]
+    return [None if block is None else block[:len(rows)] for block in blocks]
 
 
-def _newton(design, counts, tol, cut, weighted=True):
+def _newton(design, counts, tol, cut):
     """Newton fits of a ``LogisticDesign`` for every count vector in ``counts``.
 
     Returns the b x p coefficients (NaN where a fit failed), per fit None or
@@ -171,53 +182,70 @@ def _newton(design, counts, tol, cut, weighted=True):
     s = 2y - 1, where expit(x'beta) = (1 + tanh u) / 2: the score is
     sum c (s - tanh u) x, the Hessian sum c (1 - tanh^2 u) x x', and the
     decrement that of beta. A fit is RankDeficientDesign when the Hessian at
-    the start, X' diag(c) X, has eigenvalue ratio at most ``cut``. A caller
-    whose counts are all 1 passes ``weighted`` False, and the steps skip them.
-    Each step writes into the design's work arrays; the fits still running
-    hold their first rows, and ``counts`` is copied there, never written.
+    the start, X' diag(c) X, has eigenvalue ratio at most ``cut``. ``counts``
+    None is one fit of every row once, and its steps skip the counts. Each
+    step writes into the design's work arrays; the fits still running hold
+    their first rows, and ``counts`` is copied there, never written.
     """
     XT = design.XT
     X = XT.T
-    b, p = counts.shape[0], X.shape[1]
+    b, p = (1 if counts is None else counts.shape[0]), X.shape[1]
     T, W, R, C = design.work(b)
-    np.copyto(C, counts)
-    outer = None if b == 1 else design.outer()
+    if counts is None:
+        C = None
+    else:
+        np.copyto(C, counts)
+    # One fit forms its Hessian from the rows of XT times its Newton weights,
+    # written into one p x n array for all its steps; a block uses the outer products.
+    outer = design.outer() if b > 1 else None
+    P = np.empty_like(XT) if outer is None else None
     beta, hessians = np.full((b, p), np.nan), np.zeros((b, p, p))
     errors = [None] * b
     tested = np.zeros(b, dtype=bool)  # the separation test has run
     fits, B = np.arange(b), np.zeros((b, p))  # the fits still running
+    t, w, r, c = T, W, R, C  # their rows of the work arrays
     for iterations in range(1, DEFAULT_MAX_ITER + 1):
-        m = len(fits)
-        t, w, r, c = T[:m], W[:m], R[:m], C[:m]
-        np.tanh(np.matmul(B, XT, out=t), out=t)
-        # 1 - t^2, below _W_BOUND where |x'beta| > _ETA_BOUND
-        np.subtract(1.0, np.multiply(t, t, out=w), out=w)
-        if w.min() < _W_BOUND:
-            for k in np.flatnonzero((w.min(axis=1) < _W_BOUND) & ~tested[fits]):
-                tested[fits[k]] = True
-                if _separated(design.X, design.y, c[k]):
-                    errors[fits[k]] = SeparationDetected
-            keep = np.array([errors[i] is None for i in fits])
-            fits, B = fits[keep], B[keep]
-            if not len(fits):
-                break
-            t, w, c = _keep_rows(keep, t, w, c)
-            r = r[:len(fits)]
-        np.subtract(design.sign, t, out=r)
-        if weighted:
-            np.multiply(c, r, out=r)
-            np.multiply(c, w, out=w)
+        if iterations == 1:
+            # At beta = 0 every tanh u is 0, so the residuals are the signs and
+            # the Newton weights 1, each times its count: the values the step
+            # below would compute, to the bit. v holds the weights (1.0 without counts).
+            v = 1.0 if c is None else c
+            np.multiply(design.sign, v, out=r)
+        else:
+            np.tanh(np.matmul(B, XT, out=t), out=t)
+            # 1 - t^2, below _W_BOUND where |x'beta| > _ETA_BOUND
+            np.subtract(1.0, np.multiply(t, t, out=w), out=w)
+            if np.minimum.reduce(w, axis=None) < _W_BOUND:
+                for k in np.flatnonzero((w.min(axis=1) < _W_BOUND) & ~tested[fits]):
+                    tested[fits[k]] = True
+                    if _separated(design.X, design.y, None if c is None else c[k]):
+                        errors[fits[k]] = SeparationDetected
+                keep = np.array([errors[i] is None for i in fits])
+                fits, B = fits[keep], B[keep]
+                if not len(fits):
+                    break
+                t, w, c = _keep_rows(keep, t, w, c)
+                r = r[:len(fits)]
+            np.subtract(design.sign, t, out=r)
+            if c is not None:
+                np.multiply(c, r, out=r)
+                np.multiply(c, w, out=w)
+            v = w
         score = r @ X
-        H = ((XT * w) @ X)[None] if outer is None else (w @ outer).reshape(-1, p, p)
+        if outer is None:
+            H = (np.multiply(XT, v, out=P) @ X)[None]
+        else:
+            H = (v @ outer).reshape(-1, p, p)
         if iterations == 1:
             ill = _ill_conditioned(H, cut)
-            if ill.any():
+            if np.count_nonzero(ill):
                 for i in fits[ill]:
                     errors[i] = RankDeficientDesign
                 fits, B, score, H = fits[~ill], B[~ill], score[~ill], H[~ill]
                 if not len(fits):
                     break
-                _keep_rows(~ill, c)
+                c, = _keep_rows(~ill, c)
+                t, w, r = T[:len(fits)], W[:len(fits)], R[:len(fits)]
         try:
             step = np.linalg.solve(H, score[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:  # a Hessian singular to rounding; the batch refits
@@ -225,16 +253,22 @@ def _newton(design, counts, tol, cut, weighted=True):
                 errors[i] = RankDeficientDesign
             break
         B += step
-        done = (score * step).sum(axis=1) < tol
-        if done.any():
+        done = np.add.reduce(score * step, axis=1) < tol
+        finished = np.count_nonzero(done)
+        if finished == b:  # every fit converged at this step
+            beta, hessians = B, H
+            break
+        if finished:
             beta[fits[done]], hessians[fits[done]] = B[done], H[done]
-            if done.all():
+            if finished == len(fits):
                 break
             fits, B = fits[~done], B[~done]
-            _keep_rows(~done, c)
+            c, = _keep_rows(~done, c)
+            t, w, r = T[:len(fits)], W[:len(fits)], R[:len(fits)]
     else:
         for k, i in enumerate(fits):
-            separated = not tested[i] and _separated(design.X, design.y, C[k])
+            separated = not tested[i] and _separated(design.X, design.y,
+                                                     None if c is None else c[k])
             errors[i] = SeparationDetected if separated else NoConvergence
     return 2.0 * beta / design.scale, errors, hessians, iterations
 
@@ -258,8 +292,7 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, tol: float = DEFAULT_TOL) -> GlmF
         raise ConstantResponse("response takes a single value")
     if n < p + 1:
         raise RankDeficientDesign(f"need at least {p + 1} rows, got {n}")
-    beta, errors, _, iterations = _newton(LogisticDesign(X, y), np.ones((1, n)), tol,
-                                          max(n, p) * _EPS, weighted=False)
+    beta, errors, _, iterations = _newton(LogisticDesign(X, y), None, tol, max(n, p) * _EPS)
     if errors[0] is not None:
         raise errors[0](_MESSAGES[errors[0]])
     return GlmFit(Family.LOGISTIC, beta[0], iterations)

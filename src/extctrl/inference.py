@@ -25,7 +25,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .dataset import Dataset
-from .errors import ExtCtrlError, InvalidConfig, TooManyReplicateFailures
+from .errors import (ExtCtrlError, InvalidConfig, TooManyReplicateFailures, checked_field,
+                     is_count, is_int, is_number)
 from .glm import REFIT
 
 MAX_FAILURE_FRACTION = 0.2
@@ -59,13 +60,17 @@ class BootstrapConfig:
     replicates: int = 1000
     level: float = 0.95
     seed: int = 0
-    threads: int = 0  # 0 = serial
+    threads: int = 0  # 0 = EXTCTRL_THREADS if set, else serial
 
     def __post_init__(self):
-        if self.replicates < 2:
-            raise InvalidConfig("bootstrap needs at least 2 replicates")
-        if not 0.0 < self.level < 1.0:
-            raise InvalidConfig("level must be in (0,1)")
+        # NumPy integers pass, bools do not (as in ScenarioConfig).
+        for key, ok, what in (
+            ("replicates", lambda v: is_int(v) and v >= 2, "an integer >= 2"),
+            ("level", lambda v: is_number(v) and 0.0 < v < 1.0, "a number in (0, 1)"),
+            ("seed", is_int, "an integer"),
+            ("threads", is_count, "an integer >= 0"),
+        ):
+            checked_field(vars(self), key, None, ok, what, "bootstrap ", InvalidConfig)
 
 
 @dataclass(frozen=True)

@@ -751,6 +751,24 @@ def test_seed_and_level_need_bootstrap(big_csv, capsys):
         "bootstrap": {"replicates": 20, "level": 0.95}})
 
 
+@pytest.mark.parametrize("command", [
+    ["compare", "{big}", "--estimand", "ate"],
+    ["maic", "{big}", "--target", "{agg}"],
+    ["stc", "{big}", "--target", "{agg}", "--scale", "rd"],
+])
+def test_negative_bootstrap_is_usage_error(command, big_csv, aggregate_json, capsys):
+    # --bootstrap 0 asks for no interval; a negative count is an error, as a
+    # plan with "replicates": -1 is, not a run without an interval.
+    argv = [a.format(big=big_csv, agg=aggregate_json) for a in command]
+    for replicates in ("-1", "-20"):
+        assert run_cli(argv + ["--bootstrap", replicates]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --bootstrap must be an integer >= 0 (0 = no CI), got {replicates}\n")
+    assert run_cli(argv + ["--bootstrap", "0"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["effect"]["ci"] is None and "bootstrap" not in report
+
+
 # --- compare/maic/stc are front ends to the plan runner ------------------------
 
 FRONT_END_CASES = {

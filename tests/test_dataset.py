@@ -631,6 +631,34 @@ def test_take_keeps_row_order_and_needs_a_trial_row():
         data.take([1])
 
 
+def test_take_knows_which_rows_have_no_value():
+    # A column with no value is shared, not gathered, and a sub-dataset of
+    # full or empty columns inherits their missing counts; a partly missing
+    # column is checked on the rows taken.
+    nan = float("nan")
+    data = Dataset(("x",), ids=["a", "b", "c"], trial=[True, False, True],
+                   X=[[1.0], [0.0], [2.0]], outcome=[1.0, nan, 0.0],
+                   outcome_kind=OutcomeKind.BINARY)
+    for rows, missing in (([0, 2, 2], False), ([1, 0, 1], True), ([2, 1], True)):
+        sub = data.take(rows)
+        assert len(sub.time) == len(rows)
+        assert np.isnan(sub.time).all() and np.isnan(sub.event).all()
+        assert not sub.time.flags.writeable and not sub.event.flags.writeable
+        if missing:
+            with pytest.raises(MissingValue):
+                sub.outcomes()
+        else:
+            assert sub.outcomes().tolist() == [1.0, 0.0, 0.0]
+        with pytest.raises(MissingValue):
+            sub.times_events()
+    full = data.take([0, 2])
+    assert full.take([1, 0]).time is full.time  # an empty column of the same length
+    again = full.take([1, 1, 0])
+    assert again.outcomes().tolist() == [0.0, 0.0, 1.0]
+    with pytest.raises(MissingValue):
+        again.times_events()
+
+
 def test_covariate_matrix_is_c_contiguous_and_row_exact():
     rng = np.random.default_rng(4)
     rows = rng.normal(size=(30, 3)).tolist()

@@ -193,12 +193,28 @@ def test_fits_leave_design_responses_and_counts_unchanged(order):
     # the fits still running move up in the work arrays.
     counts[0] = (y == 1) == (X[:, 2] > 0)
     inputs = X.copy(order="K"), y.copy(), counts.copy()
-    fit_logistic(X, y)
-    beta, errors = fit_logistic_counts(LogisticDesign(X, y), counts)
+    fit = fit_logistic(X, y)
+    design = LogisticDesign(X, y)
+    prepared = design.XT.copy(), design.scale.copy(), design.sign.copy()
+    beta, errors = fit_logistic_counts(design, counts)
     assert errors == [SeparationDetected] + [None] * 4
     for given, kept in zip((X, y, counts), inputs):
         assert np.array_equal(given, kept)
     assert X.flags.f_contiguous == (order == "F")
+    # A fit scales its own copy of the transpose in place, and its steps write
+    # into work arrays of the design, never into what the design holds.
+    assert not np.shares_memory(design.XT, X)
+    one, one_errors = fit_logistic_counts(design, np.ones((1, n)))
+    for given, kept in zip((design.XT, design.scale, design.sign), prepared):
+        assert np.array_equal(given, kept)
+    # A fit of every row once skips the counts; a block of one row of ones
+    # multiplies by them. Multiplying by 1 is exact, so the two agree bit for bit,
+    # and neither result is a view of the other's buffers.
+    assert one_errors == [None]
+    assert np.array_equal(one[0], fit.coefficients)
+    again = fit_logistic(X, y)
+    assert np.array_equal(again.coefficients, fit.coefficients)
+    assert not np.shares_memory(again.coefficients, fit.coefficients)
 
 
 def fitted_or_error(X, y):

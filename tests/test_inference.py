@@ -10,6 +10,8 @@ from extctrl import (
     OutcomeKind,
     Scale,
     ScenarioConfig,
+    WeightingAnalysis,
+    add_intercept,
     balancing_weights,
     bootstrap_ci,
     estimate_propensity,
@@ -17,7 +19,9 @@ from extctrl import (
     weighted_mean_contrast,
 )
 from extctrl.errors import InvalidConfig, SolverError, TooManyReplicateFailures
-from extctrl.inference import replicate_estimates, replicate_seed, resample_dataset
+from extctrl.glm import DEFAULT_TOL
+from extctrl.inference import (_replicate_rng, replicate_estimates, replicate_seed,
+                               resample_dataset)
 
 from conftest import make_dataset
 
@@ -141,6 +145,24 @@ def test_config_validation():
         BootstrapConfig(level=1.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("replicates", 20.5), ("replicates", True), ("replicates", "20"), ("replicates", None),
+    ("seed", "x"), ("seed", 1.5), ("seed", False), ("seed", None),
+    ("threads", -2), ("threads", 2.5), ("threads", True),
+    ("level", "0.9"), ("level", float("nan")),
+])
+def test_config_field_types_are_invalid_config(field, value):
+    # Each of these once failed later (a NumPy TypeError for replicates=20.5,
+    # a ValueError for seed="x") or ran (threads=-2 and threads=2.5).
+    with pytest.raises(InvalidConfig, match=f"bootstrap {field} must be"):
+        BootstrapConfig(**{field: value})
+
+
+def test_config_accepts_numpy_integers():
+    config = BootstrapConfig(replicates=np.int64(20), seed=np.uint64(7), threads=np.int32(2))
+    assert (config.replicates, config.seed, config.threads) == (20, 7, 2)
+
+
 def _row_resample_reference(data, rng):
     # The per-group list algorithm the columnar resampler must reproduce.
     trial_ids = data.ids[data.trial].tolist()
@@ -184,3 +206,76 @@ def test_every_replicate_equals_the_closed_form_of_its_resample():
         sample = resample_dataset(data, np.random.default_rng(replicate_seed(config.seed, i)))
         assert abs(value - cell_standardised_contrast(sample)) < 1e-9
     assert abs(ipw_pipeline(data) - cell_standardised_contrast(data)) < 1e-9
+
+
+# Reference formulas for one replicate of a custom pipeline, written out in
+# fresh arrays with no shared sums: the unit-norm transpose, every Newton step
+# from tanh u (the first one too), expit, the balancing weights, each group's
+# weight total, ESS and Hajek mean. The package computes several of these
+# differently (in place, from known values at beta = 0, or once for two uses),
+# and must land on the same bits.
+def _reference_fit(X, y):
+    XT = np.ascontiguousarray(X.T)
+    big = np.abs(XT).max(axis=1)
+    XT = XT / np.where(big > 0, big, 1.0)[:, None]
+    norm = np.sqrt(np.einsum("ij,ij->i", XT, XT))
+    XT, scale = XT / np.where(norm > 0, norm, 1.0)[:, None], np.where(big > 0, big * norm, 1.0)
+    sign, B = 2.0 * y - 1.0, np.zeros((1, X.shape[1]))
+    for steps in range(1, 101):
+        t = np.tanh(B @ XT)
+        w = 1.0 - t * t
+        score = (sign - t) @ XT.T
+        H = ((XT * w) @ XT.T)[None]
+        step = np.linalg.solve(H, score[:, :, None])[:, :, 0]
+        B += step
+        if (score * step).sum(axis=1)[0] < DEFAULT_TOL:
+            return 2.0 * B[0] / scale, steps
+    raise AssertionError("the reference fit did not converge")
+
+
+def _reference_replicate(sample):
+    """Coefficients, steps, scores, weights, ESS, zero count, totals and effect."""
+    x, trial, y = sample.covariate_matrix(), sample.group_mask, sample.outcomes()
+    X = add_intercept(x[:, np.ptp(np.ascontiguousarray(x.T), axis=1) > 0])
+    beta, steps = _reference_fit(X, trial.astype(float))
+    eta = X @ beta
+    e = np.exp(-np.abs(eta))
+    scores = np.where(eta >= 0, 1.0, e) / (1.0 + e)
+    h = np.ones_like(scores)  # ATE
+    w = np.where(trial, h / scores, h / (1.0 - scores))
+    t0, t1 = np.bincount(trial, w, 2).tolist()
+    q0, q1 = np.bincount(trial, w * w, 2).tolist()
+    s0, s1 = np.bincount(trial, w * y, 2).tolist()
+    return dict(beta=beta, steps=steps, scores=scores, weights=w,
+                ess=(t1 * t1 / q1, t0 * t0 / q0), n_zero=int(np.count_nonzero(w == 0.0)),
+                totals=(t0, t1), means=(s1 / t1, s0 / t0), point=s1 / t1 - s0 / t0)
+
+
+def test_custom_replicates_equal_the_analysis_and_reference_formulas_bit_for_bit():
+    # The criterion-9 design: each of 100 replicates of a user's closure
+    # equals the plan's WeightingAnalysis on the same resample, and every value
+    # of its fit, WeightSet and EffectReport equals the reference formulas.
+    data, _ = generate(ScenarioConfig(
+        n_trial=250, n_external=250, covariates=(CovariateSpec("severe", "binary", p=0.4),),
+        assignment=(0.2, -1.0), outcome_kind=OutcomeKind.BINARY,
+        outcome_coefficients=(-0.4, 1.0), effect=0.12, seed=9005))
+    config = BootstrapConfig(replicates=100, seed=11)
+    values, errors = replicate_estimates(ipw_pipeline, data, config)
+    assert errors == [None] * config.replicates
+    analysis = WeightingAnalysis(Estimand(EstimandKind.ATE), Scale.RISK_DIFFERENCE)
+    for i, value in enumerate(values):
+        sample = resample_dataset(data, _replicate_rng(config, i))
+        ref = _reference_replicate(sample)
+        assert value == analysis(sample) == ref["point"]
+        model = estimate_propensity(sample)
+        assert np.array_equal(model.glm.coefficients, ref["beta"])
+        assert model.glm.iterations == ref["steps"]
+        assert np.array_equal(model.scores, ref["scores"])
+        wset = balancing_weights(model, sample, Estimand(EstimandKind.ATE))
+        assert np.array_equal(wset.weights, ref["weights"])
+        assert (wset.ess_treated, wset.ess_control) == ref["ess"]
+        assert wset.n_zero_weight == ref["n_zero"] and wset.totals == ref["totals"]
+        report = weighted_mean_contrast(sample, wset, Scale.RISK_DIFFERENCE)
+        assert report.point == ref["point"]
+        assert (report.group_summary["trial"], report.group_summary["external"]) == ref["means"]
+        assert (report.ess["trial"], report.ess["external"]) == ref["ess"]
