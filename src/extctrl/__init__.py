@@ -46,6 +46,6 @@ from .propensity import (
     positivity_report,
 )
 from .simulate import CovariateSpec, ScenarioConfig, TruthRecord, generate
-from .stc import Link, StcAnalysis, StcResult, stc_estimate
+from .stc import Link, StcAnalysis, stc_estimate
 
 __version__ = "0.1.0"

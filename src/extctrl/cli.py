@@ -26,7 +26,8 @@ from pathlib import Path
 
 from . import plan as planmod
 from .dataset import save_dataset
-from .errors import DataError, ExtCtrlError, InvalidConfig, PlanInvalid, SolverError
+from .errors import (DataError, ExtCtrlError, InvalidConfig, PlanInvalid, PositivityHardFail,
+                     SolverError)
 from .estimators import Scale
 from .simulate import ScenarioConfig, generate
 
@@ -274,7 +275,7 @@ def main(argv=None) -> int:
         # Inside the try: a flag type may raise PlanInvalid (see _numbers).
         args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except planmod.PositivityHardFail as exc:
+    except PositivityHardFail as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_POSITIVITY
     except (PlanInvalid, InvalidConfig) as exc:

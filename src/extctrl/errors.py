@@ -123,6 +123,10 @@ class ScaleIncompatibleWithOutcome(PlanInvalid):
     """A scale, model or comparison the outcome does not allow: a usage error."""
 
 
+class PositivityHardFail(Exception):
+    """Raised when the plan demands failure on insufficient overlap."""
+
+
 # --- typed fields of JSON inputs -------------------------------------------
 
 def is_number(value) -> bool:

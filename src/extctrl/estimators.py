@@ -15,14 +15,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .balancing import Estimand, WeightSet, balancing_weights, group_means
+from .balancing import Estimand, WeightSet, balancing_weights, group_means, weighted_prevalence
 from .dataset import Dataset, OutcomeKind
+from .diagnostics import DEFAULT_SMD_THRESHOLD, balance_table
 from .errors import (
     AllWeightsZero,
+    PlanInvalid,
+    PositivityHardFail,
     ScaleIncompatibleWithOutcome,
     ZeroDenominator,
 )
-from .propensity import estimate_propensity
+from .propensity import estimate_propensity, positivity_report
 
 
 class Scale(enum.Enum):
@@ -246,26 +249,65 @@ def survival_contrast(
     return report
 
 
+def weights_table(data: Dataset, scores: np.ndarray, weights: np.ndarray) -> tuple:
+    """The (header, columns) of ``weights.csv``, one row per subject of ``data``."""
+    groups = np.where(data.group_mask, "trial", "external")
+    return ("id", "group", "score", "weight"), (data.ids, groups, scores, weights)
+
+
 @dataclass(frozen=True)
 class WeightingAnalysis:
     """Propensity model, balancing weights and contrast, as one analysis.
 
-    ``estimate`` gives the weighted KM curves of a time-to-event outcome
-    (None otherwise) and the effect report for the balancing ``weights``:
-    the weighted mean contrast on ``scale``, or the survival difference at
-    ``horizon``. Calling it on a dataset refits the propensity model and the
-    weights and returns the point of that effect, so a bootstrap replicate
-    runs the same code as the point estimate.
+    ``run`` gives the effect report, with the design's diagnostics, no
+    report block, the ``weights.csv`` and ``balance.csv`` tables and the
+    weighted KM curves of a time-to-event outcome (None otherwise). The
+    effect is the weighted mean contrast on ``scale``, or the survival
+    difference at ``horizon``. Calling the analysis on a dataset refits the
+    propensity model and the weights and returns the point of that effect,
+    so a bootstrap replicate runs the same code as the point estimate.
+    ``design`` and ``diagnostics`` read no outcome.
     """
 
     estimand: Estimand
-    scale: Scale
+    scale: Optional[Scale]
     covariates: Optional[Sequence[str]] = None
     horizon: Optional[float] = None
+    positivity_a: float = 0.1
+    fail_on_overlap: bool = False
+    smd_threshold: float = DEFAULT_SMD_THRESHOLD
 
-    def estimate(
-        self, data: Dataset, weights: WeightSet
-    ) -> tuple[Optional[dict[str, SurvivalCurve]], EffectReport]:
+    def design(self, data: Dataset) -> tuple:
+        """The propensity model, its positivity report and the balancing weights."""
+        model = estimate_propensity(data, self.covariates)
+        positivity = positivity_report(model, data, self.positivity_a)
+        if self.fail_on_overlap and positivity.insufficient_overlap:
+            raise PositivityHardFail("insufficient propensity-score overlap")
+        return model, positivity, balancing_weights(model, data, self.estimand)
+
+    def diagnostics(self, data: Dataset, model, positivity, wset: WeightSet) -> tuple:
+        """The diagnostics of the design, and its weights.csv and balance.csv."""
+        table = balance_table(data, wset, self.smd_threshold)
+        diagnostics = {"positivity": positivity, "balance": table, "weighted_prevalence": {
+            name: list(weighted_prevalence(wset, data, name)) for name in data.covariate_names}}
+        smds = np.array([(r.unweighted_smd, r.weighted_smd) for r in table.rows], dtype=float)
+        return diagnostics, {"weights.csv": weights_table(data, model.scores, wset.weights),
+                             "balance.csv": (("covariate", "unweighted_smd", "weighted_smd"), (
+                                 [r.covariate for r in table.rows], smds[:, 0], smds[:, 1]))}
+
+    def run(self, data: Dataset) -> tuple:
+        if data.outcome_kind is OutcomeKind.TIME_TO_EVENT and self.horizon is None:
+            raise PlanInvalid("a time-to-event outcome needs a survival horizon")
+        model, positivity, wset = self.design(data)
+        curves, effect = self._effect(data, wset)
+        # The tables follow the effect: the text columns of a large weights.csv
+        # would otherwise add to the peak memory of the weighted KM.
+        effect.diagnostics, tables = self.diagnostics(data, model, positivity, wset)
+        return effect, {}, tables, curves
+
+    def _effect(self, data: Dataset, weights: WeightSet) -> tuple:
+        """The KM curves by group of a time-to-event outcome (None otherwise),
+        and the effect report of ``weights``."""
         if data.outcome_kind is not OutcomeKind.TIME_TO_EVENT:
             return None, weighted_mean_contrast(data, weights, self.scale)
         curves = weighted_km_by_group(data, weights)
@@ -278,4 +320,4 @@ class WeightingAnalysis:
 
     def __call__(self, data: Dataset) -> float:
         model = estimate_propensity(data, self.covariates)
-        return self.estimate(data, balancing_weights(model, data, self.estimand))[1].point
+        return self._effect(data, balancing_weights(model, data, self.estimand))[1].point

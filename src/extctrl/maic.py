@@ -20,7 +20,7 @@ import numpy as np
 from .balancing import effective_sample_size
 from .dataset import AggregateSummary, Dataset, Group
 from .errors import AllWeightsZero, CollinearCovariates, NoConvergence, TargetOutsideSupport
-from .estimators import EffectReport, Scale, check_scale, contrast_on_scale
+from .estimators import EffectReport, Scale, check_scale, contrast_on_scale, weights_table
 from .glm import (_EPS, _ETA_BOUND, DEFAULT_MAX_ITER, DEFAULT_TOL, _ill_conditioned,
                   _separated, _unit_columns)
 
@@ -154,19 +154,29 @@ def maic_compare(
 class MaicAnalysis:
     """The MAIC effect as one analysis.
 
-    ``estimate`` solves the tilt on the trial rows of a dataset and returns
-    the fit and the effect report of ``maic_compare``; calling it on a
-    dataset returns the point of that report.
+    ``run`` solves the tilt on the trial rows of a dataset and gives the
+    effect report of ``maic_compare``, the ``maic`` report block (ESS,
+    achieved and target means), the ``weights.csv`` table and no curves;
+    calling the analysis on a dataset returns the point of that report.
     """
 
     target: AggregateSummary
     covariates: Optional[Sequence[str]] = None
     scale: Optional[Scale] = None
 
-    def estimate(self, data: Dataset) -> tuple[MaicFit, EffectReport]:
+    def run(self, data: Dataset) -> tuple:
         trial = data.restrict(Group.TRIAL)
         fit = maic_weights(trial, self.target, self.covariates)
-        return fit, maic_compare(fit, trial, self.target, self.scale)
+        block = {"maic": {
+            "ess": fit.ess,
+            "achieved_means": [float(v) for v in fit.achieved_means],
+            "target_means": [float(v) for v in fit.target_means],
+        }}
+        weights = weights_table(trial, np.full(len(fit.weights), np.nan), fit.weights)
+        return (maic_compare(fit, trial, self.target, self.scale), block,
+                {"weights.csv": weights}, None)
 
     def __call__(self, data: Dataset) -> float:
-        return self.estimate(data)[1].point
+        trial = data.restrict(Group.TRIAL)
+        fit = maic_weights(trial, self.target, self.covariates)
+        return maic_compare(fit, trial, self.target, self.scale).point

@@ -20,9 +20,10 @@ from typing import Optional
 
 import numpy as np
 
-from .balancing import Estimand, balancing_weights, weighted_prevalence
+from .balancing import Estimand
 from .borrow import a0_sensitivity, power_prior_posterior
 from .dataset import (
+    AggregateSummary,
     Dataset,
     Group,
     OutcomeKind,
@@ -30,13 +31,11 @@ from .dataset import (
     load_aggregate,
     load_dataset,
 )
-from .diagnostics import (CHECKLIST_FIELDS, DEFAULT_SMD_THRESHOLD, balance_table,
-                          comparability_checklist)
+from .diagnostics import CHECKLIST_FIELDS, DEFAULT_SMD_THRESHOLD, comparability_checklist
 from .errors import PlanInvalid, checked_field as _field, is_count, is_int, is_number
 from .estimators import Scale, WeightingAnalysis, check_scale
 from .inference import BootstrapConfig, bootstrap_ci
 from .maic import MaicAnalysis
-from .propensity import estimate_propensity, positivity_report
 from .stc import Link, StcAnalysis, outcome_link
 
 SCHEMA_VERSION = 1
@@ -103,6 +102,8 @@ class AnalysisPlan:
     positivity_a: float
     smd_threshold: float
     horizon: Optional[float]
+    # The power-prior block read: "counts" (x, n, x0, n0), and "a0", "prior",
+    # "level" and "sweep" (None if it has none) as floats, defaults filled in.
     power_prior: Optional[dict]
     seed: int
     hash: str = field(default="")
@@ -189,12 +190,15 @@ def parse_plan(raw: dict) -> AnalysisPlan:
     checklist = _field(raw, "checklist", {}, lambda v: isinstance(v, dict), "an object")
     fail_on_overlap = _field(raw, "fail_on_overlap", False,
                              lambda v: isinstance(v, bool), "true or false")
-    positivity_a = _field(raw, "positivity_a", 0.1, lambda v: is_number(v) and 0 <= v < 0.5,
-                          "in [0, 0.5)")
-    smd_threshold = _field(raw, "smd_threshold", DEFAULT_SMD_THRESHOLD,
-                           lambda v: is_number(v) and v > 0, "a finite number > 0")
+    # Numbers that mean floats are floats, so "horizon": 3 reports as 3.0, as
+    # a flag's value does (argparse gives floats); the hash reads the raw plan.
+    positivity_a = float(_field(raw, "positivity_a", 0.1,
+                                lambda v: is_number(v) and 0 <= v < 0.5, "in [0, 0.5)"))
+    smd_threshold = float(_field(raw, "smd_threshold", DEFAULT_SMD_THRESHOLD,
+                                 lambda v: is_number(v) and v > 0, "a finite number > 0"))
     horizon = _field(raw, "horizon", None,
                      lambda v: v is None or (is_number(v) and v >= 0), "a number >= 0")
+    horizon = None if horizon is None else float(horizon)
 
     bconf = None
     if "bootstrap" in raw:
@@ -208,29 +212,32 @@ def parse_plan(raw: dict) -> AnalysisPlan:
             threads=_field(b, "threads", 0, is_count, "an integer >= 0", "bootstrap "),
         )
 
-    pp = raw.get("power_prior")
+    pp = None
     if method is Method.POWER_PRIOR:
-        if not isinstance(pp, dict) or not pp:
+        block = raw.get("power_prior")
+        if not isinstance(block, dict) or not block:
             raise PlanInvalid("power_prior method requires a power_prior block")
-        if not pp.get("assume_comparable", False):
-            raise PlanInvalid(
-                "power-prior borrowing requires the explicit assume_comparable flag "
-                "(CLI: --assume-comparable)"
-            )
-        x, n, x0, n0 = (_field(pp, key, None, is_count, "an integer >= 0", "power_prior ")
+        if not block.get("assume_comparable", False):
+            raise PlanInvalid("power-prior borrowing requires the explicit assume_comparable "
+                              "flag (CLI: --assume-comparable)")
+        where = "power_prior "
+        x, n, x0, n0 = (_field(block, key, None, is_count, "an integer >= 0", where)
                         for key in ("x", "n", "x0", "n0"))
         if x > n or x0 > n0:
             raise PlanInvalid(f"power_prior responders exceed n: {x}/{n}, {x0}/{n0}")
-        _field(pp, "a0", None, lambda v: is_number(v) and 0 <= v <= 1, "in [0, 1]",
-               "power_prior ")
-        _field(pp, "prior", [1.0, 1.0], lambda v: isinstance(v, list) and len(v) == 2
-               and all(is_number(p) and p > 0 for p in v), "two numbers > 0", "power_prior ")
-        _field(pp, "level", 0.95, lambda v: is_number(v) and 0 < v < 1, "in (0, 1)",
-               "power_prior ")
-        if "sweep" in pp:
-            _field(pp, "sweep", None, lambda v: isinstance(v, list) and len(v) > 0
-                   and all(is_number(a0) and 0 <= a0 <= 1 for a0 in v),
-                   "a non-empty list of numbers in [0, 1]", "power_prior ")
+        a0 = _field(block, "a0", None, lambda v: is_number(v) and 0 <= v <= 1, "in [0, 1]", where)
+        prior = _field(block, "prior", [1.0, 1.0], lambda v: isinstance(v, list) and len(v) == 2
+                       and all(is_number(p) and p > 0 for p in v), "two numbers > 0", where)
+        level = _field(block, "level", 0.95, lambda v: is_number(v) and 0 < v < 1, "in (0, 1)",
+                       where)
+        # As floats, so "a0": 1 reports as `borrow --a0 1` does.
+        pp = {"counts": (x, n, x0, n0), "a0": float(a0), "prior": [float(p) for p in prior],
+              "level": float(level), "sweep": None}
+        if "sweep" in block:
+            pp["sweep"] = [float(a) for a in _field(
+                block, "sweep", None, lambda v: isinstance(v, list) and len(v) > 0
+                and all(is_number(a) and 0 <= a <= 1 for a in v),
+                "a non-empty list of numbers in [0, 1]", where)]
 
     return AnalysisPlan(
         raw=raw,
@@ -251,12 +258,6 @@ def parse_plan(raw: dict) -> AnalysisPlan:
     )
 
 
-def weights_table(data: Dataset, scores: np.ndarray, weights: np.ndarray) -> tuple:
-    """The (header, columns) of ``weights.csv``, one row per subject of ``data``."""
-    groups = np.where(data.group_mask, "trial", "external")
-    return ("id", "group", "score", "weight"), (data.ids, groups, scores, weights)
-
-
 @dataclass
 class RunArtifacts:
     report: dict
@@ -275,10 +276,6 @@ class RunArtifacts:
             (out / name).write_text(csv_text(header, columns), encoding="utf-8")
 
 
-class PositivityHardFail(Exception):
-    """Raised when the plan demands failure on insufficient overlap."""
-
-
 _STEPS = ("estimand", "selection-diagnostics", "comparison")
 
 
@@ -292,16 +289,34 @@ def _report(plan: AnalysisPlan, steps, **provenance) -> dict:
     return {"provenance": provenance, "checklist": comparability_checklist(plan.checklist)}
 
 
+def _analysis(plan: AnalysisPlan, target: Optional[AggregateSummary], scale: Optional[Scale]):
+    """The analysis that runs the plan's method, with the plan's settings.
+
+    An STC plan's ``link``, if it names one, must be the link the outcome
+    gives its model."""
+    if plan.method is Method.WEIGHTING:
+        return WeightingAnalysis(plan.estimand, scale, plan.covariates, plan.horizon,
+                                 plan.positivity_a, plan.fail_on_overlap, plan.smd_threshold)
+    if plan.method is Method.MAIC:
+        return MaicAnalysis(target, plan.covariates, scale)
+    link = outcome_link(target.outcome_kind).value
+    if plan.raw.get("link", link) != link:
+        raise PlanInvalid(f"link {plan.raw['link']} does not fit a "
+                          f"{target.outcome_kind.value} outcome; its STC link is {link}")
+    return StcAnalysis(target, plan.covariates, scale)
+
+
 def run_plan(plan: AnalysisPlan) -> RunArtifacts:
     """Execute a validated plan and assemble its artifacts.
 
-    The plan's scale is checked against the outcome before any fit. Each
-    method's runner builds its analysis, runs it once on the data and
-    returns the analysis, the data it ran on, the effect report and the
-    method's own report blocks and tables. The bootstrap, when the plan asks
-    for one, refits that same analysis on every replicate. On data without
-    outcomes a weighting plan runs ``run_design`` and may set no scale, horizon or bootstrap;
-    a horizon needs a time-to-event outcome.
+    The plan's scale is checked against the outcome before any fit. The
+    plan's analysis runs once on its sample, the trial rows of a plan with
+    an aggregate and all rows otherwise, and gives the effect report and the
+    method's own report blocks, tables and curves. The bootstrap, when the
+    plan asks for one, refits that same analysis on every replicate of the
+    sample. On data without outcomes a weighting plan runs ``run_design``
+    and may set no scale, horizon or bootstrap; a horizon needs a
+    time-to-event outcome.
     """
     data = target = None
     kind = OutcomeKind.BINARY  # a power prior's outcome
@@ -322,33 +337,30 @@ def run_plan(plan: AnalysisPlan) -> RunArtifacts:
 
     if plan.method is Method.POWER_PRIOR:
         pp = plan.power_prior
-        counts = (pp["x"], pp["n"], pp["x0"], pp["n0"])
-        prior, level = pp.get("prior", [1.0, 1.0]), pp.get("level", 0.95)
+        counts, prior, level = pp["counts"], pp["prior"], pp["level"]
         report["posterior"] = power_prior_posterior(*counts, pp["a0"], *prior).to_dict(level)
-        if "sweep" in pp:
-            # As floats, so a grid of [0, 1] gives the rows of `borrow --sweep 0,1`.
-            grid = [float(a0) for a0 in pp["sweep"]]
-            report["sensitivity"] = a0_sensitivity(*counts, grid, *prior, level)
+        if pp["sweep"] is not None:
+            report["sensitivity"] = a0_sensitivity(*counts, pp["sweep"], *prior, level)
         return RunArtifacts(report=report)
 
-    runner = {Method.WEIGHTING: _run_weighting, Method.MAIC: _run_maic,
-              Method.STC: _run_stc}[plan.method]
-    analysis, sample, effect, run = runner(plan, data, target, scale)
+    analysis = _analysis(plan, target, scale)
+    sample = data.restrict(Group.TRIAL) if target else data
+    effect, blocks, tables, curves = analysis.run(sample)
     # The method's resolved names (matched covariates, link) win over the plan's.
     effect.provenance = {**report["provenance"], **effect.provenance}
-    run.report = {**report, "effect": effect.to_dict(), **run.report}
+    report = {**report, "effect": effect.to_dict(), **blocks}
     if plan.bootstrap:
         config = plan.bootstrap
         result = bootstrap_ci(analysis, sample, config, point=effect.point)
-        run.report["effect"]["ci"] = [result.lower, result.upper]
-        run.report["effect"]["ci_level"] = config.level
-        run.report["bootstrap"] = {
+        report["effect"]["ci"] = [result.lower, result.upper]
+        report["effect"]["ci_level"] = config.level
+        report["bootstrap"] = {
             "replicates": config.replicates,
             "failures": result.n_failures,
             "refits": len(result.replicates),
             "seed": config.seed,
         }
-    return run
+    return RunArtifacts(report, tables, curves)
 
 
 def run_design(plan: AnalysisPlan, data: Optional[Dataset] = None) -> RunArtifacts:
@@ -356,64 +368,10 @@ def run_design(plan: AnalysisPlan, data: Optional[Dataset] = None) -> RunArtifac
     (by default the plan's dataset). The report's ``design`` block holds the
     diagnostics a full run reports under ``effect``, the ESS and the propensity fit."""
     data = load_dataset(plan.dataset_path) if data is None else data
-    model, positivity, wset = _design(plan, data)
-    diagnostics, tables = _diagnostics(plan, data, model, positivity, wset)
+    analysis = _analysis(plan, None, None)
+    model, positivity, wset = analysis.design(data)
+    diagnostics, tables = analysis.diagnostics(data, model, positivity, wset)
     weights = {"estimand": wset.estimand.label, "ess_trial": wset.ess_treated,
                "ess_external": wset.ess_control, "n_zero_weight": wset.n_zero_weight}
     design = {**diagnostics, "weights": weights, "coefficients": model.glm.coefficients}
     return RunArtifacts({**_report(plan, _STEPS[:2]), "design": design}, tables)
-
-
-def _design(plan: AnalysisPlan, data: Dataset) -> tuple:
-    """The propensity model, its positivity report and the weights of a weighting plan."""
-    model = estimate_propensity(data, plan.covariates)
-    positivity = positivity_report(model, data, plan.positivity_a)
-    if plan.fail_on_overlap and positivity.insufficient_overlap:
-        raise PositivityHardFail("insufficient propensity-score overlap")
-    return model, positivity, balancing_weights(model, data, plan.estimand)
-
-
-def _diagnostics(plan: AnalysisPlan, data: Dataset, model, positivity, wset) -> tuple:
-    """The diagnostics of a weighting design, and its weights.csv and balance.csv."""
-    table = balance_table(data, wset, plan.smd_threshold)
-    diagnostics = {"positivity": positivity, "balance": table, "weighted_prevalence": {
-        name: list(weighted_prevalence(wset, data, name)) for name in data.covariate_names}}
-    smds = np.array([(r.unweighted_smd, r.weighted_smd) for r in table.rows], dtype=float)
-    return diagnostics, {"weights.csv": weights_table(data, model.scores, wset.weights),
-                         "balance.csv": (("covariate", "unweighted_smd", "weighted_smd"), (
-                             [r.covariate for r in table.rows], smds[:, 0], smds[:, 1]))}
-
-
-def _run_weighting(plan, data: Dataset, target, scale):
-    if data.outcome_kind is OutcomeKind.TIME_TO_EVENT and plan.horizon is None:
-        raise PlanInvalid("a time-to-event outcome needs a survival horizon")
-    model, positivity, wset = _design(plan, data)
-    analysis = WeightingAnalysis(plan.estimand, scale, plan.covariates, plan.horizon)
-    curves, effect = analysis.estimate(data, wset)
-    # The tables follow the effect: the text columns of a large weights.csv
-    # would otherwise add to the peak memory of the weighted KM.
-    effect.diagnostics, tables = _diagnostics(plan, data, model, positivity, wset)
-    return analysis, data, effect, RunArtifacts({}, tables, curves)
-
-
-def _run_maic(plan, data: Dataset, target, scale):
-    analysis = MaicAnalysis(target, plan.covariates, scale)
-    trial = data.restrict(Group.TRIAL)
-    fit, effect = analysis.estimate(trial)
-    block = {"maic": {
-        "ess": fit.ess,
-        "achieved_means": [float(v) for v in fit.achieved_means],
-        "target_means": [float(v) for v in fit.target_means],
-    }}
-    weights = weights_table(trial, np.full(len(fit.weights), np.nan), fit.weights)
-    return analysis, trial, effect, RunArtifacts(block, {"weights.csv": weights})
-
-
-def _run_stc(plan, data: Dataset, target, scale):
-    link = outcome_link(target.outcome_kind).value
-    if plan.raw.get("link", link) != link:
-        raise PlanInvalid(f"link {plan.raw['link']} does not fit a "
-                          f"{target.outcome_kind.value} outcome; its STC link is {link}")
-    analysis = StcAnalysis(target, plan.covariates, scale)
-    trial = data.restrict(Group.TRIAL)
-    return analysis, trial, analysis.estimate(trial).report, RunArtifacts({})

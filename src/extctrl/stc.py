@@ -48,17 +48,6 @@ def outcome_link(kind: OutcomeKind) -> Link:
     return Link.LOGIT if kind is OutcomeKind.BINARY else Link.IDENTITY
 
 
-@dataclass(frozen=True)
-class StcResult:
-    outcome_model: GlmFit
-    predicted_external_outcome: float
-    observed_external_outcome: float
-    scale: Scale
-    effect: float
-    link: Link
-    report: EffectReport
-
-
 def _inverse_logit(eta: float) -> float:
     """1 / (1 + exp(-eta)), and its limit 0.0 where exp(-eta) overflows."""
     try:
@@ -88,10 +77,12 @@ def stc_estimate(
     target: AggregateSummary,
     covariates: Optional[Sequence[str]] = None,
     scale: Optional[Scale] = None,
-) -> StcResult:
+) -> tuple[GlmFit, EffectReport]:
     """Fit the trial outcome model and predict into the external population.
 
-    The model follows the outcome of the trial, which must be of the
+    Returns the outcome model's fit and the effect report, whose group
+    summary holds the predicted and the observed external outcome. The
+    model follows the outcome of the trial, which must be of the
     aggregate's kind, and a ``scale`` of None is that outcome's default
     (``estimators.check_scale``). The covariate list is the analyst's
     explicit designation of effect modifiers and prognostic variables.
@@ -106,7 +97,7 @@ def stc_estimate(
     warnings = [CONSTANCY_CAVEAT]
     if link is Link.LOGIT:
         warnings.append(NONCOLLAPSIBILITY_WARNING)
-    report = EffectReport(
+    return fit, EffectReport(
         estimand_label="stc",
         target_population=TARGET_POPULATION,
         scale=scale,
@@ -119,24 +110,16 @@ def stc_estimate(
         infinite=infinite,
         provenance={"covariates": list(names), "link": link.value},
     )
-    return StcResult(
-        outcome_model=fit,
-        predicted_external_outcome=predicted,
-        observed_external_outcome=observed,
-        scale=scale,
-        effect=effect,
-        link=link,
-        report=report,
-    )
 
 
 @dataclass(frozen=True)
 class StcAnalysis:
     """The STC effect as one analysis.
 
-    ``estimate`` fits the outcome model on the trial rows of a dataset and
-    returns the ``StcResult``; calling it on a dataset returns the point of
-    that result. With the logit link (a binary outcome), ``batch`` prepares
+    ``run`` fits the outcome model on the trial rows of a dataset and gives
+    the effect report of ``stc_estimate``, no report block, no table and no
+    curves; calling the analysis on a dataset returns the point of that
+    report. With the logit link (a binary outcome), ``batch`` prepares
     the outcome model's design once and returns a function that gives the
     same effect for every count vector of a bootstrap block (see
     ``inference.bootstrap_ci``), fitting the block's outcome models at once.
@@ -146,11 +129,11 @@ class StcAnalysis:
     covariates: Optional[Sequence[str]] = None
     scale: Optional[Scale] = None
 
-    def estimate(self, data: Dataset) -> StcResult:
-        return stc_estimate(data, self.target, self.covariates, self.scale)
+    def run(self, data: Dataset) -> tuple:
+        return stc_estimate(data, self.target, self.covariates, self.scale)[1], {}, {}, None
 
     def __call__(self, data: Dataset) -> float:
-        return self.estimate(data).report.point
+        return stc_estimate(data, self.target, self.covariates, self.scale)[1].point
 
     @property
     def batch(self):

@@ -104,7 +104,7 @@ def weighting_pipeline(estimand, scale):
 
 
 def stc_pipeline(target, scale):
-    return lambda d: stc_estimate(d.restrict(Group.TRIAL), target, None, scale).effect
+    return lambda d: stc_estimate(d.restrict(Group.TRIAL), target, None, scale)[1].point
 
 
 @pytest.mark.parametrize("link,scale,kind", [

@@ -206,6 +206,22 @@ def test_power_prior_plan_with_sweep_equals_borrow_sweep(tmp_path):
     assert json.loads(reports["ints"])["sensitivity"] == report["sensitivity"]
 
 
+def test_power_prior_plan_with_integer_numbers_equals_borrow(tmp_path, capsys):
+    # a0 and the prior mean floats, so a plan that writes them as integers
+    # reports the posterior of `borrow`, whose flags argparse reads as floats.
+    assert run_cli(["borrow", "--x", "52", "--n", "61", "--x0", "30", "--n0", "80",
+                    "--a0", "1", "--assume-comparable"]) == 0
+    posterior = json.loads(capsys.readouterr().out)["posterior"]
+    plan = tmp_path / "ints.json"
+    plan.write_text(json.dumps({"method": "power_prior", "power_prior": {
+        "x": 52, "n": 61, "x0": 30, "n0": 80, "a0": 1, "prior": [1, 1],
+        "assume_comparable": True}}), encoding="utf-8")
+    assert run_cli(["--out-dir", tmp_path / "ints", "run", plan]) == 0
+    report = json.loads((tmp_path / "ints" / "report.json").read_text(encoding="utf-8"))
+    assert canonical_json(report["posterior"]) == canonical_json(posterior)
+    assert '"effective_prior_n":80.0' in canonical_json(report["posterior"])
+
+
 SCENARIO = {
     "n_trial": 40, "n_external": 40,
     "covariates": [{"name": "severe", "kind": "binary", "p": 0.4}],

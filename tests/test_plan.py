@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from extctrl import MaicAnalysis, StcAnalysis, WeightingAnalysis, maic, stc
+from extctrl import MaicAnalysis, StcAnalysis, WeightingAnalysis, estimators, maic, stc
 from extctrl import plan as planmod
 from extctrl.glm import fit_logistic
 from extctrl.inference import bootstrap_ci
@@ -87,6 +87,10 @@ def test_report_point_is_the_bootstrapped_analysis_on_the_data(case, inputs, mon
     assert point == analysis(data)
     assert report["effect"]["point"] == analysis(data)
     assert report["bootstrap"]["failures"] == 0
+    # run's effect is the report's, but for the interval and the plan's provenance.
+    effect = json.loads(canonical_json(analysis.run(data)[0].to_dict()))
+    assert {**effect, "ci": report["effect"]["ci"], "ci_level": report["effect"]["ci_level"],
+            "provenance": {**report["provenance"], **effect["provenance"]}} == report["effect"]
 
 
 def test_batched_bootstrap_plan_fits_the_point_once(inputs, monkeypatch):
@@ -123,6 +127,23 @@ def test_stc_report_names_the_resolved_covariates_and_link(inputs):
     assert effect["link"] == "logit"
     assert {k: v for k, v in effect.items() if k not in ("covariates", "link")} == {
         k: v for k, v in report["provenance"].items() if k != "covariates"}
+
+
+def test_integer_plan_numbers_report_as_floats(inputs):
+    # positivity_a, smd_threshold and horizon mean floats: written as integers
+    # they report as floats, and the plan hash, over the raw plan, is all that differs.
+    doc = {"method": "weighting", "dataset": inputs["survival"], "estimand": "ato"}
+    texts = []
+    for numbers in ({"positivity_a": 0, "smd_threshold": 1, "horizon": 3},
+                    {"positivity_a": 0.0, "smd_threshold": 1.0, "horizon": 3.0}):
+        report = run_plan(parse_plan({**doc, **numbers})).report
+        del report["provenance"]["plan_hash"], report["effect"]["provenance"]["plan_hash"]
+        texts.append(canonical_json(report))
+    assert texts[0] == texts[1]
+    effect = json.loads(texts[0])["effect"]
+    assert '"horizon":3.0' in canonical_json(effect["group_summary"])
+    assert '"band":[0.0,1.0]' in canonical_json(effect["diagnostics"]["positivity"])
+    assert '"threshold":1.0' in canonical_json(effect["diagnostics"]["balance"])
 
 
 # --- settings the inputs decide: the scale, STC's link -------------------------
@@ -168,7 +189,7 @@ def no_fits(monkeypatch):
     def reached(*args, **kwargs):
         raise AssertionError("a model was fitted")
 
-    monkeypatch.setattr(planmod, "estimate_propensity", reached)
+    monkeypatch.setattr(estimators, "estimate_propensity", reached)
     monkeypatch.setattr(maic, "maic_weights", reached)
     monkeypatch.setattr(stc, "fit_logistic", reached)
     monkeypatch.setattr(stc, "fit_linear", reached)

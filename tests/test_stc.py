@@ -30,6 +30,11 @@ def binary_target(means, names, responders, n):
     )
 
 
+def predicted(report):
+    """The outcome the STC model predicts in the external population."""
+    return report.group_summary["predicted_trial_outcome_in_external_population"]
+
+
 def test_identity_plugin_at_trial_means_is_trial_mean():
     rng = np.random.default_rng(1)
     x = rng.normal(size=25)
@@ -37,9 +42,8 @@ def test_identity_plugin_at_trial_means_is_trial_mean():
     data = make_dataset(list(x), [Group.TRIAL] * 25, outcomes=list(y),
                         covariate_names=("x",))
     target = continuous_target([float(x.mean())], ["x"], mean=0.0)
-    result = stc_estimate(data, target, scale=Scale.MEAN_DIFFERENCE)
-    assert result.predicted_external_outcome == pytest.approx(float(y.mean()),
-                                                              abs=1e-10)
+    _, report = stc_estimate(data, target, scale=Scale.MEAN_DIFFERENCE)
+    assert predicted(report) == pytest.approx(float(y.mean()), abs=1e-10)
 
 
 def test_null_effect_when_observed_equals_predicted():
@@ -47,8 +51,8 @@ def test_null_effect_when_observed_equals_predicted():
     y = [1.0, 2.0, 3.0, 4.0]  # exact line y = 1 + x
     data = make_dataset(x, [Group.TRIAL] * 4, outcomes=y, covariate_names=("x",))
     target = continuous_target([1.5], ["x"], mean=2.5)
-    result = stc_estimate(data, target, scale=Scale.MEAN_DIFFERENCE)
-    assert result.effect == pytest.approx(0.0, abs=1e-10)
+    _, report = stc_estimate(data, target, scale=Scale.MEAN_DIFFERENCE)
+    assert report.point == pytest.approx(0.0, abs=1e-10)
 
 
 def test_logit_plugin_matches_hand_evaluation():
@@ -59,11 +63,11 @@ def test_logit_plugin_matches_hand_evaluation():
     data = make_dataset([float(v) for v in x], [Group.TRIAL] * 12,
                         outcomes=[float(v) for v in y], covariate_names=("x",))
     target = binary_target([0.4], ["x"], responders=5, n=20)
-    result = stc_estimate(data, target, scale=Scale.RISK_DIFFERENCE)
-    b0, b1 = result.outcome_model.coefficients
+    fit, report = stc_estimate(data, target, scale=Scale.RISK_DIFFERENCE)
+    b0, b1 = fit.coefficients
     expected = 1.0 / (1.0 + math.exp(-(b0 + b1 * 0.4)))
-    assert result.predicted_external_outcome == pytest.approx(expected, abs=1e-12)
-    assert result.effect == pytest.approx(expected - 0.25, abs=1e-12)
+    assert predicted(report) == pytest.approx(expected, abs=1e-12)
+    assert report.point == pytest.approx(expected - 0.25, abs=1e-12)
 
 
 def test_covariate_shift_monotonicity():
@@ -76,9 +80,7 @@ def test_covariate_shift_monotonicity():
     preds = []
     for mu in (-0.5, 0.0, 0.5):
         target = binary_target([mu], ["x"], responders=5, n=20)
-        preds.append(
-            stc_estimate(data, target, scale=Scale.RISK_DIFFERENCE).predicted_external_outcome
-        )
+        preds.append(predicted(stc_estimate(data, target, scale=Scale.RISK_DIFFERENCE)[1]))
     assert preds[0] < preds[1] < preds[2]
 
 
@@ -88,8 +90,8 @@ def test_logit_prediction_stays_in_unit_interval():
     data = make_dataset([float(v) for v in x], [Group.TRIAL] * 8,
                         outcomes=[float(v) for v in y], covariate_names=("x",))
     target = binary_target([0.9], ["x"], responders=3, n=10)
-    result = stc_estimate(data, target, scale=Scale.RISK_DIFFERENCE)
-    assert 0.0 < result.predicted_external_outcome < 1.0
+    _, report = stc_estimate(data, target, scale=Scale.RISK_DIFFERENCE)
+    assert 0.0 < predicted(report) < 1.0
 
 
 def test_link_outcome_mismatch_rejected():
@@ -110,14 +112,15 @@ def test_model_and_scale_follow_the_outcome():
     x = [0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 1.0]
     binary = make_dataset(x, [Group.TRIAL] * 8, outcomes=[0, 1, 1, 0, 0, 1, 1, 1],
                           covariate_names=("x",))
-    result = stc_estimate(binary, binary_target([0.5], ["x"], responders=4, n=10))
-    assert (result.link, result.scale) == (Link.LOGIT, Scale.RISK_DIFFERENCE)
-    assert result.report.provenance["link"] == "logit"
+    _, report = stc_estimate(binary, binary_target([0.5], ["x"], responders=4, n=10))
+    assert (Link(report.provenance["link"]), report.scale) == (Link.LOGIT, Scale.RISK_DIFFERENCE)
+    assert report.provenance["link"] == "logit"
     continuous = make_dataset(x, [Group.TRIAL] * 8, outcomes=[0.5, 1.5, 2.0, 1.0, 0.2, 2.5,
                                                               0.7, 1.8],
                               covariate_names=("x",))
-    result = stc_estimate(continuous, continuous_target([0.5], ["x"]))
-    assert (result.link, result.scale) == (Link.IDENTITY, Scale.MEAN_DIFFERENCE)
+    _, report = stc_estimate(continuous, continuous_target([0.5], ["x"]))
+    assert (Link(report.provenance["link"]), report.scale) == (Link.IDENTITY,
+                                                               Scale.MEAN_DIFFERENCE)
 
 
 def test_no_shared_covariate_is_missing_column():
@@ -136,6 +139,6 @@ def test_report_notes_noncollapsibility_for_logit():
     data = make_dataset([float(v) for v in x], [Group.TRIAL] * 8,
                         outcomes=[float(v) for v in y], covariate_names=("x",))
     target = binary_target([0.5], ["x"], responders=4, n=10)
-    result = stc_estimate(data, target, scale=Scale.RISK_DIFFERENCE)
-    assert any("plug-in" in w for w in result.report.warnings)
-    assert result.report.target_population == "external control population"
+    _, report = stc_estimate(data, target, scale=Scale.RISK_DIFFERENCE)
+    assert any("plug-in" in w for w in report.warnings)
+    assert report.target_population == "external control population"
