@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .dataset import Dataset
-from .errors import AllWeightsZero
+from .errors import AllWeightsZero, ParameterOutOfRange
 from .propensity import PropensityModel
 
 
@@ -46,9 +46,9 @@ class Estimand:
     def __post_init__(self):
         if self.kind is EstimandKind.TRIMMED:
             if self.a is None or not 0.0 < self.a < 0.5:
-                raise ValueError("trimmed estimand requires 0 < a < 0.5")
+                raise ParameterOutOfRange("trimmed estimand requires 0 < a < 0.5")
         elif self.a is not None:
-            raise ValueError(f"estimand {self.kind.value} takes no trim parameter")
+            raise ParameterOutOfRange(f"estimand {self.kind.value} takes no trim parameter")
 
     @property
     def target_population_label(self) -> str:

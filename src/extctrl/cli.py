@@ -9,9 +9,8 @@ plan document, runs it and writes what the run gives. ``compare``,
 (plan hash), checklist and diagnostics; ``compare`` also writes the
 weighted KM curves of a time-to-event outcome. ``ps-fit``, ``weight`` and
 ``balance`` run the plan's design, which reads no outcome, with
-``plan.run_design``. Exit codes: 0 success, 2 plan/usage error (including
-a bad scenario file), 3 data error (including an input file that cannot be
-read), 4 solver error, 5 positivity hard-fail. The EXTCTRL_THREADS
+``plan.run_design``. An error exits with its family's code, the table in
+``extctrl.errors``; success exits 0. The EXTCTRL_THREADS
 environment variable caps bootstrap parallelism when the plan sets no
 thread count; 0, unset, or anything that is not a positive integer runs
 the replicates serially.
@@ -26,16 +25,9 @@ from pathlib import Path
 
 from . import plan as planmod
 from .dataset import save_dataset
-from .errors import (DataError, ExtCtrlError, InvalidConfig, PlanInvalid, PositivityHardFail,
-                     SolverError)
+from .errors import ExtCtrlError, PlanInvalid
 from .estimators import Scale
 from .simulate import ScenarioConfig, generate
-
-EXIT_OK = 0
-EXIT_PLAN = 2
-EXIT_DATA = 3
-EXIT_SOLVER = 4
-EXIT_POSITIVITY = 5
 
 
 def _out_file(path) -> Path:
@@ -188,7 +180,7 @@ def _cmd_ps_fit(args) -> int:
         _write(planmod.csv_text(("id", "score"), (ids, scores)), out_dir / "scores.csv")
     _emit({"positivity": design["positivity"], "coefficients": design["coefficients"], **stamp},
           out_dir / "positivity.json" if out_dir else None)
-    return EXIT_OK
+    return 0
 
 
 def _cmd_weight(args) -> int:
@@ -201,14 +193,14 @@ def _cmd_weight(args) -> int:
         _write(ess, out_dir / "ess.json")
     else:
         sys.stderr.write(ess)
-    return EXIT_OK
+    return 0
 
 
 def _cmd_balance(args) -> int:
     design, stamp, _ = _design(args)
     _emit({"balance": design["balance"], **stamp},
           Path(args.out_dir) / "balance.json" if args.out_dir else None)
-    return EXIT_OK
+    return 0
 
 
 def _cmd_analysis(args) -> int:
@@ -218,18 +210,18 @@ def _cmd_analysis(args) -> int:
     artifacts = planmod.run_plan(planmod.parse_plan(_plan(args)))
     if not args.out_dir:
         _emit(artifacts.report)
-        return EXIT_OK
+        return 0
     artifacts.write(args.out_dir)
     for name, c in (artifacts.curves or {}).items():
         _write(planmod.csv_text(("time", "survival", "at_risk"), (c.times, c.survival, c.at_risk)),
                Path(args.out_dir) / f"curve_{name}.csv")
-    return EXIT_OK
+    return 0
 
 
 def _cmd_borrow(args) -> int:
     report = planmod.run_plan(planmod.parse_plan(_plan(args))).report
     _emit(report, Path(args.out_dir) / "posterior.json" if args.out_dir else None)
-    return EXIT_OK
+    return 0
 
 
 def _cmd_simulate(args) -> int:
@@ -246,7 +238,7 @@ def _cmd_simulate(args) -> int:
     save_dataset(data, _out_file(args.out))
     _emit({"truth": truth},
           Path(args.out).with_suffix(".truth.json"))
-    return EXIT_OK
+    return 0
 
 
 def _cmd_run(args) -> int:
@@ -254,7 +246,7 @@ def _cmd_run(args) -> int:
     artifacts = planmod.run_plan(plan)
     out_dir = args.out_dir or "."
     artifacts.write(out_dir)
-    return EXIT_OK
+    return 0
 
 
 _COMMANDS = {
@@ -275,21 +267,9 @@ def main(argv=None) -> int:
         # Inside the try: a flag type may raise PlanInvalid (see _numbers).
         args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except PositivityHardFail as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_POSITIVITY
-    except (PlanInvalid, InvalidConfig) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PLAN
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except SolverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
     except ExtCtrlError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -1,7 +1,16 @@
 """Typed error hierarchy shared across the package.
 
-Errors are grouped into families so the CLI can map them to exit codes:
-plan/configuration problems, data ingestion problems, and solver failures.
+Errors are grouped into families, and each family carries the exit code
+the CLI returns for it as ``exit_code``:
+
+    0  success
+    2  plan or usage error: ``PlanInvalid``, ``InvalidConfig`` (including a
+       bad scenario file)
+    3  data error: ``DataError`` (including an input file that cannot be read)
+    4  solver or estimation failure: ``SolverError`` and every other
+       ``ExtCtrlError``
+    5  positivity hard-fail: ``PositivityHardFail``
+
 ``checked_field`` reads one field of a JSON object and raises the caller's
 error family when the value has the wrong type or range.
 """
@@ -13,6 +22,8 @@ import numbers
 class ExtCtrlError(Exception):
     """Base class for all package errors."""
 
+    exit_code = 4
+
 
 # --- data ingestion -------------------------------------------------------
 
@@ -21,6 +32,8 @@ class DataError(ExtCtrlError):
 
     ``row`` is the 0-based data row of a CSV cell at fault, when one is.
     """
+
+    exit_code = 3
 
     def __init__(self, message, row=None):
         super().__init__(message)
@@ -107,24 +120,26 @@ class ZeroDenominator(ExtCtrlError):
     pass
 
 
-class ParameterOutOfRange(ExtCtrlError):
-    pass
+class ParameterOutOfRange(ExtCtrlError, ValueError):
+    """A public function's argument outside its range; still a ValueError."""
 
 
 class InvalidConfig(ExtCtrlError):
-    pass
+    exit_code = 2
 
 
 class PlanInvalid(ExtCtrlError):
-    pass
+    exit_code = 2
 
 
 class ScaleIncompatibleWithOutcome(PlanInvalid):
     """A scale, model or comparison the outcome does not allow: a usage error."""
 
 
-class PositivityHardFail(Exception):
+class PositivityHardFail(ExtCtrlError):
     """Raised when the plan demands failure on insufficient overlap."""
+
+    exit_code = 5
 
 
 # --- typed fields of JSON inputs -------------------------------------------

@@ -20,6 +20,7 @@ from .dataset import Dataset, OutcomeKind
 from .diagnostics import DEFAULT_SMD_THRESHOLD, balance_table
 from .errors import (
     AllWeightsZero,
+    ParameterOutOfRange,
     PlanInvalid,
     PositivityHardFail,
     ScaleIncompatibleWithOutcome,
@@ -171,9 +172,9 @@ def weighted_km(
     events = np.asarray(events, dtype=int)
     weights = np.asarray(weights, dtype=float)
     if np.any(times < 0):
-        raise ValueError("negative follow-up time")
+        raise ParameterOutOfRange("negative follow-up time")
     if np.any(weights < 0):
-        raise ValueError("negative weight")
+        raise ParameterOutOfRange("negative weight")
     if float(np.sum(weights)) <= 0:
         raise AllWeightsZero("all survival weights are zero")
 
@@ -224,7 +225,7 @@ def survival_contrast(
     evaluated there and flagged, not rejected.
     """
     if horizon < 0:
-        raise ValueError("horizon must be >= 0")
+        raise ParameterOutOfRange("horizon must be >= 0")
     warnings = []
     if horizon > curve_trial.last_time or horizon > curve_external.last_time:
         warnings.append(
@@ -265,8 +266,10 @@ class WeightingAnalysis:
     effect is the weighted mean contrast on ``scale``, or the survival
     difference at ``horizon``. Calling the analysis on a dataset refits the
     propensity model and the weights and returns the point of that effect,
-    so a bootstrap replicate runs the same code as the point estimate.
-    ``design`` and ``diagnostics`` read no outcome.
+    so a bootstrap replicate runs the same code as the point estimate; it
+    runs no overlap check. Both raise PlanInvalid, before any fit, on a
+    time-to-event outcome with no horizon. ``design`` and ``diagnostics``
+    read no outcome.
     """
 
     estimand: Estimand
@@ -295,9 +298,12 @@ class WeightingAnalysis:
                              "balance.csv": (("covariate", "unweighted_smd", "weighted_smd"), (
                                  [r.covariate for r in table.rows], smds[:, 0], smds[:, 1]))}
 
-    def run(self, data: Dataset) -> tuple:
+    def _check_horizon(self, data: Dataset) -> None:
         if data.outcome_kind is OutcomeKind.TIME_TO_EVENT and self.horizon is None:
             raise PlanInvalid("a time-to-event outcome needs a survival horizon")
+
+    def run(self, data: Dataset) -> tuple:
+        self._check_horizon(data)
         model, positivity, wset = self.design(data)
         curves, effect = self._effect(data, wset)
         # The tables follow the effect: the text columns of a large weights.csv
@@ -319,5 +325,6 @@ class WeightingAnalysis:
         return curves, effect
 
     def __call__(self, data: Dataset) -> float:
+        self._check_horizon(data)
         model = estimate_propensity(data, self.covariates)
         return self._effect(data, balancing_weights(model, data, self.estimand))[1].point

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dataset import Dataset
-from .errors import DegenerateScores, EmptyDataset
+from .errors import DegenerateScores, EmptyDataset, ParameterOutOfRange
 from .glm import DEFAULT_TOL, GlmFit, add_intercept, fit_logistic
 
 
@@ -78,7 +78,7 @@ def positivity_report(
     intersect or when more than 20% of either group lies outside the band.
     """
     if not 0.0 <= a < 0.5:
-        raise ValueError(f"band parameter a={a} must be in [0, 0.5)")
+        raise ParameterOutOfRange(f"band parameter a={a} must be in [0, 0.5)")
     e = model.scores
     trial = data.group_mask
     e_t, e_x = e[trial], e[~trial]

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from extctrl import cli
+from extctrl import cli, errors
 from extctrl.plan import canonical_json, parse_plan, plan_hash
 
 TOY_ROWS = [
@@ -309,6 +309,40 @@ def test_exit_code_positivity_hard_fail(toy_csv, tmp_path):
     payload["scale"] = "md"
     plan.write_text(json.dumps(payload), encoding="utf-8")
     assert run_cli(["--out-dir", tmp_path / "o", "run", plan]) == 2
+
+
+# The documented exit code of every error class. A class moved to another
+# family, or a new class missing here, fails the test below.
+EXIT_CODES = {
+    "ExtCtrlError": 4,
+    "DataError": 3, "MissingColumn": 3, "EmptyDataset": 3, "NonNumericCovariate": 3,
+    "MissingValue": 3, "UnknownGroupLabel": 3, "SchemaViolation": 3,
+    "ProportionOutOfRange": 3, "ResponderCountExceedsN": 3,
+    "SolverError": 4, "ConstantResponse": 4, "RankDeficientDesign": 4,
+    "SeparationDetected": 4, "NoConvergence": 4, "DegenerateScores": 4,
+    "TargetOutsideSupport": 4, "CollinearCovariates": 4, "TooManyReplicateFailures": 4,
+    "AllWeightsZero": 4, "ZeroDenominator": 4, "ParameterOutOfRange": 4,
+    "InvalidConfig": 2, "PlanInvalid": 2, "ScaleIncompatibleWithOutcome": 2,
+    "PositivityHardFail": 5,
+}
+ERROR_CLASSES = sorted((c for c in vars(errors).values()
+                        if isinstance(c, type) and issubclass(c, errors.ExtCtrlError)),
+                       key=lambda c: c.__name__)
+
+
+@pytest.mark.parametrize("error", ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_every_error_class_exits_with_its_code(error, monkeypatch, capsys):
+    def handler(args):
+        raise error(f"synthetic {error.__name__}")
+
+    monkeypatch.setitem(cli._COMMANDS, "run", handler)
+    assert run_cli(["run", "plan.json"]) == EXIT_CODES[error.__name__]
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: synthetic {error.__name__}\n")
+
+
+def test_exit_code_table_names_every_error_class():
+    assert sorted(EXIT_CODES) == [c.__name__ for c in ERROR_CLASSES]
 
 
 def make_plan(data_csv, tmp_path, **extra):

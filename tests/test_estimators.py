@@ -11,6 +11,7 @@ from extctrl import (
     Scale,
     balancing_weights,
     estimate_propensity,
+    positivity_report,
     survival_contrast,
     weighted_km,
     weighted_km_by_group,
@@ -19,6 +20,7 @@ from extctrl import (
 from extctrl.balancing import WeightSet
 from extctrl.errors import (
     AllWeightsZero,
+    ParameterOutOfRange,
     ScaleIncompatibleWithOutcome,
     ZeroDenominator,
 )
@@ -265,3 +267,23 @@ def test_km_zero_weight_risk_set_is_typed_error():
     # Only zero-weight subjects remain at the last event time.
     with pytest.raises(AllWeightsZero):
         weighted_km([1.0, 2.0, 3.0], [1, 0, 1], [1.0, 1.0, 0.0])
+
+
+def _positivity_band(a):
+    data = make_dataset([0.0, 1.0, 1.0, 0.0], [Group.TRIAL, Group.TRIAL, Group.EXTERNAL,
+                                               Group.EXTERNAL])
+    positivity_report(estimate_propensity(data), data, a)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Estimand(EstimandKind.TRIMMED, a=0.6),
+    lambda: Estimand(EstimandKind.ATE, a=0.1),
+    lambda: _positivity_band(0.5),
+    lambda: weighted_km([1.0, -1.0], [1, 0], [1.0, 1.0]),
+    lambda: weighted_km([1.0, 2.0], [1, 0], [1.0, -1.0]),
+    lambda: survival_contrast(weighted_km([1.0], [1], [1.0]), weighted_km([1.0], [1], [1.0]), -1.0),
+], ids=["trim-a", "untrimmed-a", "positivity-band", "negative-time", "negative-weight",
+        "negative-horizon"])
+def test_bad_argument_is_parameter_out_of_range(call):
+    with pytest.raises(ParameterOutOfRange):
+        call()

@@ -18,7 +18,8 @@ from extctrl import (
     generate,
     weighted_mean_contrast,
 )
-from extctrl.errors import InvalidConfig, SolverError, TooManyReplicateFailures
+from extctrl.errors import (InvalidConfig, PlanInvalid, PositivityHardFail, SolverError,
+                            TooManyReplicateFailures)
 from extctrl.glm import DEFAULT_TOL
 from extctrl.inference import (_replicate_rng, replicate_estimates, replicate_seed,
                                resample_dataset)
@@ -136,6 +137,42 @@ def test_too_many_failures_raises():
 
     with pytest.raises(TooManyReplicateFailures):
         bootstrap_ci(flaky, data, BootstrapConfig(replicates=10, seed=1))
+
+
+def test_closure_positivity_hard_fail_is_a_counted_failure():
+    # A custom pipeline's hard-fail is a typed error like any other: the
+    # replicate fails and is counted, and the interval comes from the rest.
+    rng = np.random.default_rng(5)
+    data = small_dataset(rng)
+    calls = {"n": 0}
+
+    def strict(d):
+        calls["n"] += 1
+        if calls["n"] in (3, 7):
+            raise PositivityHardFail("insufficient propensity-score overlap")
+        return ipw_pipeline(d)
+
+    result = bootstrap_ci(strict, data, BootstrapConfig(replicates=20, seed=1), point=0.0)
+    assert result.n_failures == 2
+    assert result.failures_by_error == {"PositivityHardFail": 2}
+    assert len(result.replicates) == 18
+
+
+def test_weighting_analysis_without_horizon_is_plan_invalid_before_any_fit(monkeypatch):
+    rng = np.random.default_rng(8)
+    groups = [Group.TRIAL, Group.EXTERNAL] * 10
+    data = make_dataset(list(rng.normal(size=20)), groups, times=list(rng.exponential(size=20)),
+                        events=[1, 0] * 10, covariate_names=("x",))
+    analysis = WeightingAnalysis(Estimand(EstimandKind.ATE), Scale.RISK_DIFFERENCE)
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("the propensity model was fitted")
+
+    monkeypatch.setattr("extctrl.estimators.estimate_propensity", no_fit)
+    with pytest.raises(PlanInvalid, match="needs a survival horizon"):
+        bootstrap_ci(analysis, data, BootstrapConfig(replicates=10, seed=1))
+    with pytest.raises(PlanInvalid, match="needs a survival horizon"):
+        analysis.run(data)
 
 
 def test_config_validation():

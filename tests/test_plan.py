@@ -13,6 +13,7 @@ from extctrl import plan as planmod
 from extctrl.glm import fit_logistic
 from extctrl.inference import bootstrap_ci
 from extctrl.diagnostics import CHECKLIST_FIELDS
+from extctrl.errors import ExtCtrlError, PositivityHardFail
 from extctrl.plan import canonical_json, parse_plan, plan_hash, run_plan
 
 
@@ -299,3 +300,15 @@ def test_plan_hash_changes_with_any_field(plan, data):
     assume(value != plan[key])
     assert plan_hash({**plan, key: value}) != base
     assert plan_hash({k: v for k, v in plan.items() if k != key}) != base
+
+
+@pytest.mark.parametrize("runner", [run_plan, planmod.run_design])
+def test_positivity_hard_fail_is_an_extctrl_error(runner, inputs):
+    # Library code that guards a run with one `except ExtCtrlError` sees the
+    # fail_on_overlap failure too, with its exit code.
+    plan = parse_plan({"method": "weighting", "dataset": inputs["binary"], "estimand": "ate",
+                       "fail_on_overlap": True, "positivity_a": 0.45})
+    with pytest.raises(ExtCtrlError) as info:
+        runner(plan)
+    assert info.type is PositivityHardFail
+    assert info.value.exit_code == 5
