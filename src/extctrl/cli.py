@@ -19,6 +19,7 @@ the replicates serially.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -27,6 +28,7 @@ from . import plan as planmod
 from .dataset import save_dataset
 from .errors import ExtCtrlError, PlanInvalid
 from .estimators import Scale
+from .inference import BootstrapConfig
 from .simulate import ScenarioConfig, generate
 
 
@@ -121,6 +123,7 @@ FRONT_ENDS = {
 }
 
 
+@functools.cache  # argparse reads a parser without changing it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="extctrl",
@@ -159,7 +162,7 @@ def _plan(args) -> dict:
                           f"got {boot['replicates']}")
     if boot.get("replicates", 0) > 0:  # --bootstrap 0 asks for no interval
         # A bootstrap plan names its seed and level, so its hash fixes both.
-        plan["bootstrap"] = {"level": 0.95, **boot}
+        plan["bootstrap"] = {"level": BootstrapConfig.level, **boot}
         plan.setdefault("seed", 0)
     elif "level" in boot or "seed" in plan:
         raise PlanInvalid("--seed and --level need --bootstrap B with B > 0")

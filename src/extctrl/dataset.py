@@ -276,8 +276,10 @@ class AggregateSummary:
         """``covariates``, else the trial covariates the aggregate has; MissingColumn if none."""
         if covariates is None:
             covariates = [c for c in trial.covariate_names if c in self.covariate_names]
-        if not covariates:
-            raise MissingColumn("no covariate to match: the trial and the aggregate share none")
+            if not covariates:
+                raise MissingColumn("no covariate to match: the trial and the aggregate share none")
+        elif not covariates:
+            raise MissingColumn("no covariate to match: the covariate list is empty")
         return tuple(covariates)
 
     def mean_of(self, name: str) -> float:

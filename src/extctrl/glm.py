@@ -161,18 +161,6 @@ class LogisticDesign:
         return self._work[:, :b]
 
 
-def _keep_rows(keep, *blocks):
-    """Move the rows of each block where ``keep`` holds to its front, in
-    order and in place; return the blocks cut to those rows (None stays None)."""
-    rows = np.flatnonzero(keep)
-    held = [block for block in blocks if block is not None]
-    for k, j in enumerate(rows):
-        if k != j:
-            for block in held:
-                block[k] = block[j]
-    return [None if block is None else block[:len(rows)] for block in blocks]
-
-
 def _newton(design, counts, tol, cut):
     """Newton fits of a ``LogisticDesign`` for every count vector in ``counts``.
 
@@ -190,11 +178,11 @@ def _newton(design, counts, tol, cut):
     XT = design.XT
     X = XT.T
     b, p = (1 if counts is None else counts.shape[0]), X.shape[1]
-    T, W, R, C = design.work(b)
+    t, w, r, c = design.work(b)  # the rows of the fits still running
     if counts is None:
-        C = None
+        c = None
     else:
-        np.copyto(C, counts)
+        np.copyto(c, counts)
     # One fit forms its Hessian from the rows of XT times its Newton weights,
     # written into one p x n array for all its steps; a block uses the outer products.
     outer = design.outer() if b > 1 else None
@@ -203,7 +191,20 @@ def _newton(design, counts, tol, cut):
     errors = [None] * b
     tested = np.zeros(b, dtype=bool)  # the separation test has run
     fits, B = np.arange(b), np.zeros((b, p))  # the fits still running
-    t, w, r, c = T, W, R, C  # their rows of the work arrays
+
+    def stop(keep):
+        """Stop every fit where ``keep`` fails: the fits kept move to the front
+        of the work arrays, in order. Returns how many still run."""
+        nonlocal fits, B, t, w, r, c
+        rows = np.flatnonzero(keep)
+        k = len(rows)
+        if k and rows[-1] >= k:  # a stopped fit precedes a kept one
+            for a in (t, w, r) if c is None else (t, w, r, c):
+                a[:k] = a[rows]
+        fits, B, t, w, r = fits[rows], B[rows], t[:k], w[:k], r[:k]
+        c = None if c is None else c[:k]
+        return k
+
     for iterations in range(1, DEFAULT_MAX_ITER + 1):
         if iterations == 1:
             # At beta = 0 every tanh u is 0, so the residuals are the signs and
@@ -220,12 +221,8 @@ def _newton(design, counts, tol, cut):
                     tested[fits[k]] = True
                     if _separated(design.X, design.y, None if c is None else c[k]):
                         errors[fits[k]] = SeparationDetected
-                keep = np.array([errors[i] is None for i in fits])
-                fits, B = fits[keep], B[keep]
-                if not len(fits):
+                if not stop([errors[i] is None for i in fits]):
                     break
-                t, w, c = _keep_rows(keep, t, w, c)
-                r = r[:len(fits)]
             np.subtract(design.sign, t, out=r)
             if c is not None:
                 np.multiply(c, r, out=r)
@@ -241,11 +238,9 @@ def _newton(design, counts, tol, cut):
             if np.count_nonzero(ill):
                 for i in fits[ill]:
                     errors[i] = RankDeficientDesign
-                fits, B, score, H = fits[~ill], B[~ill], score[~ill], H[~ill]
-                if not len(fits):
+                score, H = score[~ill], H[~ill]
+                if not stop(~ill):
                     break
-                c, = _keep_rows(~ill, c)
-                t, w, r = T[:len(fits)], W[:len(fits)], R[:len(fits)]
         try:
             step = np.linalg.solve(H, score[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:  # a Hessian singular to rounding; the batch refits
@@ -260,11 +255,8 @@ def _newton(design, counts, tol, cut):
             break
         if finished:
             beta[fits[done]], hessians[fits[done]] = B[done], H[done]
-            if finished == len(fits):
+            if not stop(~done):
                 break
-            fits, B = fits[~done], B[~done]
-            c, = _keep_rows(~done, c)
-            t, w, r = T[:len(fits)], W[:len(fits)], R[:len(fits)]
     else:
         for k, i in enumerate(fits):
             separated = not tested[i] and _separated(design.X, design.y,

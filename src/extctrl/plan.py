@@ -32,7 +32,7 @@ from .dataset import (
     load_dataset,
 )
 from .diagnostics import CHECKLIST_FIELDS, DEFAULT_SMD_THRESHOLD, comparability_checklist
-from .errors import PlanInvalid, checked_field as _field, is_count, is_int, is_number
+from .errors import InvalidConfig, PlanInvalid, checked_field as _field, is_count, is_int, is_number
 from .estimators import Scale, WeightingAnalysis, check_scale
 from .inference import BootstrapConfig, bootstrap_ci
 from .maic import MaicAnalysis
@@ -51,11 +51,12 @@ class Method(enum.Enum):
 def canonical_json(payload) -> str:
     """Deterministic JSON used for hashing and report emission.
 
-    Floats are rendered with 17 significant digits so equal values hash and
-    serialize identically across runs. The output is strict JSON: a
-    non-finite float (an infinite odds ratio, say) is written as null, and
-    the report's ``infinite`` flag says why. A dataclass instance is
-    written as an object of its fields, so field names are output keys.
+    A float is written as its shortest repr, which reads back as the same
+    double, so equal values hash and serialize identically across runs. The
+    output is strict JSON: a non-finite float (an infinite odds ratio, say)
+    is written as null, and the report's ``infinite`` flag says why. A
+    dataclass instance is written as an object of its fields, so field names
+    are output keys.
     """
     def normalize(obj):
         if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
@@ -70,7 +71,7 @@ def canonical_json(payload) -> str:
         if isinstance(obj, (float, np.floating)):
             if not math.isfinite(obj):
                 return None
-            return float(format(float(obj), ".17g"))
+            return float(obj)
         if isinstance(obj, (int, np.integer)):
             return int(obj)
         if isinstance(obj, np.ndarray):
@@ -203,14 +204,10 @@ def parse_plan(raw: dict) -> AnalysisPlan:
     bconf = None
     if "bootstrap" in raw:
         b = _field(raw, "bootstrap", None, lambda v: isinstance(v, dict), "an object")
-        bconf = BootstrapConfig(
-            replicates=_field(b, "replicates", 1000, lambda v: is_count(v) and v >= 2,
-                              "an integer >= 2", "bootstrap "),
-            level=_field(b, "level", 0.95, lambda v: is_number(v) and 0 < v < 1,
-                         "in (0, 1)", "bootstrap "),
-            seed=_field(b, "seed", seed, is_int, "an integer", "bootstrap "),
-            threads=_field(b, "threads", 0, is_count, "an integer >= 0", "bootstrap "),
-        )
+        try:  # the block's keys are known (see _KEYS); the plan seed is its default
+            bconf = BootstrapConfig(**{"seed": seed, **b})
+        except InvalidConfig as exc:
+            raise PlanInvalid(str(exc)) from None
 
     pp = None
     if method is Method.POWER_PRIOR:

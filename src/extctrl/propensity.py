@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dataset import Dataset
-from .errors import DegenerateScores, EmptyDataset, ParameterOutOfRange
+from .errors import DegenerateScores, EmptyDataset, MissingColumn, ParameterOutOfRange
 from .glm import DEFAULT_TOL, GlmFit, add_intercept, fit_logistic
 
 
@@ -50,13 +50,15 @@ def estimate_propensity(
     data : Dataset
         Pooled trial and external subjects.
     covariates : sequence of str, optional
-        Subset of covariates to include; all by default.
+        Subset of covariates to include; all by default. MissingColumn if empty.
     tol : float
         Newton decrement at which the logistic fit stops (see ``fit_logistic``).
     """
     if data.n_external == 0:
         raise EmptyDataset("propensity estimation needs external records")
     names = tuple(covariates) if covariates is not None else data.covariate_names
+    if not names:  # an intercept-only model would adjust for nothing
+        raise MissingColumn("no covariate to fit the propensity model on")
     X = data.covariate_matrix(names)
     # Drop covariates constant across all subjects; they carry no membership
     # information and would make the design rank deficient. Each range is one

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
 from extctrl import cli, errors
@@ -424,6 +425,18 @@ def test_plan_hash_sensitive_to_every_field(toy_csv, tmp_path):
 def test_canonical_json_float_stability():
     assert canonical_json({"a": 0.1 + 0.2}) == canonical_json({"a": 0.30000000000000004})
     assert canonical_json({"b": 1.0}) == '{"b":1.0}'
+    # A float is written as its shortest repr: the bytes a round to 17
+    # significant digits first gave, and the same double read back. Random bit
+    # patterns, then subnormals (a zero exponent field) of either sign.
+    rng = np.random.default_rng(23)
+    bits = rng.integers(0, 2**64, size=20_000, dtype=np.uint64)
+    bits[-2_000:] &= np.uint64(0x800F_FFFF_FFFF_FFFF)
+    doubles = [v for v in bits.view(np.float64) if np.isfinite(v)]
+    doubles += [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308]
+    for v in doubles:
+        text = canonical_json([v])
+        assert text == json.dumps([float(format(float(v), ".17g"))], separators=(",", ":"))
+        assert np.float64(json.loads(text)[0]).tobytes() == np.float64(v).tobytes()
 
 
 def test_parse_plan_validation_errors(toy_csv):

@@ -189,15 +189,33 @@ def test_fits_leave_design_responses_and_counts_unchanged(order):
     y = (rng.random(n) < 0.4).astype(float)
     counts = np.array([np.bincount(rng.integers(0, n, size=n), minlength=n)
                        for _ in range(5)], dtype=float)
-    # The first replicate holds rows that x separates; it stops first, and
-    # the fits still running move up in the work arrays.
+    # The first replicate holds rows that x separates and stops mid-way. The
+    # one inserted after it holds two rows twice each, so its Hessian has rank
+    # 2 and it stops at the start. The rest converge at different steps. Each
+    # stop moves the fits still running up in the work arrays.
     counts[0] = (y == 1) == (X[:, 2] > 0)
+    rank = np.zeros(n)
+    rank[[np.argmax(y == 0), np.argmax(y == 1)]] = 2
+    counts = np.insert(counts, 1, rank, axis=0)
     inputs = X.copy(order="K"), y.copy(), counts.copy()
     fit = fit_logistic(X, y)
     design = LogisticDesign(X, y)
     prepared = design.XT.copy(), design.scale.copy(), design.sign.copy()
     beta, errors = fit_logistic_counts(design, counts)
-    assert errors == [SeparationDetected] + [None] * 4
+    assert errors == [SeparationDetected, REFIT] + [None] * 4
+    # Every verdict is that of fit_logistic on the replicate's rows, which a
+    # rank verdict in the block leaves it to give.
+    steps = set()
+    for row, error, coefficients in zip(counts.astype(int), errors, beta):
+        try:
+            own = fit_logistic(np.repeat(X, row, axis=0), np.repeat(y, row))
+        except SolverError as exc:
+            assert error == (REFIT if isinstance(exc, RankDeficientDesign) else type(exc))
+            continue
+        assert error is None
+        assert np.max(np.abs(coefficients - own.coefficients)) <= 1e-10
+        steps.add(own.iterations)
+    assert len(steps) >= 2
     for given, kept in zip((X, y, counts), inputs):
         assert np.array_equal(given, kept)
     assert X.flags.f_contiguous == (order == "F")

@@ -232,7 +232,8 @@ def test_stc_link_is_an_assertion_on_the_outcome(inputs, tmp_path, request):
 
 @pytest.mark.parametrize("method", ["maic", "stc"])
 @pytest.mark.parametrize("covariates", [None, []], ids=["none-shared", "empty-list"])
-def test_aggregate_methods_need_a_shared_covariate(method, covariates, inputs, tmp_path):
+def test_aggregate_methods_need_a_shared_covariate(method, covariates, inputs, tmp_path,
+                                                   capsys):
     aggregate = tmp_path / "agg.json"
     aggregate.write_text(json.dumps({"n": 100, "covariates": {"weight": 70.0},
                                      "outcome": {"kind": "binary", "responders": 30}}),
@@ -241,6 +242,16 @@ def test_aggregate_methods_need_a_shared_covariate(method, covariates, inputs, t
     if covariates is not None:
         doc = {**doc, "covariates": covariates, "aggregate": "agg_binary"}
     assert _run_plan_file(tmp_path, inputs, doc) == 3
+    reason = "share none" if covariates is None else "the covariate list is empty"
+    assert reason in capsys.readouterr().err
+
+
+def test_weighting_needs_a_covariate(inputs, tmp_path, capsys):
+    # An empty list once fitted an intercept-only propensity model, whose
+    # equal weights give the unadjusted comparison.
+    doc = {"method": "weighting", "dataset": "binary", "covariates": []}
+    assert _run_plan_file(tmp_path, inputs, doc) == 3
+    assert "no covariate" in capsys.readouterr().err
 
 
 # A value for each plan key, and the keys each method reads, its required ones first.
