@@ -20,6 +20,7 @@ from .dataset import Dataset, OutcomeKind
 from .diagnostics import DEFAULT_SMD_THRESHOLD, balance_table
 from .errors import (
     AllWeightsZero,
+    MissingColumn,
     ParameterOutOfRange,
     PlanInvalid,
     PositivityHardFail,
@@ -267,9 +268,10 @@ class WeightingAnalysis:
     difference at ``horizon``. Calling the analysis on a dataset refits the
     propensity model and the weights and returns the point of that effect,
     so a bootstrap replicate runs the same code as the point estimate; it
-    runs no overlap check. Both raise PlanInvalid, before any fit, on a
-    time-to-event outcome with no horizon. ``design`` and ``diagnostics``
-    read no outcome.
+    runs no overlap check and accepts an intercept-only model (every
+    covariate constant), which ``design`` rejects as MissingColumn. Both
+    raise PlanInvalid, before any fit, on a time-to-event outcome with no
+    horizon. ``design`` and ``diagnostics`` read no outcome.
     """
 
     estimand: Estimand
@@ -283,6 +285,9 @@ class WeightingAnalysis:
     def design(self, data: Dataset) -> tuple:
         """The propensity model, its positivity report and the balancing weights."""
         model = estimate_propensity(data, self.covariates)
+        if len(model.glm.coefficients) == 1:
+            raise MissingColumn(f"covariates {list(model.covariate_names)} are constant: "
+                                "no covariate to fit the propensity model on")
         positivity = positivity_report(model, data, self.positivity_a)
         if self.fail_on_overlap and positivity.insufficient_overlap:
             raise PositivityHardFail("insufficient propensity-score overlap")

@@ -1,13 +1,15 @@
-"""Logistic and linear model fitting used by propensity estimation and STC.
+"""Logistic, linear and exponential-tilt fits for propensity, STC and MAIC.
 
-Every logistic fit runs one stacked Newton core that fits a design to a block
-of frequency-weight vectors at once. Row r of the count block says how many
-times each design row enters fit r, which is how a bootstrap resample looks
-on fixed rows; a single fit is a block of one fit without counts. A
-``LogisticDesign`` is prepared once for any number of blocks, and each step
-writes into work arrays that every block reuses. The first step starts at
-beta = 0, where the residuals and Newton weights are known exactly, and
-computes neither.
+Every logistic fit and MAIC tilt runs one stacked Newton core that fits a
+design to a block of frequency-weight vectors at once. It minimises the
+logistic negative log-likelihood or, for the tilt, sum exp(x'beta) over a
+design with all-zero responses; the two differ only in a step's weights and
+residuals. Row r of the count block says how many times each design row
+enters fit r, which is how a bootstrap resample looks on fixed rows; a single
+fit is a block of one fit without counts. A ``LogisticDesign`` is prepared
+once for any number of blocks, and each step writes into work arrays that
+every block reuses. The first step starts at beta = 0, where the residuals
+and Newton weights are known exactly, and computes neither.
 
 - The columns are scaled to unit norm, and each step solves the p x p normal
   equations H d = s with H = X' diag(c w) X, so no step depends on units.
@@ -17,7 +19,6 @@ computes neither.
   only for a fit whose linear predictor leaves the plausible range or that
   runs out of steps.
 
-The MAIC tilt in ``maic`` solves its Newton steps by the same rules and helpers.
 Linear fits solve by QR. Inference is bootstrap-based elsewhere, so no
 Hessian-derived standard errors are reported here.
 """
@@ -133,11 +134,12 @@ def _separated(X: np.ndarray, y: np.ndarray, c) -> bool:
 
 
 class LogisticDesign:
-    """A design ``X`` (n x p, intercept column included) and 0/1 responses
-    ``y``, prepared once for any number of Newton fits: the unit-norm
-    transpose of ``X`` with its column scales, the signs s = 2y - 1, the row
-    outer products once a block of several fits needs them, and b x n work
-    arrays that every block and step reuses (see ``inference._BLOCK_ELEMENTS``).
+    """A design ``X`` (n x p) and 0/1 responses ``y``, prepared once for any
+    number of Newton fits, logistic (intercept column included) or tilt
+    (centered rows, ``y`` all 0): the unit-norm transpose of ``X`` with its
+    column scales, the signs s = 2y - 1, the row outer products once a block
+    of several fits needs them, and b x n work arrays that every block and
+    step reuses (see ``inference._BLOCK_ELEMENTS``).
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray):
@@ -161,7 +163,7 @@ class LogisticDesign:
         return self._work[:, :b]
 
 
-def _newton(design, counts, tol, cut):
+def _newton(design, counts, tol, cut, tilt=False):
     """Newton fits of a ``LogisticDesign`` for every count vector in ``counts``.
 
     Returns the b x p coefficients (NaN where a fit failed), per fit None or
@@ -169,11 +171,18 @@ def _newton(design, counts, tol, cut):
     converged, and the number of steps. Steps are taken in u = x'beta / 2 for
     s = 2y - 1, where expit(x'beta) = (1 + tanh u) / 2: the score is
     sum c (s - tanh u) x, the Hessian sum c (1 - tanh^2 u) x x', and the
-    decrement that of beta. A fit is RankDeficientDesign when the Hessian at
-    the start, X' diag(c) X, has eigenvalue ratio at most ``cut``. ``counts``
-    None is one fit of every row once, and its steps skip the counts. Each
-    step writes into the design's work arrays; the fits still running hold
-    their first rows, and ``counts`` is copied there, never written.
+    decrement that of beta. With ``tilt`` the fits minimise sum c exp(x'beta)
+    instead, stepping in beta itself (responses 0, so s = -1). Each step scales
+    that objective so its largest term is 1: for w = exp(x'beta - max x'beta)
+    the score is sum c s w x and the Hessian sum c w x x', so the step is
+    unchanged, nothing overflows, and the decrement falls like exp(-|x'beta|)
+    towards the boundary of the rows' convex hull; the separation test asks
+    whether 0 lies outside the interior of that hull. A fit is
+    RankDeficientDesign when the Hessian at the start, X' diag(c) X, has
+    eigenvalue ratio at most ``cut``. ``counts`` None is one fit of every row
+    once, and its steps skip the counts. Each step writes into the design's
+    work arrays; the fits still running hold their first rows, and ``counts``
+    is copied there, never written.
     """
     XT = design.XT
     X = XT.T
@@ -207,23 +216,31 @@ def _newton(design, counts, tol, cut):
 
     for iterations in range(1, DEFAULT_MAX_ITER + 1):
         if iterations == 1:
-            # At beta = 0 every tanh u is 0, so the residuals are the signs and
-            # the Newton weights 1, each times its count: the values the step
+            # At beta = 0 every tanh u is 0 and every tilt term 1, so the residuals are the
+            # signs and the Newton weights 1, each times its count: the values the step
             # below would compute, to the bit. v holds the weights (1.0 without counts).
             v = 1.0 if c is None else c
             np.multiply(design.sign, v, out=r)
         else:
-            np.tanh(np.matmul(B, XT, out=t), out=t)
-            # 1 - t^2, below _W_BOUND where |x'beta| > _ETA_BOUND
-            np.subtract(1.0, np.multiply(t, t, out=w), out=w)
-            if np.minimum.reduce(w, axis=None) < _W_BOUND:
-                for k in np.flatnonzero((w.min(axis=1) < _W_BOUND) & ~tested[fits]):
+            np.matmul(B, XT, out=t)
+            if tilt:
+                far = np.abs(t).max(axis=1) > _ETA_BOUND
+                np.exp(np.subtract(t, t.max(axis=1, keepdims=True), out=w), out=w)
+                np.multiply(design.sign, w, out=r)
+            else:
+                np.tanh(t, out=t)
+                # 1 - t^2, below _W_BOUND where |x'beta| > _ETA_BOUND
+                np.subtract(1.0, np.multiply(t, t, out=w), out=w)
+                np.subtract(design.sign, t, out=r)
+                far = (w.min(axis=1) < _W_BOUND if np.minimum.reduce(w, axis=None) < _W_BOUND
+                       else None)
+            if far is not None and far.any():
+                for k in np.flatnonzero(far & ~tested[fits]):
                     tested[fits[k]] = True
                     if _separated(design.X, design.y, None if c is None else c[k]):
                         errors[fits[k]] = SeparationDetected
                 if not stop([errors[i] is None for i in fits]):
                     break
-            np.subtract(design.sign, t, out=r)
             if c is not None:
                 np.multiply(c, r, out=r)
                 np.multiply(c, w, out=w)
@@ -262,7 +279,7 @@ def _newton(design, counts, tol, cut):
             separated = not tested[i] and _separated(design.X, design.y,
                                                      None if c is None else c[k])
             errors[i] = SeparationDetected if separated else NoConvergence
-    return 2.0 * beta / design.scale, errors, hessians, iterations
+    return (1.0 if tilt else 2.0) * beta / design.scale, errors, hessians, iterations
 
 
 _MESSAGES = {RankDeficientDesign: "design matrix is rank deficient",

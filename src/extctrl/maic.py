@@ -4,10 +4,10 @@ Trial subjects get exponential-tilt weights w_i = exp(x_i' alpha), with
 covariates centered at the published external means, so the weighted trial
 covariate means match the external ones. The target population is the
 external control population (ATC). The moment condition is solved by
-minimizing the convex objective sum_i exp(x_i' alpha) by the rules of the
-logistic Newton core in ``glm`` (unit-norm columns, full steps, a stop on the
-Newton decrement, its rank check and Konis's program for the trial convex
-hull), so no verdict depends on covariate units.
+minimizing the convex objective sum_i exp(x_i' alpha) in the Newton core of
+``glm``, the one the logistic fits run (unit-norm columns, full steps, a stop
+on the Newton decrement, its rank check and Konis's program, which here tests
+the trial convex hull), so no verdict depends on covariate units.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ import numpy as np
 
 from .balancing import effective_sample_size
 from .dataset import AggregateSummary, Dataset, Group
-from .errors import AllWeightsZero, CollinearCovariates, NoConvergence, TargetOutsideSupport
+from .errors import (AllWeightsZero, CollinearCovariates, NoConvergence, RankDeficientDesign,
+                     SeparationDetected, TargetOutsideSupport)
 from .estimators import EffectReport, Scale, check_scale, contrast_on_scale, weights_table
-from .glm import (_EPS, _ETA_BOUND, DEFAULT_MAX_ITER, DEFAULT_TOL, _ill_conditioned,
-                  _separated, _unit_columns)
+from .glm import _EPS, DEFAULT_MAX_ITER, DEFAULT_TOL, LogisticDesign, _newton
 
 TARGET_POPULATION = "external control population (ATC)"
 
@@ -54,7 +54,8 @@ def maic_weights(
     The objective has a minimum exactly when the target lies inside the trial
     convex hull; otherwise some alpha != 0 has x_i' alpha >= 0 on every
     centered row (TargetOutsideSupport). The covariates are CollinearCovariates
-    when their centered Gram matrix has eigenvalue ratio at most max(n, p) eps.
+    when their centered Gram matrix has eigenvalue ratio at most max(n, p) eps,
+    or when a step's Hessian is singular to rounding.
 
     Parameters
     ----------
@@ -71,39 +72,15 @@ def maic_weights(
     X = trial.covariate_matrix(names)
     mu = np.array([target.mean_of(c) for c in names])
     Xc = X - mu
-    ZT, scale = _unit_columns(Xc)
-    Z = ZT.T
-    n, p = Z.shape
-
-    def check_support():
-        if _separated(Xc, np.ones(n), np.ones(n)):
-            raise TargetOutsideSupport(f"target means {mu.tolist()} for {list(names)} lie "
-                                       "outside the interior of the trial convex hull")
-
-    a, tested = np.zeros(p), False  # tested: the support check has run
-    for iterations in range(1, DEFAULT_MAX_ITER + 1):
-        eta = Z @ a
-        if not tested and np.abs(eta).max() > _ETA_BOUND:
-            tested = True
-            check_support()
-        # The objective scaled so its largest term is 1: the step is unchanged,
-        # nothing overflows, and the decrement stays of order 1 on the way out
-        # of the hull and falls like exp(-|x'alpha|) towards its boundary.
-        w = np.exp(eta - eta.max())
-        grad = w @ Z
-        hess = (ZT * w) @ Z
-        if iterations == 1 and _ill_conditioned(hess[None], max(n, p) * _EPS)[0]:
-            raise CollinearCovariates("centered covariate matrix is rank deficient")
-        step = np.linalg.solve(hess, grad)
-        a -= step
-        if grad @ step < DEFAULT_TOL:
-            break
-    else:
-        if not tested:
-            check_support()
+    (alpha,), errors, _, iterations = _newton(LogisticDesign(Xc, np.zeros(len(Xc))), None,
+                                              DEFAULT_TOL, max(Xc.shape) * _EPS, tilt=True)
+    if errors[0] is SeparationDetected:
+        raise TargetOutsideSupport(f"target means {mu.tolist()} for {list(names)} lie "
+                                   "outside the interior of the trial convex hull")
+    if errors[0] is RankDeficientDesign:
+        raise CollinearCovariates("centered covariate matrix is rank deficient")
+    if errors[0] is NoConvergence:
         raise NoConvergence(f"MAIC did not converge in {DEFAULT_MAX_ITER} iterations")
-
-    alpha = a / scale
     w = np.exp(Xc @ alpha)
     achieved = mu + (w @ Xc) / np.sum(w)  # centered sums keep the digits of a small gap
     return MaicFit(

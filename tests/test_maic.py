@@ -16,8 +16,10 @@ from extctrl import (
     maic_compare,
     maic_weights,
 )
-from extctrl.errors import MissingColumn, SolverError, TargetOutsideSupport
-from extctrl.glm import DEFAULT_MAX_ITER
+from extctrl.errors import (CollinearCovariates, MissingColumn, NoConvergence, SolverError,
+                            TargetOutsideSupport)
+from extctrl.glm import (_EPS, _ETA_BOUND, DEFAULT_MAX_ITER, DEFAULT_TOL, _ill_conditioned,
+                         _separated, _unit_columns)
 
 from conftest import make_dataset
 
@@ -291,3 +293,77 @@ def test_covariate_units_change_neither_verdict_nor_achieved_means(problem):
     assert got_error is want_error
     if want is not None:
         assert want <= 1e-9 and got <= 1e-9
+
+
+def test_collinear_covariates_are_rejected():
+    # c2 = 2 c1 + 1 on every row: the centered Gram matrix has rank 1.
+    c1 = np.random.default_rng(3).normal(size=50)
+    with pytest.raises(CollinearCovariates):
+        tilt(np.column_stack([c1, 2.0 * c1 + 1.0]), (0.1, 1.2))
+
+
+def test_hessian_singular_during_solve_is_collinear(monkeypatch):
+    # A Hessian singular to rounding ends the tilt with the collinearity
+    # verdict, not a bare LinAlgError.
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(CollinearCovariates):
+        tilt(np.array([[0.0], [1.0], [2.0], [0.5]]), (0.8,))
+
+
+def reference_tilt(X, means):
+    """The tilt as a loop of its own: Newton steps on sum exp(x'alpha) over the
+    centered rows in unit-norm columns, the rank check at the start, the hull
+    test once |x'alpha| passes the bound or at the cap. Returns the error
+    class, or alpha and the number of steps."""
+    Xc = X - np.asarray(means)
+    ZT, scale = _unit_columns(Xc)
+    Z = ZT.T
+    n, p = Z.shape
+    a, tested = np.zeros(p), False
+    for iterations in range(1, DEFAULT_MAX_ITER + 1):
+        eta = Z @ a
+        if not tested and np.abs(eta).max() > _ETA_BOUND:
+            tested = True
+            if _separated(Xc, np.ones(n), np.ones(n)):
+                return TargetOutsideSupport, None, iterations
+        w = np.exp(eta - eta.max())
+        grad = w @ Z
+        hess = (ZT * w) @ Z
+        if iterations == 1 and _ill_conditioned(hess[None], max(n, p) * _EPS)[0]:
+            return CollinearCovariates, None, iterations
+        step = np.linalg.solve(hess, grad)
+        a -= step
+        if grad @ step < DEFAULT_TOL:
+            return None, a / scale, iterations
+    if not tested and _separated(Xc, np.ones(n), np.ones(n)):
+        return TargetOutsideSupport, None, iterations
+    return NoConvergence, None, iterations
+
+
+def test_tilt_matches_a_reference_loop():
+    verdicts = []
+    for seed in range(200):
+        rng = np.random.default_rng([seed, 24])
+        n, p = int(rng.choice([4, 10, 40, 300])), int(rng.integers(1, 4))
+        X = np.column_stack([rng.normal(size=n) if j % 2 else (rng.random(n) < 0.3) * 1.0
+                             for j in range(p)]) * 10.0 ** rng.uniform(-3, 4, size=p)
+        kind = ("inside", "outside", "collinear")[seed % 3]
+        if kind == "collinear" and p > 1:
+            X[:, -1] = 2.0 * X[:, 0] + 1.0
+        means = X.mean(axis=0) + (3.0 if kind == "outside" else 0.2) * X.std(axis=0) * (
+            rng.normal(size=p))
+        want, alpha, iterations = reference_tilt(X, means)
+        verdicts.append(want)
+        try:
+            fit = tilt(X, means)
+        except SolverError as exc:
+            assert type(exc) is want, seed
+            continue
+        assert want is None, seed
+        assert fit.iterations == iterations, seed
+        assert np.max(np.abs(fit.alpha - alpha)) <= 1e-12 * np.max(np.abs(alpha)), seed
+    # Every verdict but NoConvergence, which no such problem reaches, is met.
+    assert {None, TargetOutsideSupport, CollinearCovariates} <= set(verdicts)

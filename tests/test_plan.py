@@ -254,6 +254,23 @@ def test_weighting_needs_a_covariate(inputs, tmp_path, capsys):
     assert "no covariate" in capsys.readouterr().err
 
 
+def test_weighting_on_constant_covariates_is_missing_column(inputs, tmp_path, capsys):
+    # Every covariate constant once left an intercept-only propensity model
+    # too: exit 0 with the unadjusted comparison. One constant covariate beside
+    # an informative one is dropped and the plan runs.
+    lines = open(inputs["binary"], encoding="utf-8").read().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    path = tmp_path / "constant.csv"
+    path.write_text("\n".join([lines[0], *(",".join([*r[:3], "1", *r[4:]]) for r in rows)])
+                    + "\n", encoding="utf-8")
+    doc = {"method": "weighting", "dataset": str(path), "estimand": "ate"}
+    assert _run_plan_file(tmp_path, inputs, {**doc, "covariates": ["severe"]}) == 3
+    assert "['severe'] are constant" in capsys.readouterr().err
+    assert _run_plan_file(tmp_path, inputs, {**doc, "covariates": ["severe", "age"]}) == 0
+    from extctrl import cli
+    assert cli.main(["ps-fit", str(path), "--covariates", "severe"]) == 3
+
+
 # A value for each plan key, and the keys each method reads, its required ones first.
 _integers = st.integers(-2**40, 2**40)
 PLAN_VALUES = {
