@@ -2,9 +2,27 @@
 
 Each replicate resamples subjects with replacement within each group and
 re-runs the full analysis pipeline, including re-estimation of any
-propensity or tilt model. Per-replicate RNG streams are derived from the
-root seed by mixing the replicate index through a fixed 64-bit hash, so
-serial and parallel execution produce identical results.
+propensity or tilt model.
+
+The stream rule: replicate i draws its subjects from
+``np.random.default_rng(replicate_seed(seed, i))``, where ``replicate_seed``
+mixes the index into the root seed through a fixed 64-bit hash. It draws
+``integers(0, k, size=k)`` over the k trial rows, then the same over the
+external rows (``_resample_rows``). So serial and parallel runs, and any
+block size, give every replicate the same subjects.
+
+The block draw reproduces that rule bit for bit for a block of replicates at
+once. It builds no Generator or SeedSequence and makes no ``integers`` call
+per replicate, whose set-up dominated the draw. It computes the block's
+replicate seeds and SeedSequence's mixing of them (the words of
+``SeedSequence(s).generate_state(4, np.uint64)``, which seed PCG64) in
+arrays, and seeds each replicate's PCG64 from its words through the
+``ISeedSequence`` hook. It reads that generator's raw 64-bit words and
+applies Lemire's multiply-and-reject (Lemire 2019, ACM TOMACS 29(1)), the
+method ``integers`` uses, to their 32-bit halves, low half first, over the
+whole block. A group of one row draws no word. A replicate that meets a
+rejected word, rare at these group sizes, is drawn again from its own words
+one group at a time.
 
 A resample is a vector of frequency weights on the fixed rows: how many
 times each subject was drawn (Efron & Tibshirani 1993, ch. 6). An analysis
@@ -15,6 +33,7 @@ streams, so replicate i refits the same subjects either way.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from collections import Counter
@@ -31,28 +50,118 @@ from .glm import REFIT
 
 MAX_FAILURE_FRACTION = 0.2
 
-# Entries in one count block (replicates x subjects). The count block and the
-# b x n work arrays of a batched refit are made once per bootstrap and reused
-# by every block and Newton step, so they hold a few hundred kB whatever n and
-# the number of replicates. They are reused because allocation, not arithmetic,
-# dominated: on a 2-vCPU host a fresh array of 256 kB or more cost about 6-7 ns
-# per element, against about 1 ns below 128 kB.
+# Entries in one block (replicates x subjects). The block draw's rows and raw
+# words, the count block and the b x n work arrays of a batched refit are made
+# once per bootstrap and reused by every block and Newton step, so they hold a
+# few hundred kB whatever n and the number of replicates. They are reused
+# because allocation, not arithmetic, dominated: on a 2-vCPU host a fresh array
+# of 256 kB or more cost about 6-7 ns per element, against about 1 ns below
+# 128 kB.
 _BLOCK_ELEMENTS = 32768
 
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
+_MASK32 = (1 << 32) - 1
 
 
-def _splitmix64(z: int) -> int:
-    z = (z + _SPLITMIX_GAMMA) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
+def _splitmix64(z: np.ndarray) -> np.ndarray:
+    # uint64 arrays wrap modulo 2**64.
+    z = z + _SPLITMIX_GAMMA
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    return z ^ (z >> 31)
+
+
+def _replicate_seeds(root_seed: int, indices) -> np.ndarray:
+    """``replicate_seed(root_seed, i)`` for each index i, as uint64."""
+    root = np.uint64(int(root_seed) & _MASK64)
+    return _splitmix64(root ^ _splitmix64(np.asarray(indices, dtype=np.uint64)))
 
 
 def replicate_seed(root_seed: int, index: int) -> int:
     """Independent 64-bit substream seed for one replicate (NumPy integer roots too)."""
-    return _splitmix64((int(root_seed) & _MASK64) ^ _splitmix64(index))
+    return int(_replicate_seeds(root_seed, [index])[0])
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+# SeedSequence's hash constants: the pool hash runs through 16, the output hash through 8.
+_HASH_POOL = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_HASH_OUT = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hashmix(words: np.ndarray, first: int, constants: np.ndarray) -> np.ndarray:
+    # Row r of words is hashed with SeedSequence's (first + r)-th hash constant.
+    w = (words ^ constants[first:first + len(words)]) * constants[first + 1:first + len(words) + 1]
+    return w ^ (w >> 16)
+
+
+def _seed_state(seeds: np.ndarray) -> np.ndarray:
+    """``SeedSequence(s).generate_state(4, np.uint64)`` for each uint64 seed s: b x 4.
+
+    A seed is two 32-bit entropy words, low first. SeedSequence hashes a pool
+    of four words and pads the entropy with zeros, so a seed below 2**32,
+    which it reads as one word, gives the same pool.
+    """
+    pool = np.zeros((4, len(seeds)), dtype=np.uint32)
+    pool[0], pool[1] = seeds & _MASK32, seeds >> 32
+    pool = _hashmix(pool, 0, _HASH_POOL)
+    # Each word is mixed into the other three, in order; only the others change.
+    for src, first in zip(range(4), range(4, 16, 3)):
+        others = [dst for dst in range(4) if dst != src]
+        mixed = pool[others] * _MIX_L - _hashmix(pool[[src] * 3], first, _HASH_POOL) * _MIX_R
+        pool[others] = mixed ^ (mixed >> 16)
+    out = _hashmix(np.concatenate([pool, pool]), 0, _HASH_OUT).astype(np.uint64)
+    return np.ascontiguousarray((out[0::2] | out[1::2] << 32).T)
+
+
+@functools.cache
+def _pcg64() -> Callable[[np.ndarray], object]:
+    """PCG64 seeded with given SeedSequence words (imports ``numpy.random``)."""
+    from numpy.random import PCG64
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return lambda words: PCG64(SeedWords(words))
+
+
+def _bounded_draws(bitgen, draws) -> list[np.ndarray]:
+    """``Generator(bitgen).integers(0, k, size=m)`` for each (k, m) in draws in turn.
+
+    The values, and the words they use, are the generator's. It takes the
+    32-bit halves of the raw words, low half first, and applies Lemire's
+    method to each: the value is the high 32 bits of its product with k, and
+    a half is rejected, and the next one used, when the low 32 bits fall
+    below 2**32 mod k. A bound of 1 reads no word. Bounds are at most 2**32.
+    """
+    halves, out = np.empty(0, dtype=np.uint32), []
+    for k, m in draws:
+        if k < 2:
+            out.append(np.zeros(m, dtype=np.int64))
+            continue
+        got, need = [np.empty(0, dtype=np.int64)], m
+        while need:
+            if len(halves) < need:
+                raw = bitgen.random_raw((need - len(halves) + 1) // 2).astype("<u8")
+                halves = np.concatenate([halves, raw.view("<u4")])
+            product = halves[:need] * np.uint64(k)
+            kept = (product & _MASK32) >= (1 << 32) % k
+            got.append((product[kept] >> 32).astype(np.int64))
+            halves, need = halves[need:], need - np.count_nonzero(kept)
+        out.append(np.concatenate(got))
+    return out
 
 
 @dataclass(frozen=True)
@@ -102,7 +211,50 @@ def resample_dataset(data: Dataset, rng: np.random.Generator) -> Dataset:
 
 
 def _replicate_rng(config: BootstrapConfig, index: int) -> np.random.Generator:
+    # The stream rule's generator for one replicate; the block draw reproduces it.
     return np.random.default_rng(replicate_seed(config.seed, index))
+
+
+def _block_draw(group_rows, root_seed: int, size: int) -> Callable[[np.ndarray], np.ndarray]:
+    """A function of at most ``size`` replicate indices returning their resamples.
+
+    Row j of the result is ``_resample_rows(*group_rows, rng)`` for the
+    generator of replicate ``indices[j]``. The result is a view of a buffer
+    that the next call refills.
+    """
+    pcg64 = _pcg64()
+    sizes = [len(rows) for rows in group_rows]
+    draws = [k if k > 1 else 0 for k in sizes]  # a group of one row draws no word
+    rows = np.empty((size, sum(sizes)), dtype=np.intp)
+    raw = np.empty((size, (sum(draws) + 1) // 2), dtype="<u8")
+
+    def draw(indices: np.ndarray) -> np.ndarray:
+        b = len(indices)
+        states = _seed_state(_replicate_seeds(root_seed, indices))
+        for j in range(b):
+            raw[j] = pcg64(states[j]).random_raw(raw.shape[1])
+        halves = raw[:b].view("<u4")
+        rejected = np.zeros(b, dtype=bool)
+        col = pos = 0
+        for group, k in zip(group_rows, draws):
+            if k:
+                # Lemire's method, as in _bounded_draws; the low half of the
+                # product, which decides rejection, is the uint32 product.
+                part = halves[:, pos:pos + k]
+                rejected |= (part * np.uint32(k) < (1 << 32) % k).any(axis=1)
+                high = part * np.uint64(k)
+                high >>= 32
+                rows[:b, col:col + k] = group.take(high.view(np.int64))
+                pos += k
+            else:
+                rows[:b, col:col + len(group)] = group
+            col += len(group)
+        for j in np.flatnonzero(rejected):
+            picked = _bounded_draws(pcg64(states[j]), zip(sizes, sizes))
+            rows[j] = np.concatenate([group[p] for group, p in zip(group_rows, picked)])
+        return rows[:b]
+
+    return draw
 
 
 def replicate_estimates(
@@ -119,35 +271,44 @@ def replicate_estimates(
     """
     values = np.full(config.replicates, np.nan)
     errors: list[Optional[str]] = [None] * config.replicates
+    n = len(data)
+    size = min(max(1, _BLOCK_ELEMENTS // n), config.replicates)
+    draw = _block_draw(data.group_rows, config.seed, size)
 
-    def one(index: int) -> tuple[float, Optional[str]]:
-        sample = resample_dataset(data, _replicate_rng(config, index))
+    pending = np.arange(config.replicates)
+    batch = getattr(analysis, "batch", None)
+    if batch is not None:
+        refit = []
+        fit_block = batch(data)
+        counts = np.empty((size, n))  # refilled in place for every block
+        for start in range(0, config.replicates, size):
+            block = pending[start:start + size]
+            rows = draw(block)
+            rows += np.arange(0, len(block) * n, n)[:, None]
+            counts[:len(block)] = np.bincount(rows.ravel(), minlength=rows.size).reshape(-1, n)
+            estimates, block_errors = fit_block(counts[:len(block)])
+            for i, value, error in zip(block.tolist(), estimates, block_errors):
+                if error is REFIT:
+                    refit.append(i)
+                elif error is None:
+                    values[i] = value
+                else:
+                    errors[i] = error.__name__
+        pending = np.array(refit, dtype=np.intp)
+
+    def one(rows: np.ndarray) -> tuple[float, Optional[str]]:
+        sample = data.take(rows)
         try:
             return analysis(sample), None
         except ExtCtrlError as exc:
             return math.nan, type(exc).__name__
 
-    pending = range(config.replicates)
-    batch = getattr(analysis, "batch", None)
-    if batch is not None:
-        pending = []
-        fit_block = batch(data)
-        n = len(data)
-        size = min(max(1, _BLOCK_ELEMENTS // n), config.replicates)
-        counts = np.empty((size, n))  # refilled in place for every block
-        for start in range(0, config.replicates, size):
-            block = range(start, min(start + size, config.replicates))
-            for row, i in zip(counts, block):
-                row[:] = np.bincount(_resample_rows(*data.group_rows, _replicate_rng(config, i)),
-                                     minlength=n)
-            estimates, block_errors = fit_block(counts[:len(block)])
-            for i, value, error in zip(block, estimates, block_errors):
-                if error is REFIT:
-                    pending.append(i)
-                elif error is None:
-                    values[i] = value
-                else:
-                    errors[i] = error.__name__
+    def run(map_replicates) -> None:
+        for start in range(0, len(pending), size):
+            block = pending[start:start + size]
+            # Results come back in index order, keeping the reduction deterministic.
+            for i, (value, error) in zip(block.tolist(), map_replicates(one, draw(block))):
+                values[i], errors[i] = value, error
 
     threads = config.threads
     if threads == 0:
@@ -155,12 +316,9 @@ def replicate_estimates(
         threads = int(env) if env.isdecimal() and int(env) > 0 else 1
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            # map() yields in index order, keeping reduction deterministic.
-            results = list(pool.map(one, pending))
+            run(pool.map)
     else:
-        results = [one(i) for i in pending]
-    for i, (value, error) in zip(pending, results):
-        values[i], errors[i] = value, error
+        run(map)
     return values, errors
 
 

@@ -90,3 +90,17 @@ def test_commands_start_without_scipy(tmp_path):
     report = json.loads((out / "power_prior" / "report.json").read_text(encoding="utf-8"))
     want = power_prior_posterior(**counts).to_dict()
     assert report["posterior"] == json.loads(json.dumps(want))
+
+
+def test_import_loads_no_numpy_random():
+    # Importing numpy.random costs about 15 ms; only a bootstrap draws with it,
+    # and it imports numpy.random when it runs.
+    code = ("import sys, extctrl, extctrl.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))")
+    src = str(Path(extctrl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
