@@ -160,6 +160,18 @@ def weighted_mean_contrast(
     )
 
 
+def _tie_runs(t_sorted: np.ndarray):
+    """``np.unique(t_sorted, return_inverse=True)`` of sorted times, without
+    sorting them again: the distinct times start the runs of ties, and a
+    row's index among them counts the starts up to it. NaNs sort last and,
+    as in ``np.unique``, are one value."""
+    starts = np.empty(len(t_sorted), dtype=bool)
+    starts[:1] = True
+    np.not_equal(t_sorted[1:], t_sorted[:-1], out=starts[1:])
+    starts[np.searchsorted(t_sorted, np.nan) + 1:] = False
+    return t_sorted[starts], np.cumsum(starts) - 1
+
+
 def weighted_km(
     times: np.ndarray, events: np.ndarray, weights: np.ndarray
 ) -> SurvivalCurve:
@@ -184,7 +196,7 @@ def weighted_km(
     died = events[order] == 1
     w_sorted = weights[order]
 
-    uniq, inverse = np.unique(t_sorted, return_inverse=True)
+    uniq, inverse = _tie_runs(t_sorted)
     deaths = np.bincount(inverse, weights=w_sorted * died, minlength=len(uniq))
     # Weight at risk: per-time totals summed from the last time back. Ties
     # sum in row order as in the definition, and a final event leaves S at

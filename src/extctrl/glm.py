@@ -19,6 +19,17 @@ and Newton weights are known exactly, and computes neither.
   only for a fit whose linear predictor leaves the plausible range or that
   runs out of steps.
 
+The step solve and the rank checks call the LAPACK gufuncs behind
+``np.linalg.solve`` and ``np.linalg.eigvalsh`` (``_umath_linalg.solve`` and
+``eigvalsh_lo``, signatures ``dd->d`` and ``d->d``) directly. On the 2 x 2
+systems of a bootstrap replicate most of a wrapper call is its Python set-up
+(array conversion, type checks and a fresh ``errstate``), about three times
+the LAPACK call, and a fit solves once per step. The results are the wrappers',
+bit for bit, which ``tests/test_glm.py::test_gufuncs_match_the_public_wrappers``
+pins (CI runs it on the lowest NumPy allowed, as the module is private). A
+gufunc reports failure in its results, not by exception: the step of a
+singular Hessian is NaN, as is an eigenvalue LAPACK did not converge to.
+
 Linear fits solve by QR. Inference is bootstrap-based elsewhere, so no
 Hessian-derived standard errors are reported here.
 """
@@ -29,8 +40,12 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import ConstantResponse, NoConvergence, RankDeficientDesign, SeparationDetected
+
+# The one call point of each LAPACK gufunc (see the module docstring).
+_solve, _eigvalsh = _umath_linalg.solve, _umath_linalg.eigvalsh_lo
 
 # Decrement below which a fit takes its last step and stops. It is
 # dimensionless (twice the log-likelihood gain the step predicts), and Newton's
@@ -90,9 +105,11 @@ def expit(eta: np.ndarray) -> np.ndarray:
 
 
 def _ill_conditioned(H: np.ndarray, cut: float) -> np.ndarray:
-    """Per stacked symmetric matrix: eigenvalue ratio at most ``cut`` (a zero matrix too)."""
-    eig = np.linalg.eigvalsh(H)
-    return eig[:, 0] <= cut * eig[:, -1]
+    """Per stacked symmetric matrix: eigenvalue ratio at most ``cut`` (a zero
+    matrix too), or eigenvalues NaN, where LAPACK did not converge."""
+    with np.errstate(invalid="ignore"):
+        eig = _eigvalsh(H, signature="d->d")
+    return ~(eig[:, 0] > cut * eig[:, -1])
 
 
 def _unit_columns(X: np.ndarray):
@@ -179,7 +196,8 @@ def _newton(design, counts, tol, cut, tilt=False):
     towards the boundary of the rows' convex hull; the separation test asks
     whether 0 lies outside the interior of that hull. A fit is
     RankDeficientDesign when the Hessian at the start, X' diag(c) X, has
-    eigenvalue ratio at most ``cut``. ``counts`` None is one fit of every row
+    eigenvalue ratio at most ``cut``, and every fit of the block is when a
+    later Hessian is singular to rounding. ``counts`` None is one fit of every row
     once, and its steps skip the counts. Each step writes into the design's
     work arrays; the fits still running hold their first rows, and ``counts``
     is copied there, never written.
@@ -214,71 +232,72 @@ def _newton(design, counts, tol, cut, tilt=False):
         c = None if c is None else c[:k]
         return k
 
-    for iterations in range(1, DEFAULT_MAX_ITER + 1):
-        if iterations == 1:
-            # At beta = 0 every tanh u is 0 and every tilt term 1, so the residuals are the
-            # signs and the Newton weights 1, each times its count: the values the step
-            # below would compute, to the bit. v holds the weights (1.0 without counts).
-            v = 1.0 if c is None else c
-            np.multiply(design.sign, v, out=r)
-        else:
-            np.matmul(B, XT, out=t)
-            if tilt:
-                far = np.abs(t).max(axis=1) > _ETA_BOUND
-                np.exp(np.subtract(t, t.max(axis=1, keepdims=True), out=w), out=w)
-                np.multiply(design.sign, w, out=r)
+    with np.errstate(invalid="ignore"):  # LAPACK's NaN step of a singular Hessian is read below
+        for iterations in range(1, DEFAULT_MAX_ITER + 1):
+            if iterations == 1:
+                # At beta = 0 every tanh u is 0 and every tilt term 1, so the residuals are the
+                # signs and the Newton weights 1, each times its count: the values the step
+                # below would compute, to the bit. v holds the weights (1.0 without counts).
+                v = 1.0 if c is None else c
+                np.multiply(design.sign, v, out=r)
             else:
-                np.tanh(t, out=t)
-                # 1 - t^2, below _W_BOUND where |x'beta| > _ETA_BOUND
-                np.subtract(1.0, np.multiply(t, t, out=w), out=w)
-                np.subtract(design.sign, t, out=r)
-                far = (w.min(axis=1) < _W_BOUND if np.minimum.reduce(w, axis=None) < _W_BOUND
-                       else None)
-            if far is not None and far.any():
-                for k in np.flatnonzero(far & ~tested[fits]):
-                    tested[fits[k]] = True
-                    if _separated(design.X, design.y, None if c is None else c[k]):
-                        errors[fits[k]] = SeparationDetected
-                if not stop([errors[i] is None for i in fits]):
-                    break
-            if c is not None:
-                np.multiply(c, r, out=r)
-                np.multiply(c, w, out=w)
-            v = w
-        score = r @ X
-        if outer is None:
-            H = (np.multiply(XT, v, out=P) @ X)[None]
-        else:
-            H = (v @ outer).reshape(-1, p, p)
-        if iterations == 1:
-            ill = _ill_conditioned(H, cut)
-            if np.count_nonzero(ill):
-                for i in fits[ill]:
+                np.matmul(B, XT, out=t)
+                if tilt:
+                    far = np.abs(t).max(axis=1) > _ETA_BOUND
+                    np.exp(np.subtract(t, t.max(axis=1, keepdims=True), out=w), out=w)
+                    np.multiply(design.sign, w, out=r)
+                else:
+                    np.tanh(t, out=t)
+                    # 1 - t^2, below _W_BOUND where |x'beta| > _ETA_BOUND
+                    np.subtract(1.0, np.multiply(t, t, out=w), out=w)
+                    np.subtract(design.sign, t, out=r)
+                    far = (w.min(axis=1) < _W_BOUND if np.minimum.reduce(w, axis=None) < _W_BOUND
+                           else None)
+                if far is not None and far.any():
+                    for k in np.flatnonzero(far & ~tested[fits]):
+                        tested[fits[k]] = True
+                        if _separated(design.X, design.y, None if c is None else c[k]):
+                            errors[fits[k]] = SeparationDetected
+                    if not stop([errors[i] is None for i in fits]):
+                        break
+                if c is not None:
+                    np.multiply(c, r, out=r)
+                    np.multiply(c, w, out=w)
+                v = w
+            score = r @ X
+            if outer is None:
+                H = (np.multiply(XT, v, out=P) @ X)[None]
+            else:
+                H = (v @ outer).reshape(-1, p, p)
+            if iterations == 1:
+                ill = _ill_conditioned(H, cut)
+                if np.count_nonzero(ill):
+                    for i in fits[ill]:
+                        errors[i] = RankDeficientDesign
+                    score, H = score[~ill], H[~ill]
+                    if not stop(~ill):
+                        break
+            step = _solve(H, score[:, :, None], signature="dd->d")[:, :, 0]
+            decrement = np.add.reduce(score * step, axis=1)
+            if not np.isfinite(decrement).all():  # a Hessian singular to rounding
+                for i in fits:  # the batch refits the block
                     errors[i] = RankDeficientDesign
-                score, H = score[~ill], H[~ill]
-                if not stop(~ill):
-                    break
-        try:
-            step = np.linalg.solve(H, score[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:  # a Hessian singular to rounding; the batch refits
-            for i in fits:
-                errors[i] = RankDeficientDesign
-            break
-        B += step
-        done = np.add.reduce(score * step, axis=1) < tol
-        finished = np.count_nonzero(done)
-        if finished == b:  # every fit converged at this step
-            beta, hessians = B, H
-            break
-        if finished:
-            beta[fits[done]], hessians[fits[done]] = B[done], H[done]
-            if not stop(~done):
                 break
-    else:
-        for k, i in enumerate(fits):
-            separated = not tested[i] and _separated(design.X, design.y,
-                                                     None if c is None else c[k])
-            errors[i] = SeparationDetected if separated else NoConvergence
+            B += step
+            done = decrement < tol
+            finished = np.count_nonzero(done)
+            if finished == b:  # every fit converged at this step
+                beta, hessians = B, H
+                break
+            if finished:
+                beta[fits[done]], hessians[fits[done]] = B[done], H[done]
+                if not stop(~done):
+                    break
+        else:
+            for k, i in enumerate(fits):
+                separated = not tested[i] and _separated(design.X, design.y,
+                                                         None if c is None else c[k])
+                errors[i] = SeparationDetected if separated else NoConvergence
     return (1.0 if tilt else 2.0) * beta / design.scale, errors, hessians, iterations
 
 

@@ -17,6 +17,7 @@ from extctrl import (
     weighted_km_by_group,
     weighted_mean_contrast,
 )
+from extctrl import estimators
 from extctrl.balancing import WeightSet
 from extctrl.errors import (
     AllWeightsZero,
@@ -186,6 +187,32 @@ def test_km_curve_non_increasing_and_bounded():
     assert np.all(np.diff(curve.survival) <= 1e-15)
     assert np.all(curve.survival >= -1e-15)
     assert np.all(curve.survival <= 1.0)
+
+
+def test_tie_runs_equal_unique_on_tied_times():
+    # 25k times on a grid of 0.1, about 150 distinct values, then the same
+    # with infinite and NaN times (np.unique counts every NaN as one value).
+    times = np.round(np.random.default_rng(4).exponential(2.0, 25_000), 1)
+    for bad in ([], [np.inf, np.inf], [np.nan], [np.nan, np.inf, np.nan, np.nan]):
+        t = np.sort(np.concatenate([times, bad]))
+        uniq, inverse = estimators._tie_runs(t)
+        want_uniq, want_inverse = np.unique(t, return_inverse=True)
+        assert uniq.tobytes() == want_uniq.tobytes()
+        assert inverse.tobytes() == want_inverse.tobytes()
+
+
+def test_km_curves_are_those_of_unique(monkeypatch):
+    # The curves read from the runs of ties are those read from np.unique, to the byte.
+    rng = np.random.default_rng(6)
+    times = np.round(rng.exponential(2.0, 5_000), 1)
+    events = rng.integers(0, 2, size=5_000)
+    weights = rng.uniform(0.0, 3.0, size=5_000)
+    curve = weighted_km(times, events, weights)
+    monkeypatch.setattr(estimators, "_tie_runs", lambda t: np.unique(t, return_inverse=True))
+    want = weighted_km(times, events, weights)
+    for name in ("times", "survival", "at_risk"):
+        assert getattr(curve, name).tobytes() == getattr(want, name).tobytes()
+    assert curve.last_time == want.last_time
 
 
 def test_km_ties_events_before_censorings():

@@ -1,11 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from extctrl import add_intercept, fit_linear, fit_logistic
-from extctrl.glm import DEFAULT_MAX_ITER, REFIT, LogisticDesign, fit_logistic_counts
+from extctrl import add_intercept, fit_linear, fit_logistic, glm
+from extctrl.glm import (DEFAULT_MAX_ITER, DEFAULT_TOL, REFIT, LogisticDesign, _newton,
+                         fit_logistic_counts)
 from extctrl.errors import (
     ConstantResponse,
     RankDeficientDesign,
@@ -169,10 +172,64 @@ def test_hessian_singular_during_fit_is_rank_deficient(monkeypatch):
     # error, and the batch leaves the replicate to fit_logistic.
     X, y = toy_design()
 
-    def singular(*args):
-        raise np.linalg.LinAlgError("Singular matrix")
+    def singular(H, score, signature):  # LAPACK's step for a singular Hessian
+        return np.full(score.shape, np.nan)
 
-    monkeypatch.setattr(np.linalg, "solve", singular)
+    monkeypatch.setattr(glm, "_solve", singular)
+    with pytest.raises(RankDeficientDesign):
+        fit_logistic(X, y)
+    assert fit_logistic_counts(LogisticDesign(X, y), np.ones((2, len(y))))[1] == [REFIT, REFIT]
+
+
+def spd_stack(rng, b, p):
+    """b symmetric positive-definite p x p matrices Q diag(lam) Q': every
+    third has its smallest eigenvalue 1e-8 to 1e-15 of its largest."""
+    Q = np.linalg.qr(rng.normal(size=(b, p, p)))[0]
+    lam = rng.uniform(1.0, 10.0, size=(b, p))
+    lam[::3, 0] = 10.0 ** -rng.uniform(8.0, 15.0, size=len(lam[::3]))
+    return (Q * lam[:, None, :]) @ Q.transpose(0, 2, 1)
+
+
+@pytest.mark.parametrize("b", [1, 7, 64])
+@pytest.mark.parametrize("p", range(1, 7))
+def test_gufuncs_match_the_public_wrappers(b, p):
+    # The Newton core calls LAPACK's gufuncs without NumPy's wrappers; on
+    # the same arrays they must give the wrappers' results to the byte.
+    rng = np.random.default_rng(1000 * b + p)
+    H, score = spd_stack(rng, b, p), rng.normal(size=(b, p))
+    step = glm._solve(H, score[:, :, None], signature="dd->d")
+    assert step.tobytes() == np.linalg.solve(H, score[:, :, None]).tobytes()
+    eig = glm._eigvalsh(H, signature="d->d")
+    assert eig.tobytes() == np.linalg.eigvalsh(H).tobytes()
+
+
+def test_gufunc_singular_hessian_ends_the_block_without_warning():
+    # Replicate 1 holds only rows where x is 0, so its Hessian has an exactly
+    # zero row. With the rank check at the start off (a cut of -inf), its
+    # step's solve is singular: LAPACK returns NaN, which ends the whole block
+    # as RankDeficientDesign, as the wrapper's LinAlgError did, with no
+    # RuntimeWarning (pyproject.toml turns those into errors).
+    rng = np.random.default_rng(3)
+    x = np.where(np.arange(40) < 10, 0.0, rng.normal(size=40))
+    y = (np.arange(40) % 3 == 0).astype(float)
+    counts = np.ones((3, 40))
+    counts[1, 10:] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        beta, errors, _, _ = _newton(LogisticDesign(add_intercept(x), y), counts,
+                                     DEFAULT_TOL, -np.inf)
+    assert errors == [RankDeficientDesign] * 3
+    assert np.isnan(beta).all()
+
+
+def test_gufunc_nan_eigenvalue_is_rank_deficient(monkeypatch):
+    # LAPACK returns NaN eigenvalues when it does not converge; the rank check
+    # reads them as ill-conditioned, a typed error and not a LinAlgError.
+    def unconverged(H, signature):
+        return np.full(H.shape[:-1], np.nan)
+
+    monkeypatch.setattr(glm, "_eigvalsh", unconverged)
+    X, y = toy_design()
     with pytest.raises(RankDeficientDesign):
         fit_logistic(X, y)
     assert fit_logistic_counts(LogisticDesign(X, y), np.ones((2, len(y))))[1] == [REFIT, REFIT]
