@@ -184,10 +184,11 @@ def weighted_km(
     times = np.asarray(times, dtype=float)
     events = np.asarray(events, dtype=int)
     weights = np.asarray(weights, dtype=float)
-    if np.any(times < 0):
-        raise ParameterOutOfRange("negative follow-up time")
-    if np.any(weights < 0):
-        raise ParameterOutOfRange("negative weight")
+    # Written so that NaN fails too.
+    if not np.all(times >= 0):
+        raise ParameterOutOfRange("negative or NaN follow-up time")
+    if not np.all(weights >= 0):
+        raise ParameterOutOfRange("negative or NaN weight")
     if float(np.sum(weights)) <= 0:
         raise AllWeightsZero("all survival weights are zero")
 

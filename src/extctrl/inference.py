@@ -21,8 +21,8 @@ arrays, and seeds each replicate's PCG64 from its words through the
 applies Lemire's multiply-and-reject (Lemire 2019, ACM TOMACS 29(1)), the
 method ``integers`` uses, to their 32-bit halves, low half first, over the
 whole block. A group of one row draws no word. A replicate that meets a
-rejected word, rare at these group sizes, is drawn again from its own words
-one group at a time.
+rejected word, rare at these group sizes, is drawn again by the stream rule
+itself: ``_resample_rows`` on a NumPy Generator over its own PCG64.
 
 A resample is a vector of frequency weights on the fixed rows: how many
 times each subject was drawn (Efron & Tibshirani 1993, ch. 6). An analysis
@@ -137,33 +137,6 @@ def _pcg64() -> Callable[[np.ndarray], object]:
     return lambda words: PCG64(SeedWords(words))
 
 
-def _bounded_draws(bitgen, draws) -> list[np.ndarray]:
-    """``Generator(bitgen).integers(0, k, size=m)`` for each (k, m) in draws in turn.
-
-    The values, and the words they use, are the generator's. It takes the
-    32-bit halves of the raw words, low half first, and applies Lemire's
-    method to each: the value is the high 32 bits of its product with k, and
-    a half is rejected, and the next one used, when the low 32 bits fall
-    below 2**32 mod k. A bound of 1 reads no word. Bounds are at most 2**32.
-    """
-    halves, out = np.empty(0, dtype=np.uint32), []
-    for k, m in draws:
-        if k < 2:
-            out.append(np.zeros(m, dtype=np.int64))
-            continue
-        got, need = [np.empty(0, dtype=np.int64)], m
-        while need:
-            if len(halves) < need:
-                raw = bitgen.random_raw((need - len(halves) + 1) // 2).astype("<u8")
-                halves = np.concatenate([halves, raw.view("<u4")])
-            product = halves[:need] * np.uint64(k)
-            kept = (product & _MASK32) >= (1 << 32) % k
-            got.append((product[kept] >> 32).astype(np.int64))
-            halves, need = halves[need:], need - np.count_nonzero(kept)
-        out.append(np.concatenate(got))
-    return out
-
-
 @dataclass(frozen=True)
 class BootstrapConfig:
     replicates: int = 1000
@@ -210,11 +183,6 @@ def resample_dataset(data: Dataset, rng: np.random.Generator) -> Dataset:
     return data.take(_resample_rows(*data.group_rows, rng))
 
 
-def _replicate_rng(config: BootstrapConfig, index: int) -> np.random.Generator:
-    # The stream rule's generator for one replicate; the block draw reproduces it.
-    return np.random.default_rng(replicate_seed(config.seed, index))
-
-
 def _block_draw(group_rows, root_seed: int, size: int) -> Callable[[np.ndarray], np.ndarray]:
     """A function of at most ``size`` replicate indices returning their resamples.
 
@@ -238,8 +206,8 @@ def _block_draw(group_rows, root_seed: int, size: int) -> Callable[[np.ndarray],
         col = pos = 0
         for group, k in zip(group_rows, draws):
             if k:
-                # Lemire's method, as in _bounded_draws; the low half of the
-                # product, which decides rejection, is the uint32 product.
+                # Lemire's method, as in Generator.integers; the low half of
+                # the product, which decides rejection, is the uint32 product.
                 part = halves[:, pos:pos + k]
                 rejected |= (part * np.uint32(k) < (1 << 32) % k).any(axis=1)
                 high = part * np.uint64(k)
@@ -250,8 +218,7 @@ def _block_draw(group_rows, root_seed: int, size: int) -> Callable[[np.ndarray],
                 rows[:b, col:col + len(group)] = group
             col += len(group)
         for j in np.flatnonzero(rejected):
-            picked = _bounded_draws(pcg64(states[j]), zip(sizes, sizes))
-            rows[j] = np.concatenate([group[p] for group, p in zip(group_rows, picked)])
+            rows[j] = _resample_rows(*group_rows, np.random.Generator(pcg64(states[j])))
         return rows[:b]
 
     return draw

@@ -129,6 +129,23 @@ def test_stc_replicates_match_pipeline(link, scale, kind):
     )
 
 
+def test_stc_batch_on_pooled_data_matches_the_pipeline():
+    # A library bootstrap of STC may resample trial and external rows together.
+    # The batch then fits each replicate's counts on the trial rows alone, and
+    # must give what the same analysis gives without its batch.
+    class Unbatched(StcAnalysis):
+        batch = None
+
+    pooled = make_data(np.random.default_rng(3), 500)
+    assert 0 < pooled.n_external < len(pooled)
+    args = binary_target(), None, Scale.RISK_DIFFERENCE
+    config = BootstrapConfig(replicates=200, seed=9)
+    got, got_errors = replicate_estimates(StcAnalysis(*args), pooled, config)
+    want, want_errors = replicate_estimates(Unbatched(*args), pooled, config)
+    assert got_errors == want_errors == [None] * config.replicates
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
 def test_small_n_failures_match_pipeline():
     trial = small_data().restrict(Group.TRIAL)
     config = BootstrapConfig(replicates=40, seed=1)

@@ -308,9 +308,11 @@ def _positivity_band(a):
     lambda: _positivity_band(0.5),
     lambda: weighted_km([1.0, -1.0], [1, 0], [1.0, 1.0]),
     lambda: weighted_km([1.0, 2.0], [1, 0], [1.0, -1.0]),
+    lambda: weighted_km([1.0, np.nan], [1, 0], [1.0, 1.0]),
+    lambda: weighted_km([1.0, 2.0], [1, 0], [1.0, np.nan]),
     lambda: survival_contrast(weighted_km([1.0], [1], [1.0]), weighted_km([1.0], [1], [1.0]), -1.0),
 ], ids=["trim-a", "untrimmed-a", "positivity-band", "negative-time", "negative-weight",
-        "negative-horizon"])
+        "nan-time", "nan-weight", "negative-horizon"])
 def test_bad_argument_is_parameter_out_of_range(call):
     with pytest.raises(ParameterOutOfRange):
         call()

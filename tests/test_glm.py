@@ -11,6 +11,7 @@ from extctrl.glm import (DEFAULT_MAX_ITER, DEFAULT_TOL, REFIT, LogisticDesign, _
                          fit_logistic_counts)
 from extctrl.errors import (
     ConstantResponse,
+    NoConvergence,
     RankDeficientDesign,
     SeparationDetected,
     SolverError,
@@ -179,6 +180,21 @@ def test_hessian_singular_during_fit_is_rank_deficient(monkeypatch):
     with pytest.raises(RankDeficientDesign):
         fit_logistic(X, y)
     assert fit_logistic_counts(LogisticDesign(X, y), np.ones((2, len(y))))[1] == [REFIT, REFIT]
+
+
+def test_iteration_cap_is_no_convergence(monkeypatch):
+    # No other test's fit reaches DEFAULT_MAX_ITER. At a cap of 2 steps the
+    # toy fit has not converged: fit_logistic raises NoConvergence and the
+    # batch leaves every replicate to it. A separated design that the cap
+    # stops before any |x'beta| passes _ETA_BOUND is still SeparationDetected.
+    monkeypatch.setattr(glm, "DEFAULT_MAX_ITER", 2)
+    X, y = toy_design()
+    with pytest.raises(NoConvergence):
+        fit_logistic(X, y)
+    assert fit_logistic_counts(LogisticDesign(X, y), np.ones((3, len(y))))[1] == [REFIT] * 3
+    y = np.array([0, 0, 0, 1, 1, 1], dtype=float)
+    with pytest.raises(SeparationDetected):
+        fit_logistic(add_intercept(y.copy()), y)
 
 
 def spd_stack(rng, b, p):

@@ -21,9 +21,8 @@ from extctrl import (
 from extctrl.errors import (InvalidConfig, PlanInvalid, PositivityHardFail, SolverError,
                             TooManyReplicateFailures)
 from extctrl.glm import DEFAULT_TOL
-from extctrl.inference import (_block_draw, _bounded_draws, _replicate_rng, _resample_rows,
-                               _seed_state, replicate_estimates, replicate_seed,
-                               resample_dataset)
+from extctrl.inference import (_block_draw, _resample_rows, _seed_state, replicate_estimates,
+                               replicate_seed, resample_dataset)
 
 from conftest import make_dataset
 
@@ -302,7 +301,7 @@ def test_custom_replicates_equal_the_analysis_and_reference_formulas_bit_for_bit
     assert errors == [None] * config.replicates
     analysis = WeightingAnalysis(Estimand(EstimandKind.ATE), Scale.RISK_DIFFERENCE)
     for i, value in enumerate(values):
-        sample = resample_dataset(data, _replicate_rng(config, i))
+        sample = resample_dataset(data, np.random.default_rng(replicate_seed(config.seed, i)))
         ref = _reference_replicate(sample)
         assert value == analysis(sample) == ref["point"]
         model = estimate_propensity(sample)
@@ -372,6 +371,24 @@ def test_block_rows_equal_the_stream_rule_after_a_rejected_word(n_external):
         assert np.array_equal(got[j], want)
 
 
+def test_block_rows_equal_the_stream_rule_when_half_the_block_is_redrawn():
+    # At k = 60,000 trial rows Lemire's method rejects a half with probability
+    # (2**32 mod k) / 2**32, about 1.1e-5, so about half of the replicates meet
+    # a rejected word: at root seed 0, replicates 0, 3, 4 and 6. Those are
+    # drawn again by NumPy's generator, in the same buffer as the others.
+    k = 60000
+    group_rows = (np.arange(k), np.arange(k, k + 3))
+    got = _block_draw(group_rows, 0, 8)(np.arange(8))
+    met = []
+    for i in range(8):
+        rng = np.random.default_rng(replicate_seed(0, i))
+        halves = rng.bit_generator.random_raw(k // 2).astype("<u8").view("<u4")
+        met.append(bool((halves * np.uint32(k) < 2**32 % k).any()))
+        want = _resample_rows(*group_rows, np.random.default_rng(replicate_seed(0, i)))
+        assert np.array_equal(got[i], want), i
+    assert met == [True, False, False, True, True, False, True, False]
+
+
 def test_block_draw_reuses_its_buffer_and_takes_any_indices():
     group_rows = (np.arange(0, 40, 2), np.arange(1, 40, 2))
     draw = _block_draw(group_rows, 3, 4)
@@ -380,24 +397,8 @@ def test_block_draw_reuses_its_buffer_and_takes_any_indices():
     second = draw(np.array([30]))
     assert np.shares_memory(first, second) and np.array_equal(second[0], kept[2])
     for j, i in enumerate([9, 2, 30]):
-        assert np.array_equal(kept[j], _resample_rows(*group_rows, _replicate_rng(
-            BootstrapConfig(replicates=2, seed=3), i)))
-
-
-@pytest.mark.parametrize("k", [2**31 + 1, 3 * 2**30 + 7, 2**32, 5, 2, 1])
-def test_bounded_draws_equal_generator_integers(k):
-    # At k = 2**31 + 1 about half of the words are rejected, at 3 * 2**30 + 7
-    # about a quarter. Consecutive draws share the generator's words: one that
-    # ends on a low half leaves the high half to the next.
-    from numpy.random import PCG64, Generator
-
-    for seed in range(5):
-        draws = [(k, 7), (k, 1000), (3, 4), (k, 1)]
-        got = _bounded_draws(PCG64(seed), draws)
-        rng = Generator(PCG64(seed))
-        for (bound, m), values in zip(draws, got):
-            want = rng.integers(0, bound, size=m)
-            assert values.dtype == want.dtype and np.array_equal(values, want)
+        assert np.array_equal(kept[j], _resample_rows(
+            *group_rows, np.random.default_rng(replicate_seed(3, i))))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])

@@ -52,6 +52,13 @@ def test_target_equal_to_trial_means_gives_uniform_weights():
     assert fit.ess == pytest.approx(4.0, abs=1e-8)
 
 
+def test_iteration_cap_is_no_convergence(monkeypatch):
+    # The 3/4 target below takes more than 2 Newton steps.
+    monkeypatch.setattr(glm, "DEFAULT_MAX_ITER", 2)
+    with pytest.raises(NoConvergence, match="MAIC did not converge"):
+        maic_weights(trial_only([1, 0, 0, 0]), binary_target(0.75))
+
+
 def test_toy_trial_arm_nine_to_one_ratio():
     # Matching severe proportion 3/4 forces w_s/(w_s + 3 w_n) = 3/4, i.e.
     # w_s = 9 w_n, solved in closed form for the one-dimensional tilt.
