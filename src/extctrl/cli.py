@@ -27,7 +27,7 @@ from pathlib import Path
 from . import plan as planmod
 from .dataset import save_dataset
 from .errors import ExtCtrlError, PlanInvalid
-from .estimators import Scale
+from .estimators import Scale, WeightingAnalysis
 from .inference import BootstrapConfig
 from .simulate import ScenarioConfig, generate
 
@@ -85,15 +85,16 @@ _BOOTSTRAP = {
 FRONT_ENDS = {
     "ps-fit": ("weighting", "fit the propensity model and audit overlap", {
         **_DATA, **_COVARIATES,
-        "--band": ("positivity_a", {"type": float,
-                                    "help": "positivity band parameter a (default 0.1)"}),
+        "--band": ("positivity_a", {"type": float, "help": "positivity band parameter a "
+                                    f"(default {WeightingAnalysis.positivity_a})"}),
     }),
     "weight": ("weighting", "estimand-specific balancing weights",
                {**_DATA, **_ESTIMAND, **_COVARIATES}),
     "balance": ("weighting", "covariate balance table for an estimand", {
         **_DATA, **_ESTIMAND, **_COVARIATES,
-        "--threshold": ("smd_threshold", {"type": float, "help": "|weighted SMD| above which "
-                                          "a covariate is imbalanced (default 0.1)"}),
+        "--threshold": ("smd_threshold", {"type": float, "help": "|weighted SMD| above which a "
+                                          "covariate is imbalanced (default "
+                                          f"{WeightingAnalysis.smd_threshold})"}),
     }),
     "compare": ("weighting", "weighted effect estimate", {
         **_DATA, **_ESTIMAND, **_COVARIATES, **_SCALE,

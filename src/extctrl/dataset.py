@@ -95,7 +95,8 @@ class Dataset:
 
     Row ``i`` of every column is subject ``i``, and row order is the
     canonical subject order of every weight vector produced downstream.
-    ``X`` is the n x p covariate matrix (C-contiguous). ``outcome``,
+    ``X`` is the n x p covariate matrix (C-contiguous), finite: a NaN cell is
+    MissingValue and an infinite one NonNumericCovariate. ``outcome``,
     ``time`` and ``event`` are float columns holding NaN where a subject has
     no value; a column not given is all NaN. The constructor copies and
     validates the columns once and stores them read-only; ``take`` and
@@ -129,6 +130,12 @@ class Dataset:
                 raise SchemaViolation(f"column {name!r} has shape {col.shape}, expected {shape}")
             object.__setattr__(self, name, _read_only(col))
 
+        bad = ~np.isfinite(self.X)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            error = MissingValue if np.isnan(self.X[i, j]) else NonNumericCovariate
+            raise error(f"record {self.ids[i]!r}: covariate {self.covariate_names[j]!r} "
+                        f"is {self.X[i, j]} at row {i}", row=int(i))
         time, event = columns["time"], columns["event"]
         missing = np.isnan(event)
         bad = (np.isnan(time) != missing) | (time < 0) | ~(missing | (event == 0) | (event == 1))
@@ -257,6 +264,10 @@ class AggregateSummary:
             raise SchemaViolation("aggregate n must be positive")
         if len(self.covariate_names) != len(self.covariate_means):
             raise SchemaViolation("covariate names/means length mismatch")
+        for name, mean in zip(self.covariate_names, self.covariate_means):
+            if not is_number(mean):
+                raise SchemaViolation(f"covariate {name!r} mean must be a finite number, "
+                                      f"got {mean!r}")
         if self.outcome_kind is OutcomeKind.BINARY:
             x0 = self.outcome_summary.get("responders")
             if not is_count(x0):

@@ -15,7 +15,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .balancing import Estimand, WeightSet, balancing_weights, group_means, weighted_prevalence
+from .balancing import (Estimand, EstimandKind, WeightSet, balancing_weights, group_means,
+                        weighted_prevalence)
 from .dataset import Dataset, OutcomeKind
 from .diagnostics import DEFAULT_SMD_THRESHOLD, balance_table
 from .errors import (
@@ -179,16 +180,20 @@ def weighted_km(
 
     The risk set at time t holds every subject with observed time >= t, so
     subjects censored exactly at an event time still count as at risk there
-    (events before censorings at ties).
+    (events before censorings at ties). A negative or NaN time, an event
+    code other than 0 or 1, and a negative or non-finite weight are
+    ParameterOutOfRange.
     """
     times = np.asarray(times, dtype=float)
-    events = np.asarray(events, dtype=int)
+    events = np.asarray(events, dtype=float)
     weights = np.asarray(weights, dtype=float)
     # Written so that NaN fails too.
     if not np.all(times >= 0):
         raise ParameterOutOfRange("negative or NaN follow-up time")
-    if not np.all(weights >= 0):
-        raise ParameterOutOfRange("negative or NaN weight")
+    if not np.all((events == 0) | (events == 1)):
+        raise ParameterOutOfRange("event code other than 0 or 1")
+    if not np.all((weights >= 0) & (weights < np.inf)):
+        raise ParameterOutOfRange("negative, infinite or NaN weight")
     if float(np.sum(weights)) <= 0:
         raise AllWeightsZero("all survival weights are zero")
 
@@ -285,10 +290,13 @@ class WeightingAnalysis:
     covariate constant), which ``design`` rejects as MissingColumn. Both
     raise PlanInvalid, before any fit, on a time-to-event outcome with no
     horizon. ``design`` and ``diagnostics`` read no outcome.
+
+    Each field is the weighting plan key of the same name, and its default
+    is the value of a plan that does not set that key (``plan.parse_plan``).
     """
 
-    estimand: Estimand
-    scale: Optional[Scale]
+    estimand: Estimand = Estimand(EstimandKind.ATE)
+    scale: Optional[Scale] = None
     covariates: Optional[Sequence[str]] = None
     horizon: Optional[float] = None
     positivity_a: float = 0.1

@@ -135,6 +135,9 @@ class MaicAnalysis:
     effect report of ``maic_compare``, the ``maic`` report block (ESS,
     achieved and target means), the ``weights.csv`` table and no curves;
     calling the analysis on a dataset returns the point of that report.
+
+    Each field but ``target`` is the MAIC plan key of the same name, and its
+    default is the value of a plan that does not set that key.
     """
 
     target: AggregateSummary

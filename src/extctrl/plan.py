@@ -4,7 +4,9 @@ A plan is a frozen JSON document naming the data, estimand, method, and
 inference settings. Its canonical content digest is embedded in every
 output so results can be tied back to the pre-specified plan. Execution
 follows the fixed order estimand declaration, selection diagnostics,
-comparison.
+comparison. A method's settings are the fields of its analysis: each field
+but ``target`` is the plan key of the same name, with the field's default,
+and each field of ``BootstrapConfig`` is a key of the ``bootstrap`` block.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .dataset import (
     load_aggregate,
     load_dataset,
 )
-from .diagnostics import CHECKLIST_FIELDS, DEFAULT_SMD_THRESHOLD, comparability_checklist
+from .diagnostics import CHECKLIST_FIELDS, comparability_checklist
 from .errors import InvalidConfig, PlanInvalid, checked_field as _field, is_count, is_int, is_number
 from .estimators import Scale, WeightingAnalysis, check_scale
 from .inference import BootstrapConfig, bootstrap_ci
@@ -94,15 +96,9 @@ class AnalysisPlan:
     method: Method
     dataset_path: Optional[str]
     aggregate_path: Optional[str]
-    estimand: Optional[Estimand]
-    covariates: Optional[list]
-    scale: Optional[Scale]  # None: the outcome's default (estimators.check_scale)
+    settings: dict  # the checked analysis settings the plan sets (see parse_plan)
     bootstrap: Optional[BootstrapConfig]
     checklist: dict
-    fail_on_overlap: bool
-    positivity_a: float
-    smd_threshold: float
-    horizon: Optional[float]
     # The power-prior block read: "counts" (x, n, x0, n0), and "a0", "prior",
     # "level" and "sweep" (None if it has none) as floats, defaults filled in.
     power_prior: Optional[dict]
@@ -123,21 +119,22 @@ def load_plan(path) -> AnalysisPlan:
     return parse_plan(raw)
 
 
+_ANALYSES = {Method.WEIGHTING: WeightingAnalysis, Method.MAIC: MaicAnalysis,
+             Method.STC: StcAnalysis}
+
+# The keys every plan may hold, and the keys each method reads besides them.
+_SHARED_KEYS = {"method", "aggregate", "seed", "checklist"}
+_METHOD_KEYS = {method: {f.name for f in dataclasses.fields(cls) if f.name != "target"}
+                | {"dataset", "bootstrap"} for method, cls in _ANALYSES.items()}
+_METHOD_KEYS[Method.STC].add("link")
+_METHOD_KEYS[Method.POWER_PRIOR] = {"power_prior"}
+
 # The keys a plan ("") and each of its blocks may hold.
-_KEYS = {"": {"method", "dataset", "aggregate", "estimand", "scale", "link", "covariates",
-              "seed", "checklist", "fail_on_overlap", "positivity_a", "smd_threshold",
-              "horizon", "bootstrap", "power_prior"},
-         "bootstrap": {"replicates", "level", "seed", "threads"},
+_KEYS = {"": _SHARED_KEYS.union(*_METHOD_KEYS.values()),
+         "bootstrap": {f.name for f in dataclasses.fields(BootstrapConfig)},
          "power_prior": {"x", "n", "x0", "n0", "a0", "prior", "level", "sweep",
                          "assume_comparable"},
          "checklist": set(CHECKLIST_FIELDS)}
-
-# The plan keys only some methods read, with the methods whose runner reads them.
-_METHOD_KEYS = {"link": {Method.STC}, "power_prior": {Method.POWER_PRIOR},
-                **dict.fromkeys(("dataset", "bootstrap", "scale", "covariates"),
-                                set(Method) - {Method.POWER_PRIOR}),
-                **dict.fromkeys(("estimand", "fail_on_overlap", "positivity_a", "smd_threshold",
-                                 "horizon"), {Method.WEIGHTING})}
 
 
 def parse_plan(raw: dict) -> AnalysisPlan:
@@ -153,7 +150,7 @@ def parse_plan(raw: dict) -> AnalysisPlan:
         method = Method(raw["method"])
     except (KeyError, ValueError) as exc:
         raise PlanInvalid(f"missing or unknown method: {exc}") from None
-    unread = sorted(k for k in raw if method not in _METHOD_KEYS.get(k, {method}))
+    unread = sorted(set(raw) - _SHARED_KEYS - _METHOD_KEYS[method])
     if unread:
         raise PlanInvalid(f"method {method.value} reads no plan key {unread[0]!r}")
 
@@ -162,44 +159,44 @@ def parse_plan(raw: dict) -> AnalysisPlan:
 
     dataset_path = _field(raw, "dataset", None, path, "a file path")
     aggregate_path = _field(raw, "aggregate", None, path, "a file path")
-    if method in (Method.WEIGHTING, Method.MAIC, Method.STC) and not dataset_path:
+    if method in _ANALYSES and not dataset_path:
         raise PlanInvalid(f"method {method.value} requires a dataset path")
     if method in (Method.MAIC, Method.STC) and not aggregate_path:
         raise PlanInvalid(f"method {method.value} requires an aggregate file")
     if method not in (Method.MAIC, Method.STC) and aggregate_path is not None:
         raise PlanInvalid(f"method {method.value} takes no aggregate file")
 
-    estimand = None
-    if method is Method.WEIGHTING:
-        token = _field(raw, "estimand", "ate", lambda v: isinstance(v, str), "a string")
-        try:
-            estimand = Estimand.parse(token)
-        except ValueError as exc:
-            raise PlanInvalid(f"bad estimand {token!r}: {exc}") from None
+    settings = {}  # the checked analysis settings the plan sets, by key
+
+    def setting(key, ok, what, read=lambda v: v):
+        if key in raw:
+            settings[key] = read(_field(raw, key, None, ok, what))
+
     try:
-        scale = Scale(raw["scale"]) if "scale" in raw else None
+        setting("estimand", lambda v: isinstance(v, str), "a string", Estimand.parse)
+    except ValueError as exc:
+        raise PlanInvalid(f"bad estimand {raw['estimand']!r}: {exc}") from None
+    try:
+        if "scale" in raw:
+            settings["scale"] = Scale(raw["scale"])
         Link(raw.get("link", "identity"))  # STC checks it against the outcome's link
     except ValueError as exc:
         raise PlanInvalid(f"bad scale or link: {exc}") from None
-
-    covariates = _field(raw, "covariates", None, lambda v: v is None or (
+    setting("covariates", lambda v: v is None or (
         isinstance(v, list) and all(isinstance(c, str) for c in v)), "a list of names")
-    repeated = [c for i, c in enumerate(covariates or ()) if c in covariates[:i]]
+    covariates = settings.get("covariates") or ()
+    repeated = [c for i, c in enumerate(covariates) if c in covariates[:i]]
     if repeated:
         raise PlanInvalid(f"covariate {repeated[0]!r} is named twice")
     seed = _field(raw, "seed", 0, is_int, "an integer")
     checklist = _field(raw, "checklist", {}, lambda v: isinstance(v, dict), "an object")
-    fail_on_overlap = _field(raw, "fail_on_overlap", False,
-                             lambda v: isinstance(v, bool), "true or false")
+    setting("fail_on_overlap", lambda v: isinstance(v, bool), "true or false")
     # Numbers that mean floats are floats, so "horizon": 3 reports as 3.0, as
     # a flag's value does (argparse gives floats); the hash reads the raw plan.
-    positivity_a = float(_field(raw, "positivity_a", 0.1,
-                                lambda v: is_number(v) and 0 <= v < 0.5, "in [0, 0.5)"))
-    smd_threshold = float(_field(raw, "smd_threshold", DEFAULT_SMD_THRESHOLD,
-                                 lambda v: is_number(v) and v > 0, "a finite number > 0"))
-    horizon = _field(raw, "horizon", None,
-                     lambda v: v is None or (is_number(v) and v >= 0), "a number >= 0")
-    horizon = None if horizon is None else float(horizon)
+    setting("positivity_a", lambda v: is_number(v) and 0 <= v < 0.5, "in [0, 0.5)", float)
+    setting("smd_threshold", lambda v: is_number(v) and v > 0, "a finite number > 0", float)
+    setting("horizon", lambda v: v is None or (is_number(v) and v >= 0), "a number >= 0",
+            lambda v: v if v is None else float(v))
 
     bconf = None
     if "bootstrap" in raw:
@@ -241,15 +238,9 @@ def parse_plan(raw: dict) -> AnalysisPlan:
         method=method,
         dataset_path=dataset_path,
         aggregate_path=aggregate_path,
-        estimand=estimand,
-        covariates=covariates,
-        scale=scale,
+        settings=settings,
         bootstrap=bconf,
         checklist=checklist,
-        fail_on_overlap=fail_on_overlap,
-        positivity_a=positivity_a,
-        smd_threshold=smd_threshold,
-        horizon=horizon,
         power_prior=pp,
         seed=seed,
     )
@@ -276,31 +267,31 @@ class RunArtifacts:
 _STEPS = ("estimand", "selection-diagnostics", "comparison")
 
 
-def _report(plan: AnalysisPlan, steps, **provenance) -> dict:
-    """The provenance and the checklist that open every report."""
+def _report(plan: AnalysisPlan, steps, analysis, **provenance) -> dict:
+    """The provenance and the checklist that open every report, with the
+    covariates and estimand of ``analysis`` (None for a power prior)."""
     provenance = {"schema": SCHEMA_VERSION, "plan_hash": plan.hash, "method": plan.method.value,
-                  "steps": list(steps), "seed": plan.seed, "covariates": plan.covariates,
-                  **provenance}
-    if plan.estimand is not None:
-        provenance["estimand"] = plan.estimand.label
+                  "steps": list(steps), "seed": plan.seed,
+                  "covariates": getattr(analysis, "covariates", None), **provenance}
+    if hasattr(analysis, "estimand"):
+        provenance["estimand"] = analysis.estimand.label
     return {"provenance": provenance, "checklist": comparability_checklist(plan.checklist)}
 
 
 def _analysis(plan: AnalysisPlan, target: Optional[AggregateSummary], scale: Optional[Scale]):
-    """The analysis that runs the plan's method, with the plan's settings.
+    """The analysis that runs the plan's method, with its settings and the checked ``scale``.
 
     An STC plan's ``link``, if it names one, must be the link the outcome
     gives its model."""
-    if plan.method is Method.WEIGHTING:
-        return WeightingAnalysis(plan.estimand, scale, plan.covariates, plan.horizon,
-                                 plan.positivity_a, plan.fail_on_overlap, plan.smd_threshold)
-    if plan.method is Method.MAIC:
-        return MaicAnalysis(target, plan.covariates, scale)
-    link = outcome_link(target.outcome_kind).value
-    if plan.raw.get("link", link) != link:
-        raise PlanInvalid(f"link {plan.raw['link']} does not fit a "
-                          f"{target.outcome_kind.value} outcome; its STC link is {link}")
-    return StcAnalysis(target, plan.covariates, scale)
+    settings = {**plan.settings, "scale": scale}
+    if plan.method is not Method.WEIGHTING:
+        settings["target"] = target
+    if plan.method is Method.STC:
+        link = outcome_link(target.outcome_kind).value
+        if plan.raw.get("link", link) != link:
+            raise PlanInvalid(f"link {plan.raw['link']} does not fit a "
+                              f"{target.outcome_kind.value} outcome; its STC link is {link}")
+    return _ANALYSES[plan.method](**settings)
 
 
 def run_plan(plan: AnalysisPlan) -> RunArtifacts:
@@ -326,11 +317,13 @@ def run_plan(plan: AnalysisPlan) -> RunArtifacts:
             if key in plan.raw:
                 raise PlanInvalid(f"{key} needs outcomes, and {plan.dataset_path} has none")
         return run_design(plan, data)
-    if plan.horizon is not None and kind is not OutcomeKind.TIME_TO_EVENT:
+    if plan.settings.get("horizon") is not None and kind is not OutcomeKind.TIME_TO_EVENT:
         raise PlanInvalid(f"horizon needs a time-to-event outcome, and the outcome of "
                           f"{plan.dataset_path} is {kind.value}")
-    scale = check_scale(kind, plan.scale, target.outcome_kind if target else None)
-    report = _report(plan, _STEPS, scale=scale.value)
+    scale = check_scale(kind, plan.settings.get("scale"),
+                        target.outcome_kind if target else None)
+    analysis = None if plan.method is Method.POWER_PRIOR else _analysis(plan, target, scale)
+    report = _report(plan, _STEPS, analysis, scale=scale.value)
 
     if plan.method is Method.POWER_PRIOR:
         pp = plan.power_prior
@@ -340,7 +333,6 @@ def run_plan(plan: AnalysisPlan) -> RunArtifacts:
             report["sensitivity"] = a0_sensitivity(*counts, pp["sweep"], *prior, level)
         return RunArtifacts(report=report)
 
-    analysis = _analysis(plan, target, scale)
     sample = data.restrict(Group.TRIAL) if target else data
     effect, blocks, tables, curves = analysis.run(sample)
     # The method's resolved names (matched covariates, link) win over the plan's.
@@ -371,4 +363,4 @@ def run_design(plan: AnalysisPlan, data: Optional[Dataset] = None) -> RunArtifac
     weights = {"estimand": wset.estimand.label, "ess_trial": wset.ess_treated,
                "ess_external": wset.ess_control, "n_zero_weight": wset.n_zero_weight}
     design = {**diagnostics, "weights": weights, "coefficients": model.glm.coefficients}
-    return RunArtifacts({**_report(plan, _STEPS[:2]), "design": design}, tables)
+    return RunArtifacts({**_report(plan, _STEPS[:2], analysis), "design": design}, tables)

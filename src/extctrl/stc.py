@@ -123,6 +123,9 @@ class StcAnalysis:
     the outcome model's design once and returns a function that gives the
     same effect for every count vector of a bootstrap block (see
     ``inference.bootstrap_ci``), fitting the block's outcome models at once.
+
+    Each field but ``target`` is the STC plan key of the same name, and its
+    default is the value of a plan that does not set that key.
     """
 
     target: AggregateSummary

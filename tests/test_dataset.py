@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from extctrl import dataset as dataset_module
 from extctrl import (
+    AggregateSummary,
     CovariateSpec,
     Dataset,
     OutcomeKind,
@@ -106,6 +107,17 @@ def test_non_numeric_covariate(tmp_path):
     path.write_text("id,group,x\na,trial,high\nb,external,0\n")
     with pytest.raises(NonNumericCovariate):
         load_dataset(path)
+
+
+@pytest.mark.parametrize("cell, error", [
+    (math.nan, MissingValue), (math.inf, NonNumericCovariate), (-math.inf, NonNumericCovariate),
+], ids=["nan", "inf", "-inf"])
+def test_non_finite_covariate_cell_is_rejected_by_the_constructor(cell, error):
+    # Unchecked, a NaN column would drop out of the propensity model unseen.
+    X = [[0.0, 1.0], [1.0, 0.0], [0.5, cell], [0.2, 0.3]]
+    with pytest.raises(error, match=r"^record 's2': covariate 'y' is -?(nan|inf) at row 2$") as exc:
+        Dataset(("x", "y"), ids=["s0", "s1", "s2", "s3"], trial=[True, False, True, False], X=X)
+    assert exc.value.row == 2
 
 
 def test_unknown_group_label(tmp_path):
@@ -217,6 +229,15 @@ def test_aggregate_field_errors_name_the_file(tmp_path):
         n=10, outcome={"kind": "binary", "responders": 11})))
     with pytest.raises(ResponderCountExceedsN, match=f"^{re.escape(str(path))}: responders"):
         load_aggregate(path)
+
+
+@pytest.mark.parametrize("mean", [math.nan, math.inf, -math.inf, "0.5"])
+def test_aggregate_mean_that_is_not_a_finite_number_is_schema_violation(mean):
+    # MAIC would otherwise report a NaN target mean as collinear covariates.
+    with pytest.raises(SchemaViolation, match="covariate 'age' mean must be a finite number"):
+        AggregateSummary(("severe", "age"), (0.5, mean), 100, OutcomeKind.BINARY,
+                         {"responders": 30})
+
 
 def test_aggregate_proportion_out_of_range(tmp_path):
     path = tmp_path / "agg.json"

@@ -311,8 +311,13 @@ def _positivity_band(a):
     lambda: weighted_km([1.0, np.nan], [1, 0], [1.0, 1.0]),
     lambda: weighted_km([1.0, 2.0], [1, 0], [1.0, np.nan]),
     lambda: survival_contrast(weighted_km([1.0], [1], [1.0]), weighted_km([1.0], [1], [1.0]), -1.0),
+    lambda: weighted_km([1.0, 2.0, 3.0], [1, 2, 0], [1.0, 1.0, 1.0]),
+    lambda: weighted_km([1.0, 2.0, 3.0], [1, -1, 0], [1.0, 1.0, 1.0]),
+    lambda: weighted_km([1.0, 2.0], [1, np.nan], [1.0, 1.0]),
+    lambda: weighted_km([1.0, 2.0], [1, 0], [1.0, np.inf]),
 ], ids=["trim-a", "untrimmed-a", "positivity-band", "negative-time", "negative-weight",
-        "nan-time", "nan-weight", "negative-horizon"])
+        "nan-time", "nan-weight", "negative-horizon", "event-2", "event-minus-1", "nan-event",
+        "inf-weight"])
 def test_bad_argument_is_parameter_out_of_range(call):
     with pytest.raises(ParameterOutOfRange):
         call()

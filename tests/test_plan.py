@@ -1,6 +1,7 @@
 """The plan runner: one analysis object per method gives the report's point
 and every bootstrap replicate, and the report keeps each method's provenance."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -13,7 +14,7 @@ from extctrl import plan as planmod
 from extctrl.glm import fit_logistic
 from extctrl.inference import bootstrap_ci
 from extctrl.diagnostics import CHECKLIST_FIELDS
-from extctrl.errors import ExtCtrlError, PositivityHardFail
+from extctrl.errors import ExtCtrlError, PlanInvalid, PositivityHardFail
 from extctrl.plan import canonical_json, parse_plan, plan_hash, run_plan
 
 
@@ -145,6 +146,41 @@ def test_integer_plan_numbers_report_as_floats(inputs):
     assert '"horizon":3.0' in canonical_json(effect["group_summary"])
     assert '"band":[0.0,1.0]' in canonical_json(effect["diagnostics"]["positivity"])
     assert '"threshold":1.0' in canonical_json(effect["diagnostics"]["balance"])
+
+
+# One valid value of every top-level plan key but "method".
+KEY_VALUES = {"dataset": "d.csv", "aggregate": "a.json", "estimand": "att", "scale": "rd",
+              "link": "identity", "covariates": ["age"], "seed": 3, "checklist": {},
+              "fail_on_overlap": True, "positivity_a": 0.2, "smd_threshold": 0.3,
+              "horizon": 2.0, "bootstrap": {"replicates": 10},
+              "power_prior": {"x": 5, "n": 10, "x0": 4, "n0": 10, "a0": 0.5,
+                              "assume_comparable": True}}
+
+
+@pytest.mark.parametrize("method, analysis, own", [
+    ("weighting", WeightingAnalysis, set()),
+    ("maic", MaicAnalysis, {"aggregate"}),
+    ("stc", StcAnalysis, {"aggregate", "link"}),
+])
+def test_a_method_reads_the_fields_of_its_analysis_as_plan_keys(method, analysis, own):
+    fields = {f.name for f in dataclasses.fields(analysis)} - {"target"}
+    reads = fields | {"dataset", "bootstrap", "seed", "checklist"} | own
+    assert set(KEY_VALUES) | {"method"} == planmod._KEYS[""]
+    plan = parse_plan({"method": method, **{k: KEY_VALUES[k] for k in reads}})
+    assert set(plan.settings) == fields
+    required = {k: KEY_VALUES[k] for k in ("dataset", "aggregate") if k in reads}
+    # An aggregate outside MAIC and STC is its own error ("takes no aggregate file").
+    for key in sorted(set(KEY_VALUES) - reads - {"aggregate"}):
+        with pytest.raises(PlanInvalid, match=f"^method {method} reads no plan key '{key}'$"):
+            parse_plan({"method": method, **required, key: KEY_VALUES[key]})
+
+
+def test_an_unset_weighting_key_takes_its_analysis_default(inputs):
+    report = run_plan(parse_plan({"method": "weighting", "dataset": inputs["binary"]})).report
+    diagnostics = report["effect"]["diagnostics"]
+    assert diagnostics["positivity"].band[0] == WeightingAnalysis.positivity_a
+    assert diagnostics["balance"].threshold == WeightingAnalysis.smd_threshold
+    assert report["provenance"]["estimand"] == WeightingAnalysis.estimand.label
 
 
 # --- settings the inputs decide: the scale, STC's link -------------------------
