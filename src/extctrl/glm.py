@@ -30,6 +30,18 @@ pins (CI runs it on the lowest NumPy allowed, as the module is private). A
 gufunc reports failure in its results, not by exception: the step of a
 singular Hessian is NaN, as is an eigenvalue LAPACK did not converge to.
 
+What the core allocates: a design makes its unit-norm transpose and signs,
+and its four b x n work arrays on the first fit (again only for a larger
+block). Each call makes the b x p coefficients, the index of the fits still
+running and, for a fit of one, the p x n product of the transpose and the
+weights; each step makes the score, Hessian, step and decrement, of b x p x p
+entries at most. A block returns its last step's coefficients and Hessians
+when all its fits converge at that step, as a fit of one always does, and
+makes result arrays only when some fit converges or fails before the others.
+On the 2 x 2 fits of a bootstrap replicate every call costs more than its
+arithmetic, so the step keeps its decisions (the convergence and finiteness
+tests of a handful of decrements, the rank verdicts) in Python lists.
+
 Linear fits solve by QR. Inference is bootstrap-based elsewhere, so no
 Hessian-derived standard errors are reported here.
 """
@@ -37,12 +49,14 @@ Hessian-derived standard errors are reported here.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .errors import ConstantResponse, NoConvergence, RankDeficientDesign, SeparationDetected
+from .errors import (ConstantResponse, NoConvergence, ParameterOutOfRange, RankDeficientDesign,
+                     SeparationDetected)
 
 # The one call point of each LAPACK gufunc (see the module docstring).
 _solve, _eigvalsh = _umath_linalg.solve, _umath_linalg.eigvalsh_lo
@@ -104,12 +118,11 @@ def expit(eta: np.ndarray) -> np.ndarray:
     return np.where(eta >= 0, 1.0, e) / (1.0 + e)
 
 
-def _ill_conditioned(H: np.ndarray, cut: float) -> np.ndarray:
+def _ill_conditioned(H: np.ndarray, cut: float) -> list:
     """Per stacked symmetric matrix: eigenvalue ratio at most ``cut`` (a zero
-    matrix too), or eigenvalues NaN, where LAPACK did not converge."""
-    with np.errstate(invalid="ignore"):
-        eig = _eigvalsh(H, signature="d->d")
-    return ~(eig[:, 0] > cut * eig[:, -1])
+    matrix too), or eigenvalues NaN, where LAPACK did not converge (the caller
+    ignores the invalid-value flag that sets)."""
+    return [not e[0] > cut * e[-1] for e in _eigvalsh(H, signature="d->d").tolist()]
 
 
 def _unit_columns(X: np.ndarray):
@@ -119,11 +132,15 @@ def _unit_columns(X: np.ndarray):
     transpose is a fresh copy, scaled in place; a zero row keeps factor 1."""
     XT = np.array(X.T, order="C")
     big = np.maximum.reduce(np.abs(XT), axis=1)
-    zero = big == 0
-    big[zero] = 1.0
-    XT /= big[:, None]
+    factors = big.tolist()
+    zero = big == 0 if 0.0 in factors else None
+    if zero is not None:
+        big[zero] = 1.0
+    if any(f != 1.0 for f in factors):  # x / 1 is x: intercepts and 0/1 columns skip it
+        XT /= big[:, None]
     norm = np.sqrt(np.einsum("ij,ij->i", XT, XT))
-    norm[zero] = 1.0
+    if zero is not None:
+        norm[zero] = 1.0
     XT /= norm[:, None]
     return XT, big * norm
 
@@ -204,6 +221,7 @@ def _newton(design, counts, tol, cut, tilt=False):
     """
     XT = design.XT
     X = XT.T
+    sign = design.sign[None]  # 1 x n: a fit of one's work rows then match it in shape
     b, p = (1 if counts is None else counts.shape[0]), X.shape[1]
     t, w, r, c = design.work(b)  # the rows of the fits still running
     if counts is None:
@@ -214,10 +232,10 @@ def _newton(design, counts, tol, cut, tilt=False):
     # written into one p x n array for all its steps; a block uses the outer products.
     outer = design.outer() if b > 1 else None
     P = np.empty_like(XT) if outer is None else None
-    beta, hessians = np.full((b, p), np.nan), np.zeros((b, p, p))
     errors = [None] * b
-    tested = np.zeros(b, dtype=bool)  # the separation test has run
+    tested = set()  # the fits the separation test has run on
     fits, B = np.arange(b), np.zeros((b, p))  # the fits still running
+    beta = hessians = None  # made only if not every fit converges at one step
 
     def stop(keep):
         """Stop every fit where ``keep`` fails: the fits kept move to the front
@@ -232,72 +250,83 @@ def _newton(design, counts, tol, cut, tilt=False):
         c = None if c is None else c[:k]
         return k
 
-    with np.errstate(invalid="ignore"):  # LAPACK's NaN step of a singular Hessian is read below
+    # LAPACK's NaN eigenvalues and NaN step of a singular Hessian are read below.
+    with np.errstate(invalid="ignore"):
         for iterations in range(1, DEFAULT_MAX_ITER + 1):
             if iterations == 1:
                 # At beta = 0 every tanh u is 0 and every tilt term 1, so the residuals are the
                 # signs and the Newton weights 1, each times its count: the values the step
-                # below would compute, to the bit. v holds the weights (1.0 without counts).
-                v = 1.0 if c is None else c
-                np.multiply(design.sign, v, out=r)
+                # below would compute, to the bit. s holds the residuals and v the weights
+                # (1.0 without counts). The product XT * 1.0 below stays: XT @ X would take
+                # BLAS's symmetric kernel, which rounds differently.
+                if c is None:
+                    s, v = sign, 1.0
+                else:
+                    s, v = np.multiply(sign, c, out=r), c
             else:
                 np.matmul(B, XT, out=t)
                 if tilt:
                     far = np.abs(t).max(axis=1) > _ETA_BOUND
                     np.exp(np.subtract(t, t.max(axis=1, keepdims=True), out=w), out=w)
-                    np.multiply(design.sign, w, out=r)
+                    np.multiply(sign, w, out=r)
                 else:
                     np.tanh(t, out=t)
                     # 1 - t^2, below _W_BOUND where |x'beta| > _ETA_BOUND
                     np.subtract(1.0, np.multiply(t, t, out=w), out=w)
-                    np.subtract(design.sign, t, out=r)
+                    np.subtract(sign, t, out=r)
                     far = (w.min(axis=1) < _W_BOUND if np.minimum.reduce(w, axis=None) < _W_BOUND
                            else None)
                 if far is not None and far.any():
-                    for k in np.flatnonzero(far & ~tested[fits]):
-                        tested[fits[k]] = True
-                        if _separated(design.X, design.y, None if c is None else c[k]):
-                            errors[fits[k]] = SeparationDetected
+                    for k in np.flatnonzero(far):
+                        if fits[k] not in tested:
+                            tested.add(fits[k])
+                            if _separated(design.X, design.y, None if c is None else c[k]):
+                                errors[fits[k]] = SeparationDetected
                     if not stop([errors[i] is None for i in fits]):
                         break
                 if c is not None:
                     np.multiply(c, r, out=r)
                     np.multiply(c, w, out=w)
-                v = w
-            score = r @ X
-            if outer is None:
-                H = (np.multiply(XT, v, out=P) @ X)[None]
+                s, v = r, w
+            score = s @ X
+            if outer is None:  # XT times the n weights as a vector (a 1 x n row broadcasts slowly)
+                H = (np.multiply(XT, v if isinstance(v, float) else v[0], out=P) @ X)[None]
             else:
                 H = (v @ outer).reshape(-1, p, p)
             if iterations == 1:
                 ill = _ill_conditioned(H, cut)
-                if np.count_nonzero(ill):
+                if any(ill):
+                    kept = [not i for i in ill]
                     for i in fits[ill]:
                         errors[i] = RankDeficientDesign
-                    score, H = score[~ill], H[~ill]
-                    if not stop(~ill):
+                    score, H = score[kept], H[kept]
+                    if not stop(kept):
                         break
             step = _solve(H, score[:, :, None], signature="dd->d")[:, :, 0]
-            decrement = np.add.reduce(score * step, axis=1)
-            if not np.isfinite(decrement).all():  # a Hessian singular to rounding
+            decrement = np.add.reduce(score * step, axis=1).tolist()
+            if not all(map(math.isfinite, decrement)):  # a Hessian singular to rounding
                 for i in fits:  # the batch refits the block
                     errors[i] = RankDeficientDesign
                 break
             B += step
-            done = decrement < tol
-            finished = np.count_nonzero(done)
+            done = [d < tol for d in decrement]
+            finished = sum(done)
             if finished == b:  # every fit converged at this step
                 beta, hessians = B, H
                 break
             if finished:
+                if beta is None:
+                    beta, hessians = np.full((b, p), np.nan), np.zeros((b, p, p))
                 beta[fits[done]], hessians[fits[done]] = B[done], H[done]
-                if not stop(~done):
+                if not stop([not d for d in done]):
                     break
         else:
             for k, i in enumerate(fits):
-                separated = not tested[i] and _separated(design.X, design.y,
-                                                         None if c is None else c[k])
+                separated = i not in tested and _separated(design.X, design.y,
+                                                           None if c is None else c[k])
                 errors[i] = SeparationDetected if separated else NoConvergence
+    if beta is None:
+        beta, hessians = np.full((b, p), np.nan), np.zeros((b, p, p))
     return (1.0 if tilt else 2.0) * beta / design.scale, errors, hessians, iterations
 
 
@@ -311,15 +340,19 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, tol: float = DEFAULT_TOL) -> GlmF
     intercept column included) by Newton steps, stopping at decrement ``tol``.
 
     The design is rank deficient when the Hessian at the start has eigenvalue
-    ratio at most max(n, p) eps, the rounding level of its n-term sums.
+    ratio at most max(n, p) eps, the rounding level of its n-term sums. A
+    response other than 0 or 1, NaN included, is ParameterOutOfRange.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, p = X.shape
-    if y.min() == y.max():
-        raise ConstantResponse("response takes a single value")
     if n < p + 1:
         raise RankDeficientDesign(f"need at least {p + 1} rows, got {n}")
+    responders = np.count_nonzero(y == 1.0)
+    if responders + np.count_nonzero(y == 0.0) < n:
+        raise ParameterOutOfRange("logistic responses must be 0 or 1")
+    if responders in (0, n):
+        raise ConstantResponse("response takes a single value")
     beta, errors, _, iterations = _newton(LogisticDesign(X, y), None, tol, max(n, p) * _EPS)
     if errors[0] is not None:
         raise errors[0](_MESSAGES[errors[0]])
@@ -340,13 +373,13 @@ def fit_logistic_counts(design: LogisticDesign, counts: np.ndarray):
     counts = np.asarray(counts, dtype=float)
     b, p = len(counts), design.X.shape[1]
     held = counts > 0
-    # Rows and responders each replicate holds, exact integer counts for 0/1 y;
-    # a replicate that holds no row is left to the row-count test below.
+    # As in fit_logistic, the row count is tested first, then the rows and
+    # responders each replicate holds (exact integer counts for 0/1 y).
+    few = counts.sum(axis=1) < p + 1
     k, s = held.sum(axis=1), np.count_nonzero(held & (design.y > 0), axis=1)
-    constant = (k > 0) & ((s == 0) | (s == k))
-    errors = [ConstantResponse if c else None for c in constant]
-    for r in np.flatnonzero(~constant & (counts.sum(axis=1) < p + 1)):
-        errors[r] = RankDeficientDesign
+    constant = (s == 0) | (s == k)
+    errors = [RankDeficientDesign if f else ConstantResponse if c else None
+              for f, c in zip(few, constant)]
     beta = np.full((b, p), np.nan)
     fit = np.flatnonzero([e is None for e in errors])
     if len(fit):
@@ -355,7 +388,8 @@ def fit_logistic_counts(design: LogisticDesign, counts: np.ndarray):
         ok = np.array([e is None for e in fit_errors])
         refit = np.max(np.abs(beta[fit]), axis=1) > _COEFFICIENT_SCREEN
         if ok.any():
-            refit[ok] |= _ill_conditioned(hessians[ok], _GRAM_SCREEN)
+            with np.errstate(invalid="ignore"):
+                refit[ok] |= _ill_conditioned(hessians[ok], _GRAM_SCREEN)
         for r, error, screen in zip(fit, fit_errors, refit):
             errors[r] = REFIT if screen or error in (RankDeficientDesign, NoConvergence) else error
         beta[[e is not None for e in errors]] = np.nan

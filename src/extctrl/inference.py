@@ -212,7 +212,10 @@ def _block_draw(group_rows, root_seed: int, size: int) -> Callable[[np.ndarray],
                 rejected |= (part * np.uint32(k) < (1 << 32) % k).any(axis=1)
                 high = part * np.uint64(k)
                 high >>= 32
-                rows[:b, col:col + k] = group.take(high.view(np.int64))
+                # take fills a contiguous slice of rows (one group, as in a
+                # trial-only bootstrap) in place, where mode "raise" would copy
+                # it first; the draws lie in [0, k), so "clip" changes none.
+                group.take(high.view(np.int64), out=rows[:b, col:col + k], mode="clip")
                 pos += k
             else:
                 rows[:b, col:col + len(group)] = group

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import DegenerateScores, EmptyDataset, MissingColumn, ParameterOutOfRange
-from .glm import DEFAULT_TOL, GlmFit, add_intercept, fit_logistic
+from .glm import DEFAULT_TOL, GlmFit, fit_logistic
 
 
 @dataclass(frozen=True)
@@ -59,16 +59,33 @@ def estimate_propensity(
     names = tuple(covariates) if covariates is not None else data.covariate_names
     if not names:  # an intercept-only model would adjust for nothing
         raise MissingColumn("no covariate to fit the propensity model on")
-    X = data.covariate_matrix(names)
-    # Drop covariates constant across all subjects; they carry no membership
-    # information and would make the design rank deficient. Each range is one
-    # pass over a contiguous row of the transpose.
-    X = add_intercept(X[:, np.ptp(np.ascontiguousarray(X.T), axis=1) > 0])
+    X = _design(data.covariate_matrix(names))
     fit = fit_logistic(X, data.group_mask.astype(float), tol=tol)
     scores = fit.predict(X)
     if not 0.0 < scores.min() <= scores.max() < 1.0:
         raise DegenerateScores("fitted propensity score hit 0 or 1")
     return PropensityModel(glm=fit, scores=scores, covariate_names=names)
+
+
+def _design(X: np.ndarray) -> np.ndarray:
+    """``add_intercept(X[:, varying])`` for the columns of ``X`` that are not
+    constant, built in one pass.
+
+    A constant covariate carries no membership information and would make the
+    design rank deficient. The result has that composition's memory layout:
+    NumPy lays ``X[:, mask]`` out column by column when it keeps two or more
+    columns, and ``add_intercept`` keeps that order, so the design is then
+    F-ordered, and C-ordered otherwise. The layout picks the BLAS kernel that
+    computes the scores ``X @ beta``, and the two kernels round differently.
+    """
+    # Each range is one pass over a contiguous row of the transpose.
+    XT = np.ascontiguousarray(X.T)
+    varying = (np.maximum.reduce(XT, axis=1) > np.minimum.reduce(XT, axis=1)).tolist()
+    kept = XT if all(varying) else XT[varying]
+    design = np.empty((len(X), len(kept) + 1), order="F" if len(kept) > 1 else "C")
+    design[:, 0] = 1.0
+    design[:, 1:] = kept.T
+    return design
 
 
 def positivity_report(

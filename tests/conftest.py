@@ -48,3 +48,18 @@ def random_confounded_dataset(rng, n=200, p=3):
     groups = [Group.TRIAL if ti else Group.EXTERNAL for ti in t]
     return make_dataset([tuple(row) for row in X], groups,
                         covariate_names=tuple(f"x{j}" for j in range(p)))
+
+
+def reference_unit_columns(X):
+    """``glm._unit_columns`` written out as whole-array operations: every row is
+    divided by its largest entry and then by its norm, a zero row by 1. The
+    one-pass design and the fits of one must reproduce it to the bit."""
+    XT = np.array(np.asarray(X, dtype=float).T, order="C")
+    big = np.maximum.reduce(np.abs(XT), axis=1)
+    zero = big == 0
+    big[zero] = 1.0
+    XT /= big[:, None]
+    norm = np.sqrt(np.einsum("ij,ij->i", XT, XT))
+    norm[zero] = 1.0
+    XT /= norm[:, None]
+    return XT, big * norm

@@ -12,10 +12,13 @@ from extctrl.glm import (DEFAULT_MAX_ITER, DEFAULT_TOL, REFIT, LogisticDesign, _
 from extctrl.errors import (
     ConstantResponse,
     NoConvergence,
+    ParameterOutOfRange,
     RankDeficientDesign,
     SeparationDetected,
     SolverError,
 )
+
+from conftest import reference_unit_columns
 
 
 def toy_design():
@@ -337,3 +340,108 @@ def test_covariate_units_change_neither_verdict_nor_fit(problem):
     assert got_error is want_error
     if want is not None:
         assert np.max(np.abs(got - want)) <= 1e-9
+
+
+def test_logistic_input_errors_are_typed():
+    # The row count is tested first, as fit_linear does, so zero rows are not
+    # a bare ValueError; a response other than 0 or 1 is not read as a
+    # rank-deficient design (NaN) or as separated data (2).
+    with pytest.raises(RankDeficientDesign, match="need at least 3 rows, got 0"):
+        fit_logistic(np.empty((0, 2)), np.empty(0))
+    X = add_intercept(np.arange(6.0))
+    for bad in (np.nan, 2.0, -1.0, 0.5, np.inf):
+        y = np.array([0, 1, 0, 1, 0, 1.0])
+        y[2] = bad
+        with pytest.raises(ParameterOutOfRange, match="0 or 1"):
+            fit_logistic(X, y)
+    with pytest.raises(ParameterOutOfRange):
+        fit_logistic(X, np.full(6, 2.0))
+
+
+def test_too_few_rows_precede_a_constant_response_in_both_paths():
+    # Two responders on three columns: too few rows, whether fitted once or as
+    # a replicate of the batch that holds those rows.
+    X = add_intercept(np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [0.0, 0.0]]))
+    y = np.array([1.0, 1.0, 0.0, 0.0])
+    with pytest.raises(RankDeficientDesign, match="need at least 4 rows, got 2"):
+        fit_logistic(X[:2], y[:2])
+    counts = np.array([[1.0, 1.0, 0.0, 0.0]])
+    assert fit_logistic_counts(LogisticDesign(X, y), counts)[1] == [RankDeficientDesign]
+
+
+def reference_fit(X, y, tol=DEFAULT_TOL):
+    """A fit of one written out in the Newton core's arithmetic, step by step:
+    (coefficients, steps), or the SolverError class the fit ends in."""
+    XT, scale = reference_unit_columns(X)
+    X1, sign = XT.T, 2.0 * y - 1.0
+    n, p = X.shape
+    B, r, w, tested = np.zeros((1, p)), (sign * 1.0)[None], 1.0, False
+    for steps in range(1, glm.DEFAULT_MAX_ITER + 1):
+        if steps > 1:
+            t = np.tanh(B @ XT)
+            w = 1.0 - t * t
+            r = sign - t
+            if w.min() < glm._W_BOUND and not tested:
+                tested = True
+                if glm._separated(X, y, None):
+                    return SeparationDetected
+        score = r @ X1
+        H = ((XT * w) @ X1)[None]
+        if steps == 1:
+            eig = np.linalg.eigvalsh(H)[0]
+            if not eig[0] > max(n, p) * np.finfo(float).eps * eig[-1]:
+                return RankDeficientDesign
+        step = np.linalg.solve(H, score[:, :, None])[:, :, 0]
+        decrement = np.add.reduce(score * step, axis=1)
+        if not np.isfinite(decrement).all():
+            return RankDeficientDesign
+        B += step
+        if decrement[0] < tol:
+            return (2.0 * B / scale)[0], steps
+    return SeparationDetected if not tested and glm._separated(X, y, None) else NoConvergence
+
+
+def reference_problems(rng):
+    """Well-posed fits of 0/1 and continuous covariates in mixed units, with
+    separated, quasi-separated and rank-deficient designs among them."""
+    for case in range(160):
+        p = 1 + case % 5
+        n = int(rng.choice([p + 2, 12, 60, 500, 3000]))
+        Z = rng.normal(size=(n, p)) * 10.0 ** rng.integers(-3, 4, size=p)
+        binary = rng.random(p) < 0.5
+        Z[:, binary] = Z[:, binary] > 0
+        eta = np.clip(Z[:, 0], -5, 5)
+        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+        if case % 8 == 3:  # separated by the first covariate
+            y = (Z[:, 0] > np.median(Z[:, 0])).astype(float)
+        if case % 8 == 5 and p > 1:  # collinear
+            Z[:, -1] = 3.0 * Z[:, 0] + 1.0
+        if y.min() < y.max():
+            yield add_intercept(Z), y
+    X4 = add_intercept(np.array([[1, 0], [1, 0], [0, 1], [0, 3], [0, 1]], dtype=float))
+    yield X4, np.array([0, 0, 0, 1, 1], dtype=float)  # quasi-separated
+
+
+@pytest.mark.parametrize("cap", [None, 2, 3])
+def test_fit_of_one_matches_the_reference_newton_bit_for_bit(cap, monkeypatch):
+    # A fit of one skips the block bookkeeping of the Newton core; its
+    # coefficients, step count and error class stay those of the arithmetic
+    # written out in reference_fit, to the bit, also when the iteration cap
+    # stops a fit.
+    if cap is not None:
+        monkeypatch.setattr(glm, "DEFAULT_MAX_ITER", cap)
+    verdicts = set()
+    for X, y in reference_problems(np.random.default_rng(7)):
+        want = reference_fit(X, y)
+        try:
+            fit = fit_logistic(X, y)
+        except SolverError as exc:
+            assert type(exc) is want
+            verdicts.add(want)
+            continue
+        coefficients, steps = want
+        assert fit.coefficients.tobytes() == coefficients.tobytes()
+        assert fit.iterations == steps
+        verdicts.add(None)
+    expected = {None, SeparationDetected, RankDeficientDesign}
+    assert verdicts == (expected if cap is None else expected | {NoConvergence})

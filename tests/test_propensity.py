@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from extctrl import Dataset, Group, estimate_propensity, positivity_report
-from extctrl.glm import expit
+from extctrl import Dataset, Group, add_intercept, estimate_propensity, positivity_report
+from extctrl.glm import LogisticDesign, expit
+from extctrl.propensity import _design
 
-from conftest import make_dataset, random_confounded_dataset
+from conftest import make_dataset, random_confounded_dataset, reference_unit_columns
 
 
 def test_toy_scores(toy8):
@@ -90,3 +91,33 @@ def test_positivity_zero_band(toy8):
     assert report.band == (0.0, 1.0)
     assert report.prop_outside_trial == 0.0
     assert report.prop_outside_external == 0.0
+
+
+def composed_design(X):
+    """The propensity design as ``add_intercept(X[:, keep])`` composed it."""
+    return add_intercept(X[:, np.ptp(np.ascontiguousarray(X.T), axis=1) > 0])
+
+
+@pytest.mark.parametrize("p", range(1, 7))
+def test_one_pass_design_matches_the_composition_bit_for_bit(p):
+    # The design built in one pass must hold the composition's values in its
+    # memory layout (which picks the BLAS kernel of the scores X @ beta), and
+    # LogisticDesign must prepare the same unit-norm transpose, scales and
+    # signs from it. 20,000 rows pass einsum's 8,192-element buffer.
+    rng = np.random.default_rng(p)
+    for n in sorted({p + 1, p + 2, 10, 499, 500, 1000, 5000, 20_000}):
+        for case in range(3):
+            X = rng.normal(size=(n, p)) * 10.0 ** rng.integers(-3, 4, size=p)
+            binary = rng.random(p) < 0.5 if case else np.full(p, case == 0)
+            X[:, binary] = X[:, binary] > 0
+            X[:, rng.random(p) < 0.3] = rng.choice([0.0, 1.0, 2.5])  # dropped
+            X = np.ascontiguousarray(X)
+            y = (rng.random(n) < 0.5).astype(float)
+            want, got = composed_design(X), _design(X)
+            assert got.strides == want.strides
+            assert got.tobytes() == want.tobytes()
+            XT, scale = reference_unit_columns(want)
+            design = LogisticDesign(got, y)
+            assert design.XT.tobytes() == XT.tobytes()
+            assert design.scale.tobytes() == scale.tobytes()
+            assert design.sign.tobytes() == (2.0 * y - 1.0).tobytes()
