@@ -15,7 +15,7 @@ from .balancing import (
     tilting,
     weighted_prevalence,
 )
-from .borrow import PowerPriorPosterior, power_prior_posterior
+from .borrow import PowerPriorAnalysis, PowerPriorPosterior, power_prior_posterior
 from .dataset import (
     AggregateSummary,
     Dataset,

@@ -2,15 +2,17 @@
 
 The external binomial likelihood is raised to a fixed discount a0 in [0,1]
 before being combined with a Beta prior and the trial likelihood, giving a
-conjugate Beta posterior. Intended only when there is no marked doubt about
-population comparability; the CLI gates on an explicit flag.
+conjugate Beta posterior; ``PowerPriorAnalysis`` is a plan's analysis of it.
+Intended only when there is no marked doubt about population comparability;
+a plan runs it only when its block's ``assume_comparable`` is true.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional, Sequence
 
-from .errors import ParameterOutOfRange
+from .errors import ParameterOutOfRange, is_number
 
 
 @dataclass(frozen=True)
@@ -83,7 +85,7 @@ def power_prior_posterior(
     a0 : float
         Discount in [0,1]; 0 discards the external data, 1 pools fully.
     prior_alpha, prior_beta : float
-        Beta prior hyperparameters, both > 0.
+        Beta prior hyperparameters, both finite and > 0.
     """
     if not 0 <= x <= n:
         raise ParameterOutOfRange(f"trial counts x={x}, n={n} invalid")
@@ -91,8 +93,9 @@ def power_prior_posterior(
         raise ParameterOutOfRange(f"external counts x0={x0}, n0={n0} invalid")
     if not 0.0 <= a0 <= 1.0:
         raise ParameterOutOfRange(f"a0={a0} outside [0,1]")
-    if prior_alpha <= 0 or prior_beta <= 0:
-        raise ParameterOutOfRange("prior hyperparameters must be > 0")
+    if not (is_number(prior_alpha) and is_number(prior_beta)
+            and prior_alpha > 0 and prior_beta > 0):
+        raise ParameterOutOfRange("prior hyperparameters must be finite and > 0")
     return PowerPriorPosterior(
         a0=a0,
         prior_alpha=prior_alpha,
@@ -103,18 +106,30 @@ def power_prior_posterior(
     )
 
 
-def a0_sensitivity(
-    x: int,
-    n: int,
-    x0: int,
-    n0: int,
-    grid,
-    prior_alpha: float = 1.0,
-    prior_beta: float = 1.0,
-    level: float = 0.95,
-) -> list[dict]:
-    """Posterior summaries over a grid of discount values (no selection rule)."""
-    return [
-        power_prior_posterior(x, n, x0, n0, a0, prior_alpha, prior_beta).to_dict(level)
-        for a0 in grid
-    ]
+@dataclass(frozen=True)
+class PowerPriorAnalysis:
+    """Power-prior borrowing as one analysis. ``run`` reads no dataset and
+    gives no effect report, the ``posterior`` report block, the posteriors
+    over the ``sweep`` grid (no selection rule) as a ``sensitivity`` block
+    when it is set, no table and no curves. Each field is the key of the
+    same name in a plan's ``power_prior`` block, with the field's default.
+    """
+
+    x: int
+    n: int
+    x0: int
+    n0: int
+    a0: float
+    prior: Sequence[float] = (1.0, 1.0)
+    level: float = 0.95
+    sweep: Optional[Sequence[float]] = None
+
+    def run(self, data=None) -> tuple:
+        def posterior(a0):
+            return power_prior_posterior(
+                self.x, self.n, self.x0, self.n0, a0, *self.prior).to_dict(self.level)
+
+        blocks = {"posterior": posterior(self.a0)}
+        if self.sweep is not None:
+            blocks["sensitivity"] = [posterior(a0) for a0 in self.sweep]
+        return None, blocks, {}, None

@@ -276,7 +276,11 @@ class AggregateSummary:
             if x0 > self.n:
                 raise ResponderCountExceedsN(f"responders {x0} > n {self.n}")
         elif self.outcome_kind is OutcomeKind.CONTINUOUS:
-            if self.outcome_summary.get("sd", 0.0) < 0:
+            mean, sd = self.outcome_summary.get("mean"), self.outcome_summary.get("sd", 0.0)
+            if not is_number(mean):
+                raise SchemaViolation(
+                    f"continuous aggregate outcome needs mean, a finite number, got {mean!r}")
+            if not (is_number(sd) and sd >= 0):
                 raise SchemaViolation("aggregate sd must be >= 0")
         elif self.outcome_kind is OutcomeKind.TIME_TO_EVENT:
             s = self.outcome_summary.get("survival")

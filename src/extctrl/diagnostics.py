@@ -7,6 +7,7 @@ software, so the choice is fixed and documented here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -14,7 +15,7 @@ import numpy as np
 
 from .balancing import WeightSet, group_ess
 from .dataset import Dataset
-from .errors import AllWeightsZero
+from .errors import AllWeightsZero, ParameterOutOfRange
 
 DEFAULT_SMD_THRESHOLD = 0.1
 
@@ -90,7 +91,10 @@ def balance_table(
     weights: WeightSet,
     threshold: float = DEFAULT_SMD_THRESHOLD,
 ) -> BalanceTable:
-    """Per-covariate SMD before and after weighting, with an imbalance flag."""
+    """Per-covariate SMD before and after weighting, with an imbalance flag:
+    a weighted |SMD| above ``threshold``, which must be finite and > 0."""
+    if not 0 < threshold < math.inf:  # NaN fails too
+        raise ParameterOutOfRange(f"SMD threshold must be finite and > 0, got {threshold!r}")
     trial = data.group_mask
     w = weights.weights
     # Each group's rows, gathered once: one contiguous row per covariate.

@@ -141,13 +141,14 @@ def check_scale(
 
 
 def weighted_mean_contrast(
-    data: Dataset, weights: WeightSet, scale: Scale
+    data: Dataset, weights: WeightSet, scale: Optional[Scale]
 ) -> EffectReport:
-    """Contrast Hajek-weighted group means on the requested scale."""
+    """Contrast Hajek-weighted group means on ``scale``, or on the outcome's
+    default scale when it is None (see ``check_scale``)."""
     if data.outcome_kind is OutcomeKind.TIME_TO_EVENT:
         raise ScaleIncompatibleWithOutcome(
             "use weighted_km / survival_contrast for time-to-event outcomes")
-    check_scale(data.outcome_kind, scale)
+    scale = check_scale(data.outcome_kind, scale)
     m1, m0 = group_means(weights.weights, data.group_mask, data.outcomes(), weights.totals)
     point, infinite = contrast_on_scale(m1, m0, scale)
     return EffectReport(
@@ -243,8 +244,8 @@ def survival_contrast(
     A horizon beyond either group's follow-up, its last observed time, is
     evaluated there and flagged, not rejected.
     """
-    if horizon < 0:
-        raise ParameterOutOfRange("horizon must be >= 0")
+    if not horizon >= 0:  # NaN fails too
+        raise ParameterOutOfRange(f"horizon must be a number >= 0, got {horizon!r}")
     warnings = []
     if horizon > curve_trial.last_time or horizon > curve_external.last_time:
         warnings.append(

@@ -5,8 +5,9 @@ inference settings. Its canonical content digest is embedded in every
 output so results can be tied back to the pre-specified plan. Execution
 follows the fixed order estimand declaration, selection diagnostics,
 comparison. A method's settings are the fields of its analysis: each field
-but ``target`` is the plan key of the same name, with the field's default,
-and each field of ``BootstrapConfig`` is a key of the ``bootstrap`` block.
+but ``target`` is the plan key of the same name (for a power prior, the key
+of its block), with the field's default, and each field of
+``BootstrapConfig`` is a key of the ``bootstrap`` block.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .balancing import Estimand
-from .borrow import a0_sensitivity, power_prior_posterior
+from .borrow import PowerPriorAnalysis
 from .dataset import (
     AggregateSummary,
     Dataset,
@@ -99,15 +100,8 @@ class AnalysisPlan:
     settings: dict  # the checked analysis settings the plan sets (see parse_plan)
     bootstrap: Optional[BootstrapConfig]
     checklist: dict
-    # The power-prior block read: "counts" (x, n, x0, n0), and "a0", "prior",
-    # "level" and "sweep" (None if it has none) as floats, defaults filled in.
-    power_prior: Optional[dict]
     seed: int
-    hash: str = field(default="")
-
-    def __post_init__(self):
-        if not self.hash:
-            self.hash = plan_hash(self.raw)
+    hash: str
 
 
 def load_plan(path) -> AnalysisPlan:
@@ -120,7 +114,7 @@ def load_plan(path) -> AnalysisPlan:
 
 
 _ANALYSES = {Method.WEIGHTING: WeightingAnalysis, Method.MAIC: MaicAnalysis,
-             Method.STC: StcAnalysis}
+             Method.STC: StcAnalysis, Method.POWER_PRIOR: PowerPriorAnalysis}
 
 # The keys every plan may hold, and the keys each method reads besides them.
 _SHARED_KEYS = {"method", "aggregate", "seed", "checklist"}
@@ -132,8 +126,8 @@ _METHOD_KEYS[Method.POWER_PRIOR] = {"power_prior"}
 # The keys a plan ("") and each of its blocks may hold.
 _KEYS = {"": _SHARED_KEYS.union(*_METHOD_KEYS.values()),
          "bootstrap": {f.name for f in dataclasses.fields(BootstrapConfig)},
-         "power_prior": {"x", "n", "x0", "n0", "a0", "prior", "level", "sweep",
-                         "assume_comparable"},
+         "power_prior": {f.name for f in dataclasses.fields(PowerPriorAnalysis)}
+         | {"assume_comparable"},
          "checklist": set(CHECKLIST_FIELDS)}
 
 
@@ -159,7 +153,7 @@ def parse_plan(raw: dict) -> AnalysisPlan:
 
     dataset_path = _field(raw, "dataset", None, path, "a file path")
     aggregate_path = _field(raw, "aggregate", None, path, "a file path")
-    if method in _ANALYSES and not dataset_path:
+    if "dataset" in _METHOD_KEYS[method] and not dataset_path:
         raise PlanInvalid(f"method {method.value} requires a dataset path")
     if method in (Method.MAIC, Method.STC) and not aggregate_path:
         raise PlanInvalid(f"method {method.value} requires an aggregate file")
@@ -168,9 +162,9 @@ def parse_plan(raw: dict) -> AnalysisPlan:
 
     settings = {}  # the checked analysis settings the plan sets, by key
 
-    def setting(key, ok, what, read=lambda v: v):
-        if key in raw:
-            settings[key] = read(_field(raw, key, None, ok, what))
+    def setting(key, ok, what, read=lambda v: v, doc=raw, where=""):
+        if key in doc:
+            settings[key] = read(_field(doc, key, None, ok, what, where))
 
     try:
         setting("estimand", lambda v: isinstance(v, str), "a string", Estimand.parse)
@@ -206,12 +200,11 @@ def parse_plan(raw: dict) -> AnalysisPlan:
         except InvalidConfig as exc:
             raise PlanInvalid(str(exc)) from None
 
-    pp = None
     if method is Method.POWER_PRIOR:
         block = raw.get("power_prior")
         if not isinstance(block, dict) or not block:
             raise PlanInvalid("power_prior method requires a power_prior block")
-        if not block.get("assume_comparable", False):
+        if block.get("assume_comparable") is not True:  # JSON true, not "no" or 1
             raise PlanInvalid("power-prior borrowing requires the explicit assume_comparable "
                               "flag (CLI: --assume-comparable)")
         where = "power_prior "
@@ -220,18 +213,15 @@ def parse_plan(raw: dict) -> AnalysisPlan:
         if x > n or x0 > n0:
             raise PlanInvalid(f"power_prior responders exceed n: {x}/{n}, {x0}/{n0}")
         a0 = _field(block, "a0", None, lambda v: is_number(v) and 0 <= v <= 1, "in [0, 1]", where)
-        prior = _field(block, "prior", [1.0, 1.0], lambda v: isinstance(v, list) and len(v) == 2
-                       and all(is_number(p) and p > 0 for p in v), "two numbers > 0", where)
-        level = _field(block, "level", 0.95, lambda v: is_number(v) and 0 < v < 1, "in (0, 1)",
-                       where)
         # As floats, so "a0": 1 reports as `borrow --a0 1` does.
-        pp = {"counts": (x, n, x0, n0), "a0": float(a0), "prior": [float(p) for p in prior],
-              "level": float(level), "sweep": None}
-        if "sweep" in block:
-            pp["sweep"] = [float(a) for a in _field(
-                block, "sweep", None, lambda v: isinstance(v, list) and len(v) > 0
-                and all(is_number(a) and 0 <= a <= 1 for a in v),
-                "a non-empty list of numbers in [0, 1]", where)]
+        settings.update(x=x, n=n, x0=x0, n0=n0, a0=float(a0))
+        setting("prior", lambda v: isinstance(v, list) and len(v) == 2 and all(
+            is_number(p) and p > 0 for p in v), "two numbers > 0", lambda v: [*map(float, v)],
+            block, where)
+        setting("level", lambda v: is_number(v) and 0 < v < 1, "in (0, 1)", float, block, where)
+        setting("sweep", lambda v: isinstance(v, list) and len(v) > 0 and all(
+            is_number(a) and 0 <= a <= 1 for a in v), "a non-empty list of numbers in [0, 1]",
+            lambda v: [*map(float, v)], block, where)
 
     return AnalysisPlan(
         raw=raw,
@@ -241,8 +231,8 @@ def parse_plan(raw: dict) -> AnalysisPlan:
         settings=settings,
         bootstrap=bconf,
         checklist=checklist,
-        power_prior=pp,
         seed=seed,
+        hash=plan_hash(raw),
     )
 
 
@@ -269,7 +259,7 @@ _STEPS = ("estimand", "selection-diagnostics", "comparison")
 
 def _report(plan: AnalysisPlan, steps, analysis, **provenance) -> dict:
     """The provenance and the checklist that open every report, with the
-    covariates and estimand of ``analysis`` (None for a power prior)."""
+    covariates and estimand of ``analysis`` when it has them."""
     provenance = {"schema": SCHEMA_VERSION, "plan_hash": plan.hash, "method": plan.method.value,
                   "steps": list(steps), "seed": plan.seed,
                   "covariates": getattr(analysis, "covariates", None), **provenance}
@@ -279,19 +269,19 @@ def _report(plan: AnalysisPlan, steps, analysis, **provenance) -> dict:
 
 
 def _analysis(plan: AnalysisPlan, target: Optional[AggregateSummary], scale: Optional[Scale]):
-    """The analysis that runs the plan's method, with its settings and the checked ``scale``.
+    """The analysis of the plan's method: its settings and, if it has those
+    fields, ``target`` and the checked ``scale``.
 
     An STC plan's ``link``, if it names one, must be the link the outcome
     gives its model."""
-    settings = {**plan.settings, "scale": scale}
-    if plan.method is not Method.WEIGHTING:
-        settings["target"] = target
     if plan.method is Method.STC:
         link = outcome_link(target.outcome_kind).value
         if plan.raw.get("link", link) != link:
             raise PlanInvalid(f"link {plan.raw['link']} does not fit a "
                               f"{target.outcome_kind.value} outcome; its STC link is {link}")
-    return _ANALYSES[plan.method](**settings)
+    cls = _ANALYSES[plan.method]
+    settings = {**plan.settings, "target": target, "scale": scale}
+    return cls(**{f.name: settings[f.name] for f in dataclasses.fields(cls) if f.name in settings})
 
 
 def run_plan(plan: AnalysisPlan) -> RunArtifacts:
@@ -304,14 +294,12 @@ def run_plan(plan: AnalysisPlan) -> RunArtifacts:
     plan asks for one, refits that same analysis on every replicate of the
     sample. On data without outcomes a weighting plan runs ``run_design``
     and may set no scale, horizon or bootstrap; a horizon needs a
-    time-to-event outcome.
+    time-to-event outcome. A power prior, which names no dataset, counts
+    binary responders, and its analysis runs on no sample.
     """
-    data = target = None
-    kind = OutcomeKind.BINARY  # a power prior's outcome
-    if plan.method is not Method.POWER_PRIOR:
-        data = load_dataset(plan.dataset_path)
-        target = load_aggregate(plan.aggregate_path) if plan.aggregate_path else None
-        kind = data.outcome_kind
+    data = load_dataset(plan.dataset_path) if plan.dataset_path else None
+    target = load_aggregate(plan.aggregate_path) if plan.aggregate_path else None
+    kind = OutcomeKind.BINARY if data is None else data.outcome_kind
     if kind is None and plan.method is Method.WEIGHTING:
         for key in ("scale", "horizon", "bootstrap"):
             if key in plan.raw:
@@ -322,22 +310,15 @@ def run_plan(plan: AnalysisPlan) -> RunArtifacts:
                           f"{plan.dataset_path} is {kind.value}")
     scale = check_scale(kind, plan.settings.get("scale"),
                         target.outcome_kind if target else None)
-    analysis = None if plan.method is Method.POWER_PRIOR else _analysis(plan, target, scale)
+    analysis = _analysis(plan, target, scale)
     report = _report(plan, _STEPS, analysis, scale=scale.value)
-
-    if plan.method is Method.POWER_PRIOR:
-        pp = plan.power_prior
-        counts, prior, level = pp["counts"], pp["prior"], pp["level"]
-        report["posterior"] = power_prior_posterior(*counts, pp["a0"], *prior).to_dict(level)
-        if pp["sweep"] is not None:
-            report["sensitivity"] = a0_sensitivity(*counts, pp["sweep"], *prior, level)
-        return RunArtifacts(report=report)
-
     sample = data.restrict(Group.TRIAL) if target else data
     effect, blocks, tables, curves = analysis.run(sample)
-    # The method's resolved names (matched covariates, link) win over the plan's.
-    effect.provenance = {**report["provenance"], **effect.provenance}
-    report = {**report, "effect": effect.to_dict(), **blocks}
+    if effect is not None:
+        # The method's resolved names (matched covariates, link) win over the plan's.
+        effect.provenance = {**report["provenance"], **effect.provenance}
+        report["effect"] = effect.to_dict()
+    report.update(blocks)
     if plan.bootstrap:
         config = plan.bootstrap
         result = bootstrap_ci(analysis, sample, config, point=effect.point)

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from extctrl import power_prior_posterior
-from extctrl.borrow import a0_sensitivity
+from extctrl.borrow import PowerPriorAnalysis
 from extctrl.errors import ParameterOutOfRange
 
 # Toy response counts: 52 of 61 trial responders.
@@ -93,7 +93,7 @@ def test_parameter_validation():
 
 
 def test_a0_sensitivity_sweep():
-    rows = a0_sensitivity(TRIAL_X, TRIAL_N, EXT_X0, EXT_N0, [0.0, 0.5, 1.0])
+    rows = PowerPriorAnalysis(TRIAL_X, TRIAL_N, EXT_X0, EXT_N0, 0.5, sweep=[0.0, 0.5, 1.0]).run()[1]["sensitivity"]
     assert [r["a0"] for r in rows] == [0.0, 0.5, 1.0]
     assert rows[0]["mean"] > rows[2]["mean"]
 

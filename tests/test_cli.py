@@ -657,6 +657,10 @@ def test_report_json_strict_for_infinite_odds_ratio(tmp_path):
     # Keys the method does not read, which a MAIC plan once ignored.
     {"method": "maic", "dataset": "d.csv", "aggregate": "a.json", "estimand": "ato",
      "horizon": 3, "smd_threshold": 5, "fail_on_overlap": True},
+    # Only JSON true passes the comparability gate.
+    *({"method": "power_prior", "power_prior": {
+        "x": 52, "n": 61, "x0": 30, "n0": 80, "a0": 0.5, "assume_comparable": flag}}
+      for flag in ("false", "no", 1)),
     # A sensitivity grid is a non-empty list of numbers in [0, 1].
     *({"method": "power_prior", "power_prior": {
         "x": 52, "n": 61, "x0": 30, "n0": 80, "a0": 0.5, "assume_comparable": True,

@@ -239,6 +239,14 @@ def test_aggregate_mean_that_is_not_a_finite_number_is_schema_violation(mean):
                          {"responders": 30})
 
 
+@pytest.mark.parametrize("summary", [{}, {"sd": 1.0}, {"mean": math.nan}, {"mean": "0.5"},
+                                     {"mean": 0.2, "sd": math.nan}, {"mean": 0.2, "sd": -1.0}])
+def test_continuous_aggregate_needs_a_finite_mean_and_sd(summary):
+    # Without a mean, outcome_value() would raise a bare KeyError only when read.
+    with pytest.raises(SchemaViolation):
+        AggregateSummary(("age",), (50.0,), 100, OutcomeKind.CONTINUOUS, summary)
+
+
 def test_aggregate_proportion_out_of_range(tmp_path):
     path = tmp_path / "agg.json"
     payload = aggregate_payload()

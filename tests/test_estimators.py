@@ -9,9 +9,12 @@ from extctrl import (
     Group,
     OutcomeKind,
     Scale,
+    WeightingAnalysis,
+    balance_table,
     balancing_weights,
     estimate_propensity,
     positivity_report,
+    power_prior_posterior,
     survival_contrast,
     weighted_km,
     weighted_km_by_group,
@@ -25,6 +28,7 @@ from extctrl.errors import (
     ScaleIncompatibleWithOutcome,
     ZeroDenominator,
 )
+from extctrl.plan import canonical_json
 
 from conftest import make_dataset
 
@@ -296,6 +300,31 @@ def test_km_zero_weight_risk_set_is_typed_error():
         weighted_km([1.0, 2.0, 3.0], [1, 0, 1], [1.0, 1.0, 0.0])
 
 
+@pytest.mark.parametrize("outcomes, scale", [
+    ([1, 0, 1, 1, 0, 1, 0, 0], Scale.RISK_DIFFERENCE),
+    ([1.5, 0.2, 2.0, 0.7, 0.1, 1.1, -0.3, 0.4], Scale.MEAN_DIFFERENCE),
+])
+def test_weighting_without_a_scale_uses_the_outcomes_default(outcomes, scale):
+    groups = [Group.TRIAL] * 4 + [Group.EXTERNAL] * 4
+    data = make_dataset([0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 1.0, 1.0], groups, outcomes=outcomes)
+    default, explicit = WeightingAnalysis(), WeightingAnalysis(scale=scale)
+    assert default(data) == explicit(data)
+    report = default.run(data)[0]
+    assert report.scale is scale
+    assert canonical_json(report.to_dict()) == canonical_json(explicit.run(data)[0].to_dict())
+
+
+# Eight subjects with a time-to-event outcome, both groups on both covariate values.
+_SURVIVAL = make_dataset([0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 1.0, 1.0],
+                         [Group.TRIAL] * 4 + [Group.EXTERNAL] * 4,
+                         times=[1.0, 2.0, 3.0, 4.0, 1.5, 2.5, 3.5, 4.5],
+                         events=[1, 0, 1, 1, 1, 1, 0, 1])
+
+
+def _balance_threshold(threshold):
+    balance_table(_SURVIVAL, unit_weightset(8), threshold)
+
+
 def _positivity_band(a):
     data = make_dataset([0.0, 1.0, 1.0, 0.0], [Group.TRIAL, Group.TRIAL, Group.EXTERNAL,
                                                Group.EXTERNAL])
@@ -315,9 +344,20 @@ def _positivity_band(a):
     lambda: weighted_km([1.0, 2.0, 3.0], [1, -1, 0], [1.0, 1.0, 1.0]),
     lambda: weighted_km([1.0, 2.0], [1, np.nan], [1.0, 1.0]),
     lambda: weighted_km([1.0, 2.0], [1, 0], [1.0, np.inf]),
+    lambda: survival_contrast(weighted_km([1.0], [1], [1.0]), weighted_km([1.0], [1], [1.0]),
+                              np.nan),
+    lambda: WeightingAnalysis(horizon=np.nan).run(_SURVIVAL),
+    lambda: WeightingAnalysis(horizon=np.nan)(_SURVIVAL),
+    lambda: _balance_threshold(np.nan),
+    lambda: _balance_threshold(-1.0),
+    lambda: _balance_threshold(0.0),
+    lambda: _balance_threshold(np.inf),
+    lambda: power_prior_posterior(5, 10, 2, 5, 0.5, prior_alpha=np.nan),
 ], ids=["trim-a", "untrimmed-a", "positivity-band", "negative-time", "negative-weight",
         "nan-time", "nan-weight", "negative-horizon", "event-2", "event-minus-1", "nan-event",
-        "inf-weight"])
+        "inf-weight", "nan-horizon", "analysis-nan-horizon", "analysis-call-nan-horizon",
+        "nan-smd-threshold", "negative-smd-threshold", "zero-smd-threshold",
+        "inf-smd-threshold", "nan-prior"])
 def test_bad_argument_is_parameter_out_of_range(call):
     with pytest.raises(ParameterOutOfRange):
         call()

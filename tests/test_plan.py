@@ -9,7 +9,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from extctrl import MaicAnalysis, StcAnalysis, WeightingAnalysis, estimators, maic, stc
+from extctrl import (MaicAnalysis, PowerPriorAnalysis, StcAnalysis, WeightingAnalysis,
+                     estimators, maic, stc)
 from extctrl import plan as planmod
 from extctrl.glm import fit_logistic
 from extctrl.inference import bootstrap_ci
@@ -173,6 +174,47 @@ def test_a_method_reads_the_fields_of_its_analysis_as_plan_keys(method, analysis
     for key in sorted(set(KEY_VALUES) - reads - {"aggregate"}):
         with pytest.raises(PlanInvalid, match=f"^method {method} reads no plan key '{key}'$"):
             parse_plan({"method": method, **required, key: KEY_VALUES[key]})
+
+
+def test_the_power_prior_reads_the_fields_of_its_analysis_as_block_keys():
+    fields = {f.name for f in dataclasses.fields(PowerPriorAnalysis)}
+    assert planmod._KEYS["power_prior"] == fields | {"assume_comparable"}
+    block = {"x": 5, "n": 10, "x0": 4, "n0": 10, "a0": 1, "prior": [2, 3], "level": 0.9,
+             "sweep": [0, 1], "assume_comparable": True}
+    settings = parse_plan({"method": "power_prior", "power_prior": block}).settings
+    assert set(settings) == fields
+    assert settings == {k: v for k, v in block.items() if k in fields}
+    numbers = [settings["a0"], settings["level"], *settings["prior"], *settings["sweep"]]
+    assert all(type(v) is float for v in numbers)
+    # A key the block does not set stays out of the settings: the analysis default.
+    required = {k: block[k] for k in ("x", "n", "x0", "n0", "a0", "assume_comparable")}
+    settings = parse_plan({"method": "power_prior", "power_prior": required}).settings
+    assert set(settings) == {"x", "n", "x0", "n0", "a0"}
+
+
+# The report.json of POWER_PRIOR_PLAN, whose numbers are integers where they may be.
+POWER_PRIOR_PLAN = {"method": "power_prior", "seed": 4, "power_prior": {
+    "x": 12, "n": 20, "x0": 9, "n0": 30, "a0": 1, "prior": [2, 1], "level": 0.9,
+    "sweep": [0, 1], "assume_comparable": True}}
+POWER_PRIOR_REPORT = (
+    '{"checklist":{"caveats":[],"items":{"calendar_time":null,"eligibility":null,'
+    '"endpoint_measurement":null,"treatment_decision_time":null},"status":"INCOMPLETE"},'
+    '"posterior":{"a0":1.0,"credible_interval":[0.3243381423540482,0.5464480210446072],'
+    '"effective_prior_n":30.0,"level":0.9,"mean":0.4339622641509434,"posterior":[23.0,30.0],'
+    '"prior":[2.0,1.0]},"provenance":{"covariates":null,"method":"power_prior",'
+    '"plan_hash":"f6bfbdebfbfb64d27844dde235fce9d099f916556d5eaea4f58bffa13a728e95",'
+    '"scale":"rd","schema":1,"seed":4,"steps":["estimand","selection-diagnostics",'
+    '"comparison"]},"sensitivity":[{"a0":0.0,"credible_interval":[0.43913215771077024,'
+    '0.7672761213239978],"effective_prior_n":0.0,"level":0.9,"mean":0.6086956521739131,'
+    '"posterior":[14.0,9.0],"prior":[2.0,1.0]},{"a0":1.0,'
+    '"credible_interval":[0.3243381423540482,0.5464480210446072],"effective_prior_n":30.0,'
+    '"level":0.9,"mean":0.4339622641509434,"posterior":[23.0,30.0],"prior":[2.0,1.0]}]}'
+)
+
+
+def test_power_prior_report_is_golden(tmp_path):
+    run_plan(parse_plan(POWER_PRIOR_PLAN)).write(tmp_path)
+    assert (tmp_path / "report.json").read_text(encoding="utf-8") == POWER_PRIOR_REPORT + "\n"
 
 
 def test_an_unset_weighting_key_takes_its_analysis_default(inputs):
