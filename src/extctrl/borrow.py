@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import ParameterOutOfRange, is_number
+from .errors import ParameterOutOfRange, is_count, is_number
 
 
 @dataclass(frozen=True)
@@ -79,17 +79,17 @@ def power_prior_posterior(
     Parameters
     ----------
     x, n : int
-        Trial responders and sample size.
+        Trial responders and sample size, integers (not bools) with 0 <= x <= n.
     x0, n0 : int
-        External responders and sample size.
+        External responders and sample size, likewise.
     a0 : float
         Discount in [0,1]; 0 discards the external data, 1 pools fully.
     prior_alpha, prior_beta : float
         Beta prior hyperparameters, both finite and > 0.
     """
-    if not 0 <= x <= n:
+    if not (is_count(x) and is_count(n) and x <= n):
         raise ParameterOutOfRange(f"trial counts x={x}, n={n} invalid")
-    if not 0 <= x0 <= n0:
+    if not (is_count(x0) and is_count(n0) and x0 <= n0):
         raise ParameterOutOfRange(f"external counts x0={x0}, n0={n0} invalid")
     if not 0.0 <= a0 <= 1.0:
         raise ParameterOutOfRange(f"a0={a0} outside [0,1]")
@@ -125,9 +125,15 @@ class PowerPriorAnalysis:
     sweep: Optional[Sequence[float]] = None
 
     def run(self, data=None) -> tuple:
+        try:
+            alpha, beta = self.prior
+        except (TypeError, ValueError):
+            raise ParameterOutOfRange(
+                f"prior must be two numbers > 0, got {self.prior!r}") from None
+
         def posterior(a0):
             return power_prior_posterior(
-                self.x, self.n, self.x0, self.n0, a0, *self.prior).to_dict(self.level)
+                self.x, self.n, self.x0, self.n0, a0, alpha, beta).to_dict(self.level)
 
         blocks = {"posterior": posterior(self.a0)}
         if self.sweep is not None:

@@ -30,17 +30,18 @@ pins (CI runs it on the lowest NumPy allowed, as the module is private). A
 gufunc reports failure in its results, not by exception: the step of a
 singular Hessian is NaN, as is an eigenvalue LAPACK did not converge to.
 
-What the core allocates: a design makes its unit-norm transpose and signs,
-and its four b x n work arrays on the first fit (again only for a larger
-block). Each call makes the b x p coefficients, the index of the fits still
-running and, for a fit of one, the p x n product of the transpose and the
-weights; each step makes the score, Hessian, step and decrement, of b x p x p
-entries at most. A block returns its last step's coefficients and Hessians
-when all its fits converge at that step, as a fit of one always does, and
-makes result arrays only when some fit converges or fails before the others.
-On the 2 x 2 fits of a bootstrap replicate every call costs more than its
-arithmetic, so the step keeps its decisions (the convergence and finiteness
-tests of a handful of decrements, the rank verdicts) in Python lists.
+What the core allocates: a design makes its signs, the unit-norm transpose
+of its signed rows, and its four b x n work arrays on the first fit (again
+only for a larger block). Each call makes the b x p coefficients, the index
+of the fits still running and, for a fit of one, the p x n product of the
+transpose and the weights; each step makes the score, Hessian, step and
+decrement, of b x p x p entries at most. A block returns its last step's
+coefficients and Hessians when all its fits converge at that step, as a fit
+of one always does, and makes result arrays only when some fit converges or
+fails before the others. On the 2 x 2 fits of a bootstrap replicate every
+call costs more than its arithmetic, so the step keeps its decisions (the
+convergence and finiteness tests of a handful of decrements, the rank
+verdicts) in Python lists.
 
 Linear fits solve by QR. Inference is bootstrap-based elsewhere, so no
 Hessian-derived standard errors are reported here.
@@ -125,12 +126,14 @@ def _ill_conditioned(H: np.ndarray, cut: float) -> list:
     return [not e[0] > cut * e[-1] for e in _eigvalsh(H, signature="d->d").tolist()]
 
 
-def _unit_columns(X: np.ndarray):
+def _unit_columns(X: np.ndarray, sign=1.0):
     """The transpose of ``X`` (p x n, C-ordered, so each reduction below is one
     contiguous pass) with rows of unit norm, reached through the largest entry
     so no square underflows, and the factor each row was divided by. The
-    transpose is a fresh copy, scaled in place; a zero row keeps factor 1."""
-    XT = np.array(X.T, order="C")
+    transpose is a fresh copy, times ``sign`` (a scalar or one per row of
+    ``X``), scaled in place; a zero row keeps factor 1. A sign of +-1 changes
+    no factor, and negates its entries of the result exactly."""
+    XT = np.multiply(X.T, sign, order="C")
     big = np.maximum.reduce(np.abs(XT), axis=1)
     factors = big.tolist()
     zero = big == 0 if 0.0 in factors else None
@@ -170,21 +173,22 @@ def _separated(X: np.ndarray, y: np.ndarray, c) -> bool:
 class LogisticDesign:
     """A design ``X`` (n x p) and 0/1 responses ``y``, prepared once for any
     number of Newton fits, logistic (intercept column included) or tilt
-    (centered rows, ``y`` all 0): the unit-norm transpose of ``X`` with its
-    column scales, the signs s = 2y - 1, the row outer products once a block
-    of several fits needs them, and b x n work arrays that every block and
-    step reuses (see ``inference._BLOCK_ELEMENTS``).
+    (centered rows, ``y`` all 0): the signs s = 2y - 1, the unit-norm
+    transpose of the signed rows s_i x_i with its column scales, the row
+    outer products once a block of several fits needs them, and b x n work
+    arrays that every block and step reuses (see ``inference._BLOCK_ELEMENTS``).
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray):
         self.X = np.asarray(X, dtype=float)
         self.y = np.asarray(y, dtype=float)
-        self.XT, self.scale = _unit_columns(self.X)
         self.sign = 2.0 * self.y - 1.0
+        self.XT, self.scale = _unit_columns(self.X, self.sign)
         self._outer = self._work = None
 
     def outer(self) -> np.ndarray:
-        """Row i is x_i x_i' flattened, C-ordered: one matmul gives every Hessian."""
+        """Row i is x_i x_i' flattened, C-ordered (the signs square away): one
+        matmul gives every Hessian."""
         if self._outer is None:
             X, p = self.XT.T, len(self.XT)
             self._outer = np.multiply(X[:, :, None], X[:, None, :], order="C").reshape(-1, p * p)
@@ -202,30 +206,35 @@ def _newton(design, counts, tol, cut, tilt=False):
 
     Returns the b x p coefficients (NaN where a fit failed), per fit None or
     the ``SolverError`` subclass it ends in, the Hessian where each fit
-    converged, and the number of steps. Steps are taken in u = x'beta / 2 for
-    s = 2y - 1, where expit(x'beta) = (1 + tanh u) / 2: the score is
-    sum c (s - tanh u) x, the Hessian sum c (1 - tanh^2 u) x x', and the
-    decrement that of beta. With ``tilt`` the fits minimise sum c exp(x'beta)
-    instead, stepping in beta itself (responses 0, so s = -1). Each step scales
-    that objective so its largest term is 1: for w = exp(x'beta - max x'beta)
-    the score is sum c s w x and the Hessian sum c w x x', so the step is
-    unchanged, nothing overflows, and the decrement falls like exp(-|x'beta|)
-    towards the boundary of the rows' convex hull; the separation test asks
-    whether 0 lies outside the interior of that hull. A fit is
-    RankDeficientDesign when the Hessian at the start, X' diag(c) X, has
-    eigenvalue ratio at most ``cut``, and every fit of the block is when a
-    later Hessian is singular to rounding. ``counts`` None is one fit of every row
-    once, and its steps skip the counts. Each step writes into the design's
-    work arrays; the fits still running hold their first rows, and ``counts``
-    is copied there, never written.
+    converged, and the number of steps. Steps are taken on the design's
+    signed rows z = s x, s = 2y - 1, in u = z'beta / 2, where a row's
+    likelihood is expit(s x'beta) = (1 + tanh u) / 2: the score is
+    sum c (1 - tanh u) z, the Hessian sum c (1 - tanh^2 u) z z' (z z' = x x'),
+    and the decrement that of beta. With ``tilt`` the fits minimise
+    sum c exp(x'beta) instead, stepping in beta itself; the responses are 0,
+    so z = -x and t = z'beta = -x'beta. Each step scales that objective so its
+    largest term is 1: for w = exp(min t - t) = exp(x'beta - max x'beta) the
+    score is sum c w z and the Hessian sum c w z z', so the step is unchanged,
+    nothing overflows, and the decrement falls like exp(-|x'beta|) towards the
+    boundary of the rows' convex hull; the separation test asks whether 0 lies
+    outside the interior of that hull. Every step is, to the bit, that of the
+    unsigned rows with residuals s - tanh(x'beta / 2) and s w: tanh is odd and
+    IEEE negation commutes with rounding, so each product and sum over z is
+    the negation of its counterpart over x, and no sign row is broadcast over
+    the block. A fit is RankDeficientDesign when the Hessian at the start,
+    X' diag(c) X, has eigenvalue ratio at most ``cut``, and every fit of the
+    block is when a later Hessian is singular to rounding. ``counts`` None is
+    one fit of every row once, and its steps skip the counts. Each step writes
+    into the design's work arrays; the fits still running hold their first
+    rows, and ``counts`` is copied there, never written.
     """
     XT = design.XT
     X = XT.T
-    sign = design.sign[None]  # 1 x n: a fit of one's work rows then match it in shape
     b, p = (1 if counts is None else counts.shape[0]), X.shape[1]
     t, w, r, c = design.work(b)  # the rows of the fits still running
     if counts is None:
         c = None
+        r.fill(1.0)  # the first step's residuals
     else:
         np.copyto(c, counts)
     # One fit forms its Hessian from the rows of XT times its Newton weights,
@@ -254,26 +263,23 @@ def _newton(design, counts, tol, cut, tilt=False):
     with np.errstate(invalid="ignore"):
         for iterations in range(1, DEFAULT_MAX_ITER + 1):
             if iterations == 1:
-                # At beta = 0 every tanh u is 0 and every tilt term 1, so the residuals are the
-                # signs and the Newton weights 1, each times its count: the values the step
-                # below would compute, to the bit. s holds the residuals and v the weights
-                # (1.0 without counts). The product XT * 1.0 below stays: XT @ X would take
+                # At beta = 0 every tanh u is 0 and every tilt term 1, so the residuals and
+                # the Newton weights are 1, each times its count: the values the step below
+                # would compute, to the bit. s holds the residuals and v the weights (1.0
+                # without counts). The product XT * 1.0 below stays: XT @ X would take
                 # BLAS's symmetric kernel, which rounds differently.
-                if c is None:
-                    s, v = sign, 1.0
-                else:
-                    s, v = np.multiply(sign, c, out=r), c
+                s, v = (r, 1.0) if c is None else (c, c)
             else:
                 np.matmul(B, XT, out=t)
                 if tilt:
                     far = np.abs(t).max(axis=1) > _ETA_BOUND
-                    np.exp(np.subtract(t, t.max(axis=1, keepdims=True), out=w), out=w)
-                    np.multiply(sign, w, out=r)
+                    # The residual is the weight, in a work row of its own (stop() moves it once).
+                    np.exp(np.subtract(t.min(axis=1, keepdims=True), t, out=r), out=r)
                 else:
                     np.tanh(t, out=t)
                     # 1 - t^2, below _W_BOUND where |x'beta| > _ETA_BOUND
                     np.subtract(1.0, np.multiply(t, t, out=w), out=w)
-                    np.subtract(sign, t, out=r)
+                    np.subtract(1.0, t, out=r)
                     far = (w.min(axis=1) < _W_BOUND if np.minimum.reduce(w, axis=None) < _W_BOUND
                            else None)
                 if far is not None and far.any():
@@ -286,8 +292,9 @@ def _newton(design, counts, tol, cut, tilt=False):
                         break
                 if c is not None:
                     np.multiply(c, r, out=r)
-                    np.multiply(c, w, out=w)
-                s, v = r, w
+                    if not tilt:
+                        np.multiply(c, w, out=w)
+                s, v = r, (r if tilt else w)
             score = s @ X
             if outer is None:  # XT times the n weights as a vector (a 1 x n row broadcasts slowly)
                 H = (np.multiply(XT, v if isinstance(v, float) else v[0], out=P) @ X)[None]

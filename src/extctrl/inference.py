@@ -13,22 +13,25 @@ block size, give every replicate the same subjects.
 
 The block draw reproduces that rule bit for bit for a block of replicates at
 once. It builds no Generator or SeedSequence and makes no ``integers`` call
-per replicate, whose set-up dominated the draw. It computes the block's
-replicate seeds and SeedSequence's mixing of them (the words of
+per replicate, whose set-up dominated the draw. It computes the replicate
+seeds of the whole bootstrap and SeedSequence's mixing of them (the words of
 ``SeedSequence(s).generate_state(4, np.uint64)``, which seed PCG64) in
-arrays, and seeds each replicate's PCG64 from its words through the
+arrays, once, and seeds each replicate's PCG64 from its words through the
 ``ISeedSequence`` hook. It reads that generator's raw 64-bit words and
 applies Lemire's multiply-and-reject (Lemire 2019, ACM TOMACS 29(1)), the
 method ``integers`` uses, to their 32-bit halves, low half first, over the
-whole block. A group of one row draws no word. A replicate that meets a
-rejected word, rare at these group sizes, is drawn again by the stream rule
-itself: ``_resample_rows`` on a NumPy Generator over its own PCG64.
+whole block: each draw's position in its group. A group of one row draws no
+word. A replicate that meets a rejected word, rare at these group sizes, is
+drawn again by the stream rule itself: ``_resample_rows`` on a NumPy
+Generator over its own PCG64.
 
 A resample is a vector of frequency weights on the fixed rows: how many
 times each subject was drawn (Efron & Tibshirani 1993, ch. 6). An analysis
 that can refit many count vectors at once is run on blocks of them instead
-of one resampled dataset per replicate; the counts come from the same
-streams, so replicate i refits the same subjects either way.
+of one resampled dataset per replicate. Their counts come straight from the
+positions, one ``bincount`` per group, with no rows between; the positions
+come from the same streams, so replicate i refits the same subjects either
+way. Only a replicate run through the analysis itself has its rows gathered.
 """
 
 from __future__ import annotations
@@ -50,13 +53,14 @@ from .glm import REFIT
 
 MAX_FAILURE_FRACTION = 0.2
 
-# Entries in one block (replicates x subjects). The block draw's rows and raw
-# words, the count block and the b x n work arrays of a batched refit are made
-# once per bootstrap and reused by every block and Newton step, so they hold a
-# few hundred kB whatever n and the number of replicates. They are reused
-# because allocation, not arithmetic, dominated: on a 2-vCPU host a fresh array
-# of 256 kB or more cost about 6-7 ns per element, against about 1 ns below
-# 128 kB.
+# Entries in one block (replicates x subjects). The block draw's positions, raw
+# words and rows, the count block and the b x n work arrays of a batched refit
+# are made once per bootstrap and reused by every block and Newton step, so
+# they hold a few hundred kB whatever n and the number of replicates. They are
+# reused because allocation, not arithmetic, dominated: on a 2-vCPU host a
+# fresh array of 256 kB or more cost about 6-7 ns per element, against about
+# 1 ns below 128 kB. A batched replicate's last bits depend on the block size,
+# so this constant is part of what fixes a report's bytes.
 _BLOCK_ELEMENTS = 32768
 
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -183,46 +187,70 @@ def resample_dataset(data: Dataset, rng: np.random.Generator) -> Dataset:
     return data.take(_resample_rows(*data.group_rows, rng))
 
 
-def _block_draw(group_rows, root_seed: int, size: int) -> Callable[[np.ndarray], np.ndarray]:
-    """A function of at most ``size`` replicate indices returning their resamples.
+def _block_draw(group_rows, root_seed: int, replicates: int, size: int) -> Callable:
+    """The draw of replicates 0 .. ``replicates`` - 1, at most ``size`` at a time.
 
-    Row j of the result is ``_resample_rows(*group_rows, rng)`` for the
-    generator of replicate ``indices[j]``. The result is a view of a buffer
-    that the next call refills.
+    The seed words of every replicate are mixed here, once. Returns a
+    function ``draw(indices, counts=None)`` of at most ``size`` indices. Row
+    j of its result is ``_resample_rows(*group_rows, rng)`` for the generator
+    of replicate ``indices[j]``: a view of a rows buffer that the next call
+    refills. Given a b x n float block ``counts``, it overwrites and returns
+    that block instead, row j holding how many times the resample holds each
+    row (``np.bincount`` of those rows), and gathers no rows.
     """
     pcg64 = _pcg64()
+    states = _seed_state(_replicate_seeds(root_seed, np.arange(replicates)))
     sizes = [len(rows) for rows in group_rows]
+    n = sum(sizes)
     draws = [k if k > 1 else 0 for k in sizes]  # a group of one row draws no word
-    rows = np.empty((size, sum(sizes)), dtype=np.intp)
     raw = np.empty((size, (sum(draws) + 1) // 2), dtype="<u8")
+    positions = np.empty(size * max(draws), dtype=np.uint64)
+    rows = None
+    # A group's counts go to its rows of the count block, through a slice where
+    # they are consecutive (as in a trial-only bootstrap): several times faster
+    # than through the index array. A group's rows are distinct and in order.
+    columns = [slice(g[0], g[0] + len(g)) if len(g) and g[-1] - g[0] == len(g) - 1 else g
+               for g in group_rows]
 
-    def draw(indices: np.ndarray) -> np.ndarray:
+    def draw(indices: np.ndarray, counts: Optional[np.ndarray] = None) -> np.ndarray:
+        nonlocal rows
         b = len(indices)
-        states = _seed_state(_replicate_seeds(root_seed, indices))
-        for j in range(b):
-            raw[j] = pcg64(states[j]).random_raw(raw.shape[1])
+        if counts is None and rows is None:
+            rows = np.empty((size, n), dtype=np.intp)
+        out = rows if counts is None else counts
+        for j, i in enumerate(indices.tolist()):
+            raw[j] = pcg64(states[i]).random_raw(raw.shape[1])
         halves = raw[:b].view("<u4")
         rejected = np.zeros(b, dtype=bool)
-        col = pos = 0
-        for group, k in zip(group_rows, draws):
+        col = h = 0
+        for group, cols, k in zip(group_rows, columns, draws):
             if k:
-                # Lemire's method, as in Generator.integers; the low half of
-                # the product, which decides rejection, is the uint32 product.
-                part = halves[:, pos:pos + k]
+                # Lemire's method, as in Generator.integers: the position is the
+                # high half of the product, and the low half, which decides
+                # rejection, is the uint32 product.
+                part = halves[:, h:h + k]
                 rejected |= (part * np.uint32(k) < (1 << 32) % k).any(axis=1)
-                high = part * np.uint64(k)
-                high >>= 32
-                # take fills a contiguous slice of rows (one group, as in a
-                # trial-only bootstrap) in place, where mode "raise" would copy
-                # it first; the draws lie in [0, k), so "clip" changes none.
-                group.take(high.view(np.int64), out=rows[:b, col:col + k], mode="clip")
-                pos += k
-            else:
+                pos = np.multiply(part, np.uint64(k), out=positions[:b * k].reshape(b, k))
+                pos >>= 32
+                if counts is None:
+                    # take fills a contiguous slice of rows (one group, as in a
+                    # trial-only bootstrap) in place, where mode "raise" would
+                    # copy it first; the draws lie in [0, k), so "clip" changes none.
+                    group.take(pos.view(np.int64), out=rows[:b, col:col + k], mode="clip")
+                else:  # replicate j's positions move up by j k: one bincount counts the block
+                    pos += np.arange(0, b * k, k, dtype=np.uint64)[:, None]
+                    counts[:b, cols] = np.bincount(pos.view(np.int64).ravel(),
+                                                   minlength=b * k).reshape(b, k)
+                h += k
+            elif counts is None:
                 rows[:b, col:col + len(group)] = group
+            else:
+                counts[:b, cols] = 1.0
             col += len(group)
         for j in np.flatnonzero(rejected):
-            rows[j] = _resample_rows(*group_rows, np.random.Generator(pcg64(states[j])))
-        return rows[:b]
+            again = _resample_rows(*group_rows, np.random.Generator(pcg64(states[indices[j]])))
+            out[j] = again if counts is None else np.bincount(again, minlength=n)
+        return out[:b]
 
     return draw
 
@@ -243,7 +271,7 @@ def replicate_estimates(
     errors: list[Optional[str]] = [None] * config.replicates
     n = len(data)
     size = min(max(1, _BLOCK_ELEMENTS // n), config.replicates)
-    draw = _block_draw(data.group_rows, config.seed, size)
+    draw = _block_draw(data.group_rows, config.seed, config.replicates, size)
 
     pending = np.arange(config.replicates)
     batch = getattr(analysis, "batch", None)
@@ -253,10 +281,7 @@ def replicate_estimates(
         counts = np.empty((size, n))  # refilled in place for every block
         for start in range(0, config.replicates, size):
             block = pending[start:start + size]
-            rows = draw(block)
-            rows += np.arange(0, len(block) * n, n)[:, None]
-            counts[:len(block)] = np.bincount(rows.ravel(), minlength=rows.size).reshape(-1, n)
-            estimates, block_errors = fit_block(counts[:len(block)])
+            estimates, block_errors = fit_block(draw(block, counts))
             for i, value, error in zip(block.tolist(), estimates, block_errors):
                 if error is REFIT:
                     refit.append(i)

@@ -92,6 +92,18 @@ def test_parameter_validation():
         power_prior_posterior(5, 10, 2, 5, 0.5, prior_alpha=0.0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: power_prior_posterior(2.5, 10, 3, 10, 0.5),
+    lambda: power_prior_posterior(2, 10, 1, True, 0.5),
+    lambda: PowerPriorAnalysis(2, 10, 3, 10, 0.5, prior=(1, 2, 3)).run(),
+], ids=["fractional-count", "bool-count", "three-number-prior"])
+def test_library_rejects_what_a_plan_rejects(call):
+    # A plan takes counts that are integers and not bools (is_count) and a
+    # prior of two numbers > 0; a library caller gets the same rule.
+    with pytest.raises(ParameterOutOfRange):
+        call()
+
+
 def test_a0_sensitivity_sweep():
     rows = PowerPriorAnalysis(TRIAL_X, TRIAL_N, EXT_X0, EXT_N0, 0.5, sweep=[0.0, 0.5, 1.0]).run()[1]["sensitivity"]
     assert [r["a0"] for r in rows] == [0.0, 0.5, 1.0]

@@ -445,3 +445,127 @@ def test_fit_of_one_matches_the_reference_newton_bit_for_bit(cap, monkeypatch):
         verdicts.add(None)
     expected = {None, SeparationDetected, RankDeficientDesign}
     assert verdicts == (expected if cap is None else expected | {NoConvergence})
+
+
+def reference_block_fit(X, y, counts, cut, tilt=False, tol=DEFAULT_TOL):
+    """A block of Newton fits written out in the unsigned arithmetic: the
+    unit-norm transpose of X itself, residuals sign - tanh u (sign * w for the
+    tilt, w = exp(t - max t)) and the fits still running kept in order as
+    others stop. Returns what _newton does, but the number of steps of each
+    fit in place of the block's."""
+    XT, scale = reference_unit_columns(X)
+    X1, sign = XT.T, 2.0 * y - 1.0
+    b, (n, p) = len(counts), X.shape
+    outer = np.multiply(X1[:, :, None], X1[:, None, :], order="C").reshape(n, p * p)
+    beta, hessians = np.full((b, p), np.nan), np.zeros((b, p, p))
+    errors, tested, steps = [None] * b, set(), [0] * b
+    fits, B, c = np.arange(b), np.zeros((b, p)), np.array(counts, dtype=float)
+    for iterations in range(1, glm.DEFAULT_MAX_ITER + 1):
+        for i in fits:
+            steps[i] = iterations
+        if iterations == 1:
+            r, w = sign * c, c
+        else:
+            t = B @ XT
+            if tilt:
+                far = np.abs(t).max(axis=1) > glm._ETA_BOUND
+                w = np.exp(t - t.max(axis=1, keepdims=True))
+                r = sign * w
+            else:
+                t = np.tanh(t)
+                w = 1.0 - t * t
+                r = sign - t
+                far = w.min(axis=1) < glm._W_BOUND
+            for k in np.flatnonzero(far):
+                if fits[k] not in tested:
+                    tested.add(fits[k])
+                    if glm._separated(X, y, c[k]):
+                        errors[fits[k]] = SeparationDetected
+            keep = np.array([errors[i] is None for i in fits])
+            fits, B, c, r, w = fits[keep], B[keep], c[keep], r[keep], w[keep]
+            if not len(fits):
+                break
+            r, w = c * r, c * w
+        score = r @ X1
+        H = (w @ outer).reshape(-1, p, p) if b > 1 else ((XT * w[0]) @ X1)[None]
+        if iterations == 1:
+            keep = np.array([e[0] > cut * e[-1] for e in np.linalg.eigvalsh(H)])
+            for i in fits[~keep]:
+                errors[i] = RankDeficientDesign
+            fits, B, c, score, H = fits[keep], B[keep], c[keep], score[keep], H[keep]
+            if not len(fits):
+                break
+        step = np.linalg.solve(H, score[:, :, None])[:, :, 0]
+        decrement = np.add.reduce(score * step, axis=1)
+        if not np.isfinite(decrement).all():
+            for i in fits:
+                errors[i] = RankDeficientDesign
+            break
+        B = B + step
+        done = decrement < tol
+        beta[fits[done]], hessians[fits[done]] = B[done], H[done]
+        fits, B, c = fits[~done], B[~done], c[~done]
+        if not len(fits):
+            break
+    else:
+        for k, i in enumerate(fits):
+            separated = i not in tested and glm._separated(X, y, c[k])
+            errors[i] = SeparationDetected if separated else NoConvergence
+    return (1.0 if tilt else 2.0) * beta / scale, errors, hessians, steps
+
+
+def bootstrap_block(rng, y, b):
+    """b bootstrap count vectors on len(y) rows, each holding both responses
+    and more rows than the design has columns, so no screen of
+    fit_logistic_counts takes a replicate out of the block."""
+    n, block = len(y), []
+    while len(block) < b:
+        c = np.bincount(rng.integers(0, n, size=n), minlength=n)
+        if 0 < np.count_nonzero(c[y == 1]) < np.count_nonzero(c):
+            block.append(c)
+    return np.array(block, dtype=float)
+
+
+@pytest.mark.parametrize("cap", [None, 3])
+def test_block_fits_match_the_reference_block_newton_bit_for_bit(cap, monkeypatch):
+    # The design holds the signed rows s x, and a block's steps use residuals
+    # 1 - tanh u (the tilt's: its weight); they must give, to the bit, the
+    # unsigned arithmetic written out in reference_block_fit, for logistic
+    # fits and MAIC tilts alike, as the fits of a block stop at different
+    # steps and the fits still running move up in the work rows. Every second
+    # problem runs, and at a cap of 3 steps every fourth.
+    if cap is not None:
+        monkeypatch.setattr(glm, "DEFAULT_MAX_ITER", cap)
+    rng = np.random.default_rng(17)
+    verdicts, fitted, moved = set(), 0, 0
+    for case, (X, y) in enumerate(reference_problems(np.random.default_rng(7))):
+        if case % (2 if cap is None else 4):
+            continue
+        n, p = X.shape
+        counts = bootstrap_block(rng, y, 4)
+        Z = X[:, 1:]
+        Xc = Z - (Z.mean(axis=0) + 0.3 * Z.std(axis=0) * rng.normal(size=p - 1))
+        for design, cut, tilt in ((LogisticDesign(X, y), glm._GRAM_SCREEN, False),
+                                  (LogisticDesign(Xc, np.zeros(n)), max(n, p) * glm._EPS, True)):
+            beta, errors, hessians, steps = reference_block_fit(design.X, design.y, counts,
+                                                                cut, tilt)
+            got = _newton(design, counts, DEFAULT_TOL, cut, tilt=tilt)
+            assert got[0].tobytes() == beta.tobytes()
+            assert got[1] == errors
+            assert got[2].tobytes() == hessians.tobytes()
+            assert got[3] == max(steps)
+            verdicts.update(errors)
+            moved += any(a < b for a, b in zip(steps, steps[1:]))
+            if not tilt:
+                logistic = beta, errors
+        # fit_logistic_counts runs the logistic block above (cut _GRAM_SCREEN),
+        # and gives each replicate it does not leave to fit_logistic the
+        # reference's coefficients.
+        got, got_errors = fit_logistic_counts(LogisticDesign(X, y), counts)
+        for want, error, coefficients, verdict in zip(*logistic, got, got_errors):
+            if verdict is None:
+                assert error is None and coefficients.tobytes() == want.tobytes()
+                fitted += 1
+    expected = {None, SeparationDetected, RankDeficientDesign}
+    assert verdicts == (expected if cap is None else expected | {NoConvergence})
+    assert fitted > (100 if cap is None else 0) and moved > (30 if cap is None else 0)

@@ -349,7 +349,7 @@ def test_block_rows_equal_the_stream_rule(n_trial, n_external):
     group_rows = (np.sort(rows[:n_trial]), np.sort(rows[n_trial:]))
     indices = np.array([0, 1, 5, 64, 999])
     for root in ROOT_SEEDS:
-        got = _block_draw(group_rows, root, len(indices))(indices)
+        got = _block_draw(group_rows, root, 1000, len(indices))(indices)
         for j, i in enumerate(indices):
             want = _resample_rows(*group_rows, np.random.default_rng(replicate_seed(root, i)))
             assert np.array_equal(got[j], want), (root, i)
@@ -362,7 +362,7 @@ def test_block_rows_equal_the_stream_rule_after_a_rejected_word(n_external):
     # word, the external group's included.
     group_rows = (np.arange(3000), np.arange(3000, 3000 + n_external))
     indices = np.array([724, 725, 726, 1419])
-    got = _block_draw(group_rows, 0, 4)(indices)
+    got = _block_draw(group_rows, 0, 1420, 4)(indices)
     for j, i in enumerate(indices):
         rng = np.random.default_rng(replicate_seed(0, i))
         halves = rng.bit_generator.random_raw(1500).astype("<u8").view("<u4")
@@ -378,7 +378,7 @@ def test_block_rows_equal_the_stream_rule_when_half_the_block_is_redrawn():
     # drawn again by NumPy's generator, in the same buffer as the others.
     k = 60000
     group_rows = (np.arange(k), np.arange(k, k + 3))
-    got = _block_draw(group_rows, 0, 8)(np.arange(8))
+    got = _block_draw(group_rows, 0, 8, 8)(np.arange(8))
     met = []
     for i in range(8):
         rng = np.random.default_rng(replicate_seed(0, i))
@@ -389,9 +389,41 @@ def test_block_rows_equal_the_stream_rule_when_half_the_block_is_redrawn():
     assert met == [True, False, False, True, True, False, True, False]
 
 
+def interleaved(n_trial, n_external):
+    rows = np.random.default_rng(n_trial).permutation(n_trial + n_external)
+    return np.sort(rows[:n_trial]), np.sort(rows[n_trial:])
+
+
+@pytest.mark.parametrize("group_rows,roots,indices", [
+    (interleaved(251, 250), ROOT_SEEDS[:12], [0, 1, 5, 64, 999]),
+    (interleaved(1, 40), ROOT_SEEDS[:12], [0, 1, 5, 64, 999]),  # a trial group of one
+    (interleaved(40, 1), ROOT_SEEDS[:12], [0, 1, 5, 64, 999]),  # an external group of one
+    ((np.arange(3000), np.arange(3000, 3000)), ROOT_SEEDS[:12], [0, 1, 5, 64, 999]),
+    ((np.arange(3000), np.arange(3000, 3500)), [0], [724, 725, 726, 1419]),  # rejected words
+    ((np.arange(60000), np.arange(60000, 60003)), [0], range(8)),  # half the block redrawn
+], ids=["interleaved", "trial-one", "external-one", "no-external", "rejected", "half-redrawn"])
+def test_block_counts_equal_bincount_of_the_stream_rule(group_rows, roots, indices):
+    # A batch's counts are drawn in place from the Lemire positions, without
+    # rows: row j of the count block is np.bincount of the rows that replicate
+    # indices[j]'s own generator draws. The same draw still gives those rows.
+    indices = np.array(indices)
+    n = sum(map(len, group_rows))
+    for root in roots:
+        draw = _block_draw(group_rows, root, indices.max() + 1, len(indices))
+        counts = np.full((len(indices) + 1, n), np.nan)
+        got = draw(indices, counts)
+        assert np.shares_memory(got, counts) and got.shape == (len(indices), n)
+        assert np.isnan(counts[-1]).all()
+        rows = draw(indices)
+        for j, i in enumerate(indices):
+            want = _resample_rows(*group_rows, np.random.default_rng(replicate_seed(root, i)))
+            assert np.array_equal(got[j], np.bincount(want, minlength=n)), (root, i)
+            assert np.array_equal(rows[j], want), (root, i)
+
+
 def test_block_draw_reuses_its_buffer_and_takes_any_indices():
     group_rows = (np.arange(0, 40, 2), np.arange(1, 40, 2))
-    draw = _block_draw(group_rows, 3, 4)
+    draw = _block_draw(group_rows, 3, 31, 4)
     first = draw(np.array([9, 2, 30]))
     kept = first.copy()
     second = draw(np.array([30]))
@@ -421,7 +453,7 @@ def test_replicate_streams_golden():
               [21, 121, 209, 240, 27, 103, 180, 174, 234, 30],
               [25, 141, 101, 137, 126, 133, 69, 83, 144, 244]]
     group_rows = (np.arange(250), np.arange(250, 500))
-    assert _block_draw(group_rows, 0, 3)(np.arange(3))[:, :10].tolist() == golden
+    assert _block_draw(group_rows, 0, 3, 3)(np.arange(3))[:, :10].tolist() == golden
     for i, want in enumerate(golden):
         rng = np.random.default_rng(replicate_seed(0, i))
         assert _resample_rows(*group_rows, rng)[:10].tolist() == want

@@ -102,8 +102,9 @@ def composed_design(X):
 def test_one_pass_design_matches_the_composition_bit_for_bit(p):
     # The design built in one pass must hold the composition's values in its
     # memory layout (which picks the BLAS kernel of the scores X @ beta), and
-    # LogisticDesign must prepare the same unit-norm transpose, scales and
-    # signs from it. 20,000 rows pass einsum's 8,192-element buffer.
+    # LogisticDesign must prepare the same signs, scales and unit-norm
+    # transpose from it, each row times its sign (exact for +-1). 20,000 rows
+    # pass einsum's 8,192-element buffer.
     rng = np.random.default_rng(p)
     for n in sorted({p + 1, p + 2, 10, 499, 500, 1000, 5000, 20_000}):
         for case in range(3):
@@ -118,6 +119,6 @@ def test_one_pass_design_matches_the_composition_bit_for_bit(p):
             assert got.tobytes() == want.tobytes()
             XT, scale = reference_unit_columns(want)
             design = LogisticDesign(got, y)
-            assert design.XT.tobytes() == XT.tobytes()
+            assert design.XT.tobytes() == (XT * (2.0 * y - 1.0)).tobytes()
             assert design.scale.tobytes() == scale.tobytes()
             assert design.sign.tobytes() == (2.0 * y - 1.0).tobytes()
