@@ -30,9 +30,9 @@ pins (CI runs it on the lowest NumPy allowed, as the module is private). A
 gufunc reports failure in its results, not by exception: the step of a
 singular Hessian is NaN, as is an eigenvalue LAPACK did not converge to.
 
-What the core allocates: a design makes its signs, the unit-norm transpose
-of its signed rows, and its four b x n work arrays on the first fit (again
-only for a larger block). Each call makes the b x p coefficients, the index
+What the core allocates: a design makes the unit-norm transpose of its
+signed rows, and its four b x n work arrays on the first fit (again only for
+a larger block). Each call makes the b x p coefficients, the index
 of the fits still running and, for a fit of one, the p x n product of the
 transpose and the weights; each step makes the score, Hessian, step and
 decrement, of b x p x p entries at most. A block returns its last step's
@@ -173,17 +173,16 @@ def _separated(X: np.ndarray, y: np.ndarray, c) -> bool:
 class LogisticDesign:
     """A design ``X`` (n x p) and 0/1 responses ``y``, prepared once for any
     number of Newton fits, logistic (intercept column included) or tilt
-    (centered rows, ``y`` all 0): the signs s = 2y - 1, the unit-norm
-    transpose of the signed rows s_i x_i with its column scales, the row
-    outer products once a block of several fits needs them, and b x n work
-    arrays that every block and step reuses (see ``inference._BLOCK_ELEMENTS``).
+    (centered rows, ``y`` all 0): the unit-norm transpose of the signed
+    rows s_i x_i, s = 2y - 1, with its column scales, the row outer products
+    once a block of several fits needs them, and b x n work arrays that every
+    block and step reuses (see ``inference._BLOCK_ELEMENTS``).
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray):
         self.X = np.asarray(X, dtype=float)
         self.y = np.asarray(y, dtype=float)
-        self.sign = 2.0 * self.y - 1.0
-        self.XT, self.scale = _unit_columns(self.X, self.sign)
+        self.XT, self.scale = _unit_columns(self.X, 2.0 * self.y - 1.0)
         self._outer = self._work = None
 
     def outer(self) -> np.ndarray:

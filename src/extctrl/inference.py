@@ -14,11 +14,11 @@ block size, give every replicate the same subjects.
 The block draw reproduces that rule bit for bit for a block of replicates at
 once. It builds no Generator or SeedSequence and makes no ``integers`` call
 per replicate, whose set-up dominated the draw. It computes the replicate
-seeds of the whole bootstrap and SeedSequence's mixing of them (the words of
+seeds and SeedSequence's mixing of them (the words of
 ``SeedSequence(s).generate_state(4, np.uint64)``, which seed PCG64) in
-arrays, once, and seeds each replicate's PCG64 from its words through the
-``ISeedSequence`` hook. It reads that generator's raw 64-bit words and
-applies Lemire's multiply-and-reject (Lemire 2019, ACM TOMACS 29(1)), the
+arrays, thousands of replicates at a time, and seeds each replicate's PCG64
+from its words through the ``ISeedSequence`` hook. It reads that generator's
+raw 64-bit words and applies Lemire's multiply-and-reject (Lemire 2019, ACM TOMACS 29(1)), the
 method ``integers`` uses, to their 32-bit halves, low half first, over the
 whole block: each draw's position in its group. A group of one row draws no
 word. A replicate that meets a rejected word, rare at these group sizes, is
@@ -62,6 +62,10 @@ MAX_FAILURE_FRACTION = 0.2
 # 1 ns below 128 kB. A batched replicate's last bits depend on the block size,
 # so this constant is part of what fixes a report's bytes.
 _BLOCK_ELEMENTS = 32768
+
+# Replicates whose seed words are mixed at once: the mixing costs about 80 us
+# a call whatever its size, and about 164 bytes per replicate while it runs.
+_SEED_CHUNK = 4096
 
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
@@ -190,7 +194,8 @@ def resample_dataset(data: Dataset, rng: np.random.Generator) -> Dataset:
 def _block_draw(group_rows, root_seed: int, replicates: int, size: int) -> Callable:
     """The draw of replicates 0 .. ``replicates`` - 1, at most ``size`` at a time.
 
-    The seed words of every replicate are mixed here, once. Returns a
+    The seed words of the replicates are mixed ``_SEED_CHUNK`` at a time,
+    when the draw first reaches them, and the last chunk's are kept. Returns a
     function ``draw(indices, counts=None)`` of at most ``size`` indices. Row
     j of its result is ``_resample_rows(*group_rows, rng)`` for the generator
     of replicate ``indices[j]``: a view of a rows buffer that the next call
@@ -199,18 +204,22 @@ def _block_draw(group_rows, root_seed: int, replicates: int, size: int) -> Calla
     row (``np.bincount`` of those rows), and gathers no rows.
     """
     pcg64 = _pcg64()
-    states = _seed_state(_replicate_seeds(root_seed, np.arange(replicates)))
+
+    @functools.lru_cache(maxsize=1)
+    def chunk(c: int) -> np.ndarray:
+        indices = np.arange(c * _SEED_CHUNK, min((c + 1) * _SEED_CHUNK, replicates))
+        return _seed_state(_replicate_seeds(root_seed, indices))
+
+    def words(i: int) -> np.ndarray:
+        c, r = divmod(i, _SEED_CHUNK)
+        return chunk(c)[r]
+
     sizes = [len(rows) for rows in group_rows]
     n = sum(sizes)
     draws = [k if k > 1 else 0 for k in sizes]  # a group of one row draws no word
     raw = np.empty((size, (sum(draws) + 1) // 2), dtype="<u8")
     positions = np.empty(size * max(draws), dtype=np.uint64)
     rows = None
-    # A group's counts go to its rows of the count block, through a slice where
-    # they are consecutive (as in a trial-only bootstrap): several times faster
-    # than through the index array. A group's rows are distinct and in order.
-    columns = [slice(g[0], g[0] + len(g)) if len(g) and g[-1] - g[0] == len(g) - 1 else g
-               for g in group_rows]
 
     def draw(indices: np.ndarray, counts: Optional[np.ndarray] = None) -> np.ndarray:
         nonlocal rows
@@ -219,11 +228,11 @@ def _block_draw(group_rows, root_seed: int, replicates: int, size: int) -> Calla
             rows = np.empty((size, n), dtype=np.intp)
         out = rows if counts is None else counts
         for j, i in enumerate(indices.tolist()):
-            raw[j] = pcg64(states[i]).random_raw(raw.shape[1])
+            raw[j] = pcg64(words(i)).random_raw(raw.shape[1])
         halves = raw[:b].view("<u4")
         rejected = np.zeros(b, dtype=bool)
         col = h = 0
-        for group, cols, k in zip(group_rows, columns, draws):
+        for group, k in zip(group_rows, draws):
             if k:
                 # Lemire's method, as in Generator.integers: the position is the
                 # high half of the product, and the low half, which decides
@@ -239,16 +248,16 @@ def _block_draw(group_rows, root_seed: int, replicates: int, size: int) -> Calla
                     group.take(pos.view(np.int64), out=rows[:b, col:col + k], mode="clip")
                 else:  # replicate j's positions move up by j k: one bincount counts the block
                     pos += np.arange(0, b * k, k, dtype=np.uint64)[:, None]
-                    counts[:b, cols] = np.bincount(pos.view(np.int64).ravel(),
+                    counts[:b, group] = np.bincount(pos.view(np.int64).ravel(),
                                                    minlength=b * k).reshape(b, k)
                 h += k
             elif counts is None:
                 rows[:b, col:col + len(group)] = group
             else:
-                counts[:b, cols] = 1.0
+                counts[:b, group] = 1.0
             col += len(group)
         for j in np.flatnonzero(rejected):
-            again = _resample_rows(*group_rows, np.random.Generator(pcg64(states[indices[j]])))
+            again = _resample_rows(*group_rows, np.random.Generator(pcg64(words(indices[j]))))
             out[j] = again if counts is None else np.bincount(again, minlength=n)
         return out[:b]
 

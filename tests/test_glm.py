@@ -276,7 +276,7 @@ def test_fits_leave_design_responses_and_counts_unchanged(order):
     inputs = X.copy(order="K"), y.copy(), counts.copy()
     fit = fit_logistic(X, y)
     design = LogisticDesign(X, y)
-    prepared = design.XT.copy(), design.scale.copy(), design.sign.copy()
+    prepared = design.XT.copy(), design.scale.copy()
     beta, errors = fit_logistic_counts(design, counts)
     assert errors == [SeparationDetected, REFIT] + [None] * 4
     # Every verdict is that of fit_logistic on the replicate's rows, which a
@@ -299,7 +299,7 @@ def test_fits_leave_design_responses_and_counts_unchanged(order):
     # into work arrays of the design, never into what the design holds.
     assert not np.shares_memory(design.XT, X)
     one, one_errors = fit_logistic_counts(design, np.ones((1, n)))
-    for given, kept in zip((design.XT, design.scale, design.sign), prepared):
+    for given, kept in zip((design.XT, design.scale), prepared):
         assert np.array_equal(given, kept)
     # A fit of every row once skips the counts; a block of one row of ones
     # multiplies by them. Multiplying by 1 is exact, so the two agree bit for bit,

@@ -21,8 +21,8 @@ from extctrl import (
 from extctrl.errors import (InvalidConfig, PlanInvalid, PositivityHardFail, SolverError,
                             TooManyReplicateFailures)
 from extctrl.glm import DEFAULT_TOL
-from extctrl.inference import (_block_draw, _resample_rows, _seed_state, replicate_estimates,
-                               replicate_seed, resample_dataset)
+from extctrl.inference import (_SEED_CHUNK, _block_draw, _resample_rows, _seed_state,
+                               replicate_estimates, replicate_seed, resample_dataset)
 
 from conftest import make_dataset
 
@@ -431,6 +431,21 @@ def test_block_draw_reuses_its_buffer_and_takes_any_indices():
     for j, i in enumerate([9, 2, 30]):
         assert np.array_equal(kept[j], _resample_rows(
             *group_rows, np.random.default_rng(replicate_seed(3, i))))
+
+
+def test_block_draw_seeds_every_chunk_of_replicates():
+    # Seed words are mixed a chunk of replicates at a time and only the last
+    # chunk is kept: a block that spans two chunks, and a draw that goes back
+    # to an earlier chunk (as a refit of failed replicates does), still give
+    # each replicate its own stream. The last chunk is a short one.
+    group_rows = (np.arange(0, 30, 3), np.setdiff1d(np.arange(30), np.arange(0, 30, 3)))
+    c = _SEED_CHUNK
+    draw = _block_draw(group_rows, 11, 2 * c + 5, 4)
+    for indices in ([c - 2, c - 1, c, c + 1], [2 * c + 4, 2 * c], [0, c - 1], [2 * c + 1, c]):
+        counts = draw(np.array(indices), np.empty((4, 30)))
+        for j, i in enumerate(indices):
+            want = _resample_rows(*group_rows, np.random.default_rng(replicate_seed(11, i)))
+            assert np.array_equal(counts[j], np.bincount(want, minlength=30)), i
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])

@@ -121,4 +121,3 @@ def test_one_pass_design_matches_the_composition_bit_for_bit(p):
             design = LogisticDesign(got, y)
             assert design.XT.tobytes() == (XT * (2.0 * y - 1.0)).tobytes()
             assert design.scale.tobytes() == scale.tobytes()
-            assert design.sign.tobytes() == (2.0 * y - 1.0).tobytes()
