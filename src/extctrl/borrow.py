@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import ParameterOutOfRange, is_count, is_number
+from .errors import ParameterOutOfRange, check_settings, is_count, is_number, setting
 
 
 @dataclass(frozen=True)
@@ -106,34 +106,47 @@ def power_prior_posterior(
     )
 
 
+def _floats(values) -> list:
+    return [*map(float, values)]
+
+
 @dataclass(frozen=True)
 class PowerPriorAnalysis:
     """Power-prior borrowing as one analysis. ``run`` reads no dataset and
     gives no effect report, the ``posterior`` report block, the posteriors
     over the ``sweep`` grid (no selection rule) as a ``sensitivity`` block
     when it is set, no table and no curves. Each field is the key of the
-    same name in a plan's ``power_prior`` block, with the field's default.
+    same name in a plan's ``power_prior`` block, with the field's default,
+    and declares its check, which the constructor runs (ParameterOutOfRange);
+    a number that means a float is kept as one, so ``a0=1`` reports 1.0.
     """
 
-    x: int
-    n: int
-    x0: int
-    n0: int
-    a0: float
-    prior: Sequence[float] = (1.0, 1.0)
-    level: float = 0.95
-    sweep: Optional[Sequence[float]] = None
+    x: int = setting("an integer >= 0", is_count)
+    n: int = setting("an integer >= 0", is_count)
+    x0: int = setting("an integer >= 0", is_count)
+    n0: int = setting("an integer >= 0", is_count)
+    a0: float = setting("in [0, 1]", lambda v: is_number(v) and 0 <= v <= 1, float)
+    prior: Sequence[float] = setting(
+        "two numbers > 0", lambda v: isinstance(v, (list, tuple)) and len(v) == 2
+        and all(is_number(p) and p > 0 for p in v), _floats, default=(1.0, 1.0))
+    level: float = setting("in (0, 1)", lambda v: is_number(v) and 0 < v < 1, float,
+                           default=0.95)
+    sweep: Optional[Sequence[float]] = setting(
+        "a non-empty list of numbers in [0, 1]", lambda v: v is None or (
+            isinstance(v, (list, tuple)) and len(v) > 0
+            and all(is_number(a) and 0 <= a <= 1 for a in v)),
+        _floats, default=None)
+
+    def __post_init__(self):
+        check_settings(self, "power_prior ")
+        if self.x > self.n or self.x0 > self.n0:
+            raise ParameterOutOfRange(f"power_prior responders exceed n: {self.x}/{self.n}, "
+                                      f"{self.x0}/{self.n0}")
 
     def run(self, data=None) -> tuple:
-        try:
-            alpha, beta = self.prior
-        except (TypeError, ValueError):
-            raise ParameterOutOfRange(
-                f"prior must be two numbers > 0, got {self.prior!r}") from None
-
         def posterior(a0):
             return power_prior_posterior(
-                self.x, self.n, self.x0, self.n0, a0, alpha, beta).to_dict(self.level)
+                self.x, self.n, self.x0, self.n0, a0, *self.prior).to_dict(self.level)
 
         blocks = {"posterior": posterior(self.a0)}
         if self.sweep is not None:

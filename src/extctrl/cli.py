@@ -25,6 +25,7 @@ import sys
 from pathlib import Path
 
 from . import plan as planmod
+from .borrow import PowerPriorAnalysis
 from .dataset import save_dataset
 from .errors import ExtCtrlError, PlanInvalid
 from .estimators import Scale, WeightingAnalysis
@@ -75,7 +76,8 @@ _SCALE = {"--scale": ("scale", {"choices": [s.value for s in Scale]})}
 _BOOTSTRAP = {
     "--bootstrap": ("bootstrap.replicates", {"type": int, "metavar": "B",
                                              "help": "bootstrap replicates (0 = no CI)"}),
-    "--level": ("bootstrap.level", {"type": float, "help": "bootstrap CI level (default 0.95)"}),
+    "--level": ("bootstrap.level", {"type": float, "help": "bootstrap CI level (default "
+                                    f"{BootstrapConfig.level})"}),
     "--seed": ("seed", {"type": int, "help": "bootstrap seed (default 0)"}),
 }
 
@@ -113,9 +115,12 @@ FRONT_ENDS = {
                                     "help": "external responders"}),
         "--n0": ("power_prior.n0", {"type": int, "required": True, "help": "external size"}),
         "--a0": ("power_prior.a0", {"type": float, "required": True}),
-        "--prior": ("power_prior.prior", {"type": _numbers("--prior"), "default": "1,1",
+        # argparse passes no default through the flag's type, so the default
+        # is already the list of floats the type gives.
+        "--prior": ("power_prior.prior", {"type": _numbers("--prior"),
+                                          "default": list(PowerPriorAnalysis.prior),
                                           "help": "Beta prior a,b"}),
-        "--level": ("power_prior.level", {"type": float, "default": 0.95}),
+        "--level": ("power_prior.level", {"type": float, "default": PowerPriorAnalysis.level}),
         "--sweep": ("power_prior.sweep", {"type": _numbers("--sweep"), "help":
                                           "comma-separated a0 grid for sensitivity output"}),
         "--assume-comparable": ("power_prior.assume_comparable", {

@@ -12,9 +12,12 @@ the CLI returns for it as ``exit_code``:
     5  positivity hard-fail: ``PositivityHardFail``
 
 ``checked_field`` reads one field of a JSON object and raises the caller's
-error family when the value has the wrong type or range.
+error family when the value has the wrong type or range. A dataclass
+setting declares its check on its field (``setting``); ``check_settings``
+runs those checks in the constructor, and a plan runs them on its keys.
 """
 
+import dataclasses
 import math
 import numbers
 
@@ -165,3 +168,28 @@ def checked_field(block: dict, key: str, default, ok, what: str, where: str = ""
     if not ok(value):
         raise error(f"{where}{key} must be {what}, got {value!r}")
     return value
+
+
+def setting(what: str, ok, read=None, parse=None, **field_args):
+    """A dataclass field that declares its check: its value must pass ``ok``,
+    or it "must be {what}". ``read`` turns a value that passes, other than
+    None, into the one the field keeps (a float for an integer, say).
+    ``parse``, where a plan's JSON value is a name, turns it into the field's
+    type before the check."""
+    return dataclasses.field(metadata={"check": (what, ok, read), "parse": parse}, **field_args)
+
+
+def checked_setting(f: dataclasses.Field, value, where: str = "", error=ParameterOutOfRange):
+    """``value`` checked as field ``f`` declares, then read."""
+    what, ok, read = f.metadata["check"]
+    value = checked_field({f.name: value}, f.name, None, ok, what, where, error)
+    return value if read is None or value is None else read(value)
+
+
+def check_settings(obj, where: str = "", error=ParameterOutOfRange) -> None:
+    """Check every field of the dataclass ``obj`` that declares a check, in
+    field order, and keep the value each one reads: a class's ``__post_init__``."""
+    for f in dataclasses.fields(obj):
+        if "check" in f.metadata:
+            value = checked_setting(f, getattr(obj, f.name), where, error)
+            object.__setattr__(obj, f.name, value)

@@ -27,6 +27,9 @@ from .errors import (
     PositivityHardFail,
     ScaleIncompatibleWithOutcome,
     ZeroDenominator,
+    check_settings,
+    is_number,
+    setting,
 )
 from .propensity import estimate_propensity, positivity_report
 
@@ -44,6 +47,45 @@ _SCALES = {
     OutcomeKind.CONTINUOUS: (Scale.MEAN_DIFFERENCE,),
     OutcomeKind.TIME_TO_EVENT: (Scale.RISK_DIFFERENCE,),
 }
+
+
+def _estimand(value) -> Estimand:
+    """A plan's estimand name as an Estimand."""
+    if not isinstance(value, str):
+        raise PlanInvalid(f"estimand must be a string, got {value!r}")
+    try:
+        return Estimand.parse(value)
+    except ValueError as exc:
+        raise PlanInvalid(f"bad estimand {value!r}: {exc}") from None
+
+
+def _scale(value) -> Scale:
+    """A plan's scale name as a Scale."""
+    try:
+        return Scale(value)
+    except ValueError as exc:
+        raise PlanInvalid(f"bad scale or link: {exc}") from None
+
+
+def scale_field():
+    """The ``scale`` setting of an analysis: a Scale, or None for the outcome's default."""
+    return setting("a Scale", lambda v: v is None or isinstance(v, Scale), parse=_scale,
+                   default=None)
+
+
+def _distinct(names):
+    """``names``, unless one of them is named twice."""
+    repeated = [c for i, c in enumerate(names) if c in names[:i]]
+    if repeated:
+        raise ParameterOutOfRange(f"covariate {repeated[0]!r} is named twice")
+    return names
+
+
+def covariates_field():
+    """The ``covariates`` setting of an analysis: names, or None for every covariate."""
+    return setting("a list of names", lambda v: v is None or (
+        isinstance(v, (list, tuple)) and all(isinstance(c, str) for c in v)), _distinct,
+        default=None)
 
 
 @dataclass
@@ -293,16 +335,26 @@ class WeightingAnalysis:
     horizon. ``design`` and ``diagnostics`` read no outcome.
 
     Each field is the weighting plan key of the same name, and its default
-    is the value of a plan that does not set that key (``plan.parse_plan``).
+    is the value of a plan that does not set that key. Each declares its
+    check, which the constructor runs (ParameterOutOfRange) and a plan runs
+    on its key (``plan.parse_plan``).
     """
 
-    estimand: Estimand = Estimand(EstimandKind.ATE)
-    scale: Optional[Scale] = None
-    covariates: Optional[Sequence[str]] = None
-    horizon: Optional[float] = None
-    positivity_a: float = 0.1
-    fail_on_overlap: bool = False
-    smd_threshold: float = DEFAULT_SMD_THRESHOLD
+    estimand: Estimand = setting("an Estimand", lambda v: isinstance(v, Estimand),
+                                 parse=_estimand, default=Estimand(EstimandKind.ATE))
+    scale: Optional[Scale] = scale_field()
+    covariates: Optional[Sequence[str]] = covariates_field()
+    fail_on_overlap: bool = setting("true or false", lambda v: isinstance(v, (bool, np.bool_)),
+                                    default=False)
+    # Numbers that mean floats are kept as floats, so "horizon": 3 reports as 3.0.
+    positivity_a: float = setting("in [0, 0.5)", lambda v: is_number(v) and 0 <= v < 0.5, float,
+                                  default=0.1)
+    smd_threshold: float = setting("a finite number > 0", lambda v: is_number(v) and v > 0,
+                                   float, default=DEFAULT_SMD_THRESHOLD)
+    horizon: Optional[float] = setting(
+        "a number >= 0", lambda v: v is None or (is_number(v) and v >= 0), float, default=None)
+
+    __post_init__ = check_settings
 
     def design(self, data: Dataset) -> tuple:
         """The propensity model, its positivity report and the balancing weights."""

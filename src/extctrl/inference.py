@@ -47,8 +47,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .dataset import Dataset
-from .errors import (ExtCtrlError, InvalidConfig, TooManyReplicateFailures, checked_field,
-                     is_count, is_int, is_number)
+from .errors import (ExtCtrlError, InvalidConfig, TooManyReplicateFailures, check_settings,
+                     is_count, is_int, is_number, setting)
 from .glm import REFIT
 
 MAX_FAILURE_FRACTION = 0.2
@@ -147,20 +147,15 @@ def _pcg64() -> Callable[[np.ndarray], object]:
 
 @dataclass(frozen=True)
 class BootstrapConfig:
-    replicates: int = 1000
-    level: float = 0.95
-    seed: int = 0
-    threads: int = 0  # 0 = EXTCTRL_THREADS if set, else serial
+    # NumPy integers pass, bools do not (as in ScenarioConfig).
+    replicates: int = setting("an integer >= 2", lambda v: is_int(v) and v >= 2, default=1000)
+    level: float = setting("a number in (0, 1)", lambda v: is_number(v) and 0.0 < v < 1.0,
+                           default=0.95)
+    seed: int = setting("an integer", is_int, default=0)
+    threads: int = setting("an integer >= 0", is_count, default=0)  # 0: EXTCTRL_THREADS, or serial
 
     def __post_init__(self):
-        # NumPy integers pass, bools do not (as in ScenarioConfig).
-        for key, ok, what in (
-            ("replicates", lambda v: is_int(v) and v >= 2, "an integer >= 2"),
-            ("level", lambda v: is_number(v) and 0.0 < v < 1.0, "a number in (0, 1)"),
-            ("seed", is_int, "an integer"),
-            ("threads", is_count, "an integer >= 0"),
-        ):
-            checked_field(vars(self), key, None, ok, what, "bootstrap ", InvalidConfig)
+        check_settings(self, "bootstrap ", InvalidConfig)
 
 
 @dataclass(frozen=True)

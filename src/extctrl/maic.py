@@ -20,8 +20,9 @@ import numpy as np
 from .balancing import effective_sample_size
 from .dataset import AggregateSummary, Dataset, Group
 from .errors import (AllWeightsZero, CollinearCovariates, NoConvergence, RankDeficientDesign,
-                     SeparationDetected, TargetOutsideSupport)
-from .estimators import EffectReport, Scale, check_scale, contrast_on_scale, weights_table
+                     SeparationDetected, TargetOutsideSupport, check_settings, setting)
+from .estimators import (EffectReport, Scale, check_scale, contrast_on_scale, covariates_field,
+                         scale_field, weights_table)
 from .glm import _EPS, DEFAULT_MAX_ITER, DEFAULT_TOL, LogisticDesign, _newton
 
 TARGET_POPULATION = "external control population (ATC)"
@@ -137,12 +138,16 @@ class MaicAnalysis:
     calling the analysis on a dataset returns the point of that report.
 
     Each field but ``target`` is the MAIC plan key of the same name, and its
-    default is the value of a plan that does not set that key.
+    default is the value of a plan that does not set that key. Each declares
+    its check, which the constructor runs (ParameterOutOfRange).
     """
 
-    target: AggregateSummary
-    covariates: Optional[Sequence[str]] = None
-    scale: Optional[Scale] = None
+    target: AggregateSummary = setting("an AggregateSummary",
+                                       lambda v: isinstance(v, AggregateSummary))
+    covariates: Optional[Sequence[str]] = covariates_field()
+    scale: Optional[Scale] = scale_field()
+
+    __post_init__ = check_settings
 
     def run(self, data: Dataset) -> tuple:
         trial = data.restrict(Group.TRIAL)

@@ -7,7 +7,9 @@ follows the fixed order estimand declaration, selection diagnostics,
 comparison. A method's settings are the fields of its analysis: each field
 but ``target`` is the plan key of the same name (for a power prior, the key
 of its block), with the field's default, and each field of
-``BootstrapConfig`` is a key of the ``bootstrap`` block.
+``BootstrapConfig`` is a key of the ``bootstrap`` block. A key is checked by
+the check its field declares, the one the constructor runs, and a failure is
+PlanInvalid with the constructor's text.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from typing import Optional
 
 import numpy as np
 
-from .balancing import Estimand
 from .borrow import PowerPriorAnalysis
 from .dataset import (
     AggregateSummary,
@@ -35,7 +36,8 @@ from .dataset import (
     load_dataset,
 )
 from .diagnostics import CHECKLIST_FIELDS, comparability_checklist
-from .errors import InvalidConfig, PlanInvalid, checked_field as _field, is_count, is_int, is_number
+from .errors import (InvalidConfig, ParameterOutOfRange, PlanInvalid, checked_field as _field,
+                     checked_setting, is_int)
 from .estimators import Scale, WeightingAnalysis, check_scale
 from .inference import BootstrapConfig, bootstrap_ci
 from .maic import MaicAnalysis
@@ -131,6 +133,26 @@ _KEYS = {"": _SHARED_KEYS.union(*_METHOD_KEYS.values()),
          "checklist": set(CHECKLIST_FIELDS)}
 
 
+def _settings(cls, doc: dict, where: str = "") -> dict:
+    """The settings ``doc`` gives the fields of the analysis ``cls``, each
+    parsed, checked and read as its field declares, in field order. A field
+    with no default but ``target`` is checked even when ``doc`` leaves it out.
+    An analysis without a ``target`` is then built from them, so that its own
+    rules run too. A failure is PlanInvalid with the constructor's text."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    settings = {}
+    try:
+        for f in dataclasses.fields(cls):
+            if f.name in doc or (f.default is dataclasses.MISSING and f.name != "target"):
+                value, parse = doc.get(f.name), f.metadata["parse"]
+                settings[f.name] = checked_setting(f, parse(value) if parse else value, where)
+        if "target" not in names:
+            cls(**settings)  # its rules that involve more than one field, such as x <= n
+    except ParameterOutOfRange as exc:
+        raise PlanInvalid(str(exc)) from None
+    return settings
+
+
 def parse_plan(raw: dict) -> AnalysisPlan:
     """Validate a plan document; a malformed field, an unknown key or a key
     the plan's method does not read raises PlanInvalid."""
@@ -160,37 +182,15 @@ def parse_plan(raw: dict) -> AnalysisPlan:
     if method not in (Method.MAIC, Method.STC) and aggregate_path is not None:
         raise PlanInvalid(f"method {method.value} takes no aggregate file")
 
-    settings = {}  # the checked analysis settings the plan sets, by key
-
-    def setting(key, ok, what, read=lambda v: v, doc=raw, where=""):
-        if key in doc:
-            settings[key] = read(_field(doc, key, None, ok, what, where))
-
+    # The checked analysis settings the plan sets, by key: a weighting, MAIC or
+    # STC plan's at its top level, a power prior's in its block (below).
+    settings = {} if method is Method.POWER_PRIOR else _settings(_ANALYSES[method], raw)
     try:
-        setting("estimand", lambda v: isinstance(v, str), "a string", Estimand.parse)
-    except ValueError as exc:
-        raise PlanInvalid(f"bad estimand {raw['estimand']!r}: {exc}") from None
-    try:
-        if "scale" in raw:
-            settings["scale"] = Scale(raw["scale"])
         Link(raw.get("link", "identity"))  # STC checks it against the outcome's link
     except ValueError as exc:
         raise PlanInvalid(f"bad scale or link: {exc}") from None
-    setting("covariates", lambda v: v is None or (
-        isinstance(v, list) and all(isinstance(c, str) for c in v)), "a list of names")
-    covariates = settings.get("covariates") or ()
-    repeated = [c for i, c in enumerate(covariates) if c in covariates[:i]]
-    if repeated:
-        raise PlanInvalid(f"covariate {repeated[0]!r} is named twice")
     seed = _field(raw, "seed", 0, is_int, "an integer")
     checklist = _field(raw, "checklist", {}, lambda v: isinstance(v, dict), "an object")
-    setting("fail_on_overlap", lambda v: isinstance(v, bool), "true or false")
-    # Numbers that mean floats are floats, so "horizon": 3 reports as 3.0, as
-    # a flag's value does (argparse gives floats); the hash reads the raw plan.
-    setting("positivity_a", lambda v: is_number(v) and 0 <= v < 0.5, "in [0, 0.5)", float)
-    setting("smd_threshold", lambda v: is_number(v) and v > 0, "a finite number > 0", float)
-    setting("horizon", lambda v: v is None or (is_number(v) and v >= 0), "a number >= 0",
-            lambda v: v if v is None else float(v))
 
     bconf = None
     if "bootstrap" in raw:
@@ -207,21 +207,7 @@ def parse_plan(raw: dict) -> AnalysisPlan:
         if block.get("assume_comparable") is not True:  # JSON true, not "no" or 1
             raise PlanInvalid("power-prior borrowing requires the explicit assume_comparable "
                               "flag (CLI: --assume-comparable)")
-        where = "power_prior "
-        x, n, x0, n0 = (_field(block, key, None, is_count, "an integer >= 0", where)
-                        for key in ("x", "n", "x0", "n0"))
-        if x > n or x0 > n0:
-            raise PlanInvalid(f"power_prior responders exceed n: {x}/{n}, {x0}/{n0}")
-        a0 = _field(block, "a0", None, lambda v: is_number(v) and 0 <= v <= 1, "in [0, 1]", where)
-        # As floats, so "a0": 1 reports as `borrow --a0 1` does.
-        settings.update(x=x, n=n, x0=x0, n0=n0, a0=float(a0))
-        setting("prior", lambda v: isinstance(v, list) and len(v) == 2 and all(
-            is_number(p) and p > 0 for p in v), "two numbers > 0", lambda v: [*map(float, v)],
-            block, where)
-        setting("level", lambda v: is_number(v) and 0 < v < 1, "in (0, 1)", float, block, where)
-        setting("sweep", lambda v: isinstance(v, list) and len(v) > 0 and all(
-            is_number(a) and 0 <= a <= 1 for a in v), "a non-empty list of numbers in [0, 1]",
-            lambda v: [*map(float, v)], block, where)
+        settings = _settings(PowerPriorAnalysis, block, "power_prior ")
 
     return AnalysisPlan(
         raw=raw,

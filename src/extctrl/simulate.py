@@ -20,7 +20,8 @@ import numpy as np
 
 from .balancing import Estimand, EstimandKind, tilting
 from .dataset import ROLE_COLUMNS, Dataset, OutcomeKind
-from .errors import InvalidConfig, checked_field, is_int, is_number
+from .errors import (InvalidConfig, check_settings, checked_field, is_int, is_number,
+                     setting)
 from .glm import expit
 from .inference import replicate_seed
 
@@ -33,15 +34,13 @@ _OUTCOME_PROB_EPS = 1e-9
 class CovariateSpec:
     name: str
     kind: str  # "binary" | "continuous"
-    p: Optional[float] = None  # Bernoulli parameter
-    mean: float = 0.0
-    sd: float = 1.0
+    p: Optional[float] = setting("a number", lambda v: v is None or is_number(v),
+                                 default=None)  # Bernoulli parameter
+    mean: float = setting("a number", is_number, default=0.0)
+    sd: float = setting("a number", is_number, default=1.0)
 
     def __post_init__(self):
-        for key in ("p", "mean", "sd"):
-            checked_field(vars(self), key, None,
-                          lambda v: is_number(v) or (key == "p" and v is None), "a number",
-                          "covariate ", InvalidConfig)
+        check_settings(self, "covariate ", InvalidConfig)
         if self.kind == "binary":
             if self.p is None or not 0.0 < self.p < 1.0:
                 raise InvalidConfig(f"binary covariate {self.name!r} needs p in (0,1)")
@@ -52,37 +51,32 @@ class CovariateSpec:
             raise InvalidConfig(f"unknown covariate kind {self.kind!r}")
 
 
+def _numbers(values) -> bool:
+    return isinstance(values, (tuple, list)) and all(is_number(x) for x in values)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    n_trial: int
-    n_external: int
-    covariates: tuple[CovariateSpec, ...]
-    assignment: tuple[float, ...]  # logistic coefficients, intercept first
-    outcome_kind: OutcomeKind
-    outcome_coefficients: tuple[float, ...]  # intercept first
-    effect: float  # risk difference / mean difference / log-hazard shift
-    residual_sd: float = 1.0
-    censoring_rate: float = 0.0
-    unmeasured_confounder: bool = False
-    time_lag: float = 0.0
-    seed: int = 0
+    n_trial: int = setting("an integer", is_int)
+    n_external: int = setting("an integer", is_int)
+    covariates: tuple[CovariateSpec, ...] = setting(
+        "a list of CovariateSpec", lambda v: isinstance(v, (tuple, list))
+        and all(isinstance(c, CovariateSpec) for c in v))
+    # The coefficients of trial membership's logistic model and of the outcome
+    # model, intercept first.
+    assignment: tuple[float, ...] = setting("a list of numbers", _numbers)
+    outcome_kind: OutcomeKind = setting("an OutcomeKind", lambda v: isinstance(v, OutcomeKind))
+    outcome_coefficients: tuple[float, ...] = setting("a list of numbers", _numbers)
+    effect: float = setting("a number", is_number)  # risk/mean difference, log-hazard shift
+    residual_sd: float = setting("a number", is_number, default=1.0)
+    censoring_rate: float = setting("a number", is_number, default=0.0)
+    unmeasured_confounder: bool = setting(
+        "true or false", lambda v: isinstance(v, (bool, np.bool_)), default=False)
+    time_lag: float = setting("a number", is_number, default=0.0)
+    seed: int = setting("an integer", is_int, default=0)
 
     def __post_init__(self):
-        def numbers(v):
-            return isinstance(v, (tuple, list)) and all(is_number(x) for x in v)
-
-        for keys, ok, what in (
-            (("n_trial", "n_external", "seed"), is_int, "an integer"),
-            (("effect", "residual_sd", "censoring_rate", "time_lag"), is_number, "a number"),
-            (("assignment", "outcome_coefficients"), numbers, "a list of numbers"),
-            (("covariates",), lambda v: isinstance(v, (tuple, list))
-             and all(isinstance(c, CovariateSpec) for c in v), "a list of CovariateSpec"),
-            (("outcome_kind",), lambda v: isinstance(v, OutcomeKind), "an OutcomeKind"),
-            (("unmeasured_confounder",), lambda v: isinstance(v, (bool, np.bool_)),
-             "true or false"),
-        ):
-            for key in keys:
-                checked_field(vars(self), key, None, ok, what, error=InvalidConfig)
+        check_settings(self, error=InvalidConfig)
         if self.n_trial <= 0 or self.n_external <= 0:
             raise InvalidConfig("group sizes must be positive")
         if not self.covariates:

@@ -19,8 +19,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dataset import AggregateSummary, Dataset, Group, OutcomeKind
-from .errors import ZeroDenominator
-from .estimators import EffectReport, Scale, check_scale, contrast_on_scale
+from .errors import ZeroDenominator, check_settings, setting
+from .estimators import (EffectReport, Scale, check_scale, contrast_on_scale, covariates_field,
+                         scale_field)
 from .glm import (GlmFit, LogisticDesign, add_intercept, fit_linear, fit_logistic,
                   fit_logistic_counts)
 
@@ -125,12 +126,16 @@ class StcAnalysis:
     ``inference.bootstrap_ci``), fitting the block's outcome models at once.
 
     Each field but ``target`` is the STC plan key of the same name, and its
-    default is the value of a plan that does not set that key.
+    default is the value of a plan that does not set that key. Each declares
+    its check, which the constructor runs (ParameterOutOfRange).
     """
 
-    target: AggregateSummary
-    covariates: Optional[Sequence[str]] = None
-    scale: Optional[Scale] = None
+    target: AggregateSummary = setting("an AggregateSummary",
+                                       lambda v: isinstance(v, AggregateSummary))
+    covariates: Optional[Sequence[str]] = covariates_field()
+    scale: Optional[Scale] = scale_field()
+
+    __post_init__ = check_settings
 
     def run(self, data: Dataset) -> tuple:
         return stc_estimate(data, self.target, self.covariates, self.scale)[1], {}, {}, None
