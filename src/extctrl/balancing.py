@@ -62,11 +62,17 @@ class Estimand:
 
     @classmethod
     def parse(cls, token: str) -> "Estimand":
-        """Parse CLI-style tokens: ate, att, atc, ato, matching, trim:<a>."""
-        token = token.strip().lower()
-        if token.startswith("trim:"):
-            return cls(EstimandKind.TRIMMED, a=float(token.split(":", 1)[1]))
-        return cls(EstimandKind(token))
+        """Parse CLI-style tokens: ate, att, atc, ato, matching, trim:<a>.
+        Anything else, a value that is no string included, is ParameterOutOfRange."""
+        if not isinstance(token, str):
+            raise ParameterOutOfRange(f"estimand must be a string, got {token!r}")
+        name = token.strip().lower()
+        try:
+            if name.startswith("trim:"):
+                return cls(EstimandKind.TRIMMED, a=float(name.split(":", 1)[1]))
+            return cls(EstimandKind(name))
+        except ValueError as exc:
+            raise ParameterOutOfRange(f"bad estimand {token!r}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import enum
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
@@ -35,10 +35,12 @@ from .errors import (
     ScaleIncompatibleWithOutcome,
     SchemaViolation,
     UnknownGroupLabel,
+    check_settings,
     checked_field,
     is_count,
     is_int,
     is_number,
+    setting,
 )
 
 
@@ -251,41 +253,43 @@ class Dataset:
 
 @dataclass(frozen=True)
 class AggregateSummary:
-    """Published-only external data: covariate means plus an outcome summary."""
+    """Published-only external data: covariate means plus an outcome summary.
+    Each field declares its check, whose failure is SchemaViolation ("aggregate n ...")."""
 
-    covariate_names: tuple[str, ...]
-    covariate_means: tuple[float, ...]
-    n: int
-    outcome_kind: OutcomeKind
-    outcome_summary: dict = field(default_factory=dict)
+    covariate_names: tuple[str, ...] = setting(
+        "a list of distinct strings", lambda v: isinstance(v, (list, tuple))
+        and all(isinstance(c, str) for c in v) and len(set(v)) == len(v), tuple)
+    covariate_means: tuple[float, ...] = setting("a list", lambda v: isinstance(v, (list, tuple)))
+    n: int = setting("a positive integer", lambda v: is_int(v) and v > 0)
+    outcome_kind: OutcomeKind = setting("an OutcomeKind", lambda v: isinstance(v, OutcomeKind))
+    outcome_summary: dict = setting(
+        "an object of finite numbers",
+        lambda v: isinstance(v, dict) and all(map(is_number, v.values())), default_factory=dict)
 
     def __post_init__(self):
-        if self.n <= 0:
-            raise SchemaViolation("aggregate n must be positive")
+        check_settings(self, "aggregate ", SchemaViolation)
         if len(self.covariate_names) != len(self.covariate_means):
             raise SchemaViolation("covariate names/means length mismatch")
         for name, mean in zip(self.covariate_names, self.covariate_means):
             if not is_number(mean):
                 raise SchemaViolation(f"covariate {name!r} mean must be a finite number, "
                                       f"got {mean!r}")
+        object.__setattr__(self, "covariate_means", tuple(map(float, self.covariate_means)))
+        summary = self.outcome_summary
         if self.outcome_kind is OutcomeKind.BINARY:
-            x0 = self.outcome_summary.get("responders")
+            x0 = summary.get("responders")
             if not is_count(x0):
                 raise SchemaViolation(
                     f"binary aggregate outcome needs responders, an integer >= 0, got {x0!r}")
             if x0 > self.n:
                 raise ResponderCountExceedsN(f"responders {x0} > n {self.n}")
         elif self.outcome_kind is OutcomeKind.CONTINUOUS:
-            mean, sd = self.outcome_summary.get("mean"), self.outcome_summary.get("sd", 0.0)
-            if not is_number(mean):
-                raise SchemaViolation(
-                    f"continuous aggregate outcome needs mean, a finite number, got {mean!r}")
-            if not (is_number(sd) and sd >= 0):
+            if "mean" not in summary:
+                raise SchemaViolation("continuous aggregate outcome needs a mean")
+            if summary.get("sd", 0.0) < 0:
                 raise SchemaViolation("aggregate sd must be >= 0")
-        elif self.outcome_kind is OutcomeKind.TIME_TO_EVENT:
-            s = self.outcome_summary.get("survival")
-            if s is not None and not 0.0 <= s <= 1.0:
-                raise ProportionOutOfRange(f"survival probability {s} outside [0,1]")
+        elif not 0.0 <= summary.get("survival", 0.0) <= 1.0:
+            raise ProportionOutOfRange(f"survival probability {summary['survival']} outside [0,1]")
 
     def matched_covariates(self, trial: Dataset, covariates=None) -> tuple[str, ...]:
         """``covariates``, else the trial covariates the aggregate has; MissingColumn if none."""
@@ -546,7 +550,9 @@ def load_aggregate(path) -> AggregateSummary:
          "outcome": {"kind": "binary", "responders": 90}}
 
     Continuous outcomes carry ``mean``/``sd``; survival outcomes carry
-    ``horizon``/``survival``.
+    ``horizon``/``survival``. Only the JSON shape and the binary covariates
+    are checked here; ``AggregateSummary`` checks the values, and any
+    DataError names the file.
     """
     path = Path(path)
     try:
@@ -556,48 +562,37 @@ def load_aggregate(path) -> AggregateSummary:
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: cannot read file ({exc})") from None
 
-    def field(block, key, ok, what, default=None, where=""):
-        return checked_field(block, key, default, ok, what, f"{path}: {where}", SchemaViolation)
+    def field(block, key, ok, what, default=None):
+        return checked_field(block, key, default, ok, what, f"{path}: ", SchemaViolation)
 
     if not isinstance(payload, dict):
         raise SchemaViolation(f"{path}: an aggregate must be a JSON object")
     for key in ("n", "covariates", "outcome"):
         if key not in payload:
             raise SchemaViolation(f"{path}: missing key {key!r}")
-    n = field(payload, "n", lambda v: is_int(v) and v > 0, "a positive integer")
     covs = field(payload, "covariates", lambda v: isinstance(v, dict) and v, "a non-empty object")
-    names = tuple(covs.keys())
-    means = tuple(float(field(covs, name, is_number, "a finite number", where="covariate "))
-                  for name in names)
     binary = field(payload, "binary_covariates",
                    lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
                    "a list of names", default=[])
-    for name in binary:
-        if name not in covs:
-            raise SchemaViolation(f"{path}: binary covariate {name!r} not in covariates")
-        if not 0.0 <= float(covs[name]) <= 1.0:
-            raise ProportionOutOfRange(
-                f"{path}: proportion {covs[name]} for {name!r} outside [0,1]"
-            )
-
     outcome = field(payload, "outcome", lambda v: isinstance(v, dict), "an object")
     kind_token = outcome.get("kind")
     try:
         kind = OutcomeKind(kind_token)
     except ValueError:
         raise SchemaViolation(f"{path}: unknown outcome kind {kind_token!r}") from None
-    summary = {k: v for k, v in outcome.items() if k != "kind"}
-    for key in summary:
-        field(summary, key, is_number, "a number", where="outcome ")
-    if kind is OutcomeKind.CONTINUOUS and "mean" not in summary:
-        raise SchemaViolation(f"{path}: continuous outcome needs 'mean'")
     try:
-        return AggregateSummary(
-            covariate_names=names,
-            covariate_means=means,
-            n=n,
+        aggregate = AggregateSummary(
+            covariate_names=tuple(covs),
+            covariate_means=tuple(covs.values()),
+            n=payload["n"],
             outcome_kind=kind,
-            outcome_summary=summary,
+            outcome_summary={k: v for k, v in outcome.items() if k != "kind"},
         )
+        for name in binary:
+            if name not in covs:
+                raise SchemaViolation(f"binary covariate {name!r} not in covariates")
+            if not 0.0 <= aggregate.mean_of(name) <= 1.0:
+                raise ProportionOutOfRange(f"proportion {covs[name]} for {name!r} outside [0,1]")
     except DataError as exc:
         raise type(exc)(f"{path}: {exc}") from None
+    return aggregate

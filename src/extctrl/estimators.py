@@ -31,7 +31,7 @@ from .errors import (
     is_number,
     setting,
 )
-from .propensity import estimate_propensity, positivity_report
+from .propensity import estimate_propensity, is_names, positivity_report
 
 
 class Scale(enum.Enum):
@@ -47,16 +47,6 @@ _SCALES = {
     OutcomeKind.CONTINUOUS: (Scale.MEAN_DIFFERENCE,),
     OutcomeKind.TIME_TO_EVENT: (Scale.RISK_DIFFERENCE,),
 }
-
-
-def _estimand(value) -> Estimand:
-    """A plan's estimand name as an Estimand."""
-    if not isinstance(value, str):
-        raise PlanInvalid(f"estimand must be a string, got {value!r}")
-    try:
-        return Estimand.parse(value)
-    except ValueError as exc:
-        raise PlanInvalid(f"bad estimand {value!r}: {exc}") from None
 
 
 def _scale(value) -> Scale:
@@ -83,9 +73,7 @@ def _distinct(names):
 
 def covariates_field():
     """The ``covariates`` setting of an analysis: names, or None for every covariate."""
-    return setting("a list of names", lambda v: v is None or (
-        isinstance(v, (list, tuple)) and all(isinstance(c, str) for c in v)), _distinct,
-        default=None)
+    return setting("a list of names", is_names, _distinct, default=None)
 
 
 @dataclass
@@ -341,7 +329,7 @@ class WeightingAnalysis:
     """
 
     estimand: Estimand = setting("an Estimand", lambda v: isinstance(v, Estimand),
-                                 parse=_estimand, default=Estimand(EstimandKind.ATE))
+                                 parse=Estimand.parse, default=Estimand(EstimandKind.ATE))
     scale: Optional[Scale] = scale_field()
     covariates: Optional[Sequence[str]] = covariates_field()
     fail_on_overlap: bool = setting("true or false", lambda v: isinstance(v, (bool, np.bool_)),

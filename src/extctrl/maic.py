@@ -24,6 +24,7 @@ from .errors import (AllWeightsZero, CollinearCovariates, NoConvergence, RankDef
 from .estimators import (EffectReport, Scale, check_scale, contrast_on_scale, covariates_field,
                          scale_field, weights_table)
 from .glm import _EPS, DEFAULT_MAX_ITER, DEFAULT_TOL, LogisticDesign, _newton
+from .propensity import check_covariates
 
 TARGET_POPULATION = "external control population (ATC)"
 
@@ -68,6 +69,7 @@ def maic_weights(
         Names to match; defaults to the trial covariates the aggregate also
         reports (``AggregateSummary.matched_covariates``).
     """
+    check_covariates(covariates)
     trial = trial.restrict(Group.TRIAL)
     names = target.matched_covariates(trial, covariates)
     X = trial.covariate_matrix(names)

@@ -38,6 +38,18 @@ class PositivityReport:
     insufficient_overlap: bool
 
 
+def is_names(v) -> bool:
+    """None (every covariate) or a list of names, the ``covariates`` an analysis
+    or a public function takes; not a string, which would name one per character."""
+    return v is None or isinstance(v, (list, tuple)) and all(isinstance(c, str) for c in v)
+
+
+def check_covariates(covariates) -> None:
+    """ParameterOutOfRange unless ``is_names(covariates)``, with an analysis's text."""
+    if not is_names(covariates):
+        raise ParameterOutOfRange(f"covariates must be a list of names, got {covariates!r}")
+
+
 def estimate_propensity(
     data: Dataset,
     covariates: Optional[Sequence[str]] = None,
@@ -54,6 +66,7 @@ def estimate_propensity(
     tol : float
         Newton decrement at which the logistic fit stops (see ``fit_logistic``).
     """
+    check_covariates(covariates)
     if data.n_external == 0:
         raise EmptyDataset("propensity estimation needs external records")
     names = tuple(covariates) if covariates is not None else data.covariate_names

@@ -33,7 +33,7 @@ _OUTCOME_PROB_EPS = 1e-9
 @dataclass(frozen=True)
 class CovariateSpec:
     name: str
-    kind: str  # "binary" | "continuous"
+    kind: str = setting("'binary' or 'continuous'", lambda v: v in ("binary", "continuous"))
     p: Optional[float] = setting("a number", lambda v: v is None or is_number(v),
                                  default=None)  # Bernoulli parameter
     mean: float = setting("a number", is_number, default=0.0)
@@ -44,11 +44,8 @@ class CovariateSpec:
         if self.kind == "binary":
             if self.p is None or not 0.0 < self.p < 1.0:
                 raise InvalidConfig(f"binary covariate {self.name!r} needs p in (0,1)")
-        elif self.kind == "continuous":
-            if self.sd <= 0:
-                raise InvalidConfig(f"continuous covariate {self.name!r} needs sd > 0")
-        else:
-            raise InvalidConfig(f"unknown covariate kind {self.kind!r}")
+        elif self.sd <= 0:
+            raise InvalidConfig(f"continuous covariate {self.name!r} needs sd > 0")
 
 
 def _numbers(values) -> bool:
@@ -57,8 +54,8 @@ def _numbers(values) -> bool:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    n_trial: int = setting("an integer", is_int)
-    n_external: int = setting("an integer", is_int)
+    n_trial: int = setting("an integer > 0", lambda v: is_int(v) and v > 0)
+    n_external: int = setting("an integer > 0", lambda v: is_int(v) and v > 0)
     covariates: tuple[CovariateSpec, ...] = setting(
         "a list of CovariateSpec", lambda v: isinstance(v, (tuple, list))
         and all(isinstance(c, CovariateSpec) for c in v))
@@ -68,8 +65,8 @@ class ScenarioConfig:
     outcome_kind: OutcomeKind = setting("an OutcomeKind", lambda v: isinstance(v, OutcomeKind))
     outcome_coefficients: tuple[float, ...] = setting("a list of numbers", _numbers)
     effect: float = setting("a number", is_number)  # risk/mean difference, log-hazard shift
-    residual_sd: float = setting("a number", is_number, default=1.0)
-    censoring_rate: float = setting("a number", is_number, default=0.0)
+    residual_sd: float = setting("a number >= 0", lambda v: is_number(v) and v >= 0, default=1.0)
+    censoring_rate: float = setting("in [0, 1)", lambda v: is_number(v) and 0 <= v < 1, default=0.0)
     unmeasured_confounder: bool = setting(
         "true or false", lambda v: isinstance(v, (bool, np.bool_)), default=False)
     time_lag: float = setting("a number", is_number, default=0.0)
@@ -77,8 +74,6 @@ class ScenarioConfig:
 
     def __post_init__(self):
         check_settings(self, error=InvalidConfig)
-        if self.n_trial <= 0 or self.n_external <= 0:
-            raise InvalidConfig("group sizes must be positive")
         if not self.covariates:
             raise InvalidConfig("at least one covariate is required")
         names = [spec.name for spec in self.covariates]
@@ -91,10 +86,6 @@ class ScenarioConfig:
             raise InvalidConfig("assignment coefficients must be intercept + one per covariate")
         if len(self.outcome_coefficients) != len(self.covariates) + 1:
             raise InvalidConfig("outcome coefficients must be intercept + one per covariate")
-        if self.residual_sd < 0:
-            raise InvalidConfig("residual sd must be >= 0")
-        if not 0.0 <= self.censoring_rate < 1.0:
-            raise InvalidConfig("censoring rate must be in [0,1)")
         if self.unmeasured_confounder and len(self.covariates) < 2:
             raise InvalidConfig("hiding a confounder requires at least 2 covariates")
 

@@ -24,6 +24,7 @@ from .estimators import (EffectReport, Scale, check_scale, contrast_on_scale, co
                          scale_field)
 from .glm import (GlmFit, LogisticDesign, add_intercept, fit_linear, fit_logistic,
                   fit_logistic_counts)
+from .propensity import check_covariates
 
 TARGET_POPULATION = "external control population"
 
@@ -88,6 +89,7 @@ def stc_estimate(
     (``estimators.check_scale``). The covariate list is the analyst's
     explicit designation of effect modifiers and prognostic variables.
     """
+    check_covariates(covariates)
     scale, names, X, y, x_target, observed = _stc_inputs(trial, target, covariates, scale)
     link = outcome_link(target.outcome_kind)
     fit = fit_logistic(X, y) if link is Link.LOGIT else fit_linear(X, y)

@@ -1,10 +1,11 @@
 """Settings declared on their fields: one check for a library caller and a plan.
 
-Each setting of an analysis, of ``BootstrapConfig`` and of ``ScenarioConfig``
-is a dataclass field that declares its check (``errors.setting``). The
-constructor runs the checks in field order; ``plan.parse_plan`` runs the same
-checks on a plan's keys and re-raises a failure as PlanInvalid with the same
-text.
+Each setting of an analysis, of ``BootstrapConfig``, of ``ScenarioConfig`` and
+of ``AggregateSummary`` is a dataclass field that declares its check
+(``errors.setting``). The constructor runs the checks in field order;
+``plan.parse_plan`` runs the same checks on a plan's keys and re-raises a
+failure as PlanInvalid with the same text, and ``load_aggregate`` names the
+file in front of the constructor's text.
 """
 
 import dataclasses
@@ -14,10 +15,12 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset
-from extctrl import (AggregateSummary, BootstrapConfig, Group, MaicAnalysis, OutcomeKind,
-                     PowerPriorAnalysis, ScenarioConfig, StcAnalysis, WeightingAnalysis, cli,
-                     estimators)
-from extctrl.errors import InvalidConfig, ParameterOutOfRange, PlanInvalid
+from extctrl import (AggregateSummary, BootstrapConfig, CovariateSpec, Estimand, Group,
+                     MaicAnalysis, OutcomeKind, PowerPriorAnalysis, ScenarioConfig, StcAnalysis,
+                     WeightingAnalysis, cli, estimate_propensity, estimators, load_aggregate,
+                     maic_weights, stc_estimate)
+from extctrl.errors import (InvalidConfig, ParameterOutOfRange, PlanInvalid,
+                            ProportionOutOfRange, ResponderCountExceedsN, SchemaViolation)
 from extctrl.plan import canonical_json, parse_plan, plan_hash, run_plan
 
 TARGET = AggregateSummary(("severe",), (0.5,), 80, OutcomeKind.BINARY, {"responders": 30})
@@ -80,7 +83,7 @@ BAD_NAMES = [
 
 def test_every_settable_field_declares_its_check():
     for cls in (WeightingAnalysis, MaicAnalysis, StcAnalysis, PowerPriorAnalysis,
-                BootstrapConfig, ScenarioConfig):
+                BootstrapConfig, ScenarioConfig, AggregateSummary):
         for f in dataclasses.fields(cls):
             assert "check" in f.metadata, (cls.__name__, f.name)
     # Each plan key of each analysis has a bad value below.
@@ -238,3 +241,134 @@ def test_a_null_sweep_is_no_sweep():
     assert "sensitivity" not in report
     assert report["posterior"] == run_plan(parse_plan(
         {"method": "power_prior", "power_prior": block})).report["posterior"]
+
+
+@pytest.mark.parametrize("token,message", [
+    (5, "estimand must be a string, got 5"),
+    ("atx", "bad estimand 'atx': 'atx' is not a valid EstimandKind"),
+    ("trim:0.7", "bad estimand 'trim:0.7': trimmed estimand requires 0 < a < 0.5"),
+    ("trim:x", "bad estimand 'trim:x': could not convert string to float: 'x'"),
+], ids=["number", "unknown", "trim-range", "trim-number"])
+def test_a_bad_estimand_name_fails_alike_in_parse_and_in_a_plan(token, message):
+    # Estimand.parse(5) once raised a bare AttributeError.
+    with pytest.raises(ParameterOutOfRange) as parsed:
+        Estimand.parse(token)
+    with pytest.raises(PlanInvalid) as planned:
+        parse_plan(_plan(WeightingAnalysis, "estimand", token))
+    assert str(parsed.value) == str(planned.value) == message
+
+
+def _named():
+    """A dataset whose two covariates are named x and b, and an aggregate of both."""
+    rows = [(0.9, 1), (0.1, 0), (0.8, 0), (0.3, 1), (0.6, 1), (0.5, 0), (0.2, 1), (0.7, 0),
+            (0.2, 0), (0.7, 1), (0.4, 0)]
+    data = make_dataset(rows, [Group.TRIAL] * 8 + [Group.EXTERNAL] * 3,
+                        outcomes=[1, 0, 1, 0, 0, 1, 1, 0, 0, 1, 0], covariate_names=("x", "b"))
+    return data, AggregateSummary(("x", "b"), (0.5, 0.5), 80, OutcomeKind.BINARY,
+                                  {"responders": 30})
+
+
+@pytest.mark.parametrize("call", [
+    lambda data, target: estimate_propensity(data, covariates="xb"),
+    lambda data, target: maic_weights(data, target, covariates="xb"),
+    lambda data, target: stc_estimate(data, target, covariates="xb"),
+], ids=["estimate_propensity", "maic_weights", "stc_estimate"])
+def test_a_public_function_rejects_a_covariate_string(call):
+    # Each once fitted on the covariates x and b, the characters of "xb".
+    with pytest.raises(ParameterOutOfRange) as exc:
+        call(*_named())
+    assert str(exc.value) == "covariates must be a list of names, got 'xb'"
+
+
+AGGREGATE = {"n": 80, "covariates": {"age": 50.0, "severe": 0.5},
+             "outcome": {"kind": "binary", "responders": 30}}
+
+
+# One bad value for each rule that a hand-built aggregate and a file share.
+BAD_AGGREGATES = [
+    ({"n": 2.5}, SchemaViolation, "aggregate n must be a positive integer, got 2.5"),
+    ({"n": True}, SchemaViolation, "aggregate n must be a positive integer, got True"),
+    ({"n": 0}, SchemaViolation, "aggregate n must be a positive integer, got 0"),
+    ({"covariates": {"age": "50", "severe": 0.5}}, SchemaViolation,
+     "covariate 'age' mean must be a finite number, got '50'"),
+    ({"outcome": {"kind": "binary", "responders": "3"}}, SchemaViolation,
+     "aggregate outcome_summary must be an object of finite numbers, got {'responders': '3'}"),
+    ({"outcome": {"kind": "binary", "responders": 3.5}}, SchemaViolation,
+     "binary aggregate outcome needs responders, an integer >= 0, got 3.5"),
+    ({"outcome": {"kind": "binary", "responders": 81}}, ResponderCountExceedsN,
+     "responders 81 > n 80"),
+    ({"outcome": {"kind": "continuous", "sd": 1.0}}, SchemaViolation,
+     "continuous aggregate outcome needs a mean"),
+    ({"outcome": {"kind": "continuous", "mean": 0.2, "sd": -1.0}}, SchemaViolation,
+     "aggregate sd must be >= 0"),
+    ({"outcome": {"kind": "survival", "horizon": 3, "survival": 1.5}}, ProportionOutOfRange,
+     "survival probability 1.5 outside [0,1]"),
+    ({"outcome": {"kind": "survival", "survival": "x"}}, SchemaViolation,
+     "aggregate outcome_summary must be an object of finite numbers, got {'survival': 'x'}"),
+]
+
+
+@pytest.mark.parametrize("change,error,message", BAD_AGGREGATES, ids=[
+    "n-float", "n-bool", "n-zero", "mean-string", "responders-string", "responders-float",
+    "responders-above-n", "continuous-no-mean", "sd-negative", "survival-above-1",
+    "survival-string"])
+def test_a_bad_aggregate_fails_alike_built_and_loaded(change, error, message, tmp_path):
+    payload = {**AGGREGATE, **change}
+    outcome = dict(payload["outcome"])
+    kind = OutcomeKind(outcome.pop("kind"))
+    with pytest.raises(error) as built:
+        AggregateSummary(tuple(payload["covariates"]), tuple(payload["covariates"].values()),
+                         payload["n"], kind, outcome)
+    path = tmp_path / "agg.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(error) as loaded:
+        load_aggregate(path)
+    assert type(built.value) is type(loaded.value) is error
+    assert str(built.value) == message
+    assert str(loaded.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("build", [
+    lambda: AggregateSummary(("a",), (0.5,), 2.5, OutcomeKind.BINARY, {"responders": 1}),
+    lambda: AggregateSummary(("a",), (0.5,), True, OutcomeKind.BINARY, {"responders": 1}),
+    lambda: AggregateSummary(("a", "a"), (0.5, 0.6), 10, OutcomeKind.BINARY, {"responders": 1}),
+    lambda: AggregateSummary((3,), (0.5,), 10, OutcomeKind.BINARY, {"responders": 1}),
+    lambda: AggregateSummary(("a",), (0.5,), 10, "binary", {"responders": 1}),
+    lambda: AggregateSummary(("a",), (0.5,), 10, OutcomeKind.TIME_TO_EVENT, {"survival": "x"}),
+], ids=["n-float", "n-bool", "name-twice", "name-number", "kind-string", "survival-string"])
+def test_an_aggregate_constructor_rejects_what_a_file_rejects(build):
+    # Each once constructed (a fractional or boolean n gave an outcome value,
+    # mean_of read the first of two names, the string kind skipped every
+    # outcome check) or, for the survival string, raised a bare TypeError.
+    with pytest.raises(SchemaViolation):
+        build()
+
+
+def test_aggregate_means_are_kept_as_floats():
+    target = AggregateSummary(["age", "severe"], [50, np.float32(0.5)], np.int64(80),
+                              OutcomeKind.BINARY, {"responders": 30})
+    assert target.covariate_names == ("age", "severe")
+    assert target.covariate_means == (50.0, 0.5)
+    assert [type(m) for m in target.covariate_means] == [float, float]
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"n_trial": 0}, "n_trial must be an integer > 0, got 0"),
+    ({"n_external": -3}, "n_external must be an integer > 0, got -3"),
+    ({"residual_sd": -1.0}, "residual_sd must be a number >= 0, got -1.0"),
+    ({"censoring_rate": 1}, "censoring_rate must be in [0, 1), got 1"),
+    ({"censoring_rate": -0.1}, "censoring_rate must be in [0, 1), got -0.1"),
+], ids=["n_trial", "n_external", "residual_sd", "censoring_rate-1", "censoring_rate-negative"])
+def test_a_scenario_range_is_a_field_check(change, message):
+    base = dict(n_trial=5, n_external=5, covariates=(CovariateSpec("x", "binary", p=0.5),),
+                assignment=(0.0, 1.0), outcome_kind=OutcomeKind.BINARY,
+                outcome_coefficients=(0.0, 1.0), effect=0.1)
+    with pytest.raises(InvalidConfig) as exc:
+        ScenarioConfig(**{**base, **change})
+    assert str(exc.value) == message
+
+
+def test_a_covariate_kind_is_a_field_check():
+    with pytest.raises(InvalidConfig) as exc:
+        CovariateSpec("x", "ordinal")
+    assert str(exc.value) == "covariate kind must be 'binary' or 'continuous', got 'ordinal'"
