@@ -91,7 +91,7 @@ def power_prior_posterior(
         raise ParameterOutOfRange(f"trial counts x={x}, n={n} invalid")
     if not (is_count(x0) and is_count(n0) and x0 <= n0):
         raise ParameterOutOfRange(f"external counts x0={x0}, n0={n0} invalid")
-    if not 0.0 <= a0 <= 1.0:
+    if not (is_number(a0) and 0.0 <= a0 <= 1.0):
         raise ParameterOutOfRange(f"a0={a0} outside [0,1]")
     if not (is_number(prior_alpha) and is_number(prior_beta)
             and prior_alpha > 0 and prior_beta > 0):

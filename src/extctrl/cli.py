@@ -10,10 +10,10 @@ plan document, runs it and writes what the run gives. ``compare``,
 weighted KM curves of a time-to-event outcome. ``ps-fit``, ``weight`` and
 ``balance`` run the plan's design, which reads no outcome, with
 ``plan.run_design``. An error exits with its family's code, the table in
-``extctrl.errors``; success exits 0. The EXTCTRL_THREADS
-environment variable caps bootstrap parallelism when the plan sets no
-thread count; 0, unset, or anything that is not a positive integer runs
-the replicates serially.
+``extctrl.errors``; success exits 0. The EXTCTRL_THREADS environment
+variable caps the parallelism of a bootstrap without a batch when the plan
+sets no thread count; 0, unset, or anything that is not a positive integer
+runs the replicates serially.
 """
 
 from __future__ import annotations

@@ -7,7 +7,6 @@ software, so the choice is fixed and documented here.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -15,7 +14,7 @@ import numpy as np
 
 from .balancing import WeightSet, group_ess
 from .dataset import Dataset
-from .errors import AllWeightsZero, ParameterOutOfRange
+from .errors import AllWeightsZero, ParameterOutOfRange, is_number
 
 DEFAULT_SMD_THRESHOLD = 0.1
 
@@ -93,7 +92,7 @@ def balance_table(
 ) -> BalanceTable:
     """Per-covariate SMD before and after weighting, with an imbalance flag:
     a weighted |SMD| above ``threshold``, which must be finite and > 0."""
-    if not 0 < threshold < math.inf:  # NaN fails too
+    if not (is_number(threshold) and threshold > 0):
         raise ParameterOutOfRange(f"SMD threshold must be finite and > 0, got {threshold!r}")
     trial = data.group_mask
     w = weights.weights

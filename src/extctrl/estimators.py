@@ -31,7 +31,7 @@ from .errors import (
     is_number,
     setting,
 )
-from .propensity import estimate_propensity, is_names, positivity_report
+from .propensity import distinct, estimate_propensity, is_names, positivity_report
 
 
 class Scale(enum.Enum):
@@ -63,17 +63,9 @@ def scale_field():
                    default=None)
 
 
-def _distinct(names):
-    """``names``, unless one of them is named twice."""
-    repeated = [c for i, c in enumerate(names) if c in names[:i]]
-    if repeated:
-        raise ParameterOutOfRange(f"covariate {repeated[0]!r} is named twice")
-    return names
-
-
 def covariates_field():
     """The ``covariates`` setting of an analysis: names, or None for every covariate."""
-    return setting("a list of names", is_names, _distinct, default=None)
+    return setting("a list of names", is_names, distinct, default=None)
 
 
 @dataclass
@@ -274,7 +266,7 @@ def survival_contrast(
     A horizon beyond either group's follow-up, its last observed time, is
     evaluated there and flagged, not rejected.
     """
-    if not horizon >= 0:  # NaN fails too
+    if not (is_number(horizon) and horizon >= 0):
         raise ParameterOutOfRange(f"horizon must be a number >= 0, got {horizon!r}")
     warnings = []
     if horizon > curve_trial.last_time or horizon > curve_external.last_time:

@@ -57,7 +57,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import (ConstantResponse, NoConvergence, ParameterOutOfRange, RankDeficientDesign,
-                     SeparationDetected)
+                     SeparationDetected, SolverError)
 
 # The one call point of each LAPACK gufunc (see the module docstring).
 _solve, _eigvalsh = _umath_linalg.solve, _umath_linalg.eigvalsh_lo
@@ -84,9 +84,6 @@ _SEPARATION_MARGIN = 1e-6
 # with the coefficients. These screens decide only which path fits a replicate.
 _GRAM_SCREEN = 1e-6
 _COEFFICIENT_SCREEN = 1e4
-
-# Verdict of ``fit_logistic_counts``: fit this replicate's rows with ``fit_logistic``.
-REFIT = "refit"
 
 _EPS = np.finfo(float).eps
 
@@ -367,38 +364,46 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, tol: float = DEFAULT_TOL) -> GlmF
 
 def fit_logistic_counts(design: LogisticDesign, counts: np.ndarray):
     """``fit_logistic`` of a prepared design for every row of a b x n block of
-    frequency weights.
+    bootstrap counts (whole draw counts, as the block draw's ``bincount``s).
 
-    Returns the b x p coefficients (NaN where a replicate has no fit) and,
-    per replicate, None, the ``SolverError`` subclass ``fit_logistic`` raises
-    on its repeated rows (ConstantResponse, RankDeficientDesign for too few
-    rows, SeparationDetected), or ``REFIT`` (see _GRAM_SCREEN, and a fit not
-    converged within the iteration cap). A bootstrap prepares its design once
-    and calls this for each block.
+    Returns the b x p coefficients (NaN where a replicate fails) and, per
+    replicate, None or the ``SolverError`` subclass ``fit_logistic`` raises
+    on its rows repeated by their counts. A replicate the stacked Newton steps
+    cannot answer for (too few rows or one response value, a failed screen,
+    a rank deficient or unconverged block fit) is fitted by ``fit_logistic``
+    on those rows here. A bootstrap prepares its design once and calls this
+    for each block.
     """
     counts = np.asarray(counts, dtype=float)
-    b, p = len(counts), design.X.shape[1]
+    b, (n, p) = len(counts), design.X.shape
     held = counts > 0
-    # As in fit_logistic, the row count is tested first, then the rows and
-    # responders each replicate holds (exact integer counts for 0/1 y).
+    # Replicates that fail fit_logistic's entry checks (too few rows, or one
+    # response value) stay out of the Newton block; fit_logistic refuses them.
     few = counts.sum(axis=1) < p + 1
     k, s = held.sum(axis=1), np.count_nonzero(held & (design.y > 0), axis=1)
     constant = (s == 0) | (s == k)
-    errors = [RankDeficientDesign if f else ConstantResponse if c else None
-              for f, c in zip(few, constant)]
+    refit = np.flatnonzero(few | constant).tolist()  # the replicates fit_logistic fits
+    errors = [None] * b
     beta = np.full((b, p), np.nan)
-    fit = np.flatnonzero([e is None for e in errors])
+    fit = np.flatnonzero(~few & ~constant)
     if len(fit):
         block = counts if len(fit) == b else counts[fit]
         beta[fit], fit_errors, hessians, _ = _newton(design, block, DEFAULT_TOL, _GRAM_SCREEN)
         ok = np.array([e is None for e in fit_errors])
-        refit = np.max(np.abs(beta[fit]), axis=1) > _COEFFICIENT_SCREEN
+        screened = np.max(np.abs(beta[fit]), axis=1) > _COEFFICIENT_SCREEN
         if ok.any():
             with np.errstate(invalid="ignore"):
-                refit[ok] |= _ill_conditioned(hessians[ok], _GRAM_SCREEN)
-        for r, error, screen in zip(fit, fit_errors, refit):
-            errors[r] = REFIT if screen or error in (RankDeficientDesign, NoConvergence) else error
-        beta[[e is not None for e in errors]] = np.nan
+                screened[ok] |= _ill_conditioned(hessians[ok], _GRAM_SCREEN)
+        for r, error, screen in zip(fit.tolist(), fit_errors, screened):
+            errors[r] = error
+            if screen or error in (RankDeficientDesign, NoConvergence):
+                refit.append(r)
+    for r in refit:
+        rows = np.repeat(np.arange(n), counts[r].astype(np.intp))
+        try:
+            beta[r], errors[r] = fit_logistic(design.X[rows], design.y[rows]).coefficients, None
+        except SolverError as exc:
+            beta[r], errors[r] = np.nan, type(exc)
     return beta, errors
 
 

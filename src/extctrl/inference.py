@@ -27,11 +27,11 @@ Generator over its own PCG64.
 
 A resample is a vector of frequency weights on the fixed rows: how many
 times each subject was drawn (Efron & Tibshirani 1993, ch. 6). An analysis
-that can refit many count vectors at once is run on blocks of them instead
-of one resampled dataset per replicate. Their counts come straight from the
-positions, one ``bincount`` per group, with no rows between; the positions
-come from the same streams, so replicate i refits the same subjects either
-way. Only a replicate run through the analysis itself has its rows gathered.
+with a ``batch`` refits blocks of count vectors at once and answers for
+every replicate itself. Their counts come straight from the positions, one
+``bincount`` per group, with no rows between; the positions come from the
+same streams, so replicate i refits the same subjects either way. Only an
+analysis without a batch has rows gathered, one resample per replicate.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ import numpy as np
 from .dataset import Dataset
 from .errors import (ExtCtrlError, InvalidConfig, TooManyReplicateFailures, check_settings,
                      is_count, is_int, is_number, setting)
-from .glm import REFIT
 
 MAX_FAILURE_FRACTION = 0.2
 
@@ -268,32 +267,26 @@ def replicate_estimates(
 
     Returns the ``config.replicates`` estimates in index order (NaN where a
     replicate failed) and, per replicate, the class name of the
-    ``ExtCtrlError`` it raised (None where it succeeded). See
-    ``bootstrap_ci`` for the batched path.
+    ``ExtCtrlError`` it raised (None where it succeeded). An analysis with a
+    batch runs every block of replicates through it (see ``bootstrap_ci``);
+    any other runs once per replicate, on the same blocks of draws.
     """
     values = np.full(config.replicates, np.nan)
     errors: list[Optional[str]] = [None] * config.replicates
     n = len(data)
     size = min(max(1, _BLOCK_ELEMENTS // n), config.replicates)
     draw = _block_draw(data.group_rows, config.seed, config.replicates, size)
+    indices = np.arange(config.replicates)
 
-    pending = np.arange(config.replicates)
     batch = getattr(analysis, "batch", None)
     if batch is not None:
-        refit = []
         fit_block = batch(data)
         counts = np.empty((size, n))  # refilled in place for every block
         for start in range(0, config.replicates, size):
-            block = pending[start:start + size]
-            estimates, block_errors = fit_block(draw(block, counts))
-            for i, value, error in zip(block.tolist(), estimates, block_errors):
-                if error is REFIT:
-                    refit.append(i)
-                elif error is None:
-                    values[i] = value
-                else:
-                    errors[i] = error.__name__
-        pending = np.array(refit, dtype=np.intp)
+            block = slice(start, start + size)
+            values[block], block_errors = fit_block(draw(indices[block], counts))
+            errors[block] = [None if e is None else e.__name__ for e in block_errors]
+        return values, errors
 
     def one(rows: np.ndarray) -> tuple[float, Optional[str]]:
         sample = data.take(rows)
@@ -303,11 +296,10 @@ def replicate_estimates(
             return math.nan, type(exc).__name__
 
     def run(map_replicates) -> None:
-        for start in range(0, len(pending), size):
-            block = pending[start:start + size]
+        for start in range(0, config.replicates, size):
+            block = slice(start, start + size)
             # Results come back in index order, keeping the reduction deterministic.
-            for i, (value, error) in zip(block.tolist(), map_replicates(one, draw(block))):
-                values[i], errors[i] = value, error
+            values[block], errors[block] = zip(*map_replicates(one, draw(indices[block])))
 
     threads = config.threads
     if threads == 0:
@@ -337,13 +329,13 @@ def bootstrap_ci(
         analysis may also have an attribute ``batch``: None, or a method
         ``batch(data)`` that prepares ``data`` once and returns a function
         of a b x n block of replicate counts on the rows of ``data``. That
-        function returns the b estimates and, per replicate, None, the
-        ``ExtCtrlError`` subclass the pipeline raises on that resample, or
-        ``REFIT`` to have that replicate run through the pipeline itself;
-        it is called once per block, on blocks of at most 32768 counts, and
-        may not keep the block, which is refilled for the next one.
-        ``config.threads`` applies only to replicates run through the
-        pipeline.
+        function returns the b estimates (NaN where a replicate fails) and,
+        per replicate, None or the ``ExtCtrlError`` subclass it fails with,
+        the one the pipeline raises on that resample; every replicate of a
+        batched analysis runs through it alone. It is called once per
+        block, on blocks of at most 32768 counts, and may not keep the
+        block, which is refilled for the next one. ``config.threads``
+        applies only to an analysis without a batch.
     data : Dataset
         Original data; the point estimate is the pipeline applied to it.
     config : BootstrapConfig

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dataset import Dataset
-from .errors import DegenerateScores, EmptyDataset, MissingColumn, ParameterOutOfRange
+from .errors import DegenerateScores, EmptyDataset, MissingColumn, ParameterOutOfRange, is_number
 from .glm import DEFAULT_TOL, GlmFit, fit_logistic
 
 
@@ -44,10 +44,20 @@ def is_names(v) -> bool:
     return v is None or isinstance(v, (list, tuple)) and all(isinstance(c, str) for c in v)
 
 
+def distinct(names):
+    """``names``, unless one of them is named twice (ParameterOutOfRange)."""
+    repeated = [c for i, c in enumerate(names) if c in names[:i]]
+    if repeated:
+        raise ParameterOutOfRange(f"covariate {repeated[0]!r} is named twice")
+    return names
+
+
 def check_covariates(covariates) -> None:
-    """ParameterOutOfRange unless ``is_names(covariates)``, with an analysis's text."""
+    """ParameterOutOfRange, in an analysis's texts, unless ``is_names(covariates)``
+    holds and no covariate is named twice."""
     if not is_names(covariates):
         raise ParameterOutOfRange(f"covariates must be a list of names, got {covariates!r}")
+    distinct(covariates or ())
 
 
 def estimate_propensity(
@@ -109,7 +119,7 @@ def positivity_report(
     ``insufficient_overlap`` is raised when the group score ranges do not
     intersect or when more than 20% of either group lies outside the band.
     """
-    if not 0.0 <= a < 0.5:
+    if not (is_number(a) and 0.0 <= a < 0.5):
         raise ParameterOutOfRange(f"band parameter a={a} must be in [0, 0.5)")
     e = model.scores
     trial = data.group_mask

@@ -124,8 +124,9 @@ class StcAnalysis:
     curves; calling the analysis on a dataset returns the point of that
     report. With the logit link (a binary outcome), ``batch`` prepares
     the outcome model's design once and returns a function that gives the
-    same effect for every count vector of a bootstrap block (see
-    ``inference.bootstrap_ci``), fitting the block's outcome models at once.
+    same effect or error class for every count vector of a bootstrap block
+    (see ``inference.bootstrap_ci``), fitting the block's outcome models at
+    once with ``glm.fit_logistic_counts``; no replicate calls the analysis.
 
     Each field but ``target`` is the STC plan key of the same name, and its
     default is the value of a plan that does not set that key. Each declares

@@ -7,6 +7,7 @@ fails, the same error class.
 """
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,11 +30,12 @@ from extctrl import (
     cli,
     estimate_propensity,
     fit_logistic,
+    glm,
     stc_estimate,
     weighted_mean_contrast,
 )
-from extctrl.errors import ExtCtrlError, SolverError
-from extctrl.glm import REFIT, LogisticDesign, fit_logistic_counts
+from extctrl.errors import ExtCtrlError, RankDeficientDesign, SolverError
+from extctrl.glm import LogisticDesign, fit_logistic_counts
 from extctrl.inference import (_BLOCK_ELEMENTS, _resample_rows, replicate_estimates,
                                replicate_seed, resample_dataset)
 from extctrl.stc import outcome_link
@@ -65,8 +67,8 @@ def small_data(n=32, seed=1):
                    outcome=y, outcome_kind=OutcomeKind.BINARY)
 
 
-def binary_target(n=80, responders=30):
-    return AggregateSummary(covariate_names=("severe", "x"), covariate_means=(0.3, 0.2),
+def binary_target(n=80, responders=30, names=("severe", "x"), means=(0.3, 0.2)):
+    return AggregateSummary(covariate_names=names, covariate_means=means,
                             n=n, outcome_kind=OutcomeKind.BINARY,
                             outcome_summary={"responders": responders})
 
@@ -235,20 +237,30 @@ def count_problems(draw):
 
 
 def assert_matches_repeated_rows(X, y, counts):
-    """Each replicate is REFIT or has fit_logistic's verdict on its rows."""
-    coefficients, errors = fit_logistic_counts(LogisticDesign(X, y), counts)
+    """Each replicate has fit_logistic's verdict on its rows repeated by their
+    counts: its error class, or its coefficients to 1e-10, and to the bit
+    where the batch called fit_logistic on those rows itself."""
+    own = set()  # the rows of each fit_logistic call the batch made
+
+    def recorded(X, y):
+        own.add(X.tobytes() + y.tobytes())
+        return fit_logistic(X, y)
+
+    with mock.patch.object(glm, "fit_logistic", recorded):
+        coefficients, errors = fit_logistic_counts(LogisticDesign(X, y), counts)
     for r, c in enumerate(counts):
-        if errors[r] is REFIT:
-            assert np.isnan(coefficients[r]).all()
-            continue
+        rows_X, rows_y = np.repeat(X, c, axis=0), np.repeat(y, c)
         try:
-            want = fit_logistic(np.repeat(X, c, axis=0), np.repeat(y, c)).coefficients
+            want = fit_logistic(rows_X, rows_y).coefficients
         except SolverError as exc:
             assert errors[r] is type(exc)
             assert np.isnan(coefficients[r]).all()
             continue
         assert errors[r] is None
-        assert np.max(np.abs(coefficients[r] - want)) <= 1e-10
+        if rows_X.tobytes() + rows_y.tobytes() in own:
+            assert coefficients[r].tobytes() == want.tobytes()
+        else:
+            assert np.max(np.abs(coefficients[r] - want)) <= 1e-10
     return errors
 
 
@@ -284,11 +296,9 @@ def test_large_covariate_values_fit_in_the_batch():
         assert np.max(np.abs(got - want)) <= 1e-9
 
 
-def test_refit_replicates_run_through_threaded_pipeline():
+def rare_covariate_trial():
     # A rare binary covariate is missing from some resamples, which makes
-    # their outcome models rank deficient. The batch leaves those replicates
-    # to the pipeline, which uses the configured threads, and they still
-    # match the per-replicate loop.
+    # their outcome models rank deficient.
     rng = np.random.default_rng(6)
     n = 120
     rare = np.zeros(n)
@@ -296,18 +306,66 @@ def test_refit_replicates_run_through_threaded_pipeline():
     x = rng.normal(size=n)
     y = (rng.random(n) < 0.4).astype(float)
     y[[5, 50]] = [0.0, 1.0]
-    trial = Dataset(("rare", "x"), ids=[f"s{i}" for i in range(n)], trial=np.ones(n, bool),
-                    X=np.column_stack([rare, x]), outcome=y, outcome_kind=OutcomeKind.BINARY)
-    target = AggregateSummary(covariate_names=("rare", "x"), covariate_means=(0.02, 0.0),
-                              n=80, outcome_kind=OutcomeKind.BINARY,
-                              outcome_summary={"responders": 30})
-    X = add_intercept(np.column_stack([rare, x]))
-    assert REFIT in fit_logistic_counts(LogisticDesign(X, y), bootstrap_counts(n, 10, 3))[1]
+    return Dataset(("rare", "x"), ids=[f"s{i}" for i in range(n)], trial=np.ones(n, bool),
+                   X=np.column_stack([rare, x]), outcome=y, outcome_kind=OutcomeKind.BINARY)
+
+
+def near_collinear_trial():
+    # x2 is x1 plus noise of 1e-4: every replicate's Hessian is near-singular,
+    # below the batch's screen but above fit_logistic's rank cut.
+    rng = np.random.default_rng(5)
+    n = 300
+    x1 = rng.normal(size=n)
+    x2 = x1 + 1e-4 * rng.normal(size=n)
+    y = (rng.random(n) < 0.4).astype(float)
+    return Dataset(("x1", "x2"), ids=[f"s{i}" for i in range(n)], trial=np.ones(n, bool),
+                   X=np.column_stack([x1, x2]), outcome=y, outcome_kind=OutcomeKind.BINARY)
+
+
+def test_rare_covariate_replicates_are_rank_deficient_in_the_batch():
+    # The batch refits the replicates that miss the rare covariate by
+    # fit_logistic, which finds them rank deficient. The threads configured
+    # are not used by a batched analysis, and every replicate still matches
+    # the per-replicate loop.
+    trial = rare_covariate_trial()
+    target = binary_target(names=trial.covariate_names, means=(0.02, 0.0))
+    X, y = add_intercept(trial.X), trial.outcome
+    assert RankDeficientDesign in fit_logistic_counts(
+        LogisticDesign(X, y), bootstrap_counts(len(trial), 10, 3))[1]
     config = BootstrapConfig(replicates=30, seed=2, threads=2)
     assert_same_replicates(
         replicate_estimates(StcAnalysis(target, None, Scale.RISK_DIFFERENCE), trial, config),
         reference_replicates(stc_pipeline(target, Scale.RISK_DIFFERENCE), trial, config),
     )
+
+
+@pytest.mark.parametrize("make_trial,means", [(rare_covariate_trial, (0.02, 0.0)),
+                                              (near_collinear_trial, (0.2, 0.2))],
+                         ids=["rare", "near_collinear"])
+def test_batched_replicates_never_call_the_analysis(make_trial, means, monkeypatch):
+    # Replicates the block cannot fit (rank deficient, or failing a screen)
+    # are answered by the batch itself, which calls fit_logistic on their rows,
+    # never by the analysis: they match the per-replicate loop all the same.
+    def called(self, data):
+        raise AssertionError("a batched replicate called the analysis")
+
+    refits = []
+
+    def counted(X, y):
+        refits.append(len(y))
+        return fit_logistic(X, y)
+
+    trial = make_trial()
+    target = binary_target(names=trial.covariate_names, means=means)
+    config = BootstrapConfig(replicates=200, seed=5)
+    reference = reference_replicates(stc_pipeline(target, Scale.RISK_DIFFERENCE), trial, config)
+    monkeypatch.setattr(StcAnalysis, "__call__", called)
+    monkeypatch.setattr(glm, "fit_logistic", counted)
+    assert_same_replicates(
+        replicate_estimates(StcAnalysis(target, None, Scale.RISK_DIFFERENCE), trial, config),
+        reference,
+    )
+    assert len(refits) >= 20 and None in reference[1]
 
 
 # --- CLI front ends share the plan's bootstrap ---------------------------------

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from extctrl import add_intercept, fit_linear, fit_logistic, glm
-from extctrl.glm import (DEFAULT_MAX_ITER, DEFAULT_TOL, REFIT, LogisticDesign, _newton,
+from extctrl.glm import (DEFAULT_MAX_ITER, DEFAULT_TOL, LogisticDesign, _newton,
                          fit_logistic_counts)
 from extctrl.errors import (
     ConstantResponse,
@@ -173,7 +173,7 @@ def test_hessian_singular_during_fit_is_rank_deficient(monkeypatch):
     # A nearly collinear design can pass the rank check at the start and have
     # its weighted Hessian turn singular to rounding as the fit runs (Hypothesis
     # found one at eigenvalue ratio 2.3e-15). That ends the fit with a typed
-    # error, and the batch leaves the replicate to fit_logistic.
+    # error, and the batch refits each replicate by fit_logistic, which gives it.
     X, y = toy_design()
 
     def singular(H, score, signature):  # LAPACK's step for a singular Hessian
@@ -182,19 +182,22 @@ def test_hessian_singular_during_fit_is_rank_deficient(monkeypatch):
     monkeypatch.setattr(glm, "_solve", singular)
     with pytest.raises(RankDeficientDesign):
         fit_logistic(X, y)
-    assert fit_logistic_counts(LogisticDesign(X, y), np.ones((2, len(y))))[1] == [REFIT, REFIT]
+    assert fit_logistic_counts(LogisticDesign(X, y), np.ones((2, len(y))))[1] == [
+        RankDeficientDesign, RankDeficientDesign]
 
 
 def test_iteration_cap_is_no_convergence(monkeypatch):
     # No other test's fit reaches DEFAULT_MAX_ITER. At a cap of 2 steps the
-    # toy fit has not converged: fit_logistic raises NoConvergence and the
-    # batch leaves every replicate to it. A separated design that the cap
-    # stops before any |x'beta| passes _ETA_BOUND is still SeparationDetected.
+    # toy fit has not converged: fit_logistic raises NoConvergence, and the
+    # batch refits every replicate by it to the same verdict. A separated
+    # design that the cap stops before any |x'beta| passes _ETA_BOUND is
+    # still SeparationDetected.
     monkeypatch.setattr(glm, "DEFAULT_MAX_ITER", 2)
     X, y = toy_design()
     with pytest.raises(NoConvergence):
         fit_logistic(X, y)
-    assert fit_logistic_counts(LogisticDesign(X, y), np.ones((3, len(y))))[1] == [REFIT] * 3
+    assert fit_logistic_counts(LogisticDesign(X, y), np.ones((3, len(y))))[1] == [
+        NoConvergence] * 3
     y = np.array([0, 0, 0, 1, 1, 1], dtype=float)
     with pytest.raises(SeparationDetected):
         fit_logistic(add_intercept(y.copy()), y)
@@ -243,7 +246,8 @@ def test_gufunc_singular_hessian_ends_the_block_without_warning():
 
 def test_gufunc_nan_eigenvalue_is_rank_deficient(monkeypatch):
     # LAPACK returns NaN eigenvalues when it does not converge; the rank check
-    # reads them as ill-conditioned, a typed error and not a LinAlgError.
+    # reads them as ill-conditioned, a typed error and not a LinAlgError, in
+    # fit_logistic and so in every replicate the batch refits by it.
     def unconverged(H, signature):
         return np.full(H.shape[:-1], np.nan)
 
@@ -251,7 +255,8 @@ def test_gufunc_nan_eigenvalue_is_rank_deficient(monkeypatch):
     X, y = toy_design()
     with pytest.raises(RankDeficientDesign):
         fit_logistic(X, y)
-    assert fit_logistic_counts(LogisticDesign(X, y), np.ones((2, len(y))))[1] == [REFIT, REFIT]
+    assert fit_logistic_counts(LogisticDesign(X, y), np.ones((2, len(y))))[1] == [
+        RankDeficientDesign, RankDeficientDesign]
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
@@ -278,15 +283,15 @@ def test_fits_leave_design_responses_and_counts_unchanged(order):
     design = LogisticDesign(X, y)
     prepared = design.XT.copy(), design.scale.copy()
     beta, errors = fit_logistic_counts(design, counts)
-    assert errors == [SeparationDetected, REFIT] + [None] * 4
-    # Every verdict is that of fit_logistic on the replicate's rows, which a
-    # rank verdict in the block leaves it to give.
+    assert errors == [SeparationDetected, RankDeficientDesign] + [None] * 4
+    # Every verdict is that of fit_logistic on the replicate's rows, which the
+    # batch calls itself on a replicate its block finds rank deficient.
     steps = set()
     for row, error, coefficients in zip(counts.astype(int), errors, beta):
         try:
             own = fit_logistic(np.repeat(X, row, axis=0), np.repeat(y, row))
         except SolverError as exc:
-            assert error == (REFIT if isinstance(exc, RankDeficientDesign) else type(exc))
+            assert error is type(exc)
             continue
         assert error is None
         assert np.max(np.abs(coefficients - own.coefficients)) <= 1e-10

@@ -436,8 +436,8 @@ def test_block_draw_reuses_its_buffer_and_takes_any_indices():
 def test_block_draw_seeds_every_chunk_of_replicates():
     # Seed words are mixed a chunk of replicates at a time and only the last
     # chunk is kept: a block that spans two chunks, and a draw that goes back
-    # to an earlier chunk (as a refit of failed replicates does), still give
-    # each replicate its own stream. The last chunk is a short one.
+    # to an earlier chunk (the draw takes any indices, in any order), still
+    # give each replicate its own stream. The last chunk is a short one.
     group_rows = (np.arange(0, 30, 3), np.setdiff1d(np.arange(30), np.arange(0, 30, 3)))
     c = _SEED_CHUNK
     draw = _block_draw(group_rows, 11, 2 * c + 5, 4)

@@ -10,6 +10,7 @@ file in front of the constructor's text.
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -17,8 +18,10 @@ import pytest
 from conftest import make_dataset
 from extctrl import (AggregateSummary, BootstrapConfig, CovariateSpec, Estimand, Group,
                      MaicAnalysis, OutcomeKind, PowerPriorAnalysis, ScenarioConfig, StcAnalysis,
-                     WeightingAnalysis, cli, estimate_propensity, estimators, load_aggregate,
-                     maic_weights, stc_estimate)
+                     WeightingAnalysis, balance_table, balancing_weights, cli,
+                     estimate_propensity, estimators, load_aggregate, maic_weights,
+                     positivity_report, power_prior_posterior, stc_estimate, survival_contrast,
+                     weighted_km)
 from extctrl.errors import (InvalidConfig, ParameterOutOfRange, PlanInvalid,
                             ProportionOutOfRange, ResponderCountExceedsN, SchemaViolation)
 from extctrl.plan import canonical_json, parse_plan, plan_hash, run_plan
@@ -278,6 +281,41 @@ def test_a_public_function_rejects_a_covariate_string(call):
     with pytest.raises(ParameterOutOfRange) as exc:
         call(*_named())
     assert str(exc.value) == "covariates must be a list of names, got 'xb'"
+
+
+@pytest.mark.parametrize("call", [
+    lambda data, target: estimate_propensity(data, ["x", "x"]),
+    lambda data, target: maic_weights(data, target, ["x", "x"]),
+    lambda data, target: stc_estimate(data, target, ["x", "x"]),
+], ids=["estimate_propensity", "maic_weights", "stc_estimate"])
+def test_a_public_function_rejects_a_covariate_named_twice(call):
+    # Each once failed later, as a solver error of a duplicated column:
+    # RankDeficientDesign, or CollinearCovariates from MAIC.
+    with pytest.raises(ParameterOutOfRange) as exc:
+        call(*_named())
+    assert str(exc.value) == "covariate 'x' is named twice"
+
+
+def _ate_weights(data):
+    return balancing_weights(estimate_propensity(data), data, Estimand.parse("ate"))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda data: survival_contrast(*[weighted_km([1.0, 2.0], [1, 1], [1.0, 1.0])] * 2,
+                                    math.inf),
+     "horizon must be a number >= 0, got inf"),
+    (lambda data: balance_table(data, _ate_weights(data), True),
+     "SMD threshold must be finite and > 0, got True"),
+    (lambda data: positivity_report(estimate_propensity(data), data, False),
+     "band parameter a=False must be in [0, 0.5)"),
+    (lambda data: power_prior_posterior(52, 61, 30, 80, True), "a0=True outside [0,1]"),
+], ids=["survival_contrast", "balance_table", "positivity_report", "power_prior_posterior"])
+def test_a_public_function_rejects_a_number_its_field_rejects(call, message):
+    # Each once ran: a horizon of inf reported "horizon": null, a bool was
+    # read as the threshold or band 1 or 0, and a0=True wrote "a0": true.
+    with pytest.raises(ParameterOutOfRange) as exc:
+        call(_named()[0])
+    assert str(exc.value) == message
 
 
 AGGREGATE = {"n": 80, "covariates": {"age": 50.0, "severe": 0.5},
