@@ -353,13 +353,23 @@ _strip = np.frompyfunc(str.strip, 1, 1)
 _label = np.frompyfunc(lambda cell: cell.strip().lower(), 1, 1)
 
 
-def _read_columns(source, header, col_index, cov_names, optional) -> Optional[dict]:
-    """The ``Dataset`` columns of the data rows in text file ``source``, in one C pass.
+# NumPy's loadtxt opens a path with one of these suffixes as a compressed file.
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
-    None where NumPy's reader stops (at a fault, or at a row of blank cells,
-    which it does not skip), or where a group label is invalid or a
-    covariate, outcome, time or event value is missing or non-finite.
+
+def _read_columns(path, skiprows, header, col_index, cov_names, optional) -> Optional[dict]:
+    """The ``Dataset`` columns of the data rows of CSV file ``path``, below its
+    first ``skiprows`` lines, in one C pass.
+
+    NumPy reads the file by path, in chunks, with universal newlines. None
+    where NumPy would open the path as a compressed file, where its reader
+    stops (at a fault, or at a row of blank cells, which it does not skip),
+    where a group label is invalid or a covariate, outcome, time or event
+    value is missing or non-finite, or where an id holds a line break, which
+    universal newlines would have rewritten.
     """
+    if path.suffix in _COMPRESSED_SUFFIXES:
+        return None
     present = [col_index[col] for col in optional if col is not None]
     numeric = {col_index[name] for name in cov_names}.union(present)
     dtype = [(f"f{j}", float if j in numeric else object) for j in range(len(header))]
@@ -367,8 +377,8 @@ def _read_columns(source, header, col_index, cov_names, optional) -> Optional[di
         # A file of a header alone is EmptyDataset, raised by the row reader.
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
-            table = np.loadtxt(source, dtype=dtype, delimiter=",", quotechar='"',
-                               comments=None, ndmin=1)
+            table = np.loadtxt(path, dtype=dtype, delimiter=",", quotechar='"', comments=None,
+                               skiprows=skiprows, ndmin=1, encoding="utf-8-sig")
         except ValueError:
             return None
 
@@ -385,14 +395,11 @@ def _read_columns(source, header, col_index, cov_names, optional) -> Optional[di
     numbers = [col for col in (X, outcome, time, event) if col is not None]
     if not (trial | external).all() or not all(np.isfinite(col).all() for col in numbers):
         return None
-    return dict(
-        ids=_strip(column("id")),
-        trial=trial,
-        X=X,
-        outcome=outcome,
-        time=time,
-        event=event,
-    )
+    ids = _strip(column("id"))
+    # Only a quoted cell holds a line break, and the row reader keeps its CR or CRLF.
+    if "\n" in "".join(ids.tolist()):
+        return None
+    return dict(ids=ids, trial=trial, X=X, outcome=outcome, time=time, event=event)
 
 
 def _read_rows(path, records, header, col_index, cov_names, optional) -> dict:
@@ -438,18 +445,19 @@ def load_dataset(path) -> Dataset:
     from the values. Returns the validated dataset in file row order.
 
     A file is read by one of two readers. A complete file (no blank row, no
-    fault, and every outcome, time and event cell present and finite) is
-    parsed in one C pass (``np.loadtxt``), with no per-cell Python. Any
-    other file is read again from its first data row by a ``csv.reader``
-    row reader, which skips blank records, parses each cell in Python and
-    raises the error of the first offending cell.
+    fault, every outcome, time and event cell present and finite, and no
+    line break inside an id) is parsed in one C pass (``np.loadtxt``, which
+    reads the file by path in chunks), with no per-cell Python. Any other
+    file is read again from its first data row by a ``csv.reader`` row
+    reader, which skips blank records, parses each cell in Python and raises
+    the error of the first offending cell.
     """
     path = Path(path)
     try:
         # utf-8-sig drops the byte-order mark of a spreadsheet's UTF-8 export.
         with path.open(newline="", encoding="utf-8-sig") as fh:
-            # Read by ``readline``, which leaves ``tell`` working.
-            header = next(csv.reader(iter(fh.readline, "")), None)
+            reader = csv.reader(fh)
+            header = next(reader, None)
             if header is None:
                 raise EmptyDataset(f"{path}: file is empty")
             header = [h.strip() for h in header]
@@ -462,12 +470,13 @@ def load_dataset(path) -> Dataset:
             # Outcome, time and event columns present in the file, else None.
             optional = [col if col in header else None for col in ("outcome", "time", "event")]
 
-            body, columns = fh.tell(), None
+            columns = None
             if cov_names:
-                columns = _read_columns(fh, header, col_index, cov_names, optional)
+                # The header's physical lines, a quoted line break in a name included.
+                columns = _read_columns(path, reader.line_num, header, col_index, cov_names,
+                                        optional)
             if columns is None or not len(columns["ids"]):
-                fh.seek(body)
-                columns = _read_rows(path, csv.reader(fh), header, col_index, cov_names, optional)
+                columns = _read_rows(path, reader, header, col_index, cov_names, optional)
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: cannot read file ({exc})") from None
 
@@ -509,6 +518,33 @@ def _float_cells(col: np.ndarray) -> list:
     return cells
 
 
+# Rows per ``%`` of the row format: a larger block is no faster, and holds more text.
+_BLOCK_ROWS = 4096
+
+
+def _csv_pieces(header, columns):
+    """The text of ``csv_text`` in pieces: the header line, then each block of
+    up to ``_BLOCK_ROWS`` rows as one ``%`` of a row format, ``%.17g`` for a
+    float column with no NaN and ``%s`` for a column of cells made here."""
+    yield ",".join(_text_cells(header)) + "\n"
+    formats, cells = [], []
+    for col in columns:
+        number = isinstance(col, np.ndarray) and col.dtype.kind == "f"
+        if number and not np.isnan(col).any():
+            formats.append("%.17g")
+            cells.append(col)
+        else:
+            formats.append("%s")
+            cells.append(_float_cells(col) if number else _text_cells(col))
+    row = ",".join(formats) + "\n"
+    n = min(map(len, cells), default=0)
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
+        block = [c[start:stop] for c in cells]
+        values = zip(*[c.tolist() if isinstance(c, np.ndarray) else c for c in block])
+        yield (row * (stop - start)) % tuple(chain.from_iterable(values))
+
+
 def csv_text(header, columns) -> str:
     """CSV text of ``columns`` under ``header``, one line per row.
 
@@ -516,14 +552,18 @@ def csv_text(header, columns) -> str:
     cell. Any other column is written as text, and a cell holding a comma, a
     double quote, CR or LF is quoted as RFC 4180 says.
     """
-    cells = [_float_cells(col) if isinstance(col, np.ndarray) and col.dtype.kind == "f"
-             else _text_cells(col) for col in columns]
-    lines = chain([",".join(_text_cells(header))], map(",".join, zip(*cells)))
-    return "\n".join(lines) + "\n"
+    return "".join(_csv_pieces(header, columns))
+
+
+def write_csv(path, header, columns) -> None:
+    """Write ``csv_text(header, columns)`` to ``path`` (UTF-8), a block of rows
+    at a time, so the whole text is never held at once."""
+    with Path(path).open("w", encoding="utf-8") as fh:
+        fh.writelines(_csv_pieces(header, columns))
 
 
 def save_dataset(data: Dataset, path) -> None:
-    """Write a Dataset in the canonical CSV layout with ``csv_text``.
+    """Write a Dataset in the canonical CSV layout with ``write_csv``.
 
     Every value reads back bit for bit: floats have 17 significant digits,
     and a missing outcome, time or event is an empty cell.
@@ -536,7 +576,7 @@ def save_dataset(data: Dataset, path) -> None:
     if not np.isnan(data.time).all():
         header += ["time", "event"]
         columns += [data.time, data.event]
-    Path(path).write_text(csv_text(header, columns), encoding="utf-8")
+    write_csv(path, header, columns)
 
 
 def load_aggregate(path) -> AggregateSummary:

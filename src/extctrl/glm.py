@@ -218,11 +218,12 @@ def _newton(design, counts, tol, cut, tilt=False):
     IEEE negation commutes with rounding, so each product and sum over z is
     the negation of its counterpart over x, and no sign row is broadcast over
     the block. A fit is RankDeficientDesign when the Hessian at the start,
-    X' diag(c) X, has eigenvalue ratio at most ``cut``, and every fit of the
-    block is when a later Hessian is singular to rounding. ``counts`` None is
-    one fit of every row once, and its steps skip the counts. Each step writes
-    into the design's work arrays; the fits still running hold their first
-    rows, and ``counts`` is copied there, never written.
+    X' diag(c) X, has eigenvalue ratio at most ``cut``, or when a later
+    Hessian of its own is singular to rounding; the other fits go on.
+    ``counts`` None is one fit of every row once, and its steps skip the
+    counts. Each step writes into the design's work arrays; the fits still
+    running hold their first rows, and ``counts`` is copied there, never
+    written.
     """
     XT = design.XT
     X = XT.T
@@ -307,10 +308,14 @@ def _newton(design, counts, tol, cut, tilt=False):
                         break
             step = _solve(H, score[:, :, None], signature="dd->d")[:, :, 0]
             decrement = np.add.reduce(score * step, axis=1).tolist()
-            if not all(map(math.isfinite, decrement)):  # a Hessian singular to rounding
-                for i in fits:  # the batch refits the block
+            finite = list(map(math.isfinite, decrement))
+            if not all(finite):  # a Hessian singular to rounding ends its fit
+                for i in fits[[not f for f in finite]]:
                     errors[i] = RankDeficientDesign
-                break
+                step, H = step[finite], H[finite]
+                decrement = [d for d, f in zip(decrement, finite) if f]
+                if not stop(finite):
+                    break
             B += step
             done = [d < tol for d in decrement]
             finished = sum(done)

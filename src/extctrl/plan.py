@@ -34,6 +34,7 @@ from .dataset import (
     csv_text,
     load_aggregate,
     load_dataset,
+    write_csv,
 )
 from .diagnostics import CHECKLIST_FIELDS, comparability_checklist
 from .errors import (InvalidConfig, ParameterOutOfRange, PlanInvalid, checked_field as _field,
@@ -237,7 +238,7 @@ class RunArtifacts:
         (out / "report.json").write_text(canonical_json(self.report) + "\n",
                                          encoding="utf-8")
         for name, (header, columns) in self.tables.items():
-            (out / name).write_text(csv_text(header, columns), encoding="utf-8")
+            write_csv(out / name, header, columns)
 
 
 _STEPS = ("estimand", "selection-diagnostics", "comparison")

@@ -453,6 +453,19 @@ def test_byte_order_mark_is_not_part_of_the_header(tail, tmp_path, monkeypatch):
     assert data.time.tolist() == [2.5, 0.5, 4.0, 3.0]
 
 
+@pytest.mark.parametrize("name", ["d.csv.gz", "d.bz2", "d.xz", "d.lzma"])
+def test_plain_text_named_like_an_archive_loads(name, tmp_path, monkeypatch):
+    # NumPy would open such a path as a compressed file, so the row reader
+    # reads it, as it is: plain text.
+    calls = _counting_parser(monkeypatch)
+    path = tmp_path / name
+    path.write_text(SURVIVAL_CSV, encoding="utf-8")
+    data = load_dataset(path)
+    assert calls
+    assert data.ids.tolist() == ["a", "b", "c", "d"]
+    assert data.time.tolist() == [2.5, 0.5, 4.0, 3.0]
+
+
 def test_aggregate_with_byte_order_mark(tmp_path):
     path = tmp_path / "agg.json"
     path.write_text("\ufeff" + json.dumps(aggregate_payload()), encoding="utf-8")
@@ -478,14 +491,16 @@ def _dressed(cells):
             return f" {cell}\t"
         if how == "nbsp":
             return f"\u00a0{cell} "
-        if how == "quote" or any(ch in cell for ch in ',"\n'):
+        if how == "quote" or any(ch in cell for ch in ',"\r\n'):
             return '"' + cell.replace('"', '""') + '"'
         return cell
     return st.tuples(cells, st.sampled_from(["bare", "bare", "pad", "nbsp", "quote"])).map(
         lambda pair: dress(*pair))
 
 
-_IDS = _dressed(st.sampled_from(["a", "s1", "a,1", 'q"x', "line\nbreak", " pad "]))
+# A quoted CR or CRLF in an id is kept as written, as a quoted LF is.
+_IDS = _dressed(st.sampled_from(["a", "s1", "a,1", 'q"x', "line\nbreak", "cr\rbreak",
+                                 "crlf\r\nbreak", " pad "]))
 _LABELS = ["trial", "external", "Trial", "EXTERNAL"]
 _GROUPS = _dressed(st.sampled_from(_LABELS + ["martian", ""]))
 _BLANK_ROWS = st.sampled_from(["", "   ", "\t", ",,,,,,,,", " , ", '"",""'])
@@ -493,7 +508,8 @@ _BLANK_ROWS = st.sampled_from(["", "   ", "\t", ",,,,,,,,", " , ", '"",""'])
 
 @st.composite
 def _csv_files(draw):
-    """A small CSV: a header, rows of cells of every kind, and blank rows."""
+    """A small CSV: a header, rows of cells of every kind, and blank rows, each
+    line ended by one of the three line terminators."""
     p = draw(st.integers(1, 2))
     faulty = draw(st.booleans())
     optional = draw(st.lists(st.sampled_from(["outcome", "time", "event"]), unique=True)
@@ -522,7 +538,8 @@ def _csv_files(draw):
         if faulty and draw(st.integers(0, 9)) == 0:
             cells.pop()
         lines.append(",".join(cells))
-    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return eol.join(lines) + draw(st.sampled_from([eol, ""]))
 
 
 _REFERENCE_MISSING = {"", "na", "nan", "null", "none", "."}

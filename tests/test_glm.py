@@ -225,23 +225,52 @@ def test_gufuncs_match_the_public_wrappers(b, p):
     assert eig.tobytes() == np.linalg.eigvalsh(H).tobytes()
 
 
-def test_gufunc_singular_hessian_ends_the_block_without_warning():
+def _singular_replicate_block():
     # Replicate 1 holds only rows where x is 0, so its Hessian has an exactly
-    # zero row. With the rank check at the start off (a cut of -inf), its
-    # step's solve is singular: LAPACK returns NaN, which ends the whole block
-    # as RankDeficientDesign, as the wrapper's LinAlgError did, with no
-    # RuntimeWarning (pyproject.toml turns those into errors).
+    # zero row; replicates 0 and 2 hold every row once.
     rng = np.random.default_rng(3)
     x = np.where(np.arange(40) < 10, 0.0, rng.normal(size=40))
     y = (np.arange(40) % 3 == 0).astype(float)
     counts = np.ones((3, 40))
     counts[1, 10:] = 0.0
+    return LogisticDesign(add_intercept(x), y), counts
+
+
+def test_gufunc_singular_hessian_ends_only_its_fit_without_warning():
+    # With the rank check at the start off (a cut of -inf), replicate 1's
+    # step solve is singular: LAPACK returns NaN, which ends that fit as
+    # RankDeficientDesign, as the wrapper's LinAlgError did, with no
+    # RuntimeWarning (pyproject.toml turns those into errors). The other
+    # fits take their step and converge.
+    design, counts = _singular_replicate_block()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        beta, errors, _, _ = _newton(LogisticDesign(add_intercept(x), y), counts,
-                                     DEFAULT_TOL, -np.inf)
-    assert errors == [RankDeficientDesign] * 3
-    assert np.isnan(beta).all()
+        beta, errors, _, _ = _newton(design, counts, DEFAULT_TOL, -np.inf)
+    assert errors == [None, RankDeficientDesign, None]
+    assert np.isnan(beta[1]).all()
+    reference = fit_logistic(design.X, design.y).coefficients
+    for r in (0, 2):
+        assert np.allclose(beta[r], reference, rtol=0, atol=1e-10)
+
+
+def test_counts_fit_refits_only_the_singular_replicate(monkeypatch):
+    # With the screens off, only the replicate whose Hessian turns singular
+    # is handed to fit_logistic; its neighbours keep their block fit.
+    design, counts = _singular_replicate_block()
+    monkeypatch.setattr(glm, "_GRAM_SCREEN", -np.inf)
+    refits = []
+
+    def counting_fit(X, y):
+        refits.append(len(y))
+        return fit_logistic(X, y)
+
+    monkeypatch.setattr(glm, "fit_logistic", counting_fit)
+    beta, errors = fit_logistic_counts(design, counts)
+    assert refits == [10]
+    assert errors == [None, RankDeficientDesign, None]
+    reference = fit_logistic(design.X, design.y).coefficients
+    for r in (0, 2):
+        assert np.allclose(beta[r], reference, rtol=0, atol=1e-10)
 
 
 def test_gufunc_nan_eigenvalue_is_rank_deficient(monkeypatch):

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from extctrl import cli
-from extctrl.plan import canonical_json, csv_text
+from extctrl import Dataset, cli, dataset, save_dataset
+from extctrl.plan import RunArtifacts, canonical_json, csv_text, parse_plan, run_plan
 
 # Ids and a covariate name that only load and write back intact when the
 # CSV cells are quoted.
@@ -105,6 +105,68 @@ def test_csv_text_formats_only_float_arrays_as_numbers():
     # floats included, is written as text (str, the shortest repr).
     assert csv_text(("v",), (np.array([1 / 3]),)) == "v\n0.33333333333333331\n"
     assert csv_text(("v",), ([1 / 3],)) == "v\n0.3333333333333333\n"
+
+
+def _reference_csv(header, columns) -> str:
+    """CSV text written value by value: format(v, ".17g") for a float, NaN
+    as an empty cell, and RFC 4180 quoting for text."""
+    def cell(v):
+        if isinstance(v, float):
+            return "" if v != v else format(v, ".17g")
+        text = str(v)
+        return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
+
+    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+    return "".join(",".join(map(cell, row)) + "\n" for row in [header, *rows])
+
+
+def _long_table():
+    """A table of more than two row blocks: text that needs quotes, a float
+    column with no NaN and one with NaN, both holding -0, infinities and
+    subnormals."""
+    n = 2 * dataset._BLOCK_ROWS + 3
+    rng = np.random.default_rng(11)
+    ids = [f"s{i}" for i in range(n)]
+    for i, awkward in zip((0, 5000, n - 1), ("a,1", 'q"x', "line\r\nbreak")):
+        ids[i] = awkward
+    special = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e308, np.inf, -np.inf, 1 / 3]
+    clean = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, size=n)
+    clean[::997][:len(special)] = special
+    holes = rng.standard_normal(n)
+    holes[1::1013][:len(special)] = special
+    holes[rng.random(n) < 0.1] = np.nan
+    groups = np.where(rng.random(n) < 0.5, "trial", "external")
+    return ("id", "group", "x,clean", "holes"), (ids, groups, clean, holes)
+
+
+@pytest.mark.parametrize("rows", [0, 1, None])
+def test_csv_text_matches_a_value_by_value_writer_across_row_blocks(rows):
+    header, columns = _long_table()
+    columns = [c[:rows] for c in columns]
+    assert csv_text(header, columns) == _reference_csv(header, columns)
+
+
+def test_run_artifacts_write_the_bytes_of_csv_text(tmp_path):
+    # A hand-built table of several row blocks, and the tables of a weighting
+    # plan whose balance.csv holds an undefined SMD (a constant covariate).
+    header, columns = _long_table()
+    RunArtifacts({}, {"long.csv": (header, columns)}).write(tmp_path / "long")
+    assert (tmp_path / "long" / "long.csv").read_bytes() == csv_text(header, columns).encode()
+
+    rng = np.random.default_rng(4)
+    n = 200
+    X = np.column_stack([rng.standard_normal(n), np.ones(n)])
+    data = Dataset(("x", "const"), ids=AWKWARD_IDS + [f"s{i}" for i in range(n - 3)],
+                   trial=rng.random(n) < 0.5, X=X, time=rng.exponential(5.0, n),
+                   event=(rng.random(n) < 0.7).astype(float))
+    save_dataset(data, tmp_path / "d.csv")
+    artifacts = run_plan(parse_plan({"method": "weighting", "dataset": str(tmp_path / "d.csv"),
+                                     "estimand": "ato", "horizon": 3.0}))
+    artifacts.write(tmp_path / "run")
+    assert set(artifacts.tables) == {"weights.csv", "balance.csv"}
+    for name, (header, columns) in artifacts.tables.items():
+        assert (tmp_path / "run" / name).read_bytes() == csv_text(header, columns).encode()
+    assert read_csv(tmp_path / "run" / "balance.csv")[2] == ["const", "", ""]
 
 
 # Dataclasses are written field by field, so their field names are the output
