@@ -1,8 +1,11 @@
+import contextlib
 import csv
 import io
 import json
 import math
+import os
 import re
+import threading
 import warnings
 
 import numpy as np
@@ -464,6 +467,39 @@ def test_plain_text_named_like_an_archive_loads(name, tmp_path, monkeypatch):
     assert calls
     assert data.ids.tolist() == ["a", "b", "c", "d"]
     assert data.time.tolist() == [2.5, 0.5, 4.0, 3.0]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_named_pipe_loads_every_row(tmp_path, monkeypatch):
+    # A pipe cannot be read twice, so the row reader reads it from the open
+    # file; the text is larger than a pipe's buffer and a read chunk.
+    rng = np.random.default_rng(7)
+    n = 4000
+    x, time = rng.standard_normal(n).tolist(), rng.exponential(5.0, size=n).tolist()
+    text = "id,group,x,time,event\n" + "".join(
+        f"s{i},{'trial' if i % 2 else 'external'},{x[i]!r},{time[i]!r},{i % 3 % 2}\n"
+        for i in range(n))
+    path = tmp_path / "d.csv"
+    path.write_text(text, encoding="utf-8")
+    expected = load_dataset(path)
+
+    fifo = tmp_path / "pipe.csv"
+    os.mkfifo(fifo)
+
+    def feed():
+        with contextlib.suppress(BrokenPipeError), fifo.open("w", encoding="utf-8") as fh:
+            fh.write(text)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    calls = _counting_parser(monkeypatch)
+    data = load_dataset(fifo)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert calls
+    assert data.ids.tolist() == expected.ids.tolist()
+    for name in ("trial", "X", "outcome", "time", "event"):
+        assert getattr(data, name).tobytes() == getattr(expected, name).tobytes(), name
 
 
 def test_aggregate_with_byte_order_mark(tmp_path):
